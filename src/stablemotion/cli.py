@@ -89,8 +89,8 @@ def _gmm_cfg(args, cfg) -> GmmFitConfig:
         seed=args.seed)
 
 
-def _estimate_opts(args, cfg) -> EstimateOptions:
-    return EstimateOptions(margin=cfg.get("margin", 1e-2), seed=args.seed)
+def _estimate_opts(cfg) -> EstimateOptions:
+    return EstimateOptions(margin=cfg.get("margin", 1e-2))
 
 
 def _mse(policy, points, velocities) -> float:
@@ -101,7 +101,7 @@ def _mse(policy, points, velocities) -> float:
 def cmd_fit(args, cfg) -> int:
     demo, _, _ = _single_demo(args.demo)
     t0 = time.perf_counter()
-    chain, policy = learn(demo, _gmm_cfg(args, cfg), _estimate_opts(args, cfg))
+    chain, policy = learn(demo, _gmm_cfg(args, cfg), _estimate_opts(cfg))
     elapsed = time.perf_counter() - t0
     fileio.save_policy(args.output, policy, chain,
                        fileio.make_provenance(source_path=args.demo))
@@ -119,7 +119,7 @@ def cmd_transform(args, cfg) -> int:
         dt=cfg.get("profile_dt", 0.01))
     t0 = time.perf_counter()
     new_chain, profile, new_policy = adapt(chain, descriptor, profile_cfg,
-                                           _estimate_opts(args, cfg))
+                                           _estimate_opts(cfg))
     elapsed = time.perf_counter() - t0
     fileio.save_policy(args.output, new_policy, new_chain,
                        fileio.make_provenance(source_path=args.policy,
@@ -219,7 +219,7 @@ def cmd_bench(args, cfg) -> int:
     for n in lengths:
         resampled = compute_velocities(_resample(demo, n))
         chain, _ = learn(resampled, _gmm_cfg(args, cfg),
-                         _estimate_opts(args, cfg))
+                         _estimate_opts(cfg))
         # shift both ends by a tenth of the span: a representative re-target
         span = resampled.end - resampled.start
         offset = 0.1 * np.linalg.norm(span) * np.ones(resampled.dim) / \
@@ -233,7 +233,7 @@ def cmd_bench(args, cfg) -> int:
         from .evaluation import bench_adaptation
         report = bench_adaptation(
             chain, moved, ProfileConfig(p=n, dt=resampled.median_dt()),
-            repeats=args.repeats, estimate_opts=_estimate_opts(args, cfg))
+            repeats=args.repeats, estimate_opts=_estimate_opts(cfg))
         rows.append({"T_n": n,
                      "transform_ms": 1e3 * report.transform_time,
                      "estimate_ms": 1e3 * report.estimate_time,
@@ -263,7 +263,7 @@ def cmd_stitch(args, cfg) -> int:
     profile = regenerate_profile(stitched.joints, profile_cfg)
     policy = estimate(list(stitched.components.components), profile.points,
                       profile.velocities, stitched.joints[-1],
-                      _estimate_opts(args, cfg))
+                      _estimate_opts(cfg))
     fileio.save_policy(args.output, policy, stitched,
                        fileio.make_provenance())
     _report(args, {"command": "stitch", "segments": len(args.policies),

@@ -16,7 +16,6 @@ class Tolerances:
 
     # mixtures
     prior_sum: float = 1e-9
-    responsibility_sum: float = 1e-12
     em_loglik_slack: float = 1e-8       # allowed per-iteration decrease
 
     # chain transform

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .config import DEFAULT_TOLERANCES
-from .core import GaussianComponent, Trajectory
+from .core import GaussianComponent, Trajectory, _frozen
 from .errors import EmDidNotImprove, InsufficientData
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -72,30 +72,58 @@ def _log_gauss(data: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarra
     return -0.5 * (d * _LOG_2PI + logdet + maha)
 
 
-def _log_joint(components: Sequence[GaussianComponent], data: np.ndarray) -> np.ndarray:
-    """(n, K) matrix of log(pi_k) + log N(x | theta_k)."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    cols = [np.log(c.prior) + _log_gauss(data, c.mean, c.covariance)
-            for c in components]
-    return np.column_stack(cols)
+@dataclass(frozen=True)
+class Mixture:
+    """A component set factored once for repeated posterior queries.
+
+    Holds what every query needs and no query changes: the stacked means,
+    the inverse Cholesky factors L_k^{-1} of Sigma_k = L_k L_k^T, and the
+    log-normalisers log pi_k - 1/2 (d log 2 pi + log det Sigma_k).
+    """
+
+    means: np.ndarray       # (K, d)
+    inv_chol: np.ndarray    # (K, d, d)
+    log_norm: np.ndarray    # (K,)
+
+    @classmethod
+    def from_components(cls,
+                        components: Sequence[GaussianComponent]) -> "Mixture":
+        means = np.array([c.mean for c in components], dtype=float)
+        L = np.linalg.cholesky(np.array([c.covariance for c in components],
+                                        dtype=float))
+        d = means.shape[1]
+        inv_chol = np.linalg.inv(L)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+        log_norm = (np.log([c.prior for c in components])
+                    - 0.5 * (d * _LOG_2PI + logdet))
+        return cls(_frozen(means), _frozen(inv_chol), _frozen(log_norm))
+
+    def posterior(self, X: np.ndarray) -> np.ndarray:
+        """(n, K) responsibilities for the rows of X.
+
+        Computed in log space with the row maximum subtracted, so far-field
+        queries never underflow to an all-zero row.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        diff = X[:, None, :] - self.means                   # (n, K, d)
+        z = np.matmul(self.inv_chol, diff[..., None])[..., 0]
+        lj = self.log_norm - 0.5 * (z * z).sum(axis=2)
+        w = np.exp(lj - lj.max(axis=1, keepdims=True))
+        return w / w.sum(axis=1, keepdims=True)
 
 
 def responsibilities(components: Sequence[GaussianComponent],
                      xi: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities at one query point.
-
-    Computed in log space so far-field queries never underflow to an
-    all-zero row.
-    """
-    lj = _log_joint(components, xi)[0]
-    return np.exp(lj - logsumexp(lj))
+    """Posterior component probabilities at one query point: a batch of
+    one."""
+    mixture = Mixture.from_components(components)
+    return mixture.posterior(np.asarray(xi, dtype=float)[None])[0]
 
 
 def responsibilities_batch(components: Sequence[GaussianComponent],
                            xi: np.ndarray) -> np.ndarray:
     """(n, K) posterior probabilities for a batch of query points."""
-    lj = _log_joint(components, xi)
-    return np.exp(lj - logsumexp(lj, axis=1, keepdims=True))
+    return Mixture.from_components(components).posterior(xi)
 
 
 def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,7 +15,7 @@ problem solved with L-BFGS and an analytic gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from .core import GaussianComponent, _frozen
 from .errors import InfeasibleAttractor, InsufficientData, OptimizationDiverged
-from .gmm import responsibilities, responsibilities_batch
+from .gmm import Mixture, responsibilities_batch
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class EstimateOptions:
                                 # gain in directions the data never excites
     max_iters: int = 500
     grad_tol: float = 1e-8
-    seed: int = 0               # reserved; the solve itself is deterministic
     P: Optional[np.ndarray] = None  # None: identity certificate
 
 
@@ -44,6 +43,9 @@ class LpvDsPolicy:
     P: np.ndarray               # (d, d) Lyapunov certificate
     attractor: np.ndarray
     margin: float
+    # the components factored once per policy, not once per evaluation;
+    # dataclasses.replace runs __post_init__ again, so it never goes stale
+    mixture: Mixture = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _frozen(self.A))
@@ -56,6 +58,8 @@ class LpvDsPolicy:
             raise ValueError("P must be positive definite")
         if self.margin <= 0:
             raise ValueError("margin must be positive")
+        object.__setattr__(self, "mixture",
+                           Mixture.from_components(self.components))
 
     @property
     def dim(self) -> int:
@@ -68,16 +72,14 @@ class LpvDsPolicy:
 
 
 def evaluate(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
-    """Policy velocity at one state."""
-    gamma = responsibilities(policy.components, xi)
-    y = np.asarray(xi, dtype=float) - policy.attractor
-    return np.einsum("k,kij,j->i", gamma, policy.A, y)
+    """Policy velocity at one state: a batch of one."""
+    return evaluate_batch(policy, np.asarray(xi, dtype=float)[None])[0]
 
 
 def evaluate_batch(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
     """Policy velocities for a batch of states, shape (n, d)."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    gamma = responsibilities_batch(policy.components, xi)
+    gamma = policy.mixture.posterior(xi)
     y = xi - policy.attractor
     return np.einsum("tk,kij,tj->ti", gamma, policy.A, y)
 

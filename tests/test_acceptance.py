@@ -211,24 +211,24 @@ def test_4_linear_system_recovery():
              dev < 0.05 and mse < 1e-6)
 
 
-def test_5_oracle_equivalence():
-    rng = np.random.default_rng(11)
+def _oracle_deviations(rng, K: int, d: int):
+    """Largest |gamma - oracle| and |evaluate_batch - oracle| over 1e5
+    points, for a random well-conditioned K-component mixture in d-D."""
     # well-conditioned mixture: both double-precision routes are then exact
     # to ~1e-15; thin learned covariances would amplify rounding instead of
     # exposing implementation differences
-    K = 4
     pri = rng.dirichlet(np.ones(K))
     comps = []
-    A = np.empty((K, 2, 2))
+    A = np.empty((K, d, d))
     for k in range(K):
-        W = rng.normal(size=(2, 2))
-        comps.append(GaussianComponent(float(pri[k]), rng.normal(size=2),
-                                       W @ W.T + 0.5 * np.eye(2)))
-        S = rng.normal(size=(2, 2))
-        A[k] = 0.5 * (S - S.T) - np.eye(2) - 0.3 * abs(rng.normal()) * np.eye(2)
+        W = rng.normal(size=(d, d))
+        comps.append(GaussianComponent(float(pri[k]), rng.normal(size=d),
+                                       W @ W.T + 0.5 * np.eye(d)))
+        S = rng.normal(size=(d, d))
+        A[k] = 0.5 * (S - S.T) - np.eye(d) - 0.3 * abs(rng.normal()) * np.eye(d)
     comps = tuple(comps)
-    policy = LpvDsPolicy(comps, A, np.eye(2), rng.normal(size=2), 1e-2)
-    pts = rng.uniform(-3.0, 3.0, size=(100_000, 2))
+    policy = LpvDsPolicy(comps, A, np.eye(d), rng.normal(size=d), 1e-2)
+    pts = rng.uniform(-3.0, 3.0, size=(100_000, d))
 
     # responsibilities: independent scipy density route
     dens = np.column_stack([
@@ -244,8 +244,19 @@ def test_5_oracle_equivalence():
         v_oracle += gamma_oracle[:, k, None] * \
             (pts @ policy.A[k].T + policy.b[k])
     d_eval = float(np.max(np.abs(evaluate_batch(policy, pts) - v_oracle)))
+    return d_gamma, d_eval
+
+
+def test_5_oracle_equivalence():
+    d_gamma, d_eval = _oracle_deviations(np.random.default_rng(11), K=4, d=2)
     _verdict(f"5 oracle equivalence (gamma {d_gamma:.2e}, eval {d_eval:.2e})",
              d_gamma < 1e-12 and d_eval < 1e-12)
+
+
+def test_5_oracle_equivalence_3d():
+    d_gamma, d_eval = _oracle_deviations(np.random.default_rng(13), K=5, d=3)
+    _verdict(f"5 oracle equivalence, 3-D (gamma {d_gamma:.2e}, "
+             f"eval {d_eval:.2e})", d_gamma < 1e-12 and d_eval < 1e-12)
 
 
 def test_6_timing(tmp_path, capsys):

@@ -24,6 +24,7 @@ from stablemotion.fileio import (
 )
 from stablemotion.gmm import GmmFitConfig
 from stablemotion.pipeline import learn
+from stablemotion.policy import evaluate, evaluate_batch
 from conftest import s_curve_demo
 
 
@@ -139,6 +140,18 @@ class TestPolicyRoundTrip:
         for f1, f2 in zip(chain.link_frames, chain2.link_frames):
             assert np.array_equal(f1.local_eigvecs, f2.local_eigvecs)
             assert f1.along_index == f2.along_index
+
+    def test_reloaded_policy_evaluates_identically(self, learned, tmp_path):
+        chain, policy = learned
+        p = tmp_path / "policy.json"
+        save_policy(p, policy, chain, make_provenance())
+        policy2, _ = load_policy(p)
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1.0, 3.0, size=(200, 2))
+        assert np.array_equal(evaluate_batch(policy2, X),
+                              evaluate_batch(policy, X))
+        for x in X[:20]:
+            assert np.array_equal(evaluate(policy2, x), evaluate(policy, x))
 
     def test_double_round_trip_identical_text(self, learned):
         chain, policy = learned

@@ -108,6 +108,29 @@ class TestResponsibilities:
         assert np.max(np.abs(g.sum(axis=1) - 1.0)) < 1e-12
         assert g.min() >= 0.0
 
+    def test_far_field_rows_are_finite_and_normalised(self, rng):
+        comps = [GaussianComponent(0.2, np.array([0.0, 0.0]),
+                                   0.01 * np.eye(2)),
+                 GaussianComponent(0.5, np.array([4.0, 1.0]),
+                                   np.array([[2.0, 0.9], [0.9, 0.5]])),
+                 GaussianComponent(0.3, np.array([-3.0, 2.0]),
+                                   0.8 * np.eye(2))]
+        means = np.array([c.mean for c in comps])
+        diameter = max(np.linalg.norm(a - b) for a in means for b in means)
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=32)
+        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        pts = means.mean(axis=0) + 1e3 * diameter * dirs
+        assert np.min(np.linalg.norm(pts[:, None] - means, axis=2)) > \
+            999 * diameter
+        batch = responsibilities_batch(comps, pts)
+        assert np.all(np.isfinite(batch))
+        assert np.max(np.abs(batch.sum(axis=1) - 1.0)) < 1e-12
+        for x, row in zip(pts, batch):
+            g = responsibilities(comps, x)
+            assert np.all(np.isfinite(g))
+            assert abs(g.sum() - 1.0) < 1e-12
+            assert np.allclose(g, row, rtol=0.0, atol=1e-15)
+
     def test_matches_brute_force(self, rng):
         comps = [GaussianComponent(0.3, rng.normal(size=2),
                                    np.eye(2) + 0.2 * np.ones((2, 2))),

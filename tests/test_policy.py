@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,24 @@ class TestEvaluate:
         batch = evaluate_batch(policy, X)
         for i in range(len(X)):
             assert np.allclose(batch[i], evaluate(policy, X[i]), atol=1e-13)
+            assert np.array_equal(evaluate(policy, X[i]),
+                                  evaluate_batch(policy, X[i][None])[0])
+
+    def test_replace_rebuilds_the_cached_mixture(self, rng):
+        A = np.array([-np.eye(2), -2.0 * np.eye(2)])
+        policy = LpvDsPolicy(tuple(random_components(rng, 2)), A, np.eye(2),
+                             np.zeros(2), 1e-2)
+        other = tuple(random_components(rng, 2))
+        moved = dataclasses.replace(policy, components=other)
+        fresh = LpvDsPolicy(other, A, np.eye(2), np.zeros(2), 1e-2)
+        X = rng.uniform(-5, 5, size=(40, 2))
+        assert np.array_equal(evaluate_batch(moved, X),
+                              evaluate_batch(fresh, X))
+        assert not np.allclose(evaluate_batch(moved, X),
+                               evaluate_batch(policy, X))
+        for x in X:
+            assert np.allclose(evaluate(moved, x),
+                               brute_force_evaluate(moved, x), atol=1e-12)
 
 
 class TestLyapunov:
