@@ -20,7 +20,7 @@ from .chain import ElasticChain, LinkFrame
 from .core import GaussianComponent, GeometricDescriptor, Pose, Trajectory
 from .errors import ValidationError
 from .gmm import OrderedGmm
-from .policy import LpvDsPolicy
+from .policy import LpvDsPolicy, constraint_residual
 
 DEMO_FORMAT = "stablemotion-demo"
 POLICY_FORMAT = "stablemotion-policy"
@@ -31,6 +31,17 @@ FORMAT_VERSION = 1
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValidationError(msg)
+
+
+def _numeric(value, what: str) -> np.ndarray:
+    """A finite float array, or a ValidationError (ragged rows included)."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    _require(arr is not None and arr.size > 0 and np.all(np.isfinite(arr)),
+             f"{what} must be a non-empty array of finite numbers")
+    return arr
 
 
 def _check_header(obj: dict, fmt: str) -> None:
@@ -69,11 +80,11 @@ def demo_from_dict(obj: dict):
     d = obj["dimension"]
     trajectories = []
     for t in obj["trajectories"]:
-        pts = np.asarray(t["points"], dtype=float)
+        pts = _numeric(t["points"], "trajectory points")
         _require(pts.ndim == 2 and pts.shape[1] == d,
                  "trajectory dimension mismatch")
-        trajectories.append(Trajectory(pts, np.asarray(t["timestamps"],
-                                                      dtype=float)))
+        trajectories.append(Trajectory(pts, _numeric(t["timestamps"],
+                                                    "timestamps")))
     via = (np.asarray(obj["via_points"], dtype=float)
            if "via_points" in obj else None)
     descriptor = (descriptor_from_dict(obj["descriptor"], header=False)
@@ -179,14 +190,36 @@ def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
 
 def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     _check_header(obj, POLICY_FORMAT)
-    comps = tuple(
-        GaussianComponent(c["prior"], np.asarray(c["mean"], dtype=float),
-                          np.asarray(c["covariance"], dtype=float))
-        for c in obj["components"])
-    A = np.array([c["A"] for c in obj["components"]], dtype=float)
-    policy = LpvDsPolicy(comps, A, np.asarray(obj["P"], dtype=float),
-                         np.asarray(obj["attractor"], dtype=float),
-                         obj["margin"])
+    components = obj["components"]
+    _require(isinstance(components, list) and len(components) > 0
+             and all(isinstance(c, dict) for c in components),
+             "components must be a non-empty list of objects")
+    attractor = _numeric(obj["attractor"], "attractor")
+    d = attractor.shape[0]
+    _require(attractor.shape == (d,), "attractor must be a vector")
+    margin = obj["margin"]
+    _require(isinstance(margin, (int, float)) and not isinstance(margin, bool)
+             and np.isfinite(margin) and margin > 0,
+             "margin must be a positive number")
+    P = _numeric(obj["P"], "P")
+    _require(P.shape == (d, d), "P shape mismatch")
+    comps = []
+    for c in components:
+        prior = _numeric(c["prior"], "component prior")
+        mean = _numeric(c["mean"], "component mean")
+        cov = _numeric(c["covariance"], "component covariance")
+        _require(prior.shape == () and mean.shape == (d,),
+                 "component shape mismatch")
+        comps.append(GaussianComponent(float(prior), mean, cov))
+    A = _numeric([c["A"] for c in components], "A")
+    _require(A.shape == (len(comps), d, d), "A shape mismatch")
+    _require(np.linalg.eigvalsh(0.5 * (P + P.T))[0] > 0,
+             "P must be positive definite")
+    policy = LpvDsPolicy(tuple(comps), A, P, attractor, float(margin))
+    residual = constraint_residual(policy)
+    _require(residual <= 0.0,
+             f"policy violates its stability certificate "
+             f"(constraint residual {residual:.3e} > 0)")
     ch = obj["chain"]
     frames = tuple(
         LinkFrame(np.asarray(f["local_mean"], dtype=float),
@@ -194,7 +227,7 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
                   np.asarray(f["eigvals"], dtype=float),
                   int(f["along_index"]))
         for f in ch["link_frames"])
-    gmm = OrderedGmm(comps, tuple(ch["order_scores"]))
+    gmm = OrderedGmm(tuple(comps), tuple(ch["order_scores"]))
     chain = ElasticChain(gmm, np.asarray(ch["joints"], dtype=float), frames,
                          np.asarray(ch["link_lengths"], dtype=float))
     return policy, chain

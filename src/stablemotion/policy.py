@@ -11,12 +11,19 @@ with S_k skew-symmetric and C_k an unconstrained lower-triangular factor,
 so A_k^T P + P A_k = -2 (C_k C_k^T + eps I) is uniformly negative
 definite. The data fit is then a smooth unconstrained least-squares
 problem solved with L-BFGS and an analytic gradient.
+
+With the mixing weights fixed, the prediction at sample t is linear in the
+stacked gains Abar = [A_1 ... A_K] (d x Kd): f_t = Abar phi_t with
+phi_t = gamma_t (x) y_t. The fit therefore needs only the sufficient
+statistics H = Phi^T Phi (Kd x Kd), B = V^T Phi (d x Kd) and c = ||V||^2,
+formed once per estimate; no objective evaluation touches the T samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -81,7 +88,11 @@ def evaluate_batch(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     gamma = policy.mixture.posterior(xi)
     y = xi - policy.attractor
-    return np.einsum("tk,kij,tj->ti", gamma, policy.A, y)
+    K, d, _ = policy.A.shape
+    # each state's mixed matrix sum_k gamma_k A_k, then one matrix-vector
+    # product per state
+    mixed = (gamma @ policy.A.reshape(K, d * d)).reshape(-1, d, d)
+    return (mixed @ y[..., None])[..., 0]
 
 
 def lyapunov_value(policy: LpvDsPolicy, xi: np.ndarray) -> float:
@@ -110,90 +121,108 @@ def _param_counts(d: int) -> Tuple[int, int]:
     return d * (d - 1) // 2, d * (d + 1) // 2  # skew, lower-triangular
 
 
-def _unpack(params: np.ndarray, K: int, d: int):
-    """params -> (S, C) with S (K,d,d) skew and C (K,d,d) lower-triangular."""
-    ns, nc = _param_counts(d)
+@lru_cache(maxsize=None)
+def _triangles(d: int):
+    """Flat (row-major) positions in a d x d matrix of the strict upper
+    triangle, of its mirror below the diagonal, and of the lower triangle."""
     iu = np.triu_indices(d, 1)
     il = np.tril_indices(d)
-    S = np.zeros((K, d, d))
-    C = np.zeros((K, d, d))
-    for k in range(K):
-        off = k * (ns + nc)
-        s = params[off:off + ns]
-        c = params[off + ns:off + ns + nc]
-        S[k][iu] = s
-        S[k] -= S[k].T
-        C[k][il] = c
-    return S, C
+    flat = iu[0] * d + iu[1], iu[1] * d + iu[0], il[0] * d + il[1]
+    for positions in flat:  # shared by every caller: read-only
+        positions.flags.writeable = False
+    return flat
+
+
+def _unpack(params: np.ndarray, K: int, d: int):
+    """params -> (S, C) with S (K,d,d) skew and C (K,d,d) lower-triangular."""
+    ns, _ = _param_counts(d)
+    upper, mirror, lower = _triangles(d)
+    blocks = params.reshape(K, -1)
+    S = np.zeros((K, d * d))
+    C = np.zeros((K, d * d))
+    S[:, upper] = blocks[:, :ns]
+    S[:, mirror] = -blocks[:, :ns]
+    C[:, lower] = blocks[:, ns:]
+    return S.reshape(K, d, d), C.reshape(K, d, d)
 
 
 def _pack(S: np.ndarray, C: np.ndarray) -> np.ndarray:
     K, d, _ = S.shape
-    iu = np.triu_indices(d, 1)
-    il = np.tril_indices(d)
-    return np.concatenate([np.concatenate([S[k][iu], C[k][il]])
-                           for k in range(K)])
+    upper, _, lower = _triangles(d)
+    return np.concatenate([S.reshape(K, -1)[:, upper],
+                           C.reshape(K, -1)[:, lower]], axis=1).ravel()
 
 
 def _assemble_A(S: np.ndarray, C: np.ndarray, P_inv: np.ndarray,
                 eps: float) -> np.ndarray:
     d = S.shape[1]
     M = C @ np.swapaxes(C, 1, 2) + eps * np.eye(d)
-    return np.einsum("ij,kjl->kil", P_inv, S - M)
+    return P_inv @ (S - M)
 
 
-def objective_and_gradient(params: np.ndarray, gamma: np.ndarray,
-                           Y: np.ndarray, V: np.ndarray, P_inv: np.ndarray,
-                           eps: float, K: int, d: int, reg: float = 0.0,
+# -- the fit ------------------------------------------------------------------
+
+class FitStatistics(NamedTuple):
+    """All the least-squares fit needs of the samples (Phi_t = gamma_t (x) y_t)."""
+
+    H: np.ndarray   # (Kd, Kd) Phi^T Phi
+    B: np.ndarray   # (d, Kd)  V^T Phi
+    c: float        # ||V||_F^2
+
+
+def fit_statistics(gamma: np.ndarray, Y: np.ndarray,
+                   V: np.ndarray) -> FitStatistics:
+    """Reduce (T, K) weights, (T, d) centred states and (T, d) velocity
+    targets to the sufficient statistics of the fit."""
+    Phi = (gamma[:, :, None] * Y[:, None, :]).reshape(len(Y), -1)
+    return FitStatistics(Phi.T @ Phi, V.T @ Phi, float(np.vdot(V, V)))
+
+
+def objective_and_gradient(params: np.ndarray, stats: FitStatistics,
+                           P_inv: np.ndarray, eps: float, reg: float = 0.0,
                            shrink: float = 0.0):
     """Sum-of-squares fitting error (plus a ridge on A) and its gradient.
 
-    gamma: (T, K) fixed mixing weights; Y: (T, d) attractor-centered
-    states; V: (T, d) velocity targets. The ridge pulls each A_k toward
+    sum_t ||v_t - Abar phi_t||^2 = c - 2 <Abar, B> + <Abar H, Abar>, with
+    gradient 2 (Abar H - B) in Abar. The ridge pulls each A_k toward
     -shrink * I, so directions the data never excites get a moderate
     contraction instead of an arbitrary (stiff or sluggish) gain.
     """
+    d = stats.B.shape[0]
+    K = stats.B.shape[1] // d
     S, C = _unpack(params, K, d)
     A = _assemble_A(S, C, P_inv, eps)
-    pred = np.einsum("tk,kij,tj->ti", gamma, A, Y)
-    r = V - pred
+    Abar = A.transpose(1, 0, 2).reshape(d, K * d)
+    AH = Abar @ stats.H
     Adev = A + shrink * np.eye(d)
-    J = float(np.sum(r * r)) + reg * float(np.sum(Adev * Adev))
+    J = (stats.c - 2.0 * float(np.vdot(Abar, stats.B))
+         + float(np.vdot(AH, Abar)) + reg * float(np.vdot(Adev, Adev)))
 
-    G = -2.0 * np.einsum("tk,ti,tj->kij", gamma, r, Y)   # dJ/dA_k
+    G = 2.0 * (AH - stats.B).reshape(d, K, d).transpose(1, 0, 2)  # dJ/dA_k
     G += 2.0 * reg * Adev
-    B = np.einsum("ji,kjl->kil", P_inv, G)               # P^{-T} G
-    iu = np.triu_indices(d, 1)
-    il = np.tril_indices(d)
-    grads = []
-    for k in range(K):
-        dS = B[k] - B[k].T
-        dC = -(B[k] + B[k].T) @ C[k]
-        grads.append(np.concatenate([dS[iu], dC[il]]))
-    return J, np.concatenate(grads)
+    W = P_inv.T @ G                                      # P^{-T} G
+    Wt = np.swapaxes(W, 1, 2)
+    return J, _pack(W - Wt, -(W + Wt) @ C)
 
 
-def _initial_params(gamma: np.ndarray, Y: np.ndarray, V: np.ndarray,
+def _initial_params(gamma: np.ndarray, Y: np.ndarray, B: np.ndarray,
                     P: np.ndarray, eps: float, reg: float = 0.0,
                     shrink: float = 0.0) -> np.ndarray:
     """Warm start: per-component ridge least-squares A, clamped feasible."""
-    T, d = Y.shape
+    d = Y.shape[1]
     K = gamma.shape[1]
-    S0 = np.zeros((K, d, d))
-    C0 = np.zeros((K, d, d))
-    for k in range(K):
-        w = gamma[:, k]
-        Syy = (w[:, None] * Y).T @ Y + max(reg, 1e-9) * np.eye(d)
-        Svy = (w[:, None] * V).T @ Y - reg * shrink * np.eye(d)
-        A_ls = Svy @ np.linalg.inv(Syy)
-        W = P @ A_ls
-        S0[k] = 0.5 * (W - W.T)
-        sym = 0.5 * (W + W.T)
-        vals, vecs = np.linalg.eigh(sym)
-        vals = np.minimum(vals, -eps)
-        M = -(vecs * vals) @ vecs.T          # = C C^T + eps I, PSD shifted
-        C0[k] = np.linalg.cholesky(M - eps * np.eye(d) + 1e-10 * np.eye(d))
-    return _pack(S0, C0)
+    I = np.eye(d)
+    Syy = (gamma.T[:, None, :] * Y.T) @ Y + max(reg, 1e-9) * I
+    # the k-th (d x d) block of B is sum_t gamma_tk v_t y_t^T
+    Svy = B.reshape(d, K, d).transpose(1, 0, 2) - reg * shrink * I
+    W = P @ (Svy @ np.linalg.inv(Syy))
+    Wt = np.swapaxes(W, 1, 2)
+    vals, vecs = np.linalg.eigh(0.5 * (W + Wt))
+    vals = np.minimum(vals, -eps)
+    # = C C^T + eps I, PSD shifted
+    M = -(vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    C0 = np.linalg.cholesky(M - eps * I + 1e-10 * I)
+    return _pack(0.5 * (W - Wt), C0)
 
 
 def estimate(components: Sequence[GaussianComponent], data: np.ndarray,
@@ -203,7 +232,8 @@ def estimate(components: Sequence[GaussianComponent], data: np.ndarray,
 
     Minimizes sum_t ||v_t - f(x_t)||^2 over the feasible cone; the mixing
     weights are fixed by the components, so the objective is quadratic in
-    each A_k and smooth in the free parameterization.
+    each A_k and smooth in the free parameterization. The samples are read
+    once, into the statistics; the L-BFGS iterations never see them.
     """
     data = np.asarray(data, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
@@ -229,6 +259,7 @@ def estimate(components: Sequence[GaussianComponent], data: np.ndarray,
     Vn = velocities / scale
 
     gamma = responsibilities_batch(components, data)
+    stats = fit_statistics(gamma, Yn, Vn)
     reg = opts.ridge * T
     # shrinkage target for unexcited directions: a few times the data's
     # speed-to-radius ratio, so they contract strictly faster than the
@@ -236,12 +267,11 @@ def estimate(components: Sequence[GaussianComponent], data: np.ndarray,
     # direction into the attractor) must stay the demonstrated one
     shrink = 10.0 * float(np.mean(np.linalg.norm(Vn, axis=1)) /
                          max(np.mean(np.linalg.norm(Yn, axis=1)), 1e-12))
-    x0 = _initial_params(gamma, Yn, Vn, P, eps, reg, shrink)
-    J0, _ = objective_and_gradient(x0, gamma, Yn, Vn, P_inv, eps, K, d,
-                                   reg, shrink)
+    x0 = _initial_params(gamma, Yn, stats.B, P, eps, reg, shrink)
+    J0, _ = objective_and_gradient(x0, stats, P_inv, eps, reg, shrink)
 
     res = minimize(objective_and_gradient, x0, jac=True,
-                   args=(gamma, Yn, Vn, P_inv, eps, K, d, reg, shrink),
+                   args=(stats, P_inv, eps, reg, shrink),
                    method="L-BFGS-B",
                    options={"maxiter": opts.max_iters, "gtol": opts.grad_tol,
                             "ftol": 1e-14})

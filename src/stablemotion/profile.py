@@ -1,9 +1,10 @@
 """Regenerate a timed trajectory through re-positioned chain joints.
 
-A straight line between the chain endpoints is bent through the joints by
-the same Laplacian edit used on the chain itself; uniform timestamps and
-finite differences then give the velocity targets for policy
-re-estimation.
+By default the profile runs straight from joint to joint. Without that
+interpolation, a straight line between the chain endpoints is bent
+through the joints by the same Laplacian edit used on the chain itself.
+Uniform timestamps and finite differences then give the velocity targets
+for policy re-estimation.
 """
 
 from __future__ import annotations
@@ -67,18 +68,17 @@ def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
     lam = joint_progress(joints)
     idx = map_joint_indices(lam, p)
 
-    t = np.linspace(0.0, 1.0, p)[:, None]
-    line = joints[0] * (1.0 - t) + joints[-1] * t
-
-    sys = build_laplacian(p)
-    delta = sys.L @ line
-    pins = {int(j): joints[q] for q, j in enumerate(idx)}
     if cfg.interpolate_between_joints:
-        for q in range(len(idx) - 1):
-            j0, j1 = int(idx[q]), int(idx[q + 1])
-            for j in range(j0 + 1, j1):
-                frac = (j - j0) / (j1 - j0)
-                pins[j] = joints[q] * (1.0 - frac) + joints[q + 1] * frac
-    points = _solve_pinned(sys.L, delta, pins)
+        # every point lies on the joint polyline, so nothing is left free
+        # for the Laplacian edit: the profile is the piecewise-linear
+        # interpolation at the joint indices (the first is 0, the last p-1)
+        points = np.column_stack([np.interp(np.arange(p), idx, joints[:, a])
+                                  for a in range(joints.shape[1])])
+    else:
+        t = np.linspace(0.0, 1.0, p)[:, None]
+        line = joints[0] * (1.0 - t) + joints[-1] * t
+        sys = build_laplacian(p)
+        pins = {int(j): joints[q] for q, j in enumerate(idx)}
+        points = _solve_pinned(sys.L, sys.L @ line, pins)
     timestamps = cfg.dt * np.arange(p)
     return compute_velocities(Trajectory(points, timestamps))

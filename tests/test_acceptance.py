@@ -30,6 +30,7 @@ from stablemotion.policy import (
     _param_counts,
     estimate,
     evaluate_batch,
+    fit_statistics,
     objective_and_gradient,
 )
 from stablemotion.profile import ProfileConfig
@@ -346,19 +347,17 @@ def test_8_gradient_check():
         gamma = rng.dirichlet(np.ones(K), size=T)
         Y = rng.normal(size=(T, d))
         V = rng.normal(size=(T, d))
+        stats = fit_statistics(gamma, Y, V)
         ns, nc = _param_counts(d)
         params = 0.5 * rng.normal(size=K * (ns + nc))
-        _, grad = objective_and_gradient(params, gamma, Y, V, np.eye(d),
-                                         1e-2, K, d)
+        _, grad = objective_and_gradient(params, stats, np.eye(d), 1e-2)
         h = 1e-6
         for i in range(len(params)):
             up, dn = params.copy(), params.copy()
             up[i] += h
             dn[i] -= h
-            ju, _ = objective_and_gradient(up, gamma, Y, V, np.eye(d),
-                                           1e-2, K, d)
-            jd, _ = objective_and_gradient(dn, gamma, Y, V, np.eye(d),
-                                           1e-2, K, d)
+            ju, _ = objective_and_gradient(up, stats, np.eye(d), 1e-2)
+            jd, _ = objective_and_gradient(dn, stats, np.eye(d), 1e-2)
             fd = (ju - jd) / (2 * h)
             worst = max(worst, abs(grad[i] - fd)
                         / max(abs(fd), abs(grad[i]), 1.0))

@@ -236,3 +236,42 @@ class TestExitCodes:
         rc = main(["--quiet", "--config", str(cfgp), "fit", demo_file,
                    "-o", str(tmp_path / "o.json")])
         assert rc == EXIT_VALIDATION
+
+
+class TestMalformedFiles:
+    """Bad files fail at load with exit code 2, never with a traceback."""
+
+    @staticmethod
+    def _rollout_edited(tmp_path, policy_file, edit):
+        obj = json.loads(open(policy_file).read())
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        return main(["--quiet", "rollout", str(bad),
+                     "-o", str(tmp_path / "o.csv")])
+
+    def test_components_not_a_list(self, tmp_path, policy_file):
+        rc = self._rollout_edited(tmp_path, policy_file,
+                                  lambda o: o.update(components=5))
+        assert rc == EXIT_VALIDATION
+
+    def test_margin_not_a_number(self, tmp_path, policy_file):
+        rc = self._rollout_edited(tmp_path, policy_file,
+                                  lambda o: o.update(margin="x"))
+        assert rc == EXIT_VALIDATION
+
+    def test_uncertified_policy_rejected(self, tmp_path, policy_file):
+        def unstable(obj):
+            d = obj["dimension"]
+            obj["components"][0]["A"] = (5.0 * np.eye(d)).tolist()
+        rc = self._rollout_edited(tmp_path, policy_file, unstable)
+        assert rc == EXIT_VALIDATION
+
+    def test_ragged_demo_points(self, tmp_path, demo_file):
+        obj = json.loads(open(demo_file).read())
+        obj["trajectories"][0]["points"][3] = [0.5]
+        bad = tmp_path / "ragged.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["--quiet", "fit", str(bad), "-o", str(tmp_path / "o.json"),
+                   "--k-max", "2", "--restarts", "1"])
+        assert rc == EXIT_VALIDATION

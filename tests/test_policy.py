@@ -13,10 +13,13 @@ from stablemotion.policy import (
     estimate,
     evaluate,
     evaluate_batch,
+    fit_statistics,
     lyapunov_rate,
     lyapunov_value,
     objective_and_gradient,
+    _pack,
     _param_counts,
+    _unpack,
 )
 from test_gmm import brute_force_responsibilities
 from conftest import s_curve_demo
@@ -114,6 +117,36 @@ class TestLyapunov:
         assert lyapunov_rate(policy, x) == pytest.approx(-2 * r2)
 
 
+def direct_objective(params, gamma, Y, V, P_inv, eps, reg, shrink):
+    """J and its gradient from the per-sample residuals, component by
+    component: the form the sufficient statistics replace."""
+    T, d = Y.shape
+    K = gamma.shape[1]
+    ns, nc = _param_counts(d)
+    iu, il = np.triu_indices(d, 1), np.tril_indices(d)
+    A, Cs = [], []
+    for k in range(K):
+        block = params[k * (ns + nc):(k + 1) * (ns + nc)]
+        S = np.zeros((d, d))
+        S[iu] = block[:ns]
+        S -= S.T
+        C = np.zeros((d, d))
+        C[il] = block[ns:]
+        A.append(P_inv @ (S - C @ C.T - eps * np.eye(d)))
+        Cs.append(C)
+    r = V - np.array([sum(gamma[t, k] * A[k] @ Y[t] for k in range(K))
+                      for t in range(T)])
+    J = float(np.sum(r * r))
+    grad = []
+    for k in range(K):
+        Adev = A[k] + shrink * np.eye(d)
+        J += reg * float(np.sum(Adev * Adev))
+        G = -2.0 * sum(gamma[t, k] * np.outer(r[t], Y[t]) for t in range(T))
+        W = P_inv.T @ (G + 2.0 * reg * Adev)
+        grad.append(np.concatenate([(W - W.T)[iu], (-(W + W.T) @ Cs[k])[il]]))
+    return J, np.concatenate(grad)
+
+
 class TestGradient:
     @pytest.mark.parametrize("trial", range(20))
     def test_analytic_gradient_matches_finite_differences(self, trial):
@@ -125,20 +158,53 @@ class TestGradient:
         Y = rng.normal(size=(T, d))
         V = rng.normal(size=(T, d))
         P = np.eye(d)
+        stats = fit_statistics(gamma, Y, V)
         ns, nc = _param_counts(d)
         params = rng.normal(size=K * (ns + nc)) * 0.5
-        J, grad = objective_and_gradient(params, gamma, Y, V, P, 1e-2, K, d)
+        J, grad = objective_and_gradient(params, stats, P, 1e-2)
         h = 1e-6
         for i in range(len(params)):
             up = params.copy()
             dn = params.copy()
             up[i] += h
             dn[i] -= h
-            ju, _ = objective_and_gradient(up, gamma, Y, V, P, 1e-2, K, d)
-            jd, _ = objective_and_gradient(dn, gamma, Y, V, P, 1e-2, K, d)
+            ju, _ = objective_and_gradient(up, stats, P, 1e-2)
+            jd, _ = objective_and_gradient(dn, stats, P, 1e-2)
             fd = (ju - jd) / (2 * h)
             denom = max(abs(fd), abs(grad[i]), 1.0)
             assert abs(grad[i] - fd) / denom < 1e-5
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_statistics_form_matches_per_sample_residuals(self, trial):
+        rng = np.random.default_rng(2000 + trial)
+        d = int(rng.integers(2, 4))
+        K = int(rng.integers(1, 7))
+        T = int(rng.integers(60, 1001))
+        gamma = rng.dirichlet(np.ones(K), size=T)
+        Y = rng.normal(size=(T, d))
+        V = rng.normal(size=(T, d))
+        W = rng.normal(size=(d, d))
+        P_inv = np.linalg.inv(W @ W.T + 0.5 * np.eye(d))
+        reg, shrink = rng.uniform(0.01, 1.0), rng.uniform(0.1, 5.0)
+        ns, nc = _param_counts(d)
+        params = rng.normal(size=K * (ns + nc)) * 0.5
+        J, grad = objective_and_gradient(params, fit_statistics(gamma, Y, V),
+                                         P_inv, 1e-2, reg, shrink)
+        J_ref, grad_ref = direct_objective(params, gamma, Y, V, P_inv, 1e-2,
+                                           reg, shrink)
+        assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
+        assert np.linalg.norm(grad - grad_ref) <= \
+            1e-12 * np.linalg.norm(grad_ref)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_pack_inverts_unpack(self, rng, d, K):
+        ns, nc = _param_counts(d)
+        params = rng.normal(size=K * (ns + nc))
+        S, C = _unpack(params, K, d)
+        assert np.array_equal(S, -np.swapaxes(S, 1, 2))
+        assert np.array_equal(C, np.tril(C))
+        assert np.array_equal(_pack(S, C), params)
 
 
 class TestEstimate:

@@ -59,6 +59,19 @@ class TestRegenerateProfile:
         for q, j in enumerate(idx):
             assert np.linalg.norm(traj.points[j] - joints[q]) < 1e-9
 
+    def test_interpolation_follows_the_joint_polyline(self):
+        joints = np.array([[0.0, 0], [1, 0.5], [2.5, -0.5], [3, 1]])
+        cfg = ProfileConfig(p=57, dt=0.05)
+        traj = regenerate_profile(joints, cfg)
+        idx = map_joint_indices(joint_progress(joints), cfg.p)
+        assert idx[0] == 0 and idx[-1] == cfg.p - 1
+        for q in range(len(idx) - 1):
+            j0, j1 = idx[q], idx[q + 1]
+            for j in range(j0, j1 + 1):
+                frac = (j - j0) / (j1 - j0)
+                want = joints[q] * (1.0 - frac) + joints[q + 1] * frac
+                assert np.max(np.abs(traj.points[j] - want)) < 1e-12
+
     def test_pins_exact_without_interpolation(self):
         joints = np.array([[0.0, 0], [1, 0.5], [2.5, -0.5], [3, 1]])
         cfg = ProfileConfig(p=40, dt=0.05, interpolate_between_joints=False)
