@@ -28,6 +28,7 @@ from .errors import (
 )
 from .evaluation import (
     RolloutConfig,
+    bench_adaptation,
     endpoints_distance,
     goal_cosine,
     rollout,
@@ -36,8 +37,8 @@ from .evaluation import (
 )
 from .gmm import GmmFitConfig
 from .pipeline import adapt, learn
-from .policy import EstimateOptions, evaluate_batch, lyapunov_value
-from .profile import ProfileConfig
+from .policy import EstimateOptions, estimate, evaluate_batch, lyapunov_value
+from .profile import ProfileConfig, regenerate_profile
 from .sequence import split_demo, stitch_chains
 
 EXIT_OK = 0
@@ -230,7 +231,6 @@ def cmd_bench(args, cfg) -> int:
                                    desc.enter.rotation),
             exit=type(desc.exit)(desc.exit.position + offset,
                                  desc.exit.rotation))
-        from .evaluation import bench_adaptation
         report = bench_adaptation(
             chain, moved, ProfileConfig(p=n, dt=resampled.median_dt()),
             repeats=args.repeats, estimate_opts=_estimate_opts(cfg))
@@ -258,8 +258,6 @@ def cmd_stitch(args, cfg) -> int:
     profile_cfg = ProfileConfig(
         p=cfg.get("profile_points", max(200, 20 * len(stitched.components.components))),
         dt=cfg.get("profile_dt", 0.01))
-    from .profile import regenerate_profile
-    from .policy import estimate
     profile = regenerate_profile(stitched.joints, profile_cfg)
     policy = estimate(list(stitched.components.components), profile.points,
                       profile.velocities, stitched.joints[-1],

@@ -11,7 +11,13 @@ import numpy as np
 from .chain import ElasticChain, transform_chain
 from .core import GeometricDescriptor, Pose, Trajectory
 from .errors import DegenerateDirection, NonFiniteState
-from .policy import LpvDsPolicy, estimate, evaluate, evaluate_batch
+from .policy import (
+    EstimateOptions,
+    LpvDsPolicy,
+    estimate,
+    evaluate,
+    evaluate_batch,
+)
 from .profile import ProfileConfig, regenerate_profile
 from .sequence import PlanExecutor, TaskPlan
 
@@ -171,7 +177,6 @@ def adapt_policy(chain: ElasticChain, descriptor: GeometricDescriptor,
 
     Returns (new_chain, profile, policy, transform_time, estimate_time).
     """
-    from .policy import EstimateOptions
     opts = estimate_opts or EstimateOptions()
     t0 = time.perf_counter()
     new_chain, comps = transform_chain(chain, descriptor)

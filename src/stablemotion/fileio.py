@@ -111,9 +111,11 @@ def _pose_to_dict(pose: Pose) -> dict:
 
 
 def _pose_from_dict(obj: dict) -> Pose:
-    position = np.asarray(obj["position"], dtype=float)
-    rotation = np.asarray(obj["rotation"], dtype=float)
+    _require(isinstance(obj, dict), "pose must be an object")
+    position = _numeric(obj["position"], "pose position")
+    rotation = _numeric(obj["rotation"], "pose rotation")
     d = position.shape[0]
+    _require(position.shape == (d,), "pose position must be a vector")
     _require(rotation.shape == (d, d), "rotation shape mismatch")
     tol = DEFAULT_TOLERANCES.orthonormal_io
     _require(np.max(np.abs(rotation.T @ rotation - np.eye(d))) <= tol,
@@ -141,6 +143,7 @@ def descriptor_to_dict(descriptor: GeometricDescriptor,
 def descriptor_from_dict(obj: dict, header: bool = True) -> GeometricDescriptor:
     if header:
         _check_header(obj, DESCRIPTOR_FORMAT)
+    _require(isinstance(obj, dict), "descriptor must be an object")
     enter = _pose_from_dict(obj["enter"]) if obj.get("enter") else None
     exit_ = _pose_from_dict(obj["exit"]) if obj.get("exit") else None
     return GeometricDescriptor(enter=enter, exit=exit_)
@@ -211,6 +214,8 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
         _require(prior.shape == () and mean.shape == (d,),
                  "component shape mismatch")
         comps.append(GaussianComponent(float(prior), mean, cov))
+    _require(abs(sum(c.prior for c in comps) - 1.0)
+             <= DEFAULT_TOLERANCES.prior_sum, "component priors must sum to 1")
     A = _numeric([c["A"] for c in components], "A")
     _require(A.shape == (len(comps), d, d), "A shape mismatch")
     _require(np.linalg.eigvalsh(0.5 * (P + P.T))[0] > 0,
@@ -220,17 +225,39 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     _require(residual <= 0.0,
              f"policy violates its stability certificate "
              f"(constraint residual {residual:.3e} > 0)")
-    ch = obj["chain"]
-    frames = tuple(
-        LinkFrame(np.asarray(f["local_mean"], dtype=float),
-                  np.asarray(f["local_eigvecs"], dtype=float),
-                  np.asarray(f["eigvals"], dtype=float),
-                  int(f["along_index"]))
-        for f in ch["link_frames"])
-    gmm = OrderedGmm(tuple(comps), tuple(ch["order_scores"]))
-    chain = ElasticChain(gmm, np.asarray(ch["joints"], dtype=float), frames,
-                         np.asarray(ch["link_lengths"], dtype=float))
-    return policy, chain
+    return policy, _chain_from_dict(obj["chain"], tuple(comps), d)
+
+
+def _chain_from_dict(ch: dict, comps: tuple, d: int) -> ElasticChain:
+    K = len(comps)
+    _require(isinstance(ch, dict), "chain must be an object")
+    joints = _numeric(ch["joints"], "chain joints")
+    _require(joints.shape == (K + 1, d),
+             "chain needs K+1 joints of the policy's dimension")
+    lengths = _numeric(ch["link_lengths"], "chain link_lengths")
+    _require(lengths.shape == (K,) and np.all(lengths > 0),
+             "chain link_lengths must be K positive numbers")
+    scores = _numeric(ch["order_scores"], "chain order_scores")
+    _require(scores.shape == (K,) and np.all(np.diff(scores) >= 0),
+             "chain order_scores must be K nondecreasing numbers")
+    frames = ch["link_frames"]
+    _require(isinstance(frames, list) and len(frames) == K
+             and all(isinstance(f, dict) for f in frames),
+             "chain link_frames must be a list of K objects")
+    link_frames = []
+    for f in frames:
+        local_mean = _numeric(f["local_mean"], "link frame local_mean")
+        eigvecs = _numeric(f["local_eigvecs"], "link frame local_eigvecs")
+        eigvals = _numeric(f["eigvals"], "link frame eigvals")
+        along = f["along_index"]
+        _require(local_mean.shape == (d,) and eigvecs.shape == (d, d)
+                 and eigvals.shape == (d,), "link frame shape mismatch")
+        _require(isinstance(along, int) and not isinstance(along, bool)
+                 and 0 <= along < d,
+                 "link frame along_index must be an axis index")
+        link_frames.append(LinkFrame(local_mean, eigvecs, eigvals, along))
+    return ElasticChain(OrderedGmm(comps, tuple(scores.tolist())), joints,
+                        tuple(link_frames), lengths)
 
 
 def save_policy(path, policy: LpvDsPolicy, chain: ElasticChain,

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .config import DEFAULT_TOLERANCES
 from .core import GaussianComponent, Trajectory, _frozen
@@ -61,55 +60,60 @@ class OrderedGmm:
         return self.components[0].dim
 
 
-def _log_gauss(data: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log N(x | mean, cov) for each row of data, via Cholesky."""
-    d = mean.shape[0]
-    L = np.linalg.cholesky(cov)
-    diff = data - mean
-    sol = np.linalg.solve(L, diff.T)
-    maha = np.sum(sol ** 2, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return -0.5 * (d * _LOG_2PI + logdet + maha)
-
-
 @dataclass(frozen=True)
 class Mixture:
     """A component set factored once for repeated posterior queries.
 
     Holds what every query needs and no query changes: the stacked means,
     the inverse Cholesky factors L_k^{-1} of Sigma_k = L_k L_k^T, and the
-    log-normalisers log pi_k - 1/2 (d log 2 pi + log det Sigma_k).
+    log-normalisers log pi_k - 1/2 (d log 2 pi + log det Sigma_k). Means
+    and log-normalisers are stored as columns, so they broadcast against
+    data held as columns (d, n) with no per-query reshaping.
     """
 
-    means: np.ndarray       # (K, d)
+    means: np.ndarray       # (K, d, 1)
     inv_chol: np.ndarray    # (K, d, d)
-    log_norm: np.ndarray    # (K,)
+    log_norm: np.ndarray    # (K, 1)
+
+    @classmethod
+    def from_arrays(cls, priors: np.ndarray, means: np.ndarray,
+                    covariances: np.ndarray) -> "Mixture":
+        """Factor priors (K,), means (K, d) and covariances (K, d, d)."""
+        means = np.asarray(means, dtype=float)
+        L = np.linalg.cholesky(np.asarray(covariances, dtype=float))
+        d = means.shape[1]
+        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+        log_norm = np.log(priors) - 0.5 * (d * _LOG_2PI + logdet)
+        return cls(_frozen(means[:, :, None]), _frozen(np.linalg.inv(L)),
+                   _frozen(log_norm[:, None]))
 
     @classmethod
     def from_components(cls,
                         components: Sequence[GaussianComponent]) -> "Mixture":
-        means = np.array([c.mean for c in components], dtype=float)
-        L = np.linalg.cholesky(np.array([c.covariance for c in components],
-                                        dtype=float))
-        d = means.shape[1]
-        inv_chol = np.linalg.inv(L)
-        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
-        log_norm = (np.log([c.prior for c in components])
-                    - 0.5 * (d * _LOG_2PI + logdet))
-        return cls(_frozen(means), _frozen(inv_chol), _frozen(log_norm))
+        return cls.from_arrays([c.prior for c in components],
+                               [c.mean for c in components],
+                               [c.covariance for c in components])
+
+    def weigh(self, diff: np.ndarray):
+        """Responsibilities (K, n) and log p(x) (n,) from the data columns
+        centred on each mean, `diff = X.T - means` (K, d, n).
+
+        Computed in log space with the per-point maximum subtracted, so
+        far-field queries never underflow to an all-zero column.
+        """
+        z = self.inv_chol @ diff
+        # (z * z).sum, not einsum: einsum's set-up costs more than the sum
+        # itself for the single-point queries of a control loop
+        lj = self.log_norm - 0.5 * (z * z).sum(axis=1)
+        top = lj.max(axis=0)
+        w = np.exp(lj - top)
+        total = w.sum(axis=0)
+        return w / total, top + np.log(total)
 
     def posterior(self, X: np.ndarray) -> np.ndarray:
-        """(n, K) responsibilities for the rows of X.
-
-        Computed in log space with the row maximum subtracted, so far-field
-        queries never underflow to an all-zero row.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        diff = X[:, None, :] - self.means                   # (n, K, d)
-        z = np.matmul(self.inv_chol, diff[..., None])[..., 0]
-        lj = self.log_norm - 0.5 * (z * z).sum(axis=2)
-        w = np.exp(lj - lj.max(axis=1, keepdims=True))
-        return w / w.sum(axis=1, keepdims=True)
+        """(n, K) responsibilities for the rows of X."""
+        points = np.ascontiguousarray(np.atleast_2d(X).T, dtype=float)
+        return self.weigh(points - self.means)[0].T
 
 
 def responsibilities(components: Sequence[GaussianComponent],
@@ -129,9 +133,9 @@ def responsibilities_batch(components: Sequence[GaussianComponent],
 def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = data.shape[0]
     centers = [data[rng.integers(n)]]
+    d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
     for _ in range(1, k):
-        d2 = np.min(
-            [np.sum((data - c) ** 2, axis=1) for c in centers], axis=0)
+        d2 = np.minimum(d2, np.sum((data - centers[-1]) ** 2, axis=1))
         total = d2.sum()
         if total <= 0:  # all points identical / already covered
             centers.append(data[rng.integers(n)])
@@ -140,37 +144,42 @@ def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return np.array(centers)
 
 
+def _em_step(points: np.ndarray, resp: np.ndarray, floor: float):
+    """One M step from responsibilities (K, n), then one E step.
+
+    `points` is the data as contiguous columns (d, n). Returns (priors,
+    means, covs, resp, loglik); the E step runs through the same `Mixture`
+    kernel that answers every posterior query.
+    """
+    d, n = points.shape
+    nk = resp.sum(axis=1) + 1e-300
+    priors = nk / n
+    means = (resp @ points.T) / nk[:, None]
+    diff = points[None] - means[:, :, None]                   # (K, d, n)
+    covs = ((diff * resp[:, None]) @ diff.transpose(0, 2, 1)
+            / nk[:, None, None] + floor * np.eye(d))
+    resp, log_px = Mixture.from_arrays(priors, means, covs).weigh(diff)
+    return priors, means, covs, resp, float(log_px.sum())
+
+
 def _em_single(data: np.ndarray, k: int, floor: float, rng: np.random.Generator,
                max_iters: int, tol: float):
     """One EM run. Returns (priors, means, covs, loglik)."""
     n, d = data.shape
     means = _kmeanspp_init(data, k, rng)
     # hard-assignment init around the k-means++ seeds
-    d2 = np.stack([np.sum((data - m) ** 2, axis=1) for m in means], axis=1)
-    resp = np.zeros((n, k))
-    resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
+    d2 = np.stack([np.sum((data - m) ** 2, axis=1) for m in means])
+    resp = np.zeros((k, n))
+    resp[np.argmin(d2, axis=0), np.arange(n)] = 1.0
 
     priors = np.full(k, 1.0 / k)
     covs = np.tile(np.eye(d), (k, 1, 1))
     prev_ll = -np.inf
     prev_params = None
     slack = DEFAULT_TOLERANCES.em_loglik_slack
+    points = np.ascontiguousarray(data.T)
     for _ in range(max_iters):
-        # M step
-        nk = resp.sum(axis=0) + 1e-300
-        priors = nk / n
-        means = (resp.T @ data) / nk[:, None]
-        for j in range(k):
-            diff = data - means[j]
-            cov = (resp[:, j, None] * diff).T @ diff / nk[j]
-            covs[j] = cov + floor * np.eye(d)
-        # E step
-        lj = np.column_stack([
-            np.log(priors[j]) + _log_gauss(data, means[j], covs[j])
-            for j in range(k)])
-        norm = logsumexp(lj, axis=1)
-        resp = np.exp(lj - norm[:, None])
-        ll = float(norm.sum())
+        priors, means, covs, resp, ll = _em_step(points, resp, floor)
         if ll < prev_ll - slack * max(1.0, abs(prev_ll)):
             # the additive covariance floor can nudge the objective down a
             # little near a fixed point; only a large drop signals a bug
@@ -183,7 +192,7 @@ def _em_single(data: np.ndarray, k: int, floor: float, rng: np.random.Generator,
             prev_ll = ll
             break
         prev_ll = ll
-        prev_params = (priors.copy(), means.copy(), covs.copy())
+        prev_params = (priors, means, covs)
     return priors, means, covs, prev_ll
 
 

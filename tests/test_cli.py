@@ -275,3 +275,53 @@ class TestMalformedFiles:
         rc = main(["--quiet", "fit", str(bad), "-o", str(tmp_path / "o.json"),
                    "--k-max", "2", "--restarts", "1"])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: o.update(chain=5),
+        lambda o: o["chain"].update(joints=o["chain"]["joints"][:-1]),
+        lambda o: o["chain"]["joints"][1].append(0.0),
+        lambda o: o["chain"].update(link_lengths=[-1.0] * len(
+            o["chain"]["link_lengths"])),
+        lambda o: o["chain"].update(order_scores=o["chain"]["order_scores"]
+                                    [::-1] + [0.0]),
+        lambda o: o["chain"].update(order_scores=["a"] * len(
+            o["chain"]["order_scores"])),
+        lambda o: o["chain"].update(link_frames={}),
+        lambda o: o["chain"]["link_frames"][0].update(eigvals=[1.0]),
+        lambda o: o["chain"]["link_frames"][0].update(along_index=7),
+        lambda o: o["chain"]["link_frames"][0].update(along_index=0.5),
+        lambda o: o["components"][0].update(prior=0.9),
+    ], ids=["chain_not_an_object", "too_few_joints", "ragged_joints",
+            "negative_link_lengths", "order_scores_count",
+            "order_scores_not_numbers", "link_frames_not_a_list",
+            "link_frame_eigvals_shape", "along_index_out_of_range",
+            "along_index_not_an_integer", "priors_do_not_sum_to_one"])
+    def test_malformed_policy(self, tmp_path, policy_file, edit):
+        assert self._rollout_edited(tmp_path, policy_file, edit) == \
+            EXIT_VALIDATION
+
+    @pytest.mark.parametrize("pose", [
+        {"position": [0.0, "a"], "rotation": [[1.0, 0.0], [0.0, 1.0]]},
+        {"position": [[0.0], [1.0]], "rotation": [[1.0, 0.0], [0.0, 1.0]]},
+        {"position": [0.0, 1.0], "rotation": [[1.0, 0.0], [0.0, None]]},
+        {"position": [0.0, 1.0], "rotation": [1.0, 0.0]},
+        5,
+    ], ids=["position_not_numbers", "position_not_a_vector",
+            "rotation_not_numbers", "rotation_shape", "pose_not_an_object"])
+    def test_malformed_descriptor(self, tmp_path, policy_file, pose):
+        desc = tmp_path / "desc.json"
+        desc.write_text(json.dumps({
+            "format": "stablemotion-descriptor", "version": 1,
+            "dimension": 2, "enter": pose, "exit": None}))
+        rc = main(["--quiet", "transform", policy_file, str(desc),
+                   "-o", str(tmp_path / "o.json")])
+        assert rc == EXIT_VALIDATION
+
+    def test_demo_descriptor_not_an_object(self, tmp_path, demo_file):
+        obj = json.loads(open(demo_file).read())
+        obj["descriptor"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["--quiet", "fit", str(bad), "-o", str(tmp_path / "o.json"),
+                   "--k-max", "2", "--restarts", "1"])
+        assert rc == EXIT_VALIDATION

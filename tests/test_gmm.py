@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from stablemotion import gmm
 from stablemotion.core import GaussianComponent, Trajectory
 from stablemotion.errors import InsufficientData
 from stablemotion.gmm import (
@@ -11,7 +13,7 @@ from stablemotion.gmm import (
     responsibilities,
     responsibilities_batch,
 )
-from conftest import s_curve_demo
+from conftest import helix_demo, s_curve_demo
 
 
 def _two_cluster_data(seed=7, n=400, sigma=0.3):
@@ -28,6 +30,109 @@ def brute_force_responsibilities(components, xi):
         c.prior * multivariate_normal.pdf(xi, mean=c.mean, cov=c.covariance)
         for c in components])
     return num / num.sum()
+
+
+def reference_em_step(points, resp, floor):
+    """One M and one E step, component by component, with scipy densities:
+    the reference `gmm._em_step` must match. Same signature and returns."""
+    data = points.T
+    n, d = data.shape
+    k = resp.shape[0]
+    nk = resp.sum(axis=1) + 1e-300
+    priors = nk / n
+    means = np.array([resp[j] @ data / nk[j] for j in range(k)])
+    covs = np.empty((k, d, d))
+    for j in range(k):
+        diff = data - means[j]
+        covs[j] = (resp[j, :, None] * diff).T @ diff / nk[j] \
+            + floor * np.eye(d)
+    lj = np.stack([np.log(priors[j]) + multivariate_normal.logpdf(
+        data, means[j], covs[j]).reshape(n) for j in range(k)])
+    norm = logsumexp(lj, axis=0)
+    return priors, means, covs, np.exp(lj - norm), float(norm.sum())
+
+
+def reference_kmeanspp_init(data, k, rng):
+    """k-means++ seeding that takes the minimum over every earlier centre
+    at each draw."""
+    n = data.shape[0]
+    centers = [data[rng.integers(n)]]
+    for _ in range(1, k):
+        d2 = np.min(
+            [np.sum((data - c) ** 2, axis=1) for c in centers], axis=0)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(data[rng.integers(n)])
+            continue
+        centers.append(data[rng.choice(n, p=d2 / total)])
+    return np.array(centers)
+
+
+def _relative_error(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestEmStep:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_component_loop(self, rng, d, k):
+        n = int(rng.integers(60, 400))
+        centres = rng.normal(scale=3.0, size=(k, d))
+        labels = rng.integers(k, size=n)
+        data = centres[labels] + rng.normal(size=(n, d))
+        # soft labels: distinct components, so posteriors reach ~1e-8
+        resp = np.eye(k)[:, labels] + rng.uniform(0.0, 0.1, size=(k, n))
+        resp /= resp.sum(axis=0)
+        points = np.ascontiguousarray(data.T)
+        floor = 1e-6
+        got = gmm._em_step(points, resp, floor)
+        want = reference_em_step(points, resp, floor)
+        for g, w in zip(got[:3], want[:3]):
+            assert _relative_error(g, w) < 1e-12
+        # per entry: every responsibility, however small, to 1e-12
+        np.testing.assert_allclose(got[3], want[3], rtol=1e-12, atol=0.0)
+        assert got[4] == pytest.approx(want[4], rel=1e-12, abs=0.0)
+
+    def test_responsibilities_are_the_mixture_posterior(self, rng):
+        data = rng.normal(size=(150, 2))
+        resp = rng.dirichlet(np.ones(4), size=150).T
+        priors, means, covs, got, _ = gmm._em_step(
+            np.ascontiguousarray(data.T), resp, 1e-6)
+        comps = [GaussianComponent(p, m, c)
+                 for p, m, c in zip(priors, means, covs)]
+        assert np.array_equal(got.T, responsibilities_batch(comps, data))
+
+    @pytest.mark.parametrize("demo", [s_curve_demo(), helix_demo()],
+                             ids=["s_curve", "helix"])
+    def test_fit_matches_component_loop_em(self, monkeypatch, demo):
+        cfg = GmmFitConfig(k_max=5, restarts=2, seed=11)
+        fast = fit_gmm(demo.points, cfg)
+        monkeypatch.setattr(gmm, "_em_step", reference_em_step)
+        slow = fit_gmm(demo.points, cfg)
+        assert len(fast) == len(slow)
+        for a, b in zip(fast, slow):
+            assert a.prior == pytest.approx(b.prior, rel=1e-9, abs=0.0)
+            assert _relative_error(a.mean, b.mean) < 1e-9
+            assert _relative_error(a.covariance, b.covariance) < 1e-9
+
+
+class TestKmeansppInit:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_centres_match_minimum_over_all_centres(self, seed):
+        data = helix_demo(300).points
+        for k in range(1, 9):
+            got = gmm._kmeanspp_init(
+                data, k, np.random.default_rng([seed, k]))
+            want = reference_kmeanspp_init(
+                data, k, np.random.default_rng([seed, k]))
+            assert np.array_equal(got, want)
+
+    def test_identical_points(self):
+        data = np.tile([1.0, 2.0], (20, 1))
+        got = gmm._kmeanspp_init(data, 3, np.random.default_rng(4))
+        want = reference_kmeanspp_init(data, 3, np.random.default_rng(4))
+        assert np.array_equal(got, want)
 
 
 class TestFitGmm:
