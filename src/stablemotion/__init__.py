@@ -19,7 +19,6 @@ from .gmm import (
 )
 from .chain import (
     ElasticChain,
-    LaplacianSystem,
     build_chain,
     build_laplacian,
     gaussian_joint,

@@ -67,19 +67,6 @@ class ElasticChain:
         return GeometricDescriptor(enter=self.start_pose(), exit=self.end_pose())
 
 
-@dataclass
-class LaplacianSystem:
-    """Path-graph Laplacian with unit weights plus equality pins."""
-
-    L: np.ndarray
-    delta: Optional[np.ndarray] = None
-    constraints: Optional[dict] = None  # index -> pinned point
-
-    @property
-    def size(self) -> int:
-        return self.L.shape[0]
-
-
 def gaussian_joint(g1: GaussianComponent, g2: GaussianComponent) -> np.ndarray:
     """Mean of the product of two Gaussians (precision-weighted mean)."""
     try:
@@ -136,7 +123,7 @@ def build_chain(gmm: OrderedGmm, demo: Trajectory) -> ElasticChain:
     return ElasticChain(gmm, joints, frames, lengths)
 
 
-def build_laplacian(m: int) -> LaplacianSystem:
+def build_laplacian(m: int) -> np.ndarray:
     """Path-graph Laplacian, unit weights: rows sum to 0, diagonal 1."""
     if m < 2:
         raise ValueError("need at least 2 waypoints")
@@ -146,7 +133,7 @@ def build_laplacian(m: int) -> LaplacianSystem:
     for i in range(1, m - 1):
         L[i, i - 1] = -0.5
         L[i, i + 1] = -0.5
-    return LaplacianSystem(L=L)
+    return L
 
 
 def _solve_pinned(L: np.ndarray, delta: np.ndarray, pins: dict) -> np.ndarray:
@@ -164,27 +151,28 @@ def _solve_pinned(L: np.ndarray, delta: np.ndarray, pins: dict) -> np.ndarray:
     return x
 
 
-def solve_constrained_edit(sys: LaplacianSystem, joints0: np.ndarray,
+def solve_constrained_edit(joints0: np.ndarray,
                            o_start: Optional[Pose], o_end: Optional[Pose],
-                           link_lengths: Optional[np.ndarray] = None) -> np.ndarray:
+                           link_lengths: Optional[np.ndarray] = None
+                           ) -> Tuple[np.ndarray, dict]:
     """Re-position the joints to satisfy new endpoint frames.
 
     The first (and/or last) two joints are pinned: the endpoint goes to the
     descriptor position, and its neighbor sits one original link length
     along the descriptor x-axis, so the identity edit is exact. The
-    interior minimizes the Laplacian-coordinate residual, solved as an
-    exact equality-constrained linear least-squares.
+    interior minimizes the residual of the joints' path-graph Laplacian
+    coordinates, solved as an exact equality-constrained linear
+    least-squares. Returns (new_joints, pins), pins mapping each pinned
+    joint index to its target.
     """
     joints0 = np.asarray(joints0, dtype=float)
     m = joints0.shape[0]
-    if sys.size != m:
-        raise ValueError("system size does not match joint count")
     if o_start is None and o_end is None:
         raise ValueError("at least one descriptor pose is required")
     if link_lengths is None:
         link_lengths = np.linalg.norm(np.diff(joints0, axis=0), axis=1)
 
-    delta = sys.L @ joints0
+    L = build_laplacian(m)
     pins: dict = {}
 
     def _pin(i: int, target: np.ndarray) -> None:
@@ -202,10 +190,7 @@ def solve_constrained_edit(sys: LaplacianSystem, joints0: np.ndarray,
         _pin(m - 1, o_end.position)
         _pin(m - 2, o_end.position - link_lengths[-1] * o_end.x_axis)
 
-    new_joints = _solve_pinned(sys.L, delta, pins)
-    sys.delta = delta
-    sys.constraints = pins
-    return new_joints
+    return _solve_pinned(L, L @ joints0, pins), pins
 
 
 def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
@@ -257,9 +242,8 @@ def chain_from_state(components: Sequence[GaussianComponent],
 def transform_chain(chain: ElasticChain,
                     descriptor: GeometricDescriptor) -> Tuple[ElasticChain, list]:
     """End-to-end re-targeting: Laplacian edit then parameter recovery."""
-    sys = build_laplacian(chain.joints.shape[0])
-    new_joints = solve_constrained_edit(
-        sys, chain.joints, descriptor.enter, descriptor.exit,
+    new_joints, _ = solve_constrained_edit(
+        chain.joints, descriptor.enter, descriptor.exit,
         link_lengths=chain.link_lengths)
     comps = recover_gmm(chain, new_joints)
     new_chain = chain_from_state(comps, new_joints,

@@ -29,6 +29,7 @@ from .errors import (
 from .evaluation import (
     RolloutConfig,
     bench_adaptation,
+    convergence_radius_for,
     endpoints_distance,
     goal_cosine,
     rollout,
@@ -115,9 +116,7 @@ def cmd_fit(args, cfg) -> int:
 def cmd_transform(args, cfg) -> int:
     policy, chain = fileio.load_policy(args.policy)
     descriptor = fileio.load_descriptor(args.descriptor)
-    profile_cfg = ProfileConfig(
-        p=cfg.get("profile_points", max(200, 10 * len(chain.components.components))),
-        dt=cfg.get("profile_dt", 0.01))
+    profile_cfg = _profile_cfg_for(chain, cfg, points_per_component=10)
     t0 = time.perf_counter()
     new_chain, profile, new_policy = adapt(chain, descriptor, profile_cfg,
                                            _estimate_opts(cfg))
@@ -139,15 +138,19 @@ def cmd_transform(args, cfg) -> int:
     return EXIT_OK
 
 
+def _profile_cfg_for(chain, cfg, points_per_component: int) -> ProfileConfig:
+    return ProfileConfig(
+        p=cfg.get("profile_points",
+                  max(200, points_per_component * len(chain.components))),
+        dt=cfg.get("profile_dt", 0.01))
+
+
 def _rollout_cfg_for(chain, cfg) -> RolloutConfig:
-    joints = chain.joints
-    diameter = 2.0 * float(np.max(np.linalg.norm(
-        joints - joints.mean(axis=0), axis=1)))
     return RolloutConfig(
         dt=cfg.get("rollout_dt", 0.01),
         max_steps=cfg.get("rollout_max_steps", 100_000),
         convergence_radius=cfg.get("rollout_convergence_radius",
-                                   1e-3 * max(diameter, 1e-9)))
+                                   convergence_radius_for(chain.joints)))
 
 
 def cmd_rollout(args, cfg) -> int:
@@ -255,10 +258,9 @@ def cmd_stitch(args, cfg) -> int:
         _, chain = fileio.load_policy(path)
         chains.append(chain)
     stitched = stitch_chains(chains)
-    profile_cfg = ProfileConfig(
-        p=cfg.get("profile_points", max(200, 20 * len(stitched.components.components))),
-        dt=cfg.get("profile_dt", 0.01))
-    profile = regenerate_profile(stitched.joints, profile_cfg)
+    profile = regenerate_profile(
+        stitched.joints,
+        _profile_cfg_for(stitched, cfg, points_per_component=20))
     policy = estimate(list(stitched.components.components), profile.points,
                       profile.velocities, stitched.joints[-1],
                       _estimate_opts(cfg))

@@ -2,23 +2,17 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .chain import ElasticChain, transform_chain
+from .chain import ElasticChain
 from .core import GeometricDescriptor, Pose, Trajectory
 from .errors import DegenerateDirection, NonFiniteState
-from .policy import (
-    EstimateOptions,
-    LpvDsPolicy,
-    estimate,
-    evaluate,
-    evaluate_batch,
-)
-from .profile import ProfileConfig, regenerate_profile
+from .pipeline import adapt_policy
+from .policy import LpvDsPolicy, evaluate_batch
+from .profile import ProfileConfig
 from .sequence import PlanExecutor, TaskPlan
 
 
@@ -27,13 +21,10 @@ class RolloutConfig:
     dt: float = 0.01
     max_steps: int = 100_000
     convergence_radius: float = 1e-3
-    integrator: str = "rk4"     # "rk4" | "euler"
 
     def __post_init__(self):
         if self.dt <= 0 or self.convergence_radius <= 0:
             raise ValueError("dt and convergence_radius must be positive")
-        if self.integrator not in ("rk4", "euler"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass(frozen=True)
@@ -53,14 +44,53 @@ class AdaptationReport:
     total_time: float
 
 
-def _step(f, x: np.ndarray, dt: float, integrator: str) -> np.ndarray:
-    if integrator == "euler":
-        return x + dt * f(x)
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
+               cfg: RolloutConfig, record: bool):
+    """RK4 in lockstep from every row of X0 until each row is within the
+    convergence radius of the attractor or the step budget runs out.
+
+    field maps an (n, d) batch of states to its velocities. Only the rows
+    still moving are integrated; they are written back into the result
+    when one of them converges, and at the end. With record, every state
+    of row 0 is kept (rollouts record a batch of one).
+    Returns (final_states, converged, recorded_states or None).
+    """
+    X = np.array(X0, dtype=float, ndmin=2)
+    r2 = cfg.convergence_radius ** 2
+    dt = cfg.dt
+    D = X - attractor
+    done = (D * D).sum(axis=1) < r2
+    rows = np.flatnonzero(~done)
+    Xa = X[rows]
+    states = [X[0].copy()] if record else None
+    for _ in range(cfg.max_steps):
+        if not rows.size:
+            break
+        k1 = field(Xa)
+        k2 = field(Xa + 0.5 * dt * k1)
+        k3 = field(Xa + 0.5 * dt * k2)
+        k4 = field(Xa + dt * k3)
+        Xa = Xa + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(Xa).all():
+            raise NonFiniteState("rollout state is not finite")
+        if record:
+            states.append(Xa[0])
+        D = Xa - attractor
+        d2 = (D * D).sum(axis=1)
+        if d2.min() < r2:
+            hit = d2 < r2
+            X[rows] = Xa
+            done[rows[hit]] = True
+            rows, Xa = rows[~hit], Xa[~hit]
+    X[rows] = Xa
+    return X, done, states
+
+
+def convergence_radius_for(joints: np.ndarray) -> float:
+    """Default stop radius: 1e-3 of the joints' diameter about their mean."""
+    diameter = 2.0 * float(np.max(np.linalg.norm(
+        joints - joints.mean(axis=0), axis=1)))
+    return 1e-3 * max(diameter, 1e-9)
 
 
 def rollout(policy_or_plan: Union[LpvDsPolicy, TaskPlan], xi0: np.ndarray,
@@ -68,59 +98,29 @@ def rollout(policy_or_plan: Union[LpvDsPolicy, TaskPlan], xi0: np.ndarray,
     """Integrate the flow until the (final) attractor or the step budget."""
     if isinstance(policy_or_plan, TaskPlan):
         executor = PlanExecutor(policy_or_plan)
-        f = lambda x: executor.step(x)[0]
+        field = lambda X: executor.step(X[0])[0][None]
         attractor = policy_or_plan.final_attractor
     else:
         policy = policy_or_plan
-        f = lambda x: evaluate(policy, x)
-        attractor = policy_or_plan.attractor
-
-    x = np.asarray(xi0, dtype=float)
-    states = [x]
-    converged = bool(np.linalg.norm(x - attractor) < cfg.convergence_radius)
-    for _ in range(cfg.max_steps):
-        if converged:
-            break
-        x = _step(f, x, cfg.dt, cfg.integrator)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState("rollout state is not finite")
-        states.append(x)
-        converged = bool(np.linalg.norm(x - attractor) < cfg.convergence_radius)
+        field = lambda X: evaluate_batch(policy, X)
+        attractor = policy.attractor
+    _, done, states = _integrate(field, xi0, attractor, cfg, record=True)
     if len(states) == 1:  # started inside the convergence radius
         states.append(states[0])
     pts = np.array(states)
     ts = cfg.dt * np.arange(pts.shape[0])
-    return RolloutResult(Trajectory(pts, ts), converged)
+    return RolloutResult(Trajectory(pts, ts), bool(done[0]))
 
 
 def rollout_batch(policy: LpvDsPolicy, starts: np.ndarray,
                   cfg: RolloutConfig = RolloutConfig()) -> Tuple[np.ndarray, np.ndarray]:
     """Integrate many starts in lockstep; returns (final_states, converged).
 
-    Converged rows are frozen in place, so the whole batch costs one
-    vectorized policy evaluation per stage.
+    Converged rows stop moving, so the whole batch costs one vectorized
+    policy evaluation per stage.
     """
-    X = np.atleast_2d(np.asarray(starts, dtype=float)).copy()
-    g = policy.attractor
-    dt = cfg.dt
-    done = np.linalg.norm(X - g, axis=1) < cfg.convergence_radius
-    for _ in range(cfg.max_steps):
-        if np.all(done):
-            break
-        active = ~done
-        Xa = X[active]
-        if cfg.integrator == "euler":
-            Xa = Xa + dt * evaluate_batch(policy, Xa)
-        else:
-            k1 = evaluate_batch(policy, Xa)
-            k2 = evaluate_batch(policy, Xa + 0.5 * dt * k1)
-            k3 = evaluate_batch(policy, Xa + 0.5 * dt * k2)
-            k4 = evaluate_batch(policy, Xa + dt * k3)
-            Xa = Xa + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(Xa)):
-            raise NonFiniteState("batch rollout state is not finite")
-        X[active] = Xa
-        done[active] = np.linalg.norm(Xa - g, axis=1) < cfg.convergence_radius
+    X, done, _ = _integrate(lambda X: evaluate_batch(policy, X), starts,
+                            policy.attractor, cfg, record=False)
     return X, done
 
 
@@ -171,23 +171,6 @@ def sample_field(policy: LpvDsPolicy, bounds: np.ndarray,
     return points, evaluate_batch(policy, points)
 
 
-def adapt_policy(chain: ElasticChain, descriptor: GeometricDescriptor,
-                 profile_cfg: ProfileConfig, estimate_opts=None):
-    """Transform the chain, regenerate the profile, re-estimate the policy.
-
-    Returns (new_chain, profile, policy, transform_time, estimate_time).
-    """
-    opts = estimate_opts or EstimateOptions()
-    t0 = time.perf_counter()
-    new_chain, comps = transform_chain(chain, descriptor)
-    profile = regenerate_profile(new_chain.joints, profile_cfg)
-    t1 = time.perf_counter()
-    policy = estimate(comps, profile.points, profile.velocities,
-                      new_chain.joints[-1], opts)
-    t2 = time.perf_counter()
-    return new_chain, profile, policy, t1 - t0, t2 - t1
-
-
 def bench_adaptation(chain: ElasticChain, descriptor: GeometricDescriptor,
                      profile_cfg: ProfileConfig, repeats: int = 3,
                      rollout_cfg: Optional[RolloutConfig] = None,
@@ -208,9 +191,8 @@ def bench_adaptation(chain: ElasticChain, descriptor: GeometricDescriptor,
 
     applied = new_chain.endpoint_descriptor()
     if rollout_cfg is None:
-        diameter = float(np.max(np.linalg.norm(
-            new_chain.joints - new_chain.joints.mean(axis=0), axis=1))) * 2.0
-        rollout_cfg = RolloutConfig(convergence_radius=1e-3 * max(diameter, 1e-9))
+        rollout_cfg = RolloutConfig(
+            convergence_radius=convergence_radius_for(new_chain.joints))
     run = rollout(policy, applied.enter.position, rollout_cfg)
     tt = float(np.median(t_transform))
     te = float(np.median(t_estimate))

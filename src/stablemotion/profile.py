@@ -1,10 +1,9 @@
 """Regenerate a timed trajectory through re-positioned chain joints.
 
-By default the profile runs straight from joint to joint. Without that
-interpolation, a straight line between the chain endpoints is bent
-through the joints by the same Laplacian edit used on the chain itself.
-Uniform timestamps and finite differences then give the velocity targets
-for policy re-estimation.
+The profile runs straight from joint to joint, each joint at the index
+its share of the polyline's length gives it. Uniform timestamps and
+finite differences then give the velocity targets for policy
+re-estimation.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Trajectory, compute_velocities
-from .chain import build_laplacian, _solve_pinned
 from .errors import IndexCollision, ZeroLengthChain
 
 
@@ -22,7 +20,6 @@ from .errors import IndexCollision, ZeroLengthChain
 class ProfileConfig:
     p: int                # number of points
     dt: float             # uniform sampling interval, seconds
-    interpolate_between_joints: bool = True
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -31,11 +28,9 @@ class ProfileConfig:
             raise ValueError("need at least 2 profile points")
 
     @staticmethod
-    def for_demo(demo: Trajectory,
-                 interpolate_between_joints: bool = True) -> "ProfileConfig":
+    def for_demo(demo: Trajectory) -> "ProfileConfig":
         """Match the source demo's length and median sampling interval."""
-        return ProfileConfig(p=len(demo), dt=demo.median_dt(),
-                             interpolate_between_joints=interpolate_between_joints)
+        return ProfileConfig(p=len(demo), dt=demo.median_dt())
 
 
 def joint_progress(joints: np.ndarray) -> np.ndarray:
@@ -68,17 +63,9 @@ def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
     lam = joint_progress(joints)
     idx = map_joint_indices(lam, p)
 
-    if cfg.interpolate_between_joints:
-        # every point lies on the joint polyline, so nothing is left free
-        # for the Laplacian edit: the profile is the piecewise-linear
-        # interpolation at the joint indices (the first is 0, the last p-1)
-        points = np.column_stack([np.interp(np.arange(p), idx, joints[:, a])
-                                  for a in range(joints.shape[1])])
-    else:
-        t = np.linspace(0.0, 1.0, p)[:, None]
-        line = joints[0] * (1.0 - t) + joints[-1] * t
-        sys = build_laplacian(p)
-        pins = {int(j): joints[q] for q, j in enumerate(idx)}
-        points = _solve_pinned(sys.L, sys.L @ line, pins)
+    # piecewise-linear interpolation at the joint indices (the first is 0,
+    # the last p-1)
+    points = np.column_stack([np.interp(np.arange(p), idx, joints[:, a])
+                              for a in range(joints.shape[1])])
     timestamps = cfg.dt * np.arange(p)
     return compute_velocities(Trajectory(points, timestamps))

@@ -77,14 +77,6 @@ class PlanExecutor:
         return evaluate(seg.policy, xi), self.cursor
 
 
-def step_plan(plan: TaskPlan, xi: np.ndarray,
-              executor: Optional[PlanExecutor] = None) -> Tuple[np.ndarray, int]:
-    """Stateless convenience wrapper; pass an executor to keep the cursor."""
-    if executor is None:
-        executor = PlanExecutor(plan)
-    return executor.step(xi)
-
-
 def split_demo(traj: Trajectory, via_points: Sequence[np.ndarray],
                radius: float) -> list:
     """Cut the demo at each via-point's closest-approach index."""

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from stablemotion.core import Trajectory, compute_velocities
+from stablemotion.gmm import GmmFitConfig
+from stablemotion.pipeline import learn
+from stablemotion.sequence import Segment, TaskPlan, split_demo
 
 
 def s_curve_demo(n: int = 200, duration: float = 4.0,
@@ -31,6 +34,17 @@ def helix_demo(n: int = 200, duration: float = 4.0) -> Trajectory:
     t = np.linspace(0.0, 1.0, n)
     pts = np.column_stack([np.cos(np.pi * t), np.sin(np.pi * t), t])
     return compute_velocities(Trajectory(pts, duration * t))
+
+
+def two_segment_plan():
+    """The S-curve cut at its middle sample, one learned policy per part."""
+    demo = s_curve_demo()
+    parts = split_demo(demo, [demo.points[100]], radius=1e-9)
+    segs = []
+    for part in parts:
+        chain, policy = learn(part, GmmFitConfig(k_max=3, restarts=2, seed=0))
+        segs.append(Segment(chain, chain.endpoint_descriptor(), policy))
+    return TaskPlan(tuple(segs)), demo
 
 
 @pytest.fixture

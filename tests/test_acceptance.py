@@ -16,7 +16,6 @@ from stablemotion.core import (
 )
 from stablemotion.evaluation import (
     RolloutConfig,
-    adapt_policy,
     endpoints_distance,
     goal_cosine,
     rollout,
@@ -24,7 +23,7 @@ from stablemotion.evaluation import (
 )
 from stablemotion.gmm import GmmFitConfig, \
     responsibilities_batch
-from stablemotion.pipeline import adapt, learn
+from stablemotion.pipeline import adapt, adapt_policy, learn
 from stablemotion.policy import (
     LpvDsPolicy,
     _param_counts,
@@ -191,9 +190,9 @@ def test_3_transform_correctness():
                                       rng.normal(size=2) + 5.0)
         exit_ = frame_from_two_points(rng.normal(size=2) + 10.0,
                                       rng.normal(size=2) + 15.0)
-        sys = build_laplacian(m)
-        out = solve_constrained_edit(sys, joints, enter, exit_, lengths)
-        oracle = kkt_oracle(sys.L, sys.L @ joints, sys.constraints)
+        L = build_laplacian(m)
+        out, pins = solve_constrained_edit(joints, enter, exit_, lengths)
+        oracle = kkt_oracle(L, L @ joints, pins)
         worst = max(worst, float(np.max(np.abs(out - oracle))))
     ok = ok and worst < 1e-8
     _verdict(f"3 transform correctness (KKT max dev {worst:.2e})", ok)

@@ -73,17 +73,17 @@ class TestGaussianJoint:
 
 class TestBuildLaplacian:
     def test_m3_rows(self):
-        L = build_laplacian(3).L
+        L = build_laplacian(3)
         assert np.allclose(L, [[1, -1, 0], [-0.5, 1, -0.5], [0, -1, 1]])
 
     def test_m2(self):
-        assert np.allclose(build_laplacian(2).L, [[1, -1], [-1, 1]])
+        assert np.allclose(build_laplacian(2), [[1, -1], [-1, 1]])
 
     @pytest.mark.parametrize("m", [2, 3, 7, 20])
     def test_row_sums_zero_unit_diagonal(self, m):
         # end rows carry a single -1 neighbor, so L is not symmetric for
         # m >= 3; the normalized weights still zero every row sum
-        L = build_laplacian(m).L
+        L = build_laplacian(m)
         assert np.allclose(L.sum(axis=1), 0.0, atol=1e-15)
         assert np.allclose(np.diag(L), 1.0)
 
@@ -116,9 +116,8 @@ class TestSolveConstrainedEdit:
     def test_identity_edit(self):
         chain, _ = fitted_chain()
         desc = chain.endpoint_descriptor()
-        sys = build_laplacian(chain.joints.shape[0])
-        out = solve_constrained_edit(sys, chain.joints, desc.enter, desc.exit,
-                                     chain.link_lengths)
+        out, _ = solve_constrained_edit(chain.joints, desc.enter, desc.exit,
+                                        chain.link_lengths)
         assert np.max(np.abs(out - chain.joints)) < 1e-9
 
     def test_pure_translation(self):
@@ -127,18 +126,17 @@ class TestSolveConstrainedEdit:
         t = np.array([2.5, -1.0])
         enter = Pose(desc.enter.position + t, desc.enter.rotation)
         exit_ = Pose(desc.exit.position + t, desc.exit.rotation)
-        sys = build_laplacian(chain.joints.shape[0])
-        out = solve_constrained_edit(sys, chain.joints, enter, exit_,
-                                     chain.link_lengths)
+        out, _ = solve_constrained_edit(chain.joints, enter, exit_,
+                                        chain.link_lengths)
         assert np.max(np.abs(out - (chain.joints + t))) < 1e-9
 
     def test_rotated_end_matches_kkt_oracle(self):
         joints = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])
         end = Pose(np.array([3.0, 0]),
                    np.array([[0.0, -1.0], [1.0, 0.0]]))  # x-axis up
-        sys = build_laplacian(4)
-        out = solve_constrained_edit(sys, joints, None, end)
-        oracle = kkt_oracle(sys.L, sys.L @ joints, sys.constraints)
+        L = build_laplacian(4)
+        out, pins = solve_constrained_edit(joints, None, end)
+        oracle = kkt_oracle(L, L @ joints, pins)
         assert np.max(np.abs(out - oracle)) < 1e-8
 
     def test_random_chains_match_kkt_oracle(self, rng):
@@ -152,12 +150,12 @@ class TestSolveConstrainedEdit:
                                           rng.normal(size=2) + 5.0)
             exit_ = frame_from_two_points(rng.normal(size=2) + 10.0,
                                           rng.normal(size=2) + 15.0)
-            sys = build_laplacian(m)
-            out = solve_constrained_edit(sys, joints, enter, exit_, lengths)
-            oracle = kkt_oracle(sys.L, sys.L @ joints, sys.constraints)
+            L = build_laplacian(m)
+            out, pins = solve_constrained_edit(joints, enter, exit_, lengths)
+            oracle = kkt_oracle(L, L @ joints, pins)
             assert np.max(np.abs(out - oracle)) < 1e-8
             # pinned joints hit their targets exactly
-            for i, target in sys.constraints.items():
+            for i, target in pins.items():
                 assert np.linalg.norm(out[i] - target) < 1e-9
 
     def test_conflicting_pins_raise(self):
@@ -166,9 +164,8 @@ class TestSolveConstrainedEdit:
         exit_ = frame_from_two_points(np.array([5.0, 5]),
                                       np.array([6.0, 5]))
         exit_ = Pose(np.array([6.0, 5.0]), exit_.rotation)
-        sys = build_laplacian(2)
         with pytest.raises(RankDeficientSystem):
-            solve_constrained_edit(sys, joints, enter, exit_)
+            solve_constrained_edit(joints, enter, exit_)
 
 
 class TestRecoverGmm:

@@ -14,10 +14,11 @@ from stablemotion.evaluation import (
     start_cosine,
 )
 from stablemotion.gmm import GmmFitConfig
-from stablemotion.pipeline import learn
+from stablemotion.pipeline import adapt, learn
 from stablemotion.policy import LpvDsPolicy, evaluate, lyapunov_value
 from stablemotion.profile import ProfileConfig
-from conftest import s_curve_demo
+from stablemotion.sequence import PlanExecutor, TaskPlan
+from conftest import arc_demo, helix_demo, s_curve_demo, two_segment_plan
 
 
 def linear_policy(attractor=(0.0, 0.0)):
@@ -53,14 +54,6 @@ class TestRollout:
         eb = np.linalg.norm(b - exact)
         assert ea < 1e-5
         assert eb < ea / 8  # at least cubic-order improvement observed
-
-    def test_euler_vs_rk4(self):
-        policy = linear_policy()
-        x0 = np.array([1.0, 0.0])
-        cfg = RolloutConfig(dt=0.1, max_steps=10, convergence_radius=1e-12,
-                            integrator="euler")
-        e = rollout(policy, x0, cfg).trajectory.points[-1]
-        assert e[0] == pytest.approx(0.9 ** 10, abs=1e-12)
 
     def test_max_steps_budget(self):
         policy = linear_policy()
@@ -98,6 +91,105 @@ class TestRollout:
             V = np.array([lyapunov_value(policy, x)
                           for x in run.trajectory.points])
             assert np.all(np.diff(V) <= 1e-12)
+
+
+def reference_rollout(policy_or_plan, xi0, cfg):
+    """Scalar RK4 oracle: one state, one `evaluate` (or `PlanExecutor.step`)
+    per stage, stopping on the Euclidean norm. Returns (points, converged)."""
+    if isinstance(policy_or_plan, TaskPlan):
+        executor = PlanExecutor(policy_or_plan)
+        f = lambda x: executor.step(x)[0]
+        attractor = policy_or_plan.final_attractor
+    else:
+        f = lambda x: evaluate(policy_or_plan, x)
+        attractor = policy_or_plan.attractor
+    dt = cfg.dt
+    x = np.asarray(xi0, dtype=float)
+    states = [x]
+    converged = bool(np.linalg.norm(x - attractor) < cfg.convergence_radius)
+    for _ in range(cfg.max_steps):
+        if converged:
+            break
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+        converged = bool(np.linalg.norm(x - attractor) < cfg.convergence_radius)
+    if len(states) == 1:
+        states.append(states[0])
+    return np.array(states), converged
+
+
+@pytest.fixture(scope="module")
+def learned_2d():
+    return learn(s_curve_demo(), GmmFitConfig(k_max=4, restarts=2, seed=2))[1]
+
+
+@pytest.fixture(scope="module")
+def learned_3d():
+    return learn(helix_demo(), GmmFitConfig(k_max=4, restarts=2, seed=2))[1]
+
+
+class TestRolloutMatchesScalarReference:
+    """`rollout` is bit-identical to the scalar RK4 loop."""
+
+    def assert_same(self, target, x0, cfg=RolloutConfig()):
+        run = rollout(target, x0, cfg)
+        points, converged = reference_rollout(target, x0, cfg)
+        assert np.array_equal(run.trajectory.points, points)
+        assert np.array_equal(run.trajectory.timestamps,
+                              cfg.dt * np.arange(len(points)))
+        assert run.converged == converged
+        return run
+
+    def test_learned_2d(self, learned_2d):
+        starts = np.random.default_rng(7).uniform(-0.5, 2.5, size=(4, 2))
+        for x0 in starts:
+            assert self.assert_same(learned_2d, x0).converged
+
+    def test_learned_3d(self, learned_3d):
+        starts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(3, 3))
+        for x0 in starts:
+            assert self.assert_same(learned_3d, x0).converged
+
+    def test_two_segment_plan(self):
+        plan, demo = two_segment_plan()
+        run = self.assert_same(plan, demo.start,
+                               RolloutConfig(convergence_radius=0.01))
+        assert run.converged
+
+    def test_start_inside_radius(self, learned_2d):
+        x0 = learned_2d.attractor + 1e-5
+        run = self.assert_same(learned_2d, x0)
+        assert len(run.trajectory) == 2
+
+    def test_single_step_budget(self, learned_3d):
+        run = self.assert_same(learned_3d, np.array([0.5, -0.5, 0.5]),
+                               RolloutConfig(max_steps=1))
+        assert not run.converged
+        assert len(run.trajectory) == 2
+
+
+class TestStiffness:
+    # RK4's stability region meets the negative real axis at about -2.785
+    RK4_REAL_LIMIT = 2.78
+
+    @pytest.mark.parametrize("make_demo", [s_curve_demo, arc_demo, helix_demo])
+    def test_default_dt_within_rk4_limit(self, make_demo):
+        demo = make_demo()
+        chain, policy = learn(demo, GmmFitConfig(k_max=6, restarts=3, seed=0))
+        base = chain.endpoint_descriptor()
+        shift = np.full(demo.dim, 0.2)
+        desc = GeometricDescriptor(
+            Pose(base.enter.position + shift, base.enter.rotation),
+            Pose(base.exit.position - shift, base.exit.rotation))
+        _, _, adapted = adapt(chain, desc, ProfileConfig.for_demo(demo))
+        dt = RolloutConfig().dt
+        for p in (policy, adapted):
+            assert dt * np.max(np.abs(np.linalg.eigvals(p.A))) < \
+                self.RK4_REAL_LIMIT
 
 
 class TestRolloutBatch:

@@ -72,14 +72,6 @@ class TestRegenerateProfile:
                 want = joints[q] * (1.0 - frac) + joints[q + 1] * frac
                 assert np.max(np.abs(traj.points[j] - want)) < 1e-12
 
-    def test_pins_exact_without_interpolation(self):
-        joints = np.array([[0.0, 0], [1, 0.5], [2.5, -0.5], [3, 1]])
-        cfg = ProfileConfig(p=40, dt=0.05, interpolate_between_joints=False)
-        traj = regenerate_profile(joints, cfg)
-        idx = map_joint_indices(joint_progress(joints), 40)
-        for q, j in enumerate(idx):
-            assert np.linalg.norm(traj.points[j] - joints[q]) < 1e-9
-
     def test_identity_chain_arc_length_close_to_demo(self):
         demo = s_curve_demo()
         comps = fit_gmm(demo.points, GmmFitConfig(k_max=6, restarts=3, seed=3))

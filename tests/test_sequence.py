@@ -11,17 +11,14 @@ from stablemotion.errors import (
 )
 from stablemotion.evaluation import RolloutConfig, rollout
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
-from stablemotion.pipeline import learn
 from stablemotion.policy import evaluate
 from stablemotion.sequence import (
     PlanExecutor,
-    Segment,
     TaskPlan,
     split_demo,
     stitch_chains,
-    step_plan,
 )
-from conftest import s_curve_demo, line_demo
+from conftest import line_demo, s_curve_demo, two_segment_plan
 
 
 def fitted_chain(demo, k_max=3, seed=0):
@@ -105,16 +102,6 @@ class TestStitchChains:
         assert np.allclose(s.joints, a.joints)
 
 
-def two_segment_plan():
-    demo = s_curve_demo()
-    parts = split_demo(demo, [demo.points[100]], radius=1e-9)
-    segs = []
-    for part in parts:
-        chain, policy = learn(part, GmmFitConfig(k_max=3, restarts=2, seed=0))
-        segs.append(Segment(chain, chain.endpoint_descriptor(), policy))
-    return TaskPlan(tuple(segs)), demo
-
-
 class TestTaskPlan:
     def test_attractor_continuity_enforced(self):
         plan, _ = two_segment_plan()
@@ -155,13 +142,16 @@ class TestTaskPlan:
         assert seen == [0, 1, 1, 1]
         assert all(b >= a for a, b in zip(seen, seen[1:]))
 
-    def test_step_plan_stateless_wrapper(self):
+    def test_executor_reuse(self):
         plan, demo = two_segment_plan()
-        v1, c1 = step_plan(plan, demo.points[5])
-        assert c1 == 0
         ex = PlanExecutor(plan)
-        v2, _ = step_plan(plan, demo.points[5], executor=ex)
+        v1, c1 = ex.step(demo.points[5])
+        assert c1 == 0
+        # a reused executor keeps its cursor and answers as a fresh one does
+        v2, c2 = ex.step(demo.points[5])
+        assert c2 == 0
         assert np.array_equal(v1, v2)
+        assert np.array_equal(v1, PlanExecutor(plan).step(demo.points[5])[0])
 
     def test_rollout_passes_via_point(self):
         plan, demo = two_segment_plan()
