@@ -59,13 +59,12 @@ print(f"sequential plan: converged={run.converged}, "
       f"closest approach to relocated via-point = {d_via:.4f} "
       f"(switch radius {plan.switch_radius:.4f})")
 
-# combined mode: stitch the chains and fit a single policy end to end
+# alternatively, stitch the chains and fit a single policy end to end
 stitched = stitch_chains([s.chain for s in segments])
 profile = regenerate_profile(stitched.joints, ProfileConfig.for_demo(demo))
 one = estimate(list(stitched.components.components), profile.points,
                profile.velocities, stitched.joints[-1])
-combined = TaskPlan((Segment(stitched, stitched.endpoint_descriptor(), one),),
-                    mode="combined")
+combined = TaskPlan((Segment(stitched, stitched.endpoint_descriptor(), one),))
 run_c = rollout(combined, stitched.joints[0],
                 RolloutConfig(convergence_radius=plan.switch_radius))
 d_end = np.linalg.norm(run_c.trajectory.points[-1] - stitched.joints[-1])

@@ -160,7 +160,7 @@ def solve_constrained_edit(joints0: np.ndarray,
     The first (and/or last) two joints are pinned: the endpoint goes to the
     descriptor position, and its neighbor sits one original link length
     along the descriptor x-axis, so the identity edit is exact. The
-    interior minimizes the residual of the joints' path-graph Laplacian
+    interior minimises the residual of the joints' path-graph Laplacian
     coordinates, solved as an exact equality-constrained linear
     least-squares. Returns (new_joints, pins), pins mapping each pinned
     joint index to its target.

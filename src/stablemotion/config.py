@@ -21,7 +21,6 @@ class Tolerances:
     # chain transform
     constraint_exactness: float = 1e-9  # pinned joints hit their targets
     chain_gap: float = 1e-6             # stitching endpoint agreement
-    round_trip: float = 1e-9            # chain -> components reconstruction
 
     # sequencing
     attractor_continuity: float = 1e-6  # segment attractor vs next start

@@ -208,6 +208,12 @@ def frame_from_two_points(origin: np.ndarray, toward: np.ndarray,
     return Pose(origin, R)
 
 
+def joint_diameter(joints: np.ndarray) -> float:
+    """Twice the largest distance of the joints from their mean."""
+    return 2.0 * float(np.max(np.linalg.norm(
+        joints - joints.mean(axis=0), axis=1)))
+
+
 def compute_velocities(traj: Trajectory) -> Trajectory:
     """Forward finite differences; the terminal velocity is the zero vector.
 

@@ -8,7 +8,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .chain import ElasticChain
-from .core import GeometricDescriptor, Pose, Trajectory
+from .core import GeometricDescriptor, Pose, Trajectory, joint_diameter
 from .errors import DegenerateDirection, NonFiniteState
 from .pipeline import adapt_policy
 from .policy import LpvDsPolicy, evaluate_batch
@@ -88,9 +88,7 @@ def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
 
 def convergence_radius_for(joints: np.ndarray) -> float:
     """Default stop radius: 1e-3 of the joints' diameter about their mean."""
-    diameter = 2.0 * float(np.max(np.linalg.norm(
-        joints - joints.mean(axis=0), axis=1)))
-    return 1e-3 * max(diameter, 1e-9)
+    return 1e-3 * max(joint_diameter(joints), 1e-9)
 
 
 def rollout(policy_or_plan: Union[LpvDsPolicy, TaskPlan], xi0: np.ndarray,
@@ -180,14 +178,11 @@ def bench_adaptation(chain: ElasticChain, descriptor: GeometricDescriptor,
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     t_transform, t_estimate = [], []
-    result = None
-    for _ in range(repeats):
+    for _ in range(repeats):  # the last repeat's policy is the one rolled out
         new_chain, profile, policy, tt, te = adapt_policy(
             chain, descriptor, profile_cfg, estimate_opts)
         t_transform.append(tt)
         t_estimate.append(te)
-        result = (new_chain, profile, policy)
-    new_chain, profile, policy = result
 
     applied = new_chain.endpoint_descriptor()
     if rollout_cfg is None:

@@ -52,6 +52,4 @@ def adapt(chain: ElasticChain, descriptor: GeometricDescriptor,
           opts: EstimateOptions = EstimateOptions()):
     """Re-target a learned chain to a new descriptor; returns
     (new_chain, profile, policy)."""
-    new_chain, profile, policy, _, _ = adapt_policy(
-        chain, descriptor, profile_cfg, opts)
-    return new_chain, profile, policy
+    return adapt_policy(chain, descriptor, profile_cfg, opts)[:3]

@@ -10,7 +10,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .chain import ElasticChain, chain_from_state
-from .core import GaussianComponent, GeometricDescriptor, Trajectory
+from .core import (GaussianComponent, GeometricDescriptor, Trajectory,
+                   joint_diameter)
 from .errors import (
     ChainGapTooLarge,
     NonMonotoneViaPoints,
@@ -31,28 +32,21 @@ class Segment:
 @dataclass(frozen=True)
 class TaskPlan:
     segments: Tuple[Segment, ...]
-    mode: str = "sequential"            # "sequential" | "combined"
     switch_radius: float = 0.0          # 0: 1% of workspace diameter
 
     def __post_init__(self):
         if not self.segments:
             raise ValidationError("plan needs at least one segment")
-        if self.mode not in ("sequential", "combined"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.mode == "combined" and len(self.segments) != 1:
-            raise ValidationError("combined mode uses exactly one policy")
-        if self.mode == "sequential":
-            tol = DEFAULT_TOLERANCES.attractor_continuity
-            for a, b in zip(self.segments, self.segments[1:]):
-                gap = np.linalg.norm(a.policy.attractor - b.chain.joints[0])
-                if gap > tol:
-                    raise ValidationError(
-                        f"segment attractor and next start differ by {gap:.3e}")
+        tol = DEFAULT_TOLERANCES.attractor_continuity
+        for a, b in zip(self.segments, self.segments[1:]):
+            gap = np.linalg.norm(a.policy.attractor - b.chain.joints[0])
+            if gap > tol:
+                raise ValidationError(
+                    f"segment attractor and next start differ by {gap:.3e}")
         if self.switch_radius == 0.0:
             joints = np.vstack([s.chain.joints for s in self.segments])
-            diameter = float(np.max(
-                np.linalg.norm(joints - joints.mean(axis=0), axis=1))) * 2.0
-            object.__setattr__(self, "switch_radius", 0.01 * max(diameter, 1e-12))
+            object.__setattr__(self, "switch_radius",
+                               0.01 * max(joint_diameter(joints), 1e-12))
 
     @property
     def final_attractor(self) -> np.ndarray:
@@ -68,11 +62,10 @@ class PlanExecutor:
 
     def step(self, xi: np.ndarray) -> Tuple[np.ndarray, int]:
         """One-hot policy evaluation with monotone proximity switching."""
-        if self.plan.mode == "sequential":
-            while (self.cursor < len(self.plan.segments) - 1 and
-                   np.linalg.norm(xi - self.plan.segments[self.cursor]
-                                  .policy.attractor) < self.plan.switch_radius):
-                self.cursor += 1
+        while (self.cursor < len(self.plan.segments) - 1 and
+               np.linalg.norm(xi - self.plan.segments[self.cursor]
+                              .policy.attractor) < self.plan.switch_radius):
+            self.cursor += 1
         seg = self.plan.segments[self.cursor]
         return evaluate(seg.policy, xi), self.cursor
 

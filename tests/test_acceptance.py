@@ -26,7 +26,6 @@ from stablemotion.gmm import GmmFitConfig, \
 from stablemotion.pipeline import adapt, adapt_policy, learn
 from stablemotion.policy import (
     LpvDsPolicy,
-    _param_counts,
     estimate,
     evaluate_batch,
     fit_statistics,
@@ -317,7 +316,7 @@ def test_7_multi_segment_plans():
         ok = ok and run.converged and d_via <= plan.switch_radius \
             and d_goal <= plan.switch_radius
 
-        # combined mode: one policy over the stitched chain
+        # one policy over the stitched chain, as a plan of one segment
         stitched = stitch_chains([s.chain for s in segs])
         profile_cfg = ProfileConfig.for_demo(demo)
         from stablemotion.profile import regenerate_profile
@@ -325,8 +324,7 @@ def test_7_multi_segment_plans():
         one = estimate(list(stitched.components.components), profile.points,
                        profile.velocities, stitched.joints[-1])
         combined = TaskPlan(
-            (Segment(stitched, stitched.endpoint_descriptor(), one),),
-            mode="combined")
+            (Segment(stitched, stitched.endpoint_descriptor(), one),))
         run_c = rollout(combined, stitched.joints[0],
                         RolloutConfig(convergence_radius=plan.switch_radius))
         d_end = float(np.linalg.norm(
@@ -347,17 +345,16 @@ def test_8_gradient_check():
         Y = rng.normal(size=(T, d))
         V = rng.normal(size=(T, d))
         stats = fit_statistics(gamma, Y, V)
-        ns, nc = _param_counts(d)
-        params = 0.5 * rng.normal(size=K * (ns + nc))
-        _, grad = objective_and_gradient(params, stats, np.eye(d), 1e-2)
+        W = 0.5 * rng.normal(size=(K, d, d))
+        _, grad = objective_and_gradient(W, stats, np.eye(d))
         h = 1e-6
-        for i in range(len(params)):
-            up, dn = params.copy(), params.copy()
-            up[i] += h
-            dn[i] -= h
-            ju, _ = objective_and_gradient(up, stats, np.eye(d), 1e-2)
-            jd, _ = objective_and_gradient(dn, stats, np.eye(d), 1e-2)
+        for i in range(W.size):
+            up, dn = W.copy(), W.copy()
+            up.flat[i] += h
+            dn.flat[i] -= h
+            ju, _ = objective_and_gradient(up, stats, np.eye(d))
+            jd, _ = objective_and_gradient(dn, stats, np.eye(d))
             fd = (ju - jd) / (2 * h)
-            worst = max(worst, abs(grad[i] - fd)
-                        / max(abs(fd), abs(grad[i]), 1.0))
+            worst = max(worst, abs(grad.flat[i] - fd)
+                        / max(abs(fd), abs(grad.flat[i]), 1.0))
     _verdict(f"8 gradient check (worst rel err {worst:.2e})", worst < 1e-5)

@@ -1,28 +1,36 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from stablemotion.core import GaussianComponent
+import stablemotion
+from stablemotion.chain import build_chain
+from stablemotion.core import GaussianComponent, GeometricDescriptor, Pose
 from stablemotion.errors import InfeasibleAttractor, InsufficientData
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
+from stablemotion.pipeline import adapt
 from stablemotion.policy import (
     EstimateOptions,
     LpvDsPolicy,
+    barrier_blocks,
     constraint_residual,
     estimate,
     evaluate,
     evaluate_batch,
+    fit_problem,
     fit_statistics,
     lyapunov_rate,
     lyapunov_value,
     objective_and_gradient,
-    _pack,
-    _param_counts,
-    _unpack,
+    objective_hessian,
+    solve,
 )
+from stablemotion.profile import ProfileConfig
 from test_gmm import brute_force_responsibilities
-from conftest import s_curve_demo
+from conftest import arc_demo, helix_demo, s_curve_demo
 
 
 def toy_policy(A=None, attractor=(1.0, 1.0)):
@@ -117,23 +125,12 @@ class TestLyapunov:
         assert lyapunov_rate(policy, x) == pytest.approx(-2 * r2)
 
 
-def direct_objective(params, gamma, Y, V, P_inv, eps, reg, shrink):
-    """J and its gradient from the per-sample residuals, component by
+def direct_objective(W, gamma, Y, V, P_inv, reg, shrink):
+    """J and its gradient in W from the per-sample residuals, component by
     component: the form the sufficient statistics replace."""
     T, d = Y.shape
     K = gamma.shape[1]
-    ns, nc = _param_counts(d)
-    iu, il = np.triu_indices(d, 1), np.tril_indices(d)
-    A, Cs = [], []
-    for k in range(K):
-        block = params[k * (ns + nc):(k + 1) * (ns + nc)]
-        S = np.zeros((d, d))
-        S[iu] = block[:ns]
-        S -= S.T
-        C = np.zeros((d, d))
-        C[il] = block[ns:]
-        A.append(P_inv @ (S - C @ C.T - eps * np.eye(d)))
-        Cs.append(C)
+    A = [P_inv @ W[k] for k in range(K)]
     r = V - np.array([sum(gamma[t, k] * A[k] @ Y[t] for k in range(K))
                       for t in range(T)])
     J = float(np.sum(r * r))
@@ -142,37 +139,50 @@ def direct_objective(params, gamma, Y, V, P_inv, eps, reg, shrink):
         Adev = A[k] + shrink * np.eye(d)
         J += reg * float(np.sum(Adev * Adev))
         G = -2.0 * sum(gamma[t, k] * np.outer(r[t], Y[t]) for t in range(T))
-        W = P_inv.T @ (G + 2.0 * reg * Adev)
-        grad.append(np.concatenate([(W - W.T)[iu], (-(W + W.T) @ Cs[k])[il]]))
-    return J, np.concatenate(grad)
+        grad.append(P_inv.T @ (G + 2.0 * reg * Adev))
+    return J, np.array(grad)
+
+
+def random_spd(rng, d):
+    W = rng.normal(size=(d, d))
+    return W @ W.T + 0.5 * np.eye(d)
+
+
+def random_problem(rng):
+    d = int(rng.integers(2, 4))
+    K = int(rng.integers(1, 4))
+    T = 30
+    gamma = rng.dirichlet(np.ones(K), size=T)
+    stats = fit_statistics(gamma, rng.normal(size=(T, d)),
+                           rng.normal(size=(T, d)))
+    return stats, K, d
+
+
+def central_differences(f, W, h):
+    """Columns d f / d W_i (W flattened row-major) by central differences."""
+    cols = []
+    for i in range(W.size):
+        up, dn = W.copy(), W.copy()
+        up.flat[i] += h
+        dn.flat[i] -= h
+        cols.append(np.ravel(f(up) - f(dn)) / (2 * h))
+    return np.array(cols).T
 
 
 class TestGradient:
     @pytest.mark.parametrize("trial", range(20))
     def test_analytic_gradient_matches_finite_differences(self, trial):
         rng = np.random.default_rng(1000 + trial)
-        d = int(rng.integers(2, 4))
-        K = int(rng.integers(1, 4))
-        T = 30
-        gamma = rng.dirichlet(np.ones(K), size=T)
-        Y = rng.normal(size=(T, d))
-        V = rng.normal(size=(T, d))
-        P = np.eye(d)
-        stats = fit_statistics(gamma, Y, V)
-        ns, nc = _param_counts(d)
-        params = rng.normal(size=K * (ns + nc)) * 0.5
-        J, grad = objective_and_gradient(params, stats, P, 1e-2)
-        h = 1e-6
-        for i in range(len(params)):
-            up = params.copy()
-            dn = params.copy()
-            up[i] += h
-            dn[i] -= h
-            ju, _ = objective_and_gradient(up, stats, P, 1e-2)
-            jd, _ = objective_and_gradient(dn, stats, P, 1e-2)
-            fd = (ju - jd) / (2 * h)
-            denom = max(abs(fd), abs(grad[i]), 1.0)
-            assert abs(grad[i] - fd) / denom < 1e-5
+        stats, K, d = random_problem(rng)
+        W = rng.normal(size=(K, d, d)) * 0.5
+        P_inv = np.linalg.inv(random_spd(rng, d))
+        reg, shrink = rng.uniform(0.01, 1.0), rng.uniform(0.1, 5.0)
+        J, grad = objective_and_gradient(W, stats, P_inv, reg, shrink)
+        fd = central_differences(
+            lambda w: objective_and_gradient(w, stats, P_inv, reg, shrink)[0],
+            W, 1e-6)[0]
+        for g, f in zip(grad.ravel(), fd):
+            assert abs(g - f) / max(abs(f), abs(g), 1.0) < 1e-5
 
     @pytest.mark.parametrize("trial", range(12))
     def test_statistics_form_matches_per_sample_residuals(self, trial):
@@ -183,28 +193,42 @@ class TestGradient:
         gamma = rng.dirichlet(np.ones(K), size=T)
         Y = rng.normal(size=(T, d))
         V = rng.normal(size=(T, d))
-        W = rng.normal(size=(d, d))
-        P_inv = np.linalg.inv(W @ W.T + 0.5 * np.eye(d))
+        P_inv = np.linalg.inv(random_spd(rng, d))
         reg, shrink = rng.uniform(0.01, 1.0), rng.uniform(0.1, 5.0)
-        ns, nc = _param_counts(d)
-        params = rng.normal(size=K * (ns + nc)) * 0.5
-        J, grad = objective_and_gradient(params, fit_statistics(gamma, Y, V),
-                                         P_inv, 1e-2, reg, shrink)
-        J_ref, grad_ref = direct_objective(params, gamma, Y, V, P_inv, 1e-2,
-                                           reg, shrink)
+        W = rng.normal(size=(K, d, d)) * 0.5
+        J, grad = objective_and_gradient(W, fit_statistics(gamma, Y, V),
+                                         P_inv, reg, shrink)
+        J_ref, grad_ref = direct_objective(W, gamma, Y, V, P_inv, reg, shrink)
         assert abs(J - J_ref) <= 1e-12 * abs(J_ref)
         assert np.linalg.norm(grad - grad_ref) <= \
             1e-12 * np.linalg.norm(grad_ref)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("K", [1, 4])
-    def test_pack_inverts_unpack(self, rng, d, K):
-        ns, nc = _param_counts(d)
-        params = rng.normal(size=K * (ns + nc))
-        S, C = _unpack(params, K, d)
-        assert np.array_equal(S, -np.swapaxes(S, 1, 2))
-        assert np.array_equal(C, np.tril(C))
-        assert np.array_equal(_pack(S, C), params)
+    @pytest.mark.parametrize("trial", range(10))
+    def test_hessian_matches_finite_differences_of_gradient(self, trial):
+        rng = np.random.default_rng(3000 + trial)
+        stats, K, d = random_problem(rng)
+        W = rng.normal(size=(K, d, d))
+        P_inv = np.linalg.inv(random_spd(rng, d))
+        reg, shrink = rng.uniform(0.01, 1.0), rng.uniform(0.1, 5.0)
+        fd = central_differences(
+            lambda w: objective_and_gradient(w, stats, P_inv, reg, shrink)[1],
+            W, 1e-4)
+        hessian = objective_hessian(stats, P_inv, reg)
+        assert np.abs(hessian - fd).max() <= 1e-7 * np.abs(hessian).max()
+        assert np.array_equal(hessian, hessian.T)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_barrier_blocks_match_finite_differences_of_gradient(self, trial):
+        # -log det(X), X = -sym(W) - eps I, has gradient X^-1 in W
+        rng = np.random.default_rng(4000 + trial)
+        d, eps = int(rng.integers(2, 4)), 1e-2
+        S = rng.normal(size=(d, d))
+        # the skew part S - S^T does not move X
+        W = -random_spd(rng, d) - eps * np.eye(d) + S - S.T
+        inv_X = lambda w: np.linalg.inv(-0.5 * (w + w.T) - eps * np.eye(d))
+        fd = central_differences(inv_X, W, 1e-6)
+        block = barrier_blocks(inv_X(W)[None])[0]
+        assert np.abs(block - fd).max() <= 1e-7 * np.abs(block).max()
 
 
 class TestEstimate:
@@ -272,9 +296,16 @@ class TestEstimate:
         demo = s_curve_demo(n=120)
         comps = fit_gmm(demo.points, GmmFitConfig(k_max=3, restarts=2, seed=1))
         ordered = order_components(comps, demo)
-        policy = estimate(list(ordered.components), demo.points,
-                          demo.velocities, demo.end)
-        assert np.all(np.isfinite(policy.A))
+        args = (list(ordered.components), demo.points, demo.velocities,
+                demo.end)
+        policy = estimate(*args)
+        problem = fit_problem(*args)
+        P_inv = np.linalg.inv(problem.P)
+        J_fit, _ = objective_and_gradient(problem.P @ policy.A, problem.stats,
+                                          P_inv, problem.reg, problem.shrink)
+        J_warm, _ = objective_and_gradient(problem.W0, problem.stats, P_inv,
+                                           problem.reg, problem.shrink)
+        assert J_fit <= J_warm
 
     def test_input_validation(self):
         comps = [GaussianComponent(1.0, np.zeros(2), np.eye(2))]
@@ -283,3 +314,142 @@ class TestEstimate:
                      np.array([np.nan, 0.0]))
         with pytest.raises(InsufficientData):
             estimate(comps, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2))
+
+
+# -- the convex optimum -------------------------------------------------------
+
+def dual_bound(problem, W):
+    """(J(W), a lower bound on min J) from the Lagrangian, independent of
+    the solver: Z_k is the PSD part of -sym(dJ/dW_k) at W, and the
+    Lagrangian J(P^-1 W) + sum_k <Z_k, sym(W_k) + eps I> is minimised over
+    the stacked gains Abar = [A_1 ... A_K] in closed form."""
+    stats, P, eps, reg, shrink, _ = problem
+    K, d, _ = W.shape
+    Ibar = np.tile(np.eye(d), (1, K))
+
+    def J_of(Abar):
+        dev = Abar + shrink * Ibar
+        return (stats.c - 2.0 * np.sum(Abar * stats.B)
+                + np.sum((Abar @ stats.H) * Abar) + reg * np.sum(dev * dev))
+
+    def stacked(M):         # (K, d, d) -> (d, Kd)
+        return M.transpose(1, 0, 2).reshape(d, K * d)
+
+    Abar = stacked(np.linalg.solve(P, W))
+    grad_A = (2.0 * (Abar @ stats.H - stats.B)
+              + 2.0 * reg * (Abar + shrink * Ibar))
+    grad_W = np.linalg.solve(P.T, grad_A.reshape(d, K, d).transpose(1, 0, 2))
+    vals, vecs = np.linalg.eigh(-0.5 * (grad_W + grad_W.swapaxes(1, 2)))
+    Z = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.swapaxes(1, 2)
+    # stationary in Abar: 2 Abar (H + reg I) = 2 (B - reg shrink Ibar) - P^T Z
+    rhs = stats.B - reg * shrink * Ibar - 0.5 * stacked(P.T @ Z)
+    lhs = stats.H + reg * np.eye(K * d)
+    A_min = np.linalg.solve(lhs.T, rhs.T).T
+    W_min = P @ A_min.reshape(d, K, d).transpose(1, 0, 2)
+    lagrangian = (J_of(A_min) + np.sum(Z * W_min)
+                  + eps * np.trace(Z, axis1=1, axis2=2).sum())
+    return J_of(Abar), lagrangian
+
+
+SPD_P = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]])
+SHAPES = {"s_curve": s_curve_demo, "arc": arc_demo, "helix": helix_demo}
+
+
+@pytest.fixture(scope="module")
+def fitted_chains():
+    cache = {}
+
+    def get(shape, T):
+        if (shape, T) not in cache:
+            demo = SHAPES[shape](T)
+            comps = fit_gmm(demo.points,
+                            GmmFitConfig(k_max=6, restarts=3, seed=0))
+            cache[shape, T] = demo, order_components(comps, demo)
+        return cache[shape, T]
+    return get
+
+
+def learn_or_adapt(demo, ordered, kind, opts):
+    """The estimate's inputs (learn: the demo; adapt: the profile of the
+    chain with its ends moved) and the policy the library fits on them."""
+    if kind == "learn":
+        args = (list(ordered.components), demo.points, demo.velocities,
+                demo.end)
+        return args, estimate(*args, opts)
+    chain = build_chain(ordered, demo)
+    base = chain.endpoint_descriptor()
+    move = np.array([0.2, -0.2, 0.1])[:demo.dim]
+    desc = GeometricDescriptor(
+        Pose(base.enter.position + 0.2, base.enter.rotation),
+        Pose(base.exit.position + move, base.exit.rotation))
+    new_chain, profile, policy = adapt(chain, desc,
+                                       ProfileConfig.for_demo(demo), opts)
+    args = (list(policy.components), profile.points, profile.velocities,
+            new_chain.joints[-1])
+    return args, policy
+
+
+class TestConvexOptimum:
+    @pytest.mark.parametrize("P", ["identity", "spd"])
+    @pytest.mark.parametrize("kind", ["learn", "adapt"])
+    @pytest.mark.parametrize("T", [200, 1000])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_duality_gap_certifies_the_optimum(self, fitted_chains, shape, T,
+                                               kind, P):
+        demo, ordered = fitted_chains(shape, T)
+        opts = EstimateOptions(
+            P=None if P == "identity" else SPD_P[:demo.dim, :demo.dim])
+        args, policy = learn_or_adapt(demo, ordered, kind, opts)
+        problem = fit_problem(*args, opts)
+        solution = solve(problem, EstimateOptions().max_iters)
+        assert solution.newton_steps < EstimateOptions().max_iters
+        assert np.array_equal(np.linalg.inv(problem.P) @ solution.W, policy.A)
+        J, lower = dual_bound(problem, solution.W)
+        assert 0.0 <= J - lower <= 1e-9 * J
+        assert solution.gap <= 1e-9 * J
+
+    @pytest.mark.parametrize("kind", ["learn", "adapt"])
+    @pytest.mark.parametrize("shape", ["s_curve", "helix"])
+    def test_non_identity_certificate_is_stable(self, fitted_chains, shape,
+                                                kind):
+        demo, ordered = fitted_chains(shape, 200)
+        P = SPD_P[:demo.dim, :demo.dim]
+        _, policy = learn_or_adapt(demo, ordered, kind, EstimateOptions(P=P))
+        assert np.array_equal(policy.P, P)
+        assert constraint_residual(policy) <= 0.0
+        lo = demo.points.min(axis=0) - 0.5
+        hi = demo.points.max(axis=0) + 0.5
+        for x in np.random.default_rng(5).uniform(lo, hi, (500, demo.dim)):
+            assert lyapunov_rate(policy, x) < 0
+
+    def test_work_does_not_depend_on_where_the_demo_lies(self):
+        # the same problem translated: the same Newton steps, the same gains
+        steps, gains = [], []
+        for seed in range(101, 111):
+            offset = np.random.default_rng(seed).uniform(-1.0, 1.0, 2)
+            base = s_curve_demo()
+            demo = dataclasses.replace(base, points=base.points + offset)
+            comps = fit_gmm(demo.points,
+                            GmmFitConfig(k_min=5, k_max=5, restarts=1))
+            ordered = order_components(comps, demo)
+            row = []
+            for kind in ("learn", "adapt"):
+                args, policy = learn_or_adapt(demo, ordered, kind,
+                                              EstimateOptions())
+                row.append(solve(fit_problem(*args),
+                                 EstimateOptions().max_iters).newton_steps)
+                gains.append(policy.A)
+            steps.append(row)
+        assert all(row == steps[0] for row in steps)
+        for i, A in enumerate(gains):
+            assert np.abs(A - gains[i % 2]).max() <= 1e-9
+
+
+def test_importing_the_library_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(stablemotion.__file__))
+    code = ("import sys, stablemotion; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

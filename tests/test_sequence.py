@@ -110,13 +110,6 @@ class TestTaskPlan:
         with pytest.raises(ValidationError):
             TaskPlan((plan.segments[0], plan.segments[0]))
 
-    def test_combined_mode_single_segment_only(self):
-        plan, _ = two_segment_plan()
-        with pytest.raises(ValidationError):
-            TaskPlan(plan.segments, mode="combined")
-        single = TaskPlan(plan.segments[:1], mode="combined")
-        assert len(single.segments) == 1
-
     def test_default_switch_radius_positive(self):
         plan, _ = two_segment_plan()
         assert plan.switch_radius > 0
