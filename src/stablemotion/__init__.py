@@ -1,6 +1,8 @@
 """Stable motion policies from single demonstrations, re-targetable to
 new task-frame configurations via a constrained Gaussian-chain edit."""
 
+import logging
+
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import (
     GaussianComponent,
@@ -68,3 +70,7 @@ from .fileio import (
 from .pipeline import adapt, learn
 
 __version__ = "0.1.0"
+
+# the library logs on "stablemotion" and stays silent unless the
+# application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -1,12 +1,14 @@
 """Gaussian mixture fitting and chain ordering.
 
-EM with k-means++ restarts and BIC model selection over K. The fit is
+EM with k-means++ restarts and BIC model selection over K; the
+(K, restart) runs are stepped together in one lockstep loop. The fit is
 deterministic given the config seed; restarts use seed-indexed RNG streams
 so evaluation order cannot change the result.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,6 +19,11 @@ from .core import GaussianComponent, Trajectory, _frozen
 from .errors import EmDidNotImprove, InsufficientData
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_log = logging.getLogger("stablemotion")
+# the most elements of one EM stack's (runs, K, d, n) buffers: two of them
+# and the responsibilities then fit a 2 MB L2 cache. A single stack of the
+# default 40 runs outgrew it at T = 1000 and ran slower than one run at a time
+_STACK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,10 @@ class GmmFitConfig:
             raise ValueError("restarts must be >= 1")
         if self.covariance_floor is not None and self.covariance_floor <= 0:
             raise ValueError("covariance_floor must be positive")
+        if self.max_em_iters < 1:
+            raise ValueError("max_em_iters must be >= 1")
+        if self.loglik_tol < 0:
+            raise ValueError("loglik_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,21 +82,23 @@ class Mixture:
     data held as columns (d, n) with no per-query reshaping.
     """
 
-    means: np.ndarray       # (K, d, 1)
-    inv_chol: np.ndarray    # (K, d, d)
-    log_norm: np.ndarray    # (K, 1)
+    means: np.ndarray       # (..., K, d, 1)
+    inv_chol: np.ndarray    # (..., K, d, d)
+    log_norm: np.ndarray    # (..., K, 1)
 
     @classmethod
     def from_arrays(cls, priors: np.ndarray, means: np.ndarray,
                     covariances: np.ndarray) -> "Mixture":
-        """Factor priors (K,), means (K, d) and covariances (K, d, d)."""
+        """Factor priors (..., K), means (..., K, d) and covariances
+        (..., K, d, d); leading axes index independent mixtures."""
         means = np.asarray(means, dtype=float)
         L = np.linalg.cholesky(np.asarray(covariances, dtype=float))
-        d = means.shape[1]
-        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+        d = means.shape[-1]
+        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)),
+                              axis=-1)
         log_norm = np.log(priors) - 0.5 * (d * _LOG_2PI + logdet)
-        return cls(_frozen(means[:, :, None]), _frozen(np.linalg.inv(L)),
-                   _frozen(log_norm[:, None]))
+        return cls(_frozen(means[..., None]), _frozen(np.linalg.inv(L)),
+                   _frozen(log_norm[..., None]))
 
     @classmethod
     def from_components(cls,
@@ -94,21 +107,31 @@ class Mixture:
                                [c.mean for c in components],
                                [c.covariance for c in components])
 
-    def weigh(self, diff: np.ndarray):
-        """Responsibilities (K, n) and log p(x) (n,) from the data columns
-        centred on each mean, `diff = X.T - means` (K, d, n).
+    def weigh(self, diff: np.ndarray, work: Optional[np.ndarray] = None,
+              out: Optional[np.ndarray] = None):
+        """Responsibilities (..., K, n) and log p(x) (..., 1, n) from the
+        data columns centred on each mean, `diff = X.T - means`
+        (..., K, d, n).
 
         Computed in log space with the per-point maximum subtracted, so
-        far-field queries never underflow to an all-zero column.
+        far-field queries never underflow to an all-zero column. `work`
+        (shaped like `diff`) and `out` (shaped like the responsibilities),
+        if given, receive the Mahalanobis terms and the responsibilities,
+        so a loop that calls this once per step allocates nothing large.
         """
-        z = self.inv_chol @ diff
+        z = np.matmul(self.inv_chol, diff, out=work)
         # (z * z).sum, not einsum: einsum's set-up costs more than the sum
         # itself for the single-point queries of a control loop
-        lj = self.log_norm - 0.5 * (z * z).sum(axis=1)
-        top = lj.max(axis=0)
-        w = np.exp(lj - top)
-        total = w.sum(axis=0)
-        return w / total, top + np.log(total)
+        z *= z
+        lj = z.sum(axis=-2, out=out)
+        lj *= -0.5
+        lj += self.log_norm
+        top = lj.max(axis=-2, keepdims=True)
+        lj -= top
+        np.exp(lj, out=lj)
+        total = lj.sum(axis=-2, keepdims=True)
+        lj /= total
+        return lj, top + np.log(total)
 
     def posterior(self, X: np.ndarray) -> np.ndarray:
         """(n, K) responsibilities for the rows of X."""
@@ -144,65 +167,135 @@ def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return np.array(centers)
 
 
-def _em_step(points: np.ndarray, resp: np.ndarray, floor: float):
-    """One M step from responsibilities (K, n), then one E step.
-
-    `points` is the data as contiguous columns (d, n). Returns (priors,
-    means, covs, resp, loglik); the E step runs through the same `Mixture`
-    kernel that answers every posterior query.
-    """
-    d, n = points.shape
-    nk = resp.sum(axis=1) + 1e-300
-    priors = nk / n
-    means = (resp @ points.T) / nk[:, None]
-    diff = points[None] - means[:, :, None]                   # (K, d, n)
-    covs = ((diff * resp[:, None]) @ diff.transpose(0, 2, 1)
-            / nk[:, None, None] + floor * np.eye(d))
-    resp, log_px = Mixture.from_arrays(priors, means, covs).weigh(diff)
-    return priors, means, covs, resp, float(log_px.sum())
-
-
-def _em_single(data: np.ndarray, k: int, floor: float, rng: np.random.Generator,
-               max_iters: int, tol: float):
-    """One EM run. Returns (priors, means, covs, loglik)."""
-    n, d = data.shape
+def _seed_resp(data: np.ndarray, k: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Hard assignment (k, n) of the data to its nearest k-means++ seed."""
     means = _kmeanspp_init(data, k, rng)
-    # hard-assignment init around the k-means++ seeds
     d2 = np.stack([np.sum((data - m) ** 2, axis=1) for m in means])
-    resp = np.zeros((k, n))
-    resp[np.argmin(d2, axis=0), np.arange(n)] = 1.0
+    resp = np.zeros((k, data.shape[0]))
+    resp[np.argmin(d2, axis=0), np.arange(data.shape[0])] = 1.0
+    return resp
 
-    priors = np.full(k, 1.0 / k)
-    covs = np.tile(np.eye(d), (k, 1, 1))
-    prev_ll = -np.inf
-    prev_params = None
+
+def _stacks(inits: Sequence[np.ndarray], d: int):
+    """Split runs, in ascending K, into consecutive stacks of at most
+    `_STACK_FLOATS` elements in their (runs, K, d, n) buffers."""
+    stack = []
+    for init in inits:
+        if stack and (len(stack) + 1) * init.size * d > _STACK_FLOATS:
+            yield stack
+            stack = []
+        stack.append(init)
+    yield stack
+
+
+def _stack_runs(inits: Sequence[np.ndarray], d: int, floor: float):
+    """Stack runs' initial responsibilities (k_i, n) into (R, K, n), K the
+    largest k_i, and their covariance floors into (R, K, d, d): floor * I
+    on each run's components and inf * I on the empty slots that pad it
+    to K."""
+    K = max(len(init) for init in inits)
+    resp = np.zeros((len(inits), K, inits[0].shape[1]))
+    floors = np.zeros((len(inits), K, d, d))
+    floors[..., range(d), range(d)] = np.inf
+    for i, init in enumerate(inits):
+        resp[i, :len(init)] = init
+        floors[i, :len(init)] = floor * np.eye(d)
+    return resp, floors
+
+
+def _em_step(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
+             diff: Optional[np.ndarray] = None,
+             work: Optional[np.ndarray] = None):
+    """One M step from responsibilities (..., K, n), then one E step.
+
+    `points` is the data as contiguous columns (d, n); leading axes of
+    `resp` index independent runs. `floor` (..., K, d, d) is added to each
+    covariance: floor * I on a run's components, inf * I on the empty
+    slots that pad it to K. An infinitely wide Gaussian has log-normaliser
+    -inf, so an empty slot takes exactly zero responsibility. The new
+    responsibilities overwrite `resp`; `diff` and `work`, if given, are
+    (..., K, d, n) buffers for the centred data and the scratch. Returns
+    (priors, means, covs, resp, loglik per run); the E step is the
+    `Mixture` kernel that answers every posterior query.
+    """
+    n = points.shape[1]
+    nk = resp.sum(axis=-1) + 1e-300
+    priors = nk / n
+    means = (resp @ points.T) / nk[..., None]
+    diff = np.subtract(points, means[..., None], out=diff)
+    work = np.multiply(diff, resp[..., None, :], out=work)
+    covs = work @ diff.swapaxes(-1, -2) / nk[..., None, None] + floor
+    _, log_px = Mixture.from_arrays(priors, means, covs).weigh(
+        diff, work, out=resp)
+    return priors, means, covs, resp, log_px.sum(axis=-1)[..., 0]
+
+
+def _em_lockstep(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
+                 max_iters: int, tol: float) -> list:
+    """EM on a stack of runs, all stepped together until each one stops.
+
+    `resp` (R, K, n) holds each run's initial responsibilities and `floor`
+    (R, K, d, d) its covariance floor and empty slots (see `_em_step`);
+    `resp` is consumed. A run stops once its log-likelihood rises by less
+    than `tol` (relative) or after `max_iters` steps, or rolls back to its
+    previous parameters if the log-likelihood falls; finished runs are
+    compacted out of the stack. Returns (priors, means, covs, loglik,
+    steps) per run, in stack order, with the parameters padded to K.
+    """
+    R, K, n = resp.shape
+    diff = np.empty((R, K) + points.shape)
+    work = np.empty_like(diff)
     slack = DEFAULT_TOLERANCES.em_loglik_slack
-    points = np.ascontiguousarray(data.T)
-    for _ in range(max_iters):
-        priors, means, covs, resp, ll = _em_step(points, resp, floor)
-        if ll < prev_ll - slack * max(1.0, abs(prev_ll)):
-            # the additive covariance floor can nudge the objective down a
-            # little near a fixed point; only a large drop signals a bug
-            if ll < prev_ll - 1e-3 * max(1.0, abs(prev_ll)):
-                raise EmDidNotImprove(
-                    f"log-likelihood fell from {prev_ll} to {ll}")
-            priors, means, covs = prev_params
+    ids = list(range(R))
+    prev_ll = [-np.inf] * R
+    prev = None
+    done = [None] * R
+    for step in range(1, max_iters + 1):
+        m = len(ids)
+        priors, means, covs, _, ll = _em_step(
+            points, resp[:m], floor, diff[:m], work[:m])
+        ll = ll.tolist()
+        keep = []
+        # the stop rule on Python floats: for the few runs of a stack that
+        # is cheaper than a dozen small numpy calls per step
+        for j, (new, old) in enumerate(zip(ll, prev_ll)):
+            if new < old - slack * max(1.0, abs(old)):
+                # the additive covariance floor can nudge the objective down
+                # a little near a fixed point; only a large drop signals a bug
+                if new < old - 1e-3 * max(1.0, abs(old)):
+                    raise EmDidNotImprove(
+                        f"log-likelihood fell from {old} to {new}")
+                done[ids[j]] = (prev[0][j], prev[1][j], prev[2][j], old, step)
+            elif new - old < tol * max(1.0, abs(new)) or step == max_iters:
+                done[ids[j]] = (priors[j], means[j], covs[j], new, step)
+            else:
+                keep.append(j)
+        if not keep:
             break
-        if ll - prev_ll < tol * max(1.0, abs(ll)):
-            prev_ll = ll
-            break
-        prev_ll = ll
-        prev_params = (priors, means, covs)
-    return priors, means, covs, prev_ll
+        if len(keep) < m:
+            ids = [ids[j] for j in keep]
+            resp[:len(keep)] = resp[keep]
+            floor = floor[keep]
+            priors, means, covs = priors[keep], means[keep], covs[keep]
+        prev_ll = [ll[j] for j in keep]
+        prev = (priors, means, covs)
+    return done
 
 
 def _bic(loglik: float, k: int, n: int, d: int) -> float:
     n_params = (k - 1) + k * d + k * d * (d + 1) // 2
-    return -2.0 * loglik + n_params * np.log(n)
+    return float(-2.0 * loglik + n_params * np.log(n))
 
 
 def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
-    """Best-of-restarts EM for each K in [k_min, k_max]; BIC picks K."""
+    """Best-of-restarts EM for each K in [k_min, k_max]; BIC picks K.
+
+    Every (K, restart) run starts from its own k-means++ seeds. The runs
+    are stacked, padded to the widest K of their stack, and `_em_lockstep`
+    steps each stack's runs together: one stack for short demos, a few
+    cache-sized ones for long ones.
+    """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
     if n < 2 * d * cfg.k_max:
@@ -214,17 +307,26 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
     else:
         floor = cfg.covariance_floor
 
-    best = None  # (bic, k, restart_index, fit)
-    for k in range(cfg.k_min, cfg.k_max + 1):
-        for r in range(cfg.restarts):
-            rng = np.random.default_rng([cfg.seed, k, r])
-            priors, means, covs, ll = _em_single(
-                data, k, floor, rng, cfg.max_em_iters, cfg.loglik_tol)
-            bic = _bic(ll, k, n, d)
-            key = (bic, k, r)
-            if best is None or key < best[0]:
-                best = (key, priors, means, covs)
-    _, priors, means, covs = best
+    runs = [(k, r) for k in range(cfg.k_min, cfg.k_max + 1)
+            for r in range(cfg.restarts)]
+    inits = [_seed_resp(data, k, np.random.default_rng([cfg.seed, k, r]))
+             for k, r in runs]
+    points = np.ascontiguousarray(data.T)
+    fits = [fit for stack in _stacks(inits, d)
+            for fit in _em_lockstep(points, *_stack_runs(stack, d, floor),
+                                    cfg.max_em_iters, cfg.loglik_tol)]
+    bics = [_bic(fit[3], k, n, d) for (k, _), fit in zip(runs, fits)]
+    best = min(range(len(runs)), key=lambda i: (bics[i],) + runs[i])
+    k = runs[best][0]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "fit_gmm chose K = %d; per run (K, restart, BIC, EM steps): %s; "
+            "runs that used all %d EM steps: %s", k,
+            [run + (bic, fit[4]) for run, bic, fit in zip(runs, bics, fits)],
+            cfg.max_em_iters,
+            [run for run, fit in zip(runs, fits)
+             if fit[4] == cfg.max_em_iters])
+    priors, means, covs = (a[:k] for a in fits[best][:3])
     priors = priors / priors.sum()
     return [GaussianComponent(float(p), m, 0.5 * (c + c.T))
             for p, m, c in zip(priors, means, covs)]
