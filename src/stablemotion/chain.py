@@ -22,7 +22,8 @@ from .core import (
     Trajectory,
     frame_from_two_points,
 )
-from .errors import RankDeficientSystem, SingularCovariance, ZeroLengthChain
+from .errors import (RankDeficientSystem, SingularCovariance,
+                     ValidationError, ZeroLengthChain)
 from .gmm import OrderedGmm
 
 
@@ -44,10 +45,13 @@ class ElasticChain:
     link_lengths: np.ndarray      # (K,)
 
     def __post_init__(self):
-        K = len(self.components)
-        if self.joints.shape[0] != K + 1:
-            raise ValueError("chain needs K+1 joints")
-        if np.any(self.link_lengths <= 0):
+        K, d = len(self.components), self.components.dim
+        if self.joints.shape != (K + 1, d):
+            raise ValidationError(
+                "chain needs K+1 joints of the components' dimension")
+        if self.link_lengths.shape != (K,):
+            raise ValidationError("chain needs K link lengths")
+        if not np.all(self.link_lengths > 0):
             raise ZeroLengthChain("links must have positive length")
 
     @property
@@ -126,7 +130,7 @@ def build_chain(gmm: OrderedGmm, demo: Trajectory) -> ElasticChain:
 def build_laplacian(m: int) -> np.ndarray:
     """Path-graph Laplacian, unit weights: rows sum to 0, diagonal 1."""
     if m < 2:
-        raise ValueError("need at least 2 waypoints")
+        raise ValidationError("need at least 2 waypoints")
     L = np.eye(m)
     L[0, 1] = -1.0
     L[m - 1, m - 2] = -1.0
@@ -168,7 +172,7 @@ def solve_constrained_edit(joints0: np.ndarray,
     joints0 = np.asarray(joints0, dtype=float)
     m = joints0.shape[0]
     if o_start is None and o_end is None:
-        raise ValueError("at least one descriptor pose is required")
+        raise ValidationError("at least one descriptor pose is required")
     if link_lengths is None:
         link_lengths = np.linalg.norm(np.diff(joints0, axis=0), axis=1)
 
@@ -204,7 +208,7 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     """
     new_joints = np.asarray(new_joints, dtype=float)
     if new_joints.shape != chain.joints.shape:
-        raise ValueError("joint count mismatch")
+        raise ValidationError("joint count mismatch")
     out = []
     for k, (comp, lf) in enumerate(zip(chain.components.components,
                                        chain.link_frames)):

@@ -17,24 +17,14 @@ import numpy as np
 
 from . import fileio
 from .core import Trajectory, compute_velocities
-from .errors import (
-    EmDidNotImprove,
-    NonFiniteState,
-    OptimizationDiverged,
-    RankDeficientSystem,
-    SingularCovariance,
-    StableMotionError,
-    ValidationError,
-)
+from .errors import StableMotionError, ValidationError
 from .evaluation import (
     RolloutConfig,
+    adaptation_metrics,
     bench_adaptation,
     convergence_radius_for,
-    endpoints_distance,
-    goal_cosine,
     rollout,
     sample_field,
-    start_cosine,
 )
 from .gmm import GmmFitConfig
 from .pipeline import adapt, learn
@@ -47,10 +37,13 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (OptimizationDiverged, RankDeficientSystem,
-                     EmDidNotImprove, NonFiniteState, SingularCovariance)
-
 CONFIG_ENV = "STABLEMOTION_CONFIG"
+# the type of each config key the commands read; an int is a float too
+_CONFIG_TYPES = {
+    "k_min": int, "k_max": int, "restarts": int, "margin": float,
+    "profile_points": int, "profile_dt": float, "rollout_dt": float,
+    "rollout_max_steps": int, "rollout_convergence_radius": float,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,14 +53,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_config(path):
-    path = path or os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+def _load_config(args) -> dict:
+    """The config file's options, overridden by the flags of the same name."""
+    cfg = {}
+    path = args.config or os.environ.get(CONFIG_ENV)
+    if path:
+        with open(path) as fh:
+            cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
+    for key, kind in _CONFIG_TYPES.items():
+        value = cfg.get(key, 0)
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else int):
+            raise ValidationError(f"config {key!r} must be {kind.__name__}")
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in _CONFIG_TYPES and value is not None)
     return cfg
 
 
@@ -84,11 +85,8 @@ def _single_demo(path):
 
 
 def _gmm_cfg(args, cfg) -> GmmFitConfig:
-    return GmmFitConfig(
-        k_min=getattr(args, "k_min", None) or cfg.get("k_min", 1),
-        k_max=getattr(args, "k_max", None) or cfg.get("k_max", 8),
-        restarts=getattr(args, "restarts", None) or cfg.get("restarts", 5),
-        seed=args.seed)
+    return GmmFitConfig(k_min=cfg.get("k_min", 1), k_max=cfg.get("k_max", 8),
+                        restarts=cfg.get("restarts", 5), seed=args.seed)
 
 
 def _estimate_opts(cfg) -> EstimateOptions:
@@ -124,16 +122,10 @@ def cmd_transform(args, cfg) -> int:
     fileio.save_policy(args.output, new_policy, new_chain,
                        fileio.make_provenance(source_path=args.policy,
                                               descriptor=descriptor))
-    applied = new_chain.endpoint_descriptor()
-    run = rollout(new_policy, applied.enter.position,
-                  _rollout_cfg_for(new_chain, cfg))
     _report(args, {
         "command": "transform",
-        "start_cos": start_cosine(run.trajectory, applied),
-        "goal_cos": goal_cosine(run.trajectory, applied),
-        "endpoints_distance": endpoints_distance(
-            run.trajectory, applied.enter, applied.exit),
-        "converged": run.converged,
+        **adaptation_metrics(new_policy, new_chain,
+                             _rollout_cfg_for(new_chain, cfg)),
         "total_time_s": elapsed, "output": args.output})
     return EXIT_OK
 
@@ -155,8 +147,7 @@ def _rollout_cfg_for(chain, cfg) -> RolloutConfig:
 
 def cmd_rollout(args, cfg) -> int:
     policy, chain = fileio.load_policy(args.policy)
-    start = (np.array([float(v) for v in args.start.split(",")])
-             if args.start else chain.joints[0])
+    start = args.start if args.start is not None else chain.joints[0]
     run = rollout(policy, start, _rollout_cfg_for(chain, cfg))
     traj = run.trajectory
     lyap = [lyapunov_value(policy, p) for p in traj.points]
@@ -192,15 +183,7 @@ def cmd_field(args, cfg) -> int:
 
 def cmd_metrics(args, cfg) -> int:
     policy, chain = fileio.load_policy(args.policy)
-    applied = chain.endpoint_descriptor()
-    run = rollout(policy, applied.enter.position, _rollout_cfg_for(chain, cfg))
-    payload = {
-        "start_cos": start_cosine(run.trajectory, applied),
-        "goal_cos": goal_cosine(run.trajectory, applied),
-        "endpoints_distance": endpoints_distance(
-            run.trajectory, applied.enter, applied.exit),
-        "converged": run.converged,
-    }
+    payload = adaptation_metrics(policy, chain, _rollout_cfg_for(chain, cfg))
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=1)
@@ -218,9 +201,8 @@ def _resample(demo: Trajectory, n: int) -> Trajectory:
 
 def cmd_bench(args, cfg) -> int:
     demo, _, _ = _single_demo(args.demo)
-    lengths = [int(v) for v in args.lengths.split(",")]
     rows = []
-    for n in lengths:
+    for n in args.lengths:
         resampled = compute_velocities(_resample(demo, n))
         chain, _ = learn(resampled, _gmm_cfg(args, cfg),
                          _estimate_opts(cfg))
@@ -273,12 +255,8 @@ def cmd_stitch(args, cfg) -> int:
 
 def cmd_split(args, cfg) -> int:
     demo, via_from_file, _ = _single_demo(args.demo)
-    if args.via:
-        via = np.array([[float(v) for v in p.split(",")]
-                        for p in args.via.split(";")])
-    elif via_from_file is not None:
-        via = via_from_file
-    else:
+    via = args.via if args.via is not None else via_from_file
+    if via is None:
         raise ValidationError("no via-points given (flag or demo file)")
     segments = split_demo(demo, via, args.radius)
     outputs = []
@@ -289,6 +267,24 @@ def cmd_split(args, cfg) -> int:
     _report(args, {"command": "split", "segments": len(segments),
                    "outputs": outputs})
     return EXIT_OK
+
+
+def _point(text: str) -> np.ndarray:
+    """A comma-separated point, e.g. '0.5,1'."""
+    return np.array([float(v) for v in text.split(",")])
+
+
+def _points(text: str) -> np.ndarray:
+    """Semicolon-separated points of one dimension, e.g. '1,2;3,4'."""
+    return np.array([_point(p) for p in text.split(";")])
+
+
+def _lengths(text: str) -> list:
+    """Comma-separated demo lengths of at least 2 samples each."""
+    lengths = [int(v) for v in text.split(",")]
+    if min(lengths) < 2:
+        raise argparse.ArgumentTypeError("a demo length is at least 2 samples")
+    return lengths
 
 
 def build_parser() -> _Parser:
@@ -318,7 +314,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rollout", help="integrate a policy, emit CSV")
     p.add_argument("policy")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--start", default=None, help="comma-separated start point")
+    p.add_argument("--start", type=_point, default=None,
+                   help="comma-separated start point")
     p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser("field", help="sample the vector field (CSV + SVG)")
@@ -335,7 +332,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="timing sweep over demo lengths")
     p.add_argument("demo")
-    p.add_argument("--lengths", default="100,200,400")
+    p.add_argument("--lengths", type=_lengths, default="100,200,400")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)
@@ -347,7 +344,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("split", help="cut a demo at via-points")
     p.add_argument("demo")
-    p.add_argument("--via", default=None,
+    p.add_argument("--via", type=_points, default=None,
                    help="semicolon-separated comma points, e.g. '1,2;3,4'")
     p.add_argument("--radius", type=float, default=0.05)
     p.add_argument("--output-prefix", default="segment_")
@@ -362,15 +359,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(args)
         return args.func(args, cfg)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValidationError, StableMotionError, json.JSONDecodeError,
-            FileNotFoundError, KeyError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except StableMotionError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

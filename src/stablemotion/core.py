@@ -180,8 +180,7 @@ class GaussianComponent:
         return self.mean.shape[0]
 
 
-def frame_from_two_points(origin: np.ndarray, toward: np.ndarray,
-                          tol: float = DEFAULT_TOLERANCES.degenerate_point) -> Pose:
+def frame_from_two_points(origin: np.ndarray, toward: np.ndarray) -> Pose:
     """Pose at `origin` whose x-axis points at `toward`.
 
     The remaining axes are completed deterministically: in 2D the y-axis is
@@ -192,7 +191,7 @@ def frame_from_two_points(origin: np.ndarray, toward: np.ndarray,
     toward = np.asarray(toward, dtype=float)
     delta = toward - origin
     norm = np.linalg.norm(delta)
-    if norm <= tol:
+    if norm <= DEFAULT_TOLERANCES.degenerate_point:
         raise DegenerateFrame("frame endpoints coincide")
     x = delta / norm
     d = origin.shape[0]

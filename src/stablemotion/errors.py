@@ -5,8 +5,8 @@ class StableMotionError(Exception):
     """Base class for all library errors."""
 
 
-class ValidationError(StableMotionError):
-    """Input failed a structural or numerical validity check."""
+class ValidationError(StableMotionError, ValueError):
+    """Input failed a validity check: the one bad-input type (a ValueError)."""
 
 
 class DegenerateFrame(ValidationError):

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .chain import ElasticChain
 from .core import GeometricDescriptor, Pose, Trajectory, joint_diameter
-from .errors import DegenerateDirection, NonFiniteState
+from .errors import DegenerateDirection, NonFiniteState, ValidationError
 from .pipeline import adapt_policy
 from .policy import LpvDsPolicy, evaluate_batch
 from .profile import ProfileConfig
@@ -23,8 +23,8 @@ class RolloutConfig:
     convergence_radius: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0 or self.convergence_radius <= 0:
-            raise ValueError("dt and convergence_radius must be positive")
+        if not (self.dt > 0 and self.convergence_radius > 0):
+            raise ValidationError("dt and convergence_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,9 @@ def rollout(policy_or_plan: Union[LpvDsPolicy, TaskPlan], xi0: np.ndarray,
         policy = policy_or_plan
         field = lambda X: evaluate_batch(policy, X)
         attractor = policy.attractor
+    if np.shape(xi0) != attractor.shape:
+        raise ValidationError(
+            f"start has shape {np.shape(xi0)}, expected {attractor.shape}")
     _, done, states = _integrate(field, xi0, attractor, cfg, record=True)
     if len(states) == 1:  # started inside the convergence radius
         states.append(states[0])
@@ -133,7 +136,7 @@ def _direction_cosine(a: np.ndarray, b: np.ndarray, axis: np.ndarray) -> float:
 def start_cosine(traj: Trajectory, descriptor: GeometricDescriptor) -> float:
     """Alignment of the first two samples with the entry frame x-axis."""
     if descriptor.enter is None:
-        raise ValueError("descriptor has no enter pose")
+        raise ValidationError("descriptor has no enter pose")
     return _direction_cosine(traj.points[0], traj.points[1],
                              descriptor.enter.x_axis)
 
@@ -141,7 +144,7 @@ def start_cosine(traj: Trajectory, descriptor: GeometricDescriptor) -> float:
 def goal_cosine(traj: Trajectory, descriptor: GeometricDescriptor) -> float:
     """Alignment of the last two samples with the exit frame x-axis."""
     if descriptor.exit is None:
-        raise ValueError("descriptor has no exit pose")
+        raise ValidationError("descriptor has no exit pose")
     return _direction_cosine(traj.points[-2], traj.points[-1],
                              descriptor.exit.x_axis)
 
@@ -160,7 +163,7 @@ def sample_field(policy: LpvDsPolicy, bounds: np.ndarray,
     axis-aligned slice via a policy projection; the grid itself is 2D.
     """
     if resolution < 2:
-        raise ValueError("resolution must be >= 2 per axis")
+        raise ValidationError("resolution must be >= 2 per axis")
     (x0, x1), (y0, y1) = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
@@ -169,14 +172,28 @@ def sample_field(policy: LpvDsPolicy, bounds: np.ndarray,
     return points, evaluate_batch(policy, points)
 
 
+def adaptation_metrics(policy: LpvDsPolicy, chain: ElasticChain,
+                       cfg: RolloutConfig) -> dict:
+    """Roll out from the chain's entry pose and score the run against its
+    endpoint frames: start_cos, goal_cos, endpoints_distance, converged."""
+    applied = chain.endpoint_descriptor()
+    run = rollout(policy, applied.enter.position, cfg)
+    return {
+        "start_cos": start_cosine(run.trajectory, applied),
+        "goal_cos": goal_cosine(run.trajectory, applied),
+        "endpoints_distance": endpoints_distance(
+            run.trajectory, applied.enter, applied.exit),
+        "converged": run.converged,
+    }
+
+
 def bench_adaptation(chain: ElasticChain, descriptor: GeometricDescriptor,
                      profile_cfg: ProfileConfig, repeats: int = 3,
-                     rollout_cfg: Optional[RolloutConfig] = None,
                      estimate_opts=None) -> AdaptationReport:
-    """Median wall times for the adaptation pipeline plus the three
-    rollout metrics measured from the new entry pose."""
+    """Median wall times for the adaptation pipeline plus the rollout
+    metrics of adaptation_metrics for the last repeat's policy."""
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise ValidationError("repeats must be >= 1")
     t_transform, t_estimate = [], []
     for _ in range(repeats):  # the last repeat's policy is the one rolled out
         new_chain, profile, policy, tt, te = adapt_policy(
@@ -184,20 +201,10 @@ def bench_adaptation(chain: ElasticChain, descriptor: GeometricDescriptor,
         t_transform.append(tt)
         t_estimate.append(te)
 
-    applied = new_chain.endpoint_descriptor()
-    if rollout_cfg is None:
-        rollout_cfg = RolloutConfig(
-            convergence_radius=convergence_radius_for(new_chain.joints))
-    run = rollout(policy, applied.enter.position, rollout_cfg)
+    rollout_cfg = RolloutConfig(
+        convergence_radius=convergence_radius_for(new_chain.joints))
     tt = float(np.median(t_transform))
     te = float(np.median(t_estimate))
     return AdaptationReport(
-        start_cos=start_cosine(run.trajectory, applied),
-        goal_cos=goal_cosine(run.trajectory, applied),
-        endpoints_distance=endpoints_distance(
-            run.trajectory, applied.enter, applied.exit),
-        converged=run.converged,
-        transform_time=tt,
-        estimate_time=te,
-        total_time=tt + te,
-    )
+        **adaptation_metrics(policy, new_chain, rollout_cfg),
+        transform_time=tt, estimate_time=te, total_time=tt + te)

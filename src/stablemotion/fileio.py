@@ -33,15 +33,23 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-def _numeric(value, what: str) -> np.ndarray:
-    """A finite float array, or a ValidationError (ragged rows included)."""
+def _numeric(obj, key: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """obj[key] as a non-empty float array of finite numbers, of `shape`
+    when one is given (None in it matches any length), or a
+    ValidationError."""
+    _require(isinstance(obj, dict) and key in obj,
+             f"expected an object with a {key!r} entry")
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    _require(arr is not None and arr.size > 0 and np.all(np.isfinite(arr)),
-             f"{what} must be a non-empty array of finite numbers")
-    return arr
+        arr = np.asarray(obj[key])
+    except ValueError:  # ragged rows
+        arr = np.asarray(None)
+    _require(arr.dtype.kind in "iuf" and arr.size > 0
+             and np.all(np.isfinite(arr)),
+             f"{key} must be a non-empty array of finite numbers")
+    _require(shape is None or (arr.ndim == len(shape) and all(
+        n is None or n == m for n, m in zip(shape, arr.shape))),
+        f"{key} has shape {arr.shape}, expected {shape}")
+    return arr.astype(float)
 
 
 def _check_header(obj: dict, fmt: str) -> None:
@@ -77,15 +85,14 @@ def demo_to_dict(trajectories: Sequence[Trajectory],
 
 def demo_from_dict(obj: dict):
     _check_header(obj, DEMO_FORMAT)
-    d = obj["dimension"]
-    trajectories = []
-    for t in obj["trajectories"]:
-        pts = _numeric(t["points"], "trajectory points")
-        _require(pts.ndim == 2 and pts.shape[1] == d,
-                 "trajectory dimension mismatch")
-        trajectories.append(Trajectory(pts, _numeric(t["timestamps"],
-                                                    "timestamps")))
-    via = (np.asarray(obj["via_points"], dtype=float)
+    d = obj.get("dimension")
+    _require(isinstance(d, int), "dimension must be an integer")
+    items = obj.get("trajectories")
+    _require(isinstance(items, list), "trajectories must be a list")
+    trajectories = [Trajectory(_numeric(t, "points", (None, d)),
+                               _numeric(t, "timestamps", (None,)))
+                    for t in items]
+    via = (_numeric(obj, "via_points", (None, d))
            if "via_points" in obj else None)
     descriptor = (descriptor_from_dict(obj["descriptor"], header=False)
                   if "descriptor" in obj else None)
@@ -111,12 +118,9 @@ def _pose_to_dict(pose: Pose) -> dict:
 
 
 def _pose_from_dict(obj: dict) -> Pose:
-    _require(isinstance(obj, dict), "pose must be an object")
-    position = _numeric(obj["position"], "pose position")
-    rotation = _numeric(obj["rotation"], "pose rotation")
+    position = _numeric(obj, "position", (None,))
     d = position.shape[0]
-    _require(position.shape == (d,), "pose position must be a vector")
-    _require(rotation.shape == (d, d), "rotation shape mismatch")
+    rotation = _numeric(obj, "rotation", (d, d))
     tol = DEFAULT_TOLERANCES.orthonormal_io
     _require(np.max(np.abs(rotation.T @ rotation - np.eye(d))) <= tol,
              "rotation is not orthonormal")
@@ -193,71 +197,46 @@ def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
 
 def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     _check_header(obj, POLICY_FORMAT)
-    components = obj["components"]
+    components = obj.get("components")
     _require(isinstance(components, list) and len(components) > 0
              and all(isinstance(c, dict) for c in components),
              "components must be a non-empty list of objects")
-    attractor = _numeric(obj["attractor"], "attractor")
+    attractor = _numeric(obj, "attractor", (None,))
     d = attractor.shape[0]
-    _require(attractor.shape == (d,), "attractor must be a vector")
-    margin = obj["margin"]
-    _require(isinstance(margin, (int, float)) and not isinstance(margin, bool)
-             and np.isfinite(margin) and margin > 0,
-             "margin must be a positive number")
-    P = _numeric(obj["P"], "P")
-    _require(P.shape == (d, d), "P shape mismatch")
-    comps = []
-    for c in components:
-        prior = _numeric(c["prior"], "component prior")
-        mean = _numeric(c["mean"], "component mean")
-        cov = _numeric(c["covariance"], "component covariance")
-        _require(prior.shape == () and mean.shape == (d,),
-                 "component shape mismatch")
-        comps.append(GaussianComponent(float(prior), mean, cov))
-    _require(abs(sum(c.prior for c in comps) - 1.0)
-             <= DEFAULT_TOLERANCES.prior_sum, "component priors must sum to 1")
-    A = _numeric([c["A"] for c in components], "A")
-    _require(A.shape == (len(comps), d, d), "A shape mismatch")
-    _require(np.linalg.eigvalsh(0.5 * (P + P.T))[0] > 0,
-             "P must be positive definite")
-    policy = LpvDsPolicy(tuple(comps), A, P, attractor, float(margin))
+    comps = tuple(GaussianComponent(float(_numeric(c, "prior", ())),
+                                    _numeric(c, "mean", (d,)),
+                                    _numeric(c, "covariance"))
+                  for c in components)
+    # the stacked gains; LpvDsPolicy checks their shape
+    A = _numeric({"A": [c.get("A") for c in components]}, "A")
+    policy = LpvDsPolicy(comps, A, _numeric(obj, "P"), attractor,
+                         float(_numeric(obj, "margin", ())))
     residual = constraint_residual(policy)
     _require(residual <= 0.0,
              f"policy violates its stability certificate "
              f"(constraint residual {residual:.3e} > 0)")
-    return policy, _chain_from_dict(obj["chain"], tuple(comps), d)
+    return policy, _chain_from_dict(obj.get("chain"), comps, d)
 
 
 def _chain_from_dict(ch: dict, comps: tuple, d: int) -> ElasticChain:
-    K = len(comps)
     _require(isinstance(ch, dict), "chain must be an object")
-    joints = _numeric(ch["joints"], "chain joints")
-    _require(joints.shape == (K + 1, d),
-             "chain needs K+1 joints of the policy's dimension")
-    lengths = _numeric(ch["link_lengths"], "chain link_lengths")
-    _require(lengths.shape == (K,) and np.all(lengths > 0),
-             "chain link_lengths must be K positive numbers")
-    scores = _numeric(ch["order_scores"], "chain order_scores")
-    _require(scores.shape == (K,) and np.all(np.diff(scores) >= 0),
-             "chain order_scores must be K nondecreasing numbers")
-    frames = ch["link_frames"]
-    _require(isinstance(frames, list) and len(frames) == K
+    frames = ch.get("link_frames")
+    _require(isinstance(frames, list) and len(frames) == len(comps)
              and all(isinstance(f, dict) for f in frames),
              "chain link_frames must be a list of K objects")
     link_frames = []
     for f in frames:
-        local_mean = _numeric(f["local_mean"], "link frame local_mean")
-        eigvecs = _numeric(f["local_eigvecs"], "link frame local_eigvecs")
-        eigvals = _numeric(f["eigvals"], "link frame eigvals")
-        along = f["along_index"]
-        _require(local_mean.shape == (d,) and eigvecs.shape == (d, d)
-                 and eigvals.shape == (d,), "link frame shape mismatch")
+        along = f.get("along_index")
         _require(isinstance(along, int) and not isinstance(along, bool)
                  and 0 <= along < d,
                  "link frame along_index must be an axis index")
-        link_frames.append(LinkFrame(local_mean, eigvecs, eigvals, along))
-    return ElasticChain(OrderedGmm(comps, tuple(scores.tolist())), joints,
-                        tuple(link_frames), lengths)
+        link_frames.append(LinkFrame(_numeric(f, "local_mean", (d,)),
+                                     _numeric(f, "local_eigvecs", (d, d)),
+                                     _numeric(f, "eigvals", (d,)), along))
+    scores = _numeric(ch, "order_scores", (None,))
+    return ElasticChain(OrderedGmm(comps, tuple(scores.tolist())),
+                        _numeric(ch, "joints"), tuple(link_frames),
+                        _numeric(ch, "link_lengths"))
 
 
 def save_policy(path, policy: LpvDsPolicy, chain: ElasticChain,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .core import GaussianComponent, Trajectory, _frozen
-from .errors import EmDidNotImprove, InsufficientData
+from .errors import EmDidNotImprove, InsufficientData, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _log = logging.getLogger("stablemotion")
@@ -38,15 +38,17 @@ class GmmFitConfig:
 
     def __post_init__(self):
         if not (1 <= self.k_min <= self.k_max):
-            raise ValueError("need 1 <= k_min <= k_max")
+            raise ValidationError("need 1 <= k_min <= k_max")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise ValidationError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.covariance_floor is not None and self.covariance_floor <= 0:
-            raise ValueError("covariance_floor must be positive")
+            raise ValidationError("covariance_floor must be positive")
         if self.max_em_iters < 1:
-            raise ValueError("max_em_iters must be >= 1")
+            raise ValidationError("max_em_iters must be >= 1")
         if self.loglik_tol < 0:
-            raise ValueError("loglik_tol must be >= 0")
+            raise ValidationError("loglik_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,11 @@ class OrderedGmm:
     def __post_init__(self):
         priors = sum(c.prior for c in self.components)
         if abs(priors - 1.0) > DEFAULT_TOLERANCES.prior_sum:
-            raise ValueError(f"priors sum to {priors}, expected 1")
+            raise ValidationError(f"priors sum to {priors}, expected 1")
+        if np.shape(self.order_scores) != (len(self.components),):
+            raise ValidationError("need one order score per component")
         if np.any(np.diff(self.order_scores) < 0):
-            raise ValueError("order_scores must be nondecreasing")
+            raise ValidationError("order_scores must be nondecreasing")
 
     def __len__(self) -> int:
         return len(self.components)

@@ -23,15 +23,17 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import GaussianComponent, _frozen
-from .errors import InfeasibleAttractor, InsufficientData, OptimizationDiverged
+from .errors import (InfeasibleAttractor, InsufficientData,
+                     OptimizationDiverged, ValidationError)
 from .gmm import Mixture, responsibilities_batch
+
+_RIDGE = 1e-6  # per-sample ||A_k||_F^2 weight; tames the gain in
+               # directions the data never excites
 
 
 @dataclass(frozen=True)
 class EstimateOptions:
     margin: float = 1e-2        # eps: sym(P A_k) <= -eps I
-    ridge: float = 1e-6         # per-sample ||A_k||_F^2 weight; tames the
-                                # gain in directions the data never excites
     max_iters: int = 500        # cap on Newton steps
     P: Optional[np.ndarray] = None  # None: identity certificate
 
@@ -53,11 +55,13 @@ class LpvDsPolicy:
         object.__setattr__(self, "attractor", _frozen(self.attractor))
         K, d = len(self.components), self.attractor.shape[0]
         if self.A.shape != (K, d, d):
-            raise ValueError("A shape must be (K, d, d)")
+            raise ValidationError("A shape must be (K, d, d)")
+        if self.P.shape != (d, d):
+            raise ValidationError("P shape must be (d, d)")
         if np.linalg.eigvalsh(0.5 * (self.P + self.P.T))[0] <= 0:
-            raise ValueError("P must be positive definite")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+            raise ValidationError("P must be positive definite")
+        if not self.margin > 0:
+            raise ValidationError("margin must be positive")
         object.__setattr__(self, "mixture",
                            Mixture.from_components(self.components))
 
@@ -244,7 +248,7 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
     K = len(components)
     T, d = data.shape
     if velocities.shape != data.shape:
-        raise ValueError("data and velocities must have the same shape")
+        raise ValidationError("data and velocities must have the same shape")
     if T < 10 * K:
         raise InsufficientData(f"{T} samples < 10*K = {10 * K}")
 
@@ -256,7 +260,7 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
     Yn, Vn = Y / scale, velocities / scale
     gamma = responsibilities_batch(components, data)
     stats = fit_statistics(gamma, Yn, Vn)
-    reg = opts.ridge * T
+    reg = _RIDGE * T
     # shrinkage target for unexcited directions: a few times the data's
     # speed-to-radius ratio, so they contract strictly faster than the
     # fitted modes -- the slow mode (and hence the asymptotic approach

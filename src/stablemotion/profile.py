@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Trajectory, compute_velocities
-from .errors import IndexCollision, ZeroLengthChain
+from .errors import IndexCollision, ValidationError, ZeroLengthChain
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,10 @@ class ProfileConfig:
     dt: float             # uniform sampling interval, seconds
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not self.dt > 0:
+            raise ValidationError("dt must be positive")
         if self.p < 2:
-            raise ValueError("need at least 2 profile points")
+            raise ValidationError("need at least 2 profile points")
 
     @staticmethod
     def for_demo(demo: Trajectory) -> "ProfileConfig":
@@ -46,7 +46,7 @@ def joint_progress(joints: np.ndarray) -> np.ndarray:
 def map_joint_indices(lam: np.ndarray, p: int) -> np.ndarray:
     """Index of each joint on a p-point profile: floor(lambda * (p-1))."""
     if p < 2:
-        raise ValueError("need p >= 2")
+        raise ValidationError("need p >= 2")
     idx = np.floor(np.asarray(lam) * (p - 1)).astype(int)
     if len(np.unique(idx)) != len(idx):
         raise IndexCollision(
@@ -59,7 +59,7 @@ def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
     joints = np.asarray(joints, dtype=float)
     p = cfg.p
     if p < joints.shape[0]:
-        raise ValueError("profile must have at least as many points as joints")
+        raise ValidationError("profile must have at least as many points as joints")
     lam = joint_progress(joints)
     idx = map_joint_indices(lam, p)
 

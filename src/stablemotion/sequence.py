@@ -4,7 +4,7 @@ executing multi-segment plans with one-hot activation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class Segment:
     chain: ElasticChain
     descriptor: GeometricDescriptor
     policy: LpvDsPolicy
-    action: Optional[dict] = None  # e.g. gripper flags from demo annotations
 
 
 @dataclass(frozen=True)

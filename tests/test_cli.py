@@ -1,7 +1,11 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablemotion import fileio
 from stablemotion.cli import (
@@ -12,6 +16,7 @@ from stablemotion.cli import (
     EXIT_VALIDATION,
     main,
 )
+from stablemotion.core import GeometricDescriptor, Pose, Trajectory
 from conftest import s_curve_demo
 
 
@@ -67,7 +72,7 @@ class TestTransform:
     def test_transform_and_metrics(self, tmp_path, policy_file, capsys):
         _, chain = fileio.load_policy(policy_file)
         base = chain.endpoint_descriptor()
-        from stablemotion.core import GeometricDescriptor, Pose
+        from stablemotion.core import GeometricDescriptor, Pose, Trajectory
         moved = GeometricDescriptor(
             Pose(base.enter.position + [0.2, 0.1], base.enter.rotation),
             Pose(base.exit.position + [-0.1, 0.2], base.exit.rotation))
@@ -325,3 +330,218 @@ class TestMalformedFiles:
         rc = main(["--quiet", "fit", str(bad), "-o", str(tmp_path / "o.json"),
                    "--k-max", "2", "--restarts", "1"])
         assert rc == EXIT_VALIDATION
+
+
+def _json_file(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _config(tmp_path, **cfg):
+    return ["--config", _json_file(tmp_path, "cfg.json", cfg)]
+
+
+def _demo_with(tmp_path, demo_file, **fields):
+    obj = json.loads(open(demo_file).read())
+    obj.update(fields)
+    return _json_file(tmp_path, "edited_demo.json", obj)
+
+
+def _non_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": "stablemotion-policy\xff"}')
+    return str(path)
+
+
+# (argv builder from (tmp_path, demo file, policy file), expected exit code)
+_BAD_INPUTS = [
+    pytest.param(lambda t, d, p: ["fit", d, "-o", str(t / "o.json"),
+                                  "--k-min", "5", "--k-max", "2"],
+                 EXIT_VALIDATION, id="k_min_above_k_max"),
+    pytest.param(lambda t, d, p: ["rollout", p, "-o", str(t / "o.csv"),
+                                  "--start", "a,b"],
+                 EXIT_USAGE, id="start_not_numbers"),
+    pytest.param(lambda t, d, p: ["rollout", p, "-o", str(t / "o.csv"),
+                                  "--start", "1,2,3"],
+                 EXIT_VALIDATION, id="start_wrong_dimension"),
+    pytest.param(lambda t, d, p: ["field", p, "-o", str(t / "o.csv"),
+                                  "--resolution", "1"],
+                 EXIT_VALIDATION, id="field_resolution_one"),
+    pytest.param(lambda t, d, p: ["bench", d, "--lengths", "a"],
+                 EXIT_USAGE, id="bench_lengths_not_numbers"),
+    pytest.param(lambda t, d, p: ["bench", d, "--lengths", "-5"],
+                 EXIT_USAGE, id="bench_length_negative"),
+    pytest.param(lambda t, d, p: ["bench", d, "--lengths", "80",
+                                  "--repeats", "0"],
+                 EXIT_VALIDATION, id="bench_repeats_zero"),
+    pytest.param(lambda t, d, p: ["split", d, "--via", "1,x",
+                                  "--output-prefix", str(t / "s_")],
+                 EXIT_USAGE, id="via_not_numbers"),
+    pytest.param(lambda t, d, p: [*_config(t, rollout_dt=-1), "rollout", p,
+                                  "-o", str(t / "o.csv")],
+                 EXIT_VALIDATION, id="config_rollout_dt_negative"),
+    pytest.param(lambda t, d, p: [*_config(t, k_max="a"), "fit", d,
+                                  "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="config_k_max_string"),
+    pytest.param(lambda t, d, p: [*_config(t, k_max=2.5), "fit", d,
+                                  "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="config_k_max_float"),
+    pytest.param(lambda t, d, p: [*_config(t, restarts=0), "fit", d,
+                                  "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="config_restarts_zero"),
+    pytest.param(lambda t, d, p: [*_config(t, margin=-1), "fit", d,
+                                  "-o", str(t / "o.json"), "--k-max", "2",
+                                  "--restarts", "1"],
+                 EXIT_VALIDATION, id="config_margin_negative"),
+    pytest.param(lambda t, d, p: [*_config(t, margin="x"), "fit", d,
+                                  "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="config_margin_string"),
+    pytest.param(lambda t, d, p: [*_config(t, rollout_max_steps="a"),
+                                  "rollout", p, "-o", str(t / "o.csv")],
+                 EXIT_VALIDATION, id="config_max_steps_string"),
+    pytest.param(lambda t, d, p: ["fit", _demo_with(t, d, trajectories=5),
+                                  "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="demo_trajectories_a_number"),
+    pytest.param(lambda t, d, p: ["fit", _demo_with(t, d, trajectories=[5]),
+                                  "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="demo_trajectory_a_number"),
+    pytest.param(lambda t, d, p: ["split",
+                                  _demo_with(t, d, via_points=[[1, "a"]]),
+                                  "--output-prefix", str(t / "s_")],
+                 EXIT_VALIDATION, id="demo_via_points_not_numbers"),
+    pytest.param(lambda t, d, p: ["rollout", p, "-o", str(t)],
+                 EXIT_VALIDATION, id="output_is_a_directory"),
+    pytest.param(lambda t, d, p: ["rollout", str(t), "-o", str(t / "o.csv")],
+                 EXIT_VALIDATION, id="input_is_a_directory"),
+    pytest.param(lambda t, d, p: ["rollout", _non_utf8(t),
+                                  "-o", str(t / "o.csv")],
+                 EXIT_VALIDATION, id="input_not_utf8"),
+    pytest.param(lambda t, d, p: ["fit", d, "-o", str(t / "o.json"),
+                                  "--k-max", "0", "--restarts", "0"],
+                 EXIT_VALIDATION, id="zero_flags_reach_the_config"),
+    pytest.param(lambda t, d, p: ["--seed", "-1", "fit", d,
+                                  "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="seed_negative"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _BAD_INPUTS)
+def test_bad_input_exit_code(tmp_path, demo_file, policy_file, argv,
+                             expected, capsys):
+    """Each bad flag, config value or file ends in its documented exit
+    code; main raises nothing."""
+    assert main(["--quiet", *argv(tmp_path, demo_file, policy_file)]) == \
+        expected
+    capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """An 80-sample demo (with a via-point and a descriptor), the K = 3
+    policies of its two halves, a descriptor that moves the first half's
+    ends and a config: every file a subcommand reads, each valid."""
+    tmp = tmp_path_factory.mktemp("valid")
+    demo = s_curve_demo(80)
+    via = demo.points[40:41]
+    paths = {"config": _json_file(tmp, "cfg.json", {
+        "k_max": 2, "restarts": 1, "margin": 0.01, "rollout_dt": 0.01,
+        "rollout_max_steps": 5000})}
+    halves = []
+    for i in (0, 1):
+        half = tmp / f"half{i}.json"
+        part = slice(40 * i, 40 * i + 41)
+        fileio.save_demo(half, [Trajectory(demo.points[part],
+                                           demo.timestamps[part])])
+        out = str(tmp / f"policy{i}.json")
+        assert main(["--quiet", "--config", paths["config"], "fit",
+                     str(half), "-o", out, "--k-min", "3",
+                     "--k-max", "3"]) == EXIT_OK
+        halves.append(out)
+    paths["policy"], paths["segment"] = halves
+    _, chain = fileio.load_policy(paths["policy"])
+    base = chain.endpoint_descriptor()
+    moved = GeometricDescriptor(
+        Pose(base.enter.position + [0.05, 0.05], base.enter.rotation),
+        Pose(base.exit.position + [0.05, -0.05], base.exit.rotation))
+    paths["descriptor"] = str(tmp / "desc.json")
+    fileio.save_descriptor(paths["descriptor"], moved)
+    paths["demo"] = str(tmp / "demo.json")
+    fileio.save_demo(paths["demo"], [demo], via, moved)
+    return paths
+
+
+# each subcommand, as argv from (file paths, output directory)
+_COMMANDS = {
+    "fit": lambda f, o: ["fit", f["demo"], "-o", f"{o}/p.json"],
+    "transform": lambda f, o: ["transform", f["policy"], f["descriptor"],
+                               "-o", f"{o}/p.json"],
+    "rollout": lambda f, o: ["rollout", f["policy"], "-o", f"{o}/r.csv"],
+    "field": lambda f, o: ["field", f["policy"], "-o", f"{o}/f.csv",
+                           "--resolution", "4"],
+    "metrics": lambda f, o: ["metrics", f["policy"]],
+    "bench": lambda f, o: ["bench", f["demo"], "--lengths", "40",
+                           "--repeats", "1"],
+    "stitch": lambda f, o: ["stitch", f["policy"], f["segment"],
+                            "-o", f"{o}/p.json"],
+    "split": lambda f, o: ["split", f["demo"], "--output-prefix", f"{o}/s_"],
+}
+# the subcommands that read each file
+_READERS = {
+    "config": sorted(_COMMANDS),
+    "demo": ["bench", "fit", "split"],
+    "descriptor": ["transform"],
+    "policy": ["field", "metrics", "rollout", "stitch", "transform"],
+}
+# one value of each JSON type
+_JSON_VALUES = [None, True, 0, "x", [], {}]
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else \
+        type(value).__name__
+
+
+def _mutate(data, obj):
+    """obj with one value deep inside it dropped, swapped for a value of
+    another JSON type, shortened or lengthened (a list) or nested."""
+    obj = copy.deepcopy(obj)
+    parent, key = None, None
+    node = obj
+    while isinstance(node, (dict, list)) and node and (
+            parent is None or not data.draw(st.booleans())):
+        parent = node
+        key = data.draw(st.sampled_from(
+            list(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    kind = data.draw(st.sampled_from(["drop", "swap", "resize", "nest"]))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "swap":
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in _JSON_VALUES if _json_type(v) != _json_type(node)]))
+    elif kind == "resize" and isinstance(node, list) and node:
+        parent[key] = node[:-1] if data.draw(st.booleans()) \
+            else node + node[-1:]
+    else:
+        parent[key] = [node]
+    return obj
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data())
+def test_mutated_files_never_raise(valid_files, data):
+    """Every subcommand ends in exit code 0-3 on a file with one mutated
+    value, and main raises nothing."""
+    target = data.draw(st.sampled_from(sorted(_READERS)))
+    command = data.draw(st.sampled_from(_READERS[target]))
+    obj = json.loads(Path(valid_files[target]).read_text())
+    with tempfile.TemporaryDirectory() as out:
+        files = dict(valid_files)
+        files[target] = _json_file(Path(out), "mutated.json",
+                                   _mutate(data, obj))
+        rc = main(["--quiet", "--config", files["config"],
+                   *_COMMANDS[command](files, out)])
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL)
