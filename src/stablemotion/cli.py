@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import fileio
-from .core import Trajectory, compute_velocities
+from .core import GeometricDescriptor, Pose, Trajectory, compute_velocities
 from .errors import StableMotionError, ValidationError
 from .evaluation import (
     RolloutConfig,
@@ -211,21 +211,17 @@ def cmd_bench(args, cfg) -> int:
         offset = 0.1 * np.linalg.norm(span) * np.ones(resampled.dim) / \
             np.sqrt(resampled.dim)
         desc = chain.endpoint_descriptor()
-        moved = type(desc)(
-            enter=type(desc.enter)(desc.enter.position + offset,
-                                   desc.enter.rotation),
-            exit=type(desc.exit)(desc.exit.position + offset,
-                                 desc.exit.rotation))
+        moved = GeometricDescriptor(*(Pose(p.position + offset, p.rotation)
+                                      for p in (desc.enter, desc.exit)))
         report = bench_adaptation(
             chain, moved, ProfileConfig(p=n, dt=resampled.median_dt()),
-            repeats=args.repeats, estimate_opts=_estimate_opts(cfg))
-        rows.append({"T_n": n,
-                     "transform_ms": 1e3 * report.transform_time,
-                     "estimate_ms": 1e3 * report.estimate_time,
-                     "total_ms": 1e3 * report.total_time})
-    table = "T_n,transform_ms,estimate_ms,total_ms\n" + "\n".join(
-        f'{r["T_n"]},{r["transform_ms"]:.3f},{r["estimate_ms"]:.3f},'
-        f'{r["total_ms"]:.3f}' for r in rows) + "\n"
+            repeats=args.repeats, estimate_opts=_estimate_opts(cfg),
+            rollout_cfg=_rollout_cfg_for(chain, cfg))
+        rows.append(f"{n},{1e3 * report.transform_time:.3f},"
+                    f"{1e3 * report.estimate_time:.3f},"
+                    f"{1e3 * report.total_time:.3f},{report.converged}")
+    table = ("T_n,transform_ms,estimate_ms,total_ms,converged\n"
+             + "\n".join(rows) + "\n")
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(table)

@@ -189,9 +189,10 @@ def adaptation_metrics(policy: LpvDsPolicy, chain: ElasticChain,
 
 def bench_adaptation(chain: ElasticChain, descriptor: GeometricDescriptor,
                      profile_cfg: ProfileConfig, repeats: int = 3,
-                     estimate_opts=None) -> AdaptationReport:
-    """Median wall times for the adaptation pipeline plus the rollout
-    metrics of adaptation_metrics for the last repeat's policy."""
+                     estimate_opts=None, rollout_cfg=None) -> AdaptationReport:
+    """Median wall times for the adaptation pipeline plus adaptation_metrics
+    for the last repeat's policy, rolled out with rollout_cfg (by default,
+    to within convergence_radius_for the adapted joints)."""
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
     t_transform, t_estimate = [], []
@@ -201,10 +202,9 @@ def bench_adaptation(chain: ElasticChain, descriptor: GeometricDescriptor,
         t_transform.append(tt)
         t_estimate.append(te)
 
-    rollout_cfg = RolloutConfig(
-        convergence_radius=convergence_radius_for(new_chain.joints))
     tt = float(np.median(t_transform))
     te = float(np.median(t_estimate))
     return AdaptationReport(
-        **adaptation_metrics(policy, new_chain, rollout_cfg),
+        **adaptation_metrics(policy, new_chain, rollout_cfg or RolloutConfig(
+            convergence_radius=convergence_radius_for(new_chain.joints))),
         transform_time=tt, estimate_time=te, total_time=tt + te)

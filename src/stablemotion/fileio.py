@@ -33,6 +33,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _numeric(obj, key: str, shape: Optional[tuple] = None) -> np.ndarray:
     """obj[key] as a non-empty float array of finite numbers, of `shape`
     when one is given (None in it matches any length), or a
@@ -43,8 +48,9 @@ def _numeric(obj, key: str, shape: Optional[tuple] = None) -> np.ndarray:
         arr = np.asarray(obj[key])
     except ValueError:  # ragged rows
         arr = np.asarray(None)
+    # numpy reads a boolean among numbers as 0 or 1
     _require(arr.dtype.kind in "iuf" and arr.size > 0
-             and np.all(np.isfinite(arr)),
+             and np.all(np.isfinite(arr)) and not _has_bool(obj[key]),
              f"{key} must be a non-empty array of finite numbers")
     _require(shape is None or (arr.ndim == len(shape) and all(
         n is None or n == m for n, m in zip(shape, arr.shape))),

@@ -4,8 +4,8 @@ The policy is xdot = sum_k gamma_k(x) A_k (x - attractor), where gamma is
 the posterior responsibility of the mixing model. With the certificate
 V = (x - x*)^T P (x - x*) fixed, the fit is convex in W_k = P A_k: a
 quadratic objective under sym(W_k) <= -eps I (so A_k^T P + P A_k is
-negative definite), solved exactly by a log-det barrier with damped Newton
-steps that ends with a duality-gap bound.
+negative definite), solved exactly by primal-dual path following that ends
+with a duality-gap bound.
 
 With the mixing weights fixed, the prediction at sample t is linear in the
 stacked gains Abar = [A_1 ... A_K] (d x Kd): f_t = Abar phi_t with
@@ -17,6 +17,7 @@ system (Kd^2 unknowns) is built from H once and never touches the samples.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -27,6 +28,8 @@ from .errors import (InfeasibleAttractor, InsufficientData,
                      OptimizationDiverged, ValidationError)
 from .gmm import Mixture, responsibilities_batch
 
+_log = logging.getLogger("stablemotion")
+
 _RIDGE = 1e-6  # per-sample ||A_k||_F^2 weight; tames the gain in
                # directions the data never excites
 
@@ -34,8 +37,12 @@ _RIDGE = 1e-6  # per-sample ||A_k||_F^2 weight; tames the gain in
 @dataclass(frozen=True)
 class EstimateOptions:
     margin: float = 1e-2        # eps: sym(P A_k) <= -eps I
-    max_iters: int = 500        # cap on Newton steps
+    max_iters: int = 500        # cap on Newton iterations
     P: Optional[np.ndarray] = None  # None: identity certificate
+
+    def __post_init__(self):
+        if not (self.margin > 0 and self.max_iters >= 1):
+            raise ValidationError("need margin > 0 and max_iters >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,12 +167,14 @@ def objective_hessian(stats: FitStatistics, P_inv: np.ndarray,
                            Hr).reshape(n * d, n * d)
 
 
-def barrier_blocks(X_inv: np.ndarray) -> np.ndarray:
-    """Hessian blocks of -log det(X_k), X_k = -sym(W_k) - eps I, in
-    vec(W_k): (X_k^-1 (x) X_k^-1)(I + commutation) / 2, shape (K, d^2, d^2)."""
+def hkm_blocks(X_inv: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The (K, d^2, d^2) blocks in vec(W_k) of dW_k -> sym(X_k^-1 sym(dW_k)
+    Z_k), the HKM linearisation of X_k Z_k = mu I; with Z = X^-1, the
+    Hessian blocks of -log det(X_k), X_k = -sym(W_k) - eps I."""
     K, d, _ = X_inv.shape
-    outer = np.einsum("kia,kjb->kijab", X_inv, X_inv)
-    return (0.5 * (outer + outer.swapaxes(3, 4))).reshape(K, d * d, d * d)
+    outer = np.einsum("kia,kbj->kijab", X_inv, Z)
+    outer = outer + outer.swapaxes(1, 2)
+    return (0.25 * (outer + outer.swapaxes(3, 4))).reshape(K, d * d, d * d)
 
 
 class FitProblem(NamedTuple):
@@ -182,58 +191,88 @@ class FitProblem(NamedTuple):
 class Solution(NamedTuple):
     W: np.ndarray       # (K, d, d) the fitted P A_k
     newton_steps: int
-    gap: float          # K d / t: bounds J(W) - min J once centred
+    gap: float          # J(W) - L(Z) >= J(W) - min J, the Lagrangian gap
 
 
-_GROWTH = 20.0          # the barrier weight t grows by this factor a stage
-_GAP_RTOL = 1e-10       # stop once the gap K d / t is below this share of J
-# squared Newton decrement that ends a stage: the gap bound needs only
-# lambda < 1, and near the boundary rounding floors lambda^2 near 1e-6
-_CENTRED = 1e-3
+_GAP_RTOL = 1e-10       # stop once the gap is below this share of J
+_STEP_BACK = 0.98       # share of the step to the cone's boundary taken
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def solve(problem: FitProblem, max_steps: int) -> Solution:
-    """Minimise t J(W) - sum_k log det(-sym(W_k) - eps I) by damped Newton
-    steps from the warm start, raising t by a fixed factor each time the
-    iterate is centred, until the gap K d / t is below a fixed share of J.
-    Self-concordance keeps each step 1 / (1 + lambda) (full once
-    lambda < 1/4) feasible without a line search."""
+    """Minimise J(W) subject to X_k = -sym(W_k) - eps I > 0 by primal-dual
+    path following from the warm start (duals Z_k > 0, HKM directions,
+    Mehrotra's predictor-corrector) until the Lagrangian gap J(W) - L(Z)
+    is below a fixed share of J; one DEBUG record gives the status. X comes
+    from W, so every iterate is feasible; J is quadratic, so J and dJ/dW
+    follow each step exactly, and the stationarity residual
+    r = dJ/dW + Z shrinks by 1 - a with a step of length a."""
     stats, P, eps, reg, shrink, W = problem
     P_inv = np.linalg.inv(P)
     K, d, _ = W.shape
-    m, diag = K * d, np.arange(K)
-    hessian = objective_hessian(stats, P_inv, reg)
-    J, G = objective_and_gradient(W, stats, P_inv, reg, shrink)
-    t = m / J
+    m, I = K * d, np.eye(d)
+    Q = objective_hessian(stats, P_inv, reg)
+    Q_inv = np.linalg.inv(Q)
+    system = np.empty_like(Q)
+    # a view of the Newton matrix's (K, d^2, d^2) diagonal blocks
+    blocks = np.einsum("kikj->kij", system.reshape(K, d * d, K, d * d))
+    J0, G = objective_and_gradient(W, stats, P_inv, reg, shrink)
+    J, g = J0, G.ravel()
+    Z = (J / m) * np.linalg.inv(-_sym(W) - eps * I)
     steps = 0
-    while steps < max_steps:
+    while True:
         if not np.isfinite(J):
-            raise OptimizationDiverged("non-finite barrier iterate")
+            raise OptimizationDiverged("non-finite objective")
+        X = -_sym(W) - eps * I
+        r = g + Z.ravel()
+        mu = float(np.vdot(X, Z)) / m
+        gap = m * mu + 0.5 * float(r @ Q_inv @ r)
+        if gap <= _GAP_RTOL * J or steps == max_steps:
+            break
         try:
-            X_inv = np.linalg.inv(-0.5 * (W + W.swapaxes(1, 2))
-                                  - eps * np.eye(d))
-            system = t * hessian
-            system.reshape(K, d * d, K, d * d)[diag, :, diag, :] += \
-                barrier_blocks(X_inv)
-            grad = (t * G + X_inv).ravel()
-            step = -np.linalg.solve(system, grad)
+            # X and Z stacked: S = L L^T, so S^-1 = R R^T with R = L^-T
+            R = np.linalg.inv(np.linalg.cholesky(
+                np.concatenate([X, Z]))).swapaxes(1, 2)
+            X_inv = R[:K] @ R[:K].swapaxes(1, 2)
+            system[...] = Q
+            blocks += hkm_blocks(X_inv, Z)
+            # the predictor aims at X Z = 0; the corrector at sigma mu I,
+            # with the predictor's second-order term
+            target, second = 0.0, 0.0
+            for corrector in (False, True):
+                dw = np.linalg.solve(system,
+                                     -g - (target * X_inv - second).ravel())
+                dX = -_sym(dw.reshape(K, d, d))
+                dZ = target * X_inv - second - Z - _sym(X_inv @ dX @ Z)
+                # the largest a with X + a dX, Z + a dZ >= 0 (inf if none)
+                low = np.linalg.eigvalsh(R.swapaxes(1, 2) @ np.concatenate(
+                    [dX, dZ]) @ R)[:, 0].min()
+                a = np.inf if low >= 0.0 else -1.0 / low
+                if not corrector:
+                    a = min(1.0, a)
+                    sigma = (float(np.vdot(X + a * dX, Z + a * dZ))
+                             / (m * mu)) ** 3
+                    # aiming below half the tolerance only feeds rounding
+                    # into a Newton system that nears the boundary
+                    target = max(sigma * mu, 0.5 * _GAP_RTOL * J / m)
+                    second = _sym(X_inv @ dX @ dZ)
         except np.linalg.LinAlgError as exc:
-            raise OptimizationDiverged(f"Newton system: {exc}") from None
-        lam2 = -float(grad @ step)
-        if lam2 <= _CENTRED:
-            # the last stage lands on the gap tolerance, not beyond it:
-            # a larger t only sharpens the rounding floor of lambda
-            goal = m / (_GAP_RTOL * J)
-            if t >= goal:
-                break
-            t = min(_GROWTH * t, goal)
-            continue
-        if lam2 >= 1.0 / 16.0:
-            step /= 1.0 + np.sqrt(lam2)
-        W = W + step.reshape(K, d, d)
-        J, G = objective_and_gradient(W, stats, P_inv, reg, shrink)
+            raise OptimizationDiverged(f"Newton step: {exc}") from None
+        a = min(1.0, _STEP_BACK * a)
+        Qdw = Q @ dw
+        J += a * float(g @ dw) + 0.5 * a * a * float(dw @ Qdw)
+        g = g + a * Qdw
+        W = W + a * dw.reshape(K, d, d)
+        Z = Z + a * dZ
         steps += 1
-    return Solution(W, steps, m / t)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("estimate: %d Newton iterations, stopped at the cap: %s; "
+                   "J %.6g -> %.6g, gap %.3g", steps, gap > _GAP_RTOL * J,
+                   J0, J, gap)
+    return Solution(W, steps, gap)
 
 
 def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
@@ -275,10 +314,9 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
     # the k-th (d x d) block of B is sum_t gamma_tk v_t y_t^T
     Svy = stats.B.reshape(d, K, d).transpose(1, 0, 2) - reg * shrink * I
     W = P @ (Svy @ np.linalg.inv(Syy))
-    Wt = W.swapaxes(1, 2)
-    vals, vecs = np.linalg.eigh(0.5 * (W + Wt))
+    vals, vecs = np.linalg.eigh(_sym(W))
     vals = np.minimum(vals, -2.0 * opts.margin)
-    W0 = 0.5 * (W - Wt) + (vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2)
+    W0 = W - _sym(W) + (vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2)
     return FitProblem(stats, P, opts.margin, reg, shrink, W0)
 
 

@@ -148,9 +148,21 @@ class TestBench:
                    "--repeats", "1", "-o", str(out)])
         assert rc == EXIT_OK
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "T_n,transform_ms,estimate_ms,total_ms"
+        assert lines[0] == "T_n,transform_ms,estimate_ms,total_ms,converged"
         assert len(lines) == 3
         assert lines[1].startswith("80,") and lines[2].startswith("120,")
+        assert all(line.endswith(",True") for line in lines[1:])
+
+    def test_bench_rolls_out_with_the_config(self, tmp_path, demo_file,
+                                             policy_file, capsys):
+        # one RK4 step cannot reach the goal, in bench as in metrics
+        cfg = _config(tmp_path, rollout_max_steps=1)
+        assert main(["--quiet", *cfg, "bench", demo_file, "--lengths", "80",
+                     "--repeats", "1", "-o", str(tmp_path / "b.csv")]) == \
+            EXIT_OK
+        assert (tmp_path / "b.csv").read_text().split()[1].endswith(",False")
+        assert main([*cfg, "metrics", policy_file]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["converged"] is False
 
 
 class TestSplitStitch:
@@ -348,6 +360,12 @@ def _demo_with(tmp_path, demo_file, **fields):
     return _json_file(tmp_path, "edited_demo.json", obj)
 
 
+def _policy_with_bool_mean(tmp_path, policy_file):
+    obj = json.loads(open(policy_file).read())
+    obj["components"][0]["mean"][0] = True
+    return _json_file(tmp_path, "bool_policy.json", obj)
+
+
 def _non_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"format": "stablemotion-policy\xff"}')
@@ -410,6 +428,9 @@ _BAD_INPUTS = [
                                   _demo_with(t, d, via_points=[[1, "a"]]),
                                   "--output-prefix", str(t / "s_")],
                  EXIT_VALIDATION, id="demo_via_points_not_numbers"),
+    pytest.param(lambda t, d, p: ["rollout", _policy_with_bool_mean(t, p),
+                                  "-o", str(t / "o.csv")],
+                 EXIT_VALIDATION, id="policy_mean_holds_a_bool"),
     pytest.param(lambda t, d, p: ["rollout", p, "-o", str(t)],
                  EXIT_VALIDATION, id="output_is_a_directory"),
     pytest.param(lambda t, d, p: ["rollout", str(t), "-o", str(t / "o.csv")],
@@ -506,7 +527,8 @@ def _json_type(value) -> str:
 
 def _mutate(data, obj):
     """obj with one value deep inside it dropped, swapped for a value of
-    another JSON type, shortened or lengthened (a list) or nested."""
+    another JSON type, shortened or lengthened (a list), given a boolean
+    as its last element (a list) or nested."""
     obj = copy.deepcopy(obj)
     parent, key = None, None
     node = obj
@@ -516,7 +538,8 @@ def _mutate(data, obj):
         key = data.draw(st.sampled_from(
             list(node) if isinstance(node, dict) else range(len(node))))
         node = parent[key]
-    kind = data.draw(st.sampled_from(["drop", "swap", "resize", "nest"]))
+    kind = data.draw(st.sampled_from(["drop", "swap", "resize", "bool",
+                                      "nest"]))
     if kind == "drop":
         del parent[key]
     elif kind == "swap":
@@ -525,6 +548,8 @@ def _mutate(data, obj):
     elif kind == "resize" and isinstance(node, list) and node:
         parent[key] = node[:-1] if data.draw(st.booleans()) \
             else node + node[-1:]
+    elif kind == "bool" and isinstance(node, list) and node:
+        parent[key] = node[:-1] + [True]
     else:
         parent[key] = [node]
     return obj

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import os
 import subprocess
 import sys
@@ -9,19 +10,20 @@ import pytest
 import stablemotion
 from stablemotion.chain import build_chain
 from stablemotion.core import GaussianComponent, GeometricDescriptor, Pose
-from stablemotion.errors import InfeasibleAttractor, InsufficientData
+from stablemotion.errors import (InfeasibleAttractor, InsufficientData,
+                                 ValidationError)
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
 from stablemotion.pipeline import adapt
 from stablemotion.policy import (
     EstimateOptions,
     LpvDsPolicy,
-    barrier_blocks,
     constraint_residual,
     estimate,
     evaluate,
     evaluate_batch,
     fit_problem,
     fit_statistics,
+    hkm_blocks,
     lyapunov_rate,
     lyapunov_value,
     objective_and_gradient,
@@ -218,8 +220,23 @@ class TestGradient:
         assert np.array_equal(hessian, hessian.T)
 
     @pytest.mark.parametrize("trial", range(10))
+    def test_hkm_blocks_match_the_linear_map(self, trial):
+        rng = np.random.default_rng(4500 + trial)
+        K, d = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+        X_inv = np.array([random_spd(rng, d) for _ in range(K)])
+        Z = np.array([random_spd(rng, d) for _ in range(K)])
+        dW = rng.normal(size=(K, d, d))
+        sym = lambda M: 0.5 * (M + M.swapaxes(1, 2))
+        direct = sym(X_inv @ sym(dW) @ Z).reshape(K, d * d)
+        mapped = np.einsum("kab,kb->ka", hkm_blocks(X_inv, Z),
+                           dW.reshape(K, d * d))
+        assert np.abs(mapped - direct).max() <= \
+            1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("trial", range(10))
     def test_barrier_blocks_match_finite_differences_of_gradient(self, trial):
-        # -log det(X), X = -sym(W) - eps I, has gradient X^-1 in W
+        # -log det(X), X = -sym(W) - eps I, has gradient X^-1 in W, and its
+        # Hessian blocks are the HKM blocks with Z = X^-1
         rng = np.random.default_rng(4000 + trial)
         d, eps = int(rng.integers(2, 4)), 1e-2
         S = rng.normal(size=(d, d))
@@ -227,7 +244,7 @@ class TestGradient:
         W = -random_spd(rng, d) - eps * np.eye(d) + S - S.T
         inv_X = lambda w: np.linalg.inv(-0.5 * (w + w.T) - eps * np.eye(d))
         fd = central_differences(inv_X, W, 1e-6)
-        block = barrier_blocks(inv_X(W)[None])[0]
+        block = hkm_blocks(inv_X(W)[None], inv_X(W)[None])[0]
         assert np.abs(block - fd).max() <= 1e-7 * np.abs(block).max()
 
 
@@ -308,12 +325,35 @@ class TestEstimate:
         assert J_fit <= J_warm
 
     def test_input_validation(self):
+        for bad in ({"margin": -1.0}, {"margin": 0.0},
+                    {"margin": float("nan")}, {"max_iters": 0}):
+            with pytest.raises(ValidationError):
+                EstimateOptions(**bad)
         comps = [GaussianComponent(1.0, np.zeros(2), np.eye(2))]
         with pytest.raises(InfeasibleAttractor):
             estimate(comps, np.zeros((20, 2)), np.zeros((20, 2)),
                      np.array([np.nan, 0.0]))
         with pytest.raises(InsufficientData):
             estimate(comps, np.zeros((5, 2)), np.zeros((5, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("max_iters", [3, 500])
+    def test_reports_its_status_in_one_debug_record(self, caplog, max_iters):
+        demo = s_curve_demo(n=120)
+        comps = fit_gmm(demo.points, GmmFitConfig(k_max=3, restarts=2, seed=1))
+        args = (comps, demo.points, demo.velocities, demo.end)
+        with caplog.at_level(logging.DEBUG, logger="stablemotion"):
+            estimate(*args, EstimateOptions(max_iters=max_iters))
+        [record] = caplog.records
+        assert record.name == "stablemotion"
+        assert record.levelno == logging.DEBUG
+        steps, capped, J0, J, gap = record.args
+        problem = fit_problem(*args)
+        solution = solve(problem, max_iters)
+        assert (steps, gap) == solution[1:]
+        assert capped == (max_iters == 3)
+        assert 0.0 < J < J0 == objective_and_gradient(
+            problem.W0, problem.stats, np.linalg.inv(problem.P),
+            problem.reg, problem.shrink)[0]
 
 
 # -- the convex optimum -------------------------------------------------------
@@ -402,7 +442,7 @@ class TestConvexOptimum:
         args, policy = learn_or_adapt(demo, ordered, kind, opts)
         problem = fit_problem(*args, opts)
         solution = solve(problem, EstimateOptions().max_iters)
-        assert solution.newton_steps < EstimateOptions().max_iters
+        assert solution.newton_steps < 30
         assert np.array_equal(np.linalg.inv(problem.P) @ solution.W, policy.A)
         J, lower = dual_bound(problem, solution.W)
         assert 0.0 <= J - lower <= 1e-9 * J
@@ -421,6 +461,27 @@ class TestConvexOptimum:
         hi = demo.points.max(axis=0) + 0.5
         for x in np.random.default_rng(5).uniform(lo, hi, (500, demo.dim)):
             assert lyapunov_rate(policy, x) < 0
+
+    @pytest.mark.parametrize("kind", ["learn", "adapt"])
+    def test_gap_bounds_the_suboptimality_of_every_iterate(self,
+                                                          fitted_chains,
+                                                          kind):
+        # J(W) - gap is the Lagrangian's value at the duals, a lower bound
+        # on min J whether or not the iterate is centred
+        demo, ordered = fitted_chains("helix", 200)
+        opts = EstimateOptions(P=SPD_P)
+        args, _ = learn_or_adapt(demo, ordered, kind, opts)
+        problem = fit_problem(*args, opts)
+        J_of = lambda W: objective_and_gradient(
+            W, problem.stats, np.linalg.inv(problem.P), problem.reg,
+            problem.shrink)[0]
+        final = solve(problem, EstimateOptions().max_iters)
+        J_final = J_of(final.W)
+        for n in range(final.newton_steps):
+            early = solve(problem, n)
+            assert early.newton_steps == n
+            assert 0.0 <= J_of(early.W) - J_final <= early.gap
+            assert early.gap > final.gap
 
     def test_work_does_not_depend_on_where_the_demo_lies(self):
         # the same problem translated: the same Newton steps, the same gains
@@ -441,6 +502,7 @@ class TestConvexOptimum:
                 gains.append(policy.A)
             steps.append(row)
         assert all(row == steps[0] for row in steps)
+        assert max(steps[0]) < 30
         for i, A in enumerate(gains):
             assert np.abs(A - gains[i % 2]).max() <= 1e-9
 
