@@ -27,6 +27,9 @@ class RolloutConfig:
             raise ValidationError("dt and convergence_radius must be positive")
 
 
+_RK4_REAL_LIMIT = 2.78  # RK4's stability interval ends near -2.785
+
+
 @dataclass(frozen=True)
 class RolloutResult:
     trajectory: Trajectory
@@ -45,9 +48,11 @@ class AdaptationReport:
 
 
 def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
-               cfg: RolloutConfig, record: bool):
+               cfg: RolloutConfig, record: bool, stiffness: float):
     """RK4 in lockstep from every row of X0 until each row is within the
-    convergence radius of the attractor or the step budget runs out.
+    convergence radius of the attractor or the step budget runs out. A dt
+    outside RK4's stability interval on the field's stiffest mode (its
+    largest |eig A_k|) raises ValidationError first.
 
     field maps an (n, d) batch of states to its velocities. Only the rows
     still moving are integrated; they are written back into the result
@@ -55,9 +60,12 @@ def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
     of row 0 is kept (rollouts record a batch of one).
     Returns (final_states, converged, recorded_states or None).
     """
+    dt = cfg.dt
+    if dt * stiffness >= _RK4_REAL_LIMIT:
+        raise ValidationError(f"dt * max |eig A_k| = {dt * stiffness:.3g}: "
+                              f"RK4 is unstable at dt = {dt:g}")
     X = np.array(X0, dtype=float, ndmin=2)
     r2 = cfg.convergence_radius ** 2
-    dt = cfg.dt
     D = X - attractor
     done = (D * D).sum(axis=1) < r2
     rows = np.flatnonzero(~done)
@@ -98,14 +106,15 @@ def rollout(policy_or_plan: Union[LpvDsPolicy, TaskPlan], xi0: np.ndarray,
         executor = PlanExecutor(policy_or_plan)
         field = lambda X: executor.step(X[0])[0][None]
         attractor = policy_or_plan.final_attractor
+        stiffness = max(s.policy.stiffness for s in policy_or_plan.segments)
     else:
         policy = policy_or_plan
         field = lambda X: evaluate_batch(policy, X)
-        attractor = policy.attractor
+        attractor, stiffness = policy.attractor, policy.stiffness
     if np.shape(xi0) != attractor.shape:
         raise ValidationError(
             f"start has shape {np.shape(xi0)}, expected {attractor.shape}")
-    _, done, states = _integrate(field, xi0, attractor, cfg, record=True)
+    _, done, states = _integrate(field, xi0, attractor, cfg, True, stiffness)
     if len(states) == 1:  # started inside the convergence radius
         states.append(states[0])
     pts = np.array(states)
@@ -121,7 +130,7 @@ def rollout_batch(policy: LpvDsPolicy, starts: np.ndarray,
     policy evaluation per stage.
     """
     X, done, _ = _integrate(lambda X: evaluate_batch(policy, X), starts,
-                            policy.attractor, cfg, record=False)
+                            policy.attractor, cfg, False, policy.stiffness)
     return X, done
 
 

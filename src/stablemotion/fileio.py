@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .chain import ElasticChain, LinkFrame
-from .core import GaussianComponent, GeometricDescriptor, Pose, Trajectory
+from .core import (GaussianComponent, GeometricDescriptor, Pose, Trajectory,
+                   joint_diameter)
 from .errors import ValidationError
 from .gmm import OrderedGmm
 from .policy import LpvDsPolicy, constraint_residual
@@ -26,6 +27,8 @@ DEMO_FORMAT = "stablemotion-demo"
 POLICY_FORMAT = "stablemotion-policy"
 DESCRIPTOR_FORMAT = "stablemotion-descriptor"
 FORMAT_VERSION = 1
+# how many joint diameters a loaded component mean may lie from the attractor
+_MEAN_REACH = 1e3
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -213,6 +216,15 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
                                     _numeric(c, "mean", (d,)),
                                     _numeric(c, "covariance"))
                   for c in components)
+    chain = _chain_from_dict(obj.get("chain"), comps, d)
+    # the mixture is lifted about the attractor, with a rounding error that
+    # grows as |mean - attractor|^2: a mean past this reach is no part of
+    # the workspace, and is rejected before its quadratic form overflows
+    far = np.array([c.mean for c in comps]) - attractor
+    reach = _MEAN_REACH * joint_diameter(chain.joints)
+    _require(np.abs(far).max() <= reach and np.linalg.norm(far, axis=1).max()
+             <= reach, f"a component mean lies more than {_MEAN_REACH:g} "
+             "joint diameters from the attractor")
     # the stacked gains; LpvDsPolicy checks their shape
     A = _numeric({"A": [c.get("A") for c in components]}, "A")
     policy = LpvDsPolicy(comps, A, _numeric(obj, "P"), attractor,
@@ -221,7 +233,7 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     _require(residual <= 0.0,
              f"policy violates its stability certificate "
              f"(constraint residual {residual:.3e} > 0)")
-    return policy, _chain_from_dict(obj.get("chain"), comps, d)
+    return policy, chain
 
 
 def _chain_from_dict(ch: dict, comps: tuple, d: int) -> ElasticChain:

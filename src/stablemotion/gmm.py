@@ -3,7 +3,10 @@
 EM with k-means++ restarts and BIC model selection over K; the
 (K, restart) runs are stepped together in one lockstep loop. The fit is
 deterministic given the config seed; restarts use seed-indexed RNG streams
-so evaluation order cannot change the result.
+so evaluation order cannot change the result. One kernel, `Mixture`,
+answers every density query: each log-density is a linear form in the
+lifted data [vec(y y^T); y; 1], so EM's M step and E step are one matrix
+product each.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from .errors import EmDidNotImprove, InsufficientData, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _log = logging.getLogger("stablemotion")
-# the most elements of one EM stack's (runs, K, d, n) buffers: two of them
-# and the responsibilities then fit a 2 MB L2 cache. A single stack of the
-# default 40 runs outgrew it at T = 1000 and ran slower than one run at a time
-_STACK_FLOATS = 1 << 16
+# exp(x) rounds to 0 below x = -745.14 (weigh masks from -746, clear of the
+# last subnormal) but takes a slow path there, and most of EM's entries lie
+# there; from this many entries on, skipping them pays for the mask (a few
+# microseconds, which single-state queries never repay)
+_MASKED_EXP_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -75,86 +79,108 @@ class OrderedGmm:
         return self.components[0].dim
 
 
+def lift(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """The rows vec(y y^T), y and 1 (d^2 + d + 1, n) of data columns
+    (d, n) about `origin` (d,), y = x - origin."""
+    d, n = points.shape
+    phi = np.empty((d * d + d + 1, n))
+    y = np.subtract(points, origin[:, None], out=phi[d * d:-1])
+    np.multiply(y[:, None], y[None], out=phi[:d * d].reshape(d, d, n))
+    phi[-1] = 1.0
+    return phi
+
+
+def _lift_about_mean(points: np.ndarray):
+    """(origin, lift) of contiguous data columns (d, n) about their mean:
+    EM and the batch posterior share it, so they run the same arithmetic."""
+    origin = points.mean(axis=1)
+    return origin, lift(points, origin)
+
+
 @dataclass(frozen=True)
 class Mixture:
     """A component set factored once for repeated posterior queries.
 
-    Holds what every query needs and no query changes: the stacked means,
-    the inverse Cholesky factors L_k^{-1} of Sigma_k = L_k L_k^T, and the
-    log-normalisers log pi_k - 1/2 (d log 2 pi + log det Sigma_k). Means
-    and log-normalisers are stored as columns, so they broadcast against
-    data held as columns (d, n) with no per-query reshaping.
+    With y = x - origin and m_k = mu_k - origin, log pi_k N(x; mu_k,
+    Sigma_k) is the row `coef[k]` = [-1/2 vec(Sigma_k^-1), Sigma_k^-1 m_k]
+    against [vec(y y^T); y], plus `log_norm[k]`. The constant stays out of
+    the product, so an empty slot's -inf never meets a zero.
     """
 
-    means: np.ndarray       # (..., K, d, 1)
-    inv_chol: np.ndarray    # (..., K, d, d)
+    origin: np.ndarray      # (d,)
+    coef: np.ndarray        # (..., K, d^2 + d)
     log_norm: np.ndarray    # (..., K, 1)
 
     @classmethod
     def from_arrays(cls, priors: np.ndarray, means: np.ndarray,
-                    covariances: np.ndarray) -> "Mixture":
+                    covariances: np.ndarray, origin: np.ndarray) -> "Mixture":
         """Factor priors (..., K), means (..., K, d) and covariances
-        (..., K, d, d); leading axes index independent mixtures."""
-        means = np.asarray(means, dtype=float)
-        L = np.linalg.cholesky(np.asarray(covariances, dtype=float))
-        d = means.shape[-1]
-        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)),
-                              axis=-1)
-        log_norm = np.log(priors) - 0.5 * (d * _LOG_2PI + logdet)
-        return cls(_frozen(means[..., None]), _frozen(np.linalg.inv(L)),
+        (..., K, d, d) about `origin` (d,); leading axes index independent
+        mixtures."""
+        d = len(origin)
+        prec = np.linalg.inv(covariances)
+        m = np.asarray(means, dtype=float) - origin
+        pm = (prec @ m[..., None])[..., 0]
+        coef = np.concatenate(
+            [-0.5 * prec.reshape(prec.shape[:-2] + (d * d,)), pm], axis=-1)
+        log_norm = np.log(priors) - 0.5 * (
+            d * _LOG_2PI + np.log(np.linalg.det(covariances))
+            + (m * pm).sum(axis=-1))
+        return cls(_frozen(origin), _frozen(coef),
                    _frozen(log_norm[..., None]))
 
     @classmethod
-    def from_components(cls,
-                        components: Sequence[GaussianComponent]) -> "Mixture":
+    def from_components(cls, components: Sequence[GaussianComponent],
+                        origin: np.ndarray) -> "Mixture":
         return cls.from_arrays([c.prior for c in components],
                                [c.mean for c in components],
-                               [c.covariance for c in components])
+                               [c.covariance for c in components], origin)
 
-    def weigh(self, diff: np.ndarray, work: Optional[np.ndarray] = None,
-              out: Optional[np.ndarray] = None):
-        """Responsibilities (..., K, n) and log p(x) (..., 1, n) from the
-        data columns centred on each mean, `diff = X.T - means`
-        (..., K, d, n).
+    def weigh(self, phi: np.ndarray, out: Optional[np.ndarray] = None):
+        """Responsibilities (..., K, n) from the lifted data
+        `phi = lift(points, self.origin)`, with the per-point largest log
+        term `top` and normaliser `total` (..., 1, n) of
+        log p(x) = top + log(total).
 
         Computed in log space with the per-point maximum subtracted, so
-        far-field queries never underflow to an all-zero column. `work`
-        (shaped like `diff`) and `out` (shaped like the responsibilities),
-        if given, receive the Mahalanobis terms and the responsibilities,
-        so a loop that calls this once per step allocates nothing large.
+        far-field queries never underflow to an all-zero column. `out`
+        (shaped like the responsibilities), if given, receives them, so a
+        loop that calls this once per step allocates nothing large.
         """
-        z = np.matmul(self.inv_chol, diff, out=work)
-        # (z * z).sum, not einsum: einsum's set-up costs more than the sum
-        # itself for the single-point queries of a control loop
-        z *= z
-        lj = z.sum(axis=-2, out=out)
-        lj *= -0.5
+        lj = np.matmul(self.coef, phi[:-1], out=out)
         lj += self.log_norm
         top = lj.max(axis=-2, keepdims=True)
         lj -= top
-        np.exp(lj, out=lj)
+        if lj.size < _MASKED_EXP_SIZE:
+            np.exp(lj, out=lj)
+        else:
+            low = lj < -746.0
+            np.exp(lj, out=lj, where=~low)
+            lj[low] = 0.0
         total = lj.sum(axis=-2, keepdims=True)
         lj /= total
-        return lj, top + np.log(total)
+        return lj, top, total
 
     def posterior(self, X: np.ndarray) -> np.ndarray:
         """(n, K) responsibilities for the rows of X."""
-        points = np.ascontiguousarray(np.atleast_2d(X).T, dtype=float)
-        return self.weigh(points - self.means)[0].T
+        return self.weigh(lift(np.atleast_2d(X).T, self.origin))[0].T
 
 
 def responsibilities(components: Sequence[GaussianComponent],
                      xi: np.ndarray) -> np.ndarray:
     """Posterior component probabilities at one query point: a batch of
     one."""
-    mixture = Mixture.from_components(components)
-    return mixture.posterior(np.asarray(xi, dtype=float)[None])[0]
+    return responsibilities_batch(components,
+                                  np.asarray(xi, dtype=float)[None])[0]
 
 
 def responsibilities_batch(components: Sequence[GaussianComponent],
                            xi: np.ndarray) -> np.ndarray:
-    """(n, K) posterior probabilities for a batch of query points."""
-    return Mixture.from_components(components).posterior(xi)
+    """(n, K) posterior probabilities for a batch of query points, lifted
+    about their mean."""
+    origin, phi = _lift_about_mean(
+        np.ascontiguousarray(np.atleast_2d(xi).T, dtype=float))
+    return Mixture.from_components(components, origin).weigh(phi)[0].T
 
 
 def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,18 +207,6 @@ def _seed_resp(data: np.ndarray, k: int,
     return resp
 
 
-def _stacks(inits: Sequence[np.ndarray], d: int):
-    """Split runs, in ascending K, into consecutive stacks of at most
-    `_STACK_FLOATS` elements in their (runs, K, d, n) buffers."""
-    stack = []
-    for init in inits:
-        if stack and (len(stack) + 1) * init.size * d > _STACK_FLOATS:
-            yield stack
-            stack = []
-        stack.append(init)
-    yield stack
-
-
 def _stack_runs(inits: Sequence[np.ndarray], d: int, floor: float):
     """Stack runs' initial responsibilities (k_i, n) into (R, K, n), K the
     largest k_i, and their covariance floors into (R, K, d, d): floor * I
@@ -209,29 +223,31 @@ def _stack_runs(inits: Sequence[np.ndarray], d: int, floor: float):
 
 
 def _em_step(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
-             diff: Optional[np.ndarray] = None,
-             work: Optional[np.ndarray] = None):
+             lifted=None):
     """One M step from responsibilities (..., K, n), then one E step.
 
-    `points` is the data as contiguous columns (d, n); leading axes of
-    `resp` index independent runs. `floor` (..., K, d, d) is added to each
+    `points` is the data as contiguous columns (d, n), `lifted` its
+    `_lift_about_mean` (computed if not given); leading axes of `resp`
+    index independent runs. `resp @ phi^T` holds each component's weight
+    and first and second moments. `floor` (..., K, d, d) is added to each
     covariance: floor * I on a run's components, inf * I on the empty
-    slots that pad it to K. An infinitely wide Gaussian has log-normaliser
-    -inf, so an empty slot takes exactly zero responsibility. The new
-    responsibilities overwrite `resp`; `diff` and `work`, if given, are
-    (..., K, d, n) buffers for the centred data and the scratch. Returns
-    (priors, means, covs, resp, loglik per run); the E step is the
-    `Mixture` kernel that answers every posterior query.
+    slots that pad it to K, whose log-normaliser -inf gives them exactly
+    zero responsibility. The new responsibilities overwrite `resp`.
+    Returns (priors, means, covs, resp, loglik per run).
     """
-    n = points.shape[1]
-    nk = resp.sum(axis=-1) + 1e-300
+    origin, phi = _lift_about_mean(points) if lifted is None else lifted
+    d, n = points.shape
+    moments = resp @ phi.T
+    nk = moments[..., -1] + 1e-300
     priors = nk / n
-    means = (resp @ points.T) / nk[..., None]
-    diff = np.subtract(points, means[..., None], out=diff)
-    work = np.multiply(diff, resp[..., None, :], out=work)
-    covs = work @ diff.swapaxes(-1, -2) / nk[..., None, None] + floor
-    _, log_px = Mixture.from_arrays(priors, means, covs).weigh(
-        diff, work, out=resp)
+    centred = moments[..., d * d:-1] / nk[..., None]
+    covs = (moments[..., :d * d].reshape(nk.shape + (d, d))
+            / nk[..., None, None]
+            - centred[..., :, None] * centred[..., None, :] + floor)
+    means = centred + origin
+    _, top, total = Mixture.from_arrays(priors, means, covs, origin).weigh(
+        phi, out=resp)
+    log_px = top + np.log(total)
     return priors, means, covs, resp, log_px.sum(axis=-1)[..., 0]
 
 
@@ -247,9 +263,8 @@ def _em_lockstep(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
     compacted out of the stack. Returns (priors, means, covs, loglik,
     steps) per run, in stack order, with the parameters padded to K.
     """
-    R, K, n = resp.shape
-    diff = np.empty((R, K) + points.shape)
-    work = np.empty_like(diff)
+    R = resp.shape[0]
+    lifted = _lift_about_mean(points)
     slack = DEFAULT_TOLERANCES.em_loglik_slack
     ids = list(range(R))
     prev_ll = [-np.inf] * R
@@ -257,8 +272,8 @@ def _em_lockstep(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
     done = [None] * R
     for step in range(1, max_iters + 1):
         m = len(ids)
-        priors, means, covs, _, ll = _em_step(
-            points, resp[:m], floor, diff[:m], work[:m])
+        priors, means, covs, _, ll = _em_step(points, resp[:m], floor,
+                                              lifted)
         ll = ll.tolist()
         keep = []
         # the stop rule on Python floats: for the few runs of a stack that
@@ -296,9 +311,7 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
     """Best-of-restarts EM for each K in [k_min, k_max]; BIC picks K.
 
     Every (K, restart) run starts from its own k-means++ seeds. The runs
-    are stacked, padded to the widest K of their stack, and `_em_lockstep`
-    steps each stack's runs together: one stack for short demos, a few
-    cache-sized ones for long ones.
+    are stacked, padded to k_max, and `_em_lockstep` steps them together.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
@@ -315,10 +328,9 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
             for r in range(cfg.restarts)]
     inits = [_seed_resp(data, k, np.random.default_rng([cfg.seed, k, r]))
              for k, r in runs]
-    points = np.ascontiguousarray(data.T)
-    fits = [fit for stack in _stacks(inits, d)
-            for fit in _em_lockstep(points, *_stack_runs(stack, d, floor),
-                                    cfg.max_em_iters, cfg.loglik_tol)]
+    fits = _em_lockstep(np.ascontiguousarray(data.T),
+                        *_stack_runs(inits, d, floor), cfg.max_em_iters,
+                        cfg.loglik_tol)
     bics = [_bic(fit[3], k, n, d) for (k, _), fit in zip(runs, fits)]
     best = min(range(len(runs)), key=lambda i: (bics[i],) + runs[i])
     k = runs[best][0]

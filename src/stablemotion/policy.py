@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .core import GaussianComponent, _frozen
 from .errors import (InfeasibleAttractor, InsufficientData,
                      OptimizationDiverged, ValidationError)
-from .gmm import Mixture, responsibilities_batch
+from .gmm import Mixture, lift, responsibilities_batch
 
 _log = logging.getLogger("stablemotion")
 
@@ -52,8 +53,9 @@ class LpvDsPolicy:
     P: np.ndarray               # (d, d) Lyapunov certificate
     attractor: np.ndarray
     margin: float
-    # the components factored once per policy, not once per evaluation;
-    # dataclasses.replace runs __post_init__ again, so it never goes stale
+    # the components factored once per policy about the attractor, not once
+    # per evaluation; dataclasses.replace runs __post_init__ again, so it
+    # never goes stale
     mixture: Mixture = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -69,8 +71,14 @@ class LpvDsPolicy:
             raise ValidationError("P must be positive definite")
         if not self.margin > 0:
             raise ValidationError("margin must be positive")
-        object.__setattr__(self, "mixture",
-                           Mixture.from_components(self.components))
+        object.__setattr__(self, "mixture", Mixture.from_components(
+            self.components, self.attractor))
+
+    @cached_property
+    def stiffness(self) -> float:
+        """max_k |eig A_k|, the fastest mode: it bounds a stable step size.
+        Found once, at the first rollout, not by every estimate."""
+        return float(np.max(np.abs(np.linalg.eigvals(self.A))))
 
     @property
     def dim(self) -> int:
@@ -89,14 +97,14 @@ def evaluate(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
 
 def evaluate_batch(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
     """Policy velocities for a batch of states, shape (n, d)."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    gamma = policy.mixture.posterior(xi)
-    y = xi - policy.attractor
     K, d, _ = policy.A.shape
-    # each state's mixed matrix sum_k gamma_k A_k, then one matrix-vector
-    # product per state
-    mixed = (gamma @ policy.A.reshape(K, d * d)).reshape(-1, d, d)
-    return (mixed @ y[..., None])[..., 0]
+    # y = x - x* lifted once: the mixture's features, and the state the
+    # mixed matrix sum_k gamma_k A_k multiplies
+    phi = lift(np.atleast_2d(np.asarray(xi, dtype=float)).T,
+               policy.attractor)
+    gamma = policy.mixture.weigh(phi)[0]
+    mixed = (gamma.T @ policy.A.reshape(K, d * d)).reshape(-1, d, d)
+    return (mixed @ phi[d * d:-1].T[..., None])[..., 0]
 
 
 def lyapunov_value(policy: LpvDsPolicy, xi: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import copy
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -528,7 +529,8 @@ def _json_type(value) -> str:
 def _mutate(data, obj):
     """obj with one value deep inside it dropped, swapped for a value of
     another JSON type, shortened or lengthened (a list), given a boolean
-    as its last element (a list) or nested."""
+    as its last element (a list) or nested; or, in a policy, with one
+    component mean moved out to 1e300."""
     obj = copy.deepcopy(obj)
     parent, key = None, None
     node = obj
@@ -539,7 +541,7 @@ def _mutate(data, obj):
             list(node) if isinstance(node, dict) else range(len(node))))
         node = parent[key]
     kind = data.draw(st.sampled_from(["drop", "swap", "resize", "bool",
-                                      "nest"]))
+                                      "nest", "far"]))
     if kind == "drop":
         del parent[key]
     elif kind == "swap":
@@ -550,6 +552,9 @@ def _mutate(data, obj):
             else node + node[-1:]
     elif kind == "bool" and isinstance(node, list) and node:
         parent[key] = node[:-1] + [True]
+    elif kind == "far" and "components" in obj:
+        comp = data.draw(st.sampled_from(obj["components"]))
+        comp["mean"] = [1e300] * len(comp["mean"])
     else:
         parent[key] = [node]
     return obj
@@ -570,3 +575,17 @@ def test_mutated_files_never_raise(valid_files, data):
         rc = main(["--quiet", "--config", files["config"],
                    *_COMMANDS[command](files, out)])
     assert rc in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_NUMERICAL)
+
+
+def test_far_field_mean_is_rejected_at_load(valid_files, tmp_path, capsys):
+    """A component mean at 1e300 fails to load with exit 2, before the
+    mixture's quadratic forms can overflow."""
+    obj = json.loads(Path(valid_files["policy"]).read_text())
+    obj["components"][0]["mean"] = [1e300] * len(obj["attractor"])
+    far = _json_file(tmp_path, "far.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--quiet", "rollout", far, "-o", str(tmp_path / "r.csv")])
+    assert rc == EXIT_VALIDATION
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "joint diameters from the attractor" in capsys.readouterr().err

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from stablemotion.core import GaussianComponent, Pose, GeometricDescriptor
-from stablemotion.errors import DegenerateDirection, NonFiniteState
+from stablemotion.errors import (DegenerateDirection, NonFiniteState,
+                                 ValidationError)
 from stablemotion.evaluation import (
     RolloutConfig,
     bench_adaptation,
@@ -75,7 +78,9 @@ class TestRollout:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_policy_raises(self):
         comps = (GaussianComponent(1.0, np.zeros(2), np.eye(2)),)
-        bad = LpvDsPolicy(comps, np.array([50.0 * np.eye(2)]), np.eye(2),
+        # dt * |eig A| = 2 passes the step-size check; RK4 then multiplies
+        # the state by 7 per step
+        bad = LpvDsPolicy(comps, np.array([2.0 * np.eye(2)]), np.eye(2),
                           np.zeros(2), 1e-2)
         with pytest.raises(NonFiniteState):
             rollout(bad, np.array([1.0, 0.0]),
@@ -190,6 +195,34 @@ class TestStiffness:
         for p in (policy, adapted):
             assert dt * np.max(np.abs(np.linalg.eigvals(p.A))) < \
                 self.RK4_REAL_LIMIT
+            assert p.stiffness == np.max(np.abs(np.linalg.eigvals(p.A)))
+            start = p.attractor + 0.1
+            assert rollout(p, start).converged
+            assert rollout_batch(p, start[None])[1].all()
+
+    def test_stiff_policy_is_rejected_before_integrating(self):
+        comps = (GaussianComponent(1.0, np.zeros(2), np.eye(2)),)
+        stiff = LpvDsPolicy(comps, np.array([-500.0 * np.eye(2)]),
+                            np.eye(2), np.zeros(2), 1e-2)
+        assert stiff.stiffness == pytest.approx(500.0, rel=1e-12)
+        cfg = RolloutConfig(dt=0.01)
+        with pytest.raises(ValidationError, match="RK4"):
+            rollout(stiff, np.array([1.0, 0.0]), cfg)
+        with pytest.raises(ValidationError, match="RK4"):
+            rollout_batch(stiff, np.ones((3, 2)), cfg)
+        # dt * 500 = 2.5 is inside RK4's interval: the same policy converges
+        assert rollout(stiff, np.array([1.0, 0.0]),
+                       RolloutConfig(dt=0.005)).converged
+
+    def test_plan_checks_every_segment(self):
+        plan, _ = two_segment_plan()
+        first, second = plan.segments
+        K, d, _ = second.policy.A.shape
+        stiff = replace(second, policy=replace(
+            second.policy, A=np.broadcast_to(-500.0 * np.eye(d), (K, d, d))))
+        with pytest.raises(ValidationError, match="RK4"):
+            rollout(replace(plan, segments=(first, stiff)),
+                    first.chain.joints[0])
 
 
 class TestRolloutBatch:

@@ -7,10 +7,11 @@ from scipy.stats import multivariate_normal
 
 from stablemotion import gmm
 from stablemotion.config import DEFAULT_TOLERANCES
-from stablemotion.core import GaussianComponent, Trajectory
+from stablemotion.core import GaussianComponent, Trajectory, joint_diameter
 from stablemotion.errors import InsufficientData
 from stablemotion.gmm import (
     GmmFitConfig,
+    Mixture,
     fit_gmm,
     order_components,
     responsibilities,
@@ -50,10 +51,32 @@ def reference_em_step(points, resp, floor):
         diff = data - means[j]
         covs[j] = (resp[j, :, None] * diff).T @ diff / nk[j] \
             + floor * np.eye(d)
-    lj = np.stack([np.log(priors[j]) + multivariate_normal.logpdf(
-        data, means[j], covs[j]).reshape(n) for j in range(k)])
+    return (priors, means, covs) + reference_e_step(points, priors, means,
+                                                    covs)
+
+
+def reference_e_step(points, priors, means, covs):
+    """The responsibilities (k, n) and log-likelihood of data columns
+    (d, n) under one mixture, with scipy densities."""
+    data = points.T
+    lj = np.stack([np.log(p) + multivariate_normal.logpdf(data, m, c)
+                   .reshape(len(data))
+                   for p, m, c in zip(priors, means, covs)])
     norm = logsumexp(lj, axis=0)
-    return priors, means, covs, np.exp(lj - norm), float(norm.sum())
+    return np.exp(lj - norm), float(norm.sum())
+
+
+def lifted_tolerance(covs, means, origin, points):
+    """A forward-error bound for log-densities from the lifted kernel
+    about `origin`: (d^2 + d + 2) eps lambda_max(Sigma^-1) R^2, R the
+    largest distance of a mean or a data column (d, n) from the origin.
+    The kernel sums d^2 + d + 2 terms of size up to lambda_max R^2 that
+    cancel to the Mahalanobis term, so rounding leaves this much."""
+    d = len(origin)
+    reach = max(np.max(np.sum((points.T - origin) ** 2, axis=1)),
+                np.max(np.sum((np.asarray(means) - origin) ** 2, axis=1)))
+    lam = np.max(np.linalg.eigvalsh(np.linalg.inv(covs)))
+    return (d * d + d + 2) * np.finfo(float).eps * lam * reach
 
 
 def reference_kmeanspp_init(data, k, rng):
@@ -249,30 +272,60 @@ class TestEmStep:
             for g, a in zip(got[:3], alone[:3]):
                 assert np.array_equal(g[:k], a[:k])
 
-    @pytest.mark.parametrize("n, stacks", [(200, 1), (1000, 3)])
-    def test_stacks_are_cache_sized(self, n, stacks):
-        inits = [np.zeros((k, n)) for k in range(3, 7) for _ in range(3)]
-        got = list(gmm._stacks(inits, 2))
-        assert len(got) == stacks
-        assert [id(i) for s in got for i in s] == [id(i) for i in inits]
-        for s in got:
-            assert len(s) * len(s[-1]) * 2 * n <= gmm._STACK_FLOATS
-        # a run over the budget is a stack of its own
-        assert list(gmm._stacks(inits[-2:], 10**6)) == [[inits[-2]],
-                                                         [inits[-1]]]
 
-    def test_fit_does_not_depend_on_the_stacking(self, caplog, monkeypatch):
-        data = helix_demo(300).points
-        cfg = GmmFitConfig(k_max=5, restarts=2, seed=11)
-        one, (k, runs, _, _) = fit_record(caplog, data, cfg)
-        monkeypatch.setattr(gmm, "_STACK_FLOATS", 1)  # every run alone
-        alone, (k_alone, runs_alone, _, _) = fit_record(caplog, data, cfg)
-        assert k == k_alone
-        assert [run[3] for run in runs] == [run[3] for run in runs_alone]
-        for a, b in zip(one, alone):
-            assert a.prior == pytest.approx(b.prior, rel=1e-12, abs=0.0)
-            assert _relative_error(a.mean, b.mean) < 1e-12
-            assert _relative_error(a.covariance, b.covariance) < 1e-12
+class TestLiftedPrecision:
+    """The lifted kernel's terms cancel, so its error grows as
+    lambda_max(Sigma^-1) |x - origin|^2 (`lifted_tolerance`)."""
+
+    @pytest.mark.parametrize("make_demo", [s_curve_demo, arc_demo,
+                                           helix_demo])
+    def test_floor_width_posterior_at_the_far_edge(self, rng, make_demo):
+        # the worst case of a policy's mixture: components as narrow as
+        # fit_gmm's floor, a demo's length from the attractor it is
+        # lifted about
+        pts = make_demo().points
+        d = pts.shape[1]
+        attractor = pts[-1]
+        floor = 1e-6 * np.trace(np.cov(pts.T)) / d
+        far = pts[np.argmax(np.linalg.norm(pts - attractor, axis=1))]
+        width = np.sqrt(floor)
+        means = far + width * rng.normal(size=(3, d))
+        covs = np.array([floor * np.eye(d)] * 3)
+        comps = [GaussianComponent(1.0 / 3.0, m, c)
+                 for m, c in zip(means, covs)]
+        X = far + 2.0 * width * rng.normal(size=(200, d))
+        got = Mixture.from_components(comps, attractor).posterior(X)
+        want, _ = reference_e_step(X.T, [1.0 / 3.0] * 3, means, covs)
+        tol = lifted_tolerance(covs, means, attractor, X.T)
+        assert tol < 1e-7
+        assert np.max(np.abs(got - want.T)) < tol
+
+    @pytest.mark.parametrize("demo", [s_curve_demo(), helix_demo()],
+                             ids=["s_curve", "helix"])
+    def test_far_translated_em_step(self, rng, demo):
+        # E[y y^T] - m m^T and the quadratic cancel about the data mean, so
+        # a translation by 1e3 diameters must not show in either
+        shift = rng.normal(size=demo.dim)
+        data = demo.points + 1e3 * joint_diameter(demo.points) * shift \
+            / np.linalg.norm(shift)
+        n, k = len(data), 4
+        resp = np.eye(k)[:, np.arange(n) * k // n] \
+            + rng.uniform(0.0, 0.1, size=(k, n))
+        resp /= resp.sum(axis=0)
+        points = np.ascontiguousarray(data.T)
+        got = gmm._em_step(points, resp.copy(), 1e-6 * np.eye(demo.dim))
+        want = reference_em_step(points, resp, 1e-6)
+        for g, w in zip(got[:3], want[:3]):
+            assert _relative_error(g, w) < 1e-12
+        # the E step against the posterior of the parameters it returned:
+        # at this offset the absolute means round by 2e-13, which moves a
+        # narrow component's responsibilities by ~1e-11 (the reference's
+        # own E step is 1.5e-10 from an extended-precision one)
+        resp_ref, ll_ref = reference_e_step(points, *got[:3])
+        tol = lifted_tolerance(got[2], got[1], points.mean(axis=1), points)
+        assert tol < 1e-10
+        np.testing.assert_allclose(got[3], resp_ref, rtol=tol, atol=0.0)
+        assert got[4] == pytest.approx(ll_ref, rel=1e-12, abs=0.0)
 
 
 class TestKmeansppInit:
