@@ -11,6 +11,7 @@ from .core import (
     Trajectory,
     compute_velocities,
     frame_from_two_points,
+    frame_rotations,
 )
 from .gmm import (
     GmmFitConfig,
@@ -24,6 +25,7 @@ from .chain import (
     build_chain,
     build_laplacian,
     gaussian_joint,
+    link_frames,
     recover_gmm,
     solve_constrained_edit,
     transform_chain,
@@ -40,7 +42,6 @@ from .policy import (
     estimate,
     evaluate,
     evaluate_batch,
-    lyapunov_rate,
     lyapunov_value,
 )
 from .sequence import PlanExecutor, Segment, TaskPlan, split_demo, stitch_chains

@@ -20,7 +20,10 @@ from .core import (
     GeometricDescriptor,
     Pose,
     Trajectory,
+    _frozen,
     frame_from_two_points,
+    frame_rotations,
+    joint_diameter,
 )
 from .errors import (RankDeficientSystem, SingularCovariance,
                      ValidationError, ZeroLengthChain)
@@ -28,20 +31,46 @@ from .gmm import OrderedGmm
 
 
 @dataclass(frozen=True)
-class LinkFrame:
-    """A component's parameters expressed in its preceding joint frame."""
+class LinkFrames:
+    """Every component's parameters in the frame of its link (joint k
+    toward joint k+1), stacked over the K links."""
 
-    local_mean: np.ndarray        # R^T (mu - joint)
-    local_eigvecs: np.ndarray     # columns: covariance eigenbasis in frame coords
-    eigvals: np.ndarray
-    along_index: int              # eigenvector most aligned with the link axis
+    local_mean: np.ndarray        # (K, d): R_k^T (mu_k - joint_k)
+    local_eigvecs: np.ndarray     # (K, d, d) columns: covariance eigenbasis
+                                  # in frame coords
+    eigvals: np.ndarray           # (K, d)
+    along_index: np.ndarray       # (K,): eigenvector most aligned with the
+                                  # link axis
+
+    def __post_init__(self):
+        for name in ("local_mean", "local_eigvecs", "eigvals"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "along_index",
+                           _frozen(self.along_index, dtype=int))
+        d = self.local_mean.shape[1]
+        if not np.all((0 <= self.along_index) & (self.along_index < d)):
+            raise ValidationError("link frame along_index must be an axis "
+                                  "index")
+
+    def __len__(self) -> int:
+        return self.local_mean.shape[0]
+
+    def stretched(self, ratio: np.ndarray) -> "LinkFrames":
+        """The frames of links whose lengths are scaled by `ratio` (K,):
+        the local mean's along-link coordinate scales by the ratio and
+        the along-link eigenvalue (a variance) by its square."""
+        mean = self.local_mean.copy()
+        mean[:, 0] *= ratio
+        vals = self.eigvals.copy()
+        vals[np.arange(len(self)), self.along_index] *= ratio ** 2
+        return LinkFrames(mean, self.local_eigvecs, vals, self.along_index)
 
 
 @dataclass(frozen=True)
 class ElasticChain:
     components: OrderedGmm
     joints: np.ndarray            # (K+1, d)
-    link_frames: Tuple[LinkFrame, ...]
+    link_frames: LinkFrames
     link_lengths: np.ndarray      # (K,)
 
     def __post_init__(self):
@@ -71,60 +100,55 @@ class ElasticChain:
         return GeometricDescriptor(enter=self.start_pose(), exit=self.end_pose())
 
 
-def gaussian_joint(g1: GaussianComponent, g2: GaussianComponent) -> np.ndarray:
-    """Mean of the product of two Gaussians (precision-weighted mean)."""
+def _stack(components: Sequence[GaussianComponent]):
+    """The (K, d) means and (K, d, d) covariances of a component list."""
+    return (np.array([c.mean for c in components]),
+            np.array([c.covariance for c in components]))
+
+
+def gaussian_joints(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Means (K-1, d) of the products of consecutive Gaussians of (K, d)
+    means and (K, d, d) covariances (precision-weighted means)."""
     try:
-        p1 = np.linalg.inv(g1.covariance)
-        p2 = np.linalg.inv(g2.covariance)
-        st = np.linalg.inv(p1 + p2)
+        prec = np.linalg.inv(covs)
+        st = np.linalg.inv(prec[:-1] + prec[1:])
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance(str(exc)) from exc
-    return st @ (p1 @ g1.mean + p2 @ g2.mean)
+    pm = (prec @ means[..., None])[..., 0]
+    return (st @ (pm[:-1] + pm[1:])[..., None])[..., 0]
 
 
-def _canonical_eig(cov: np.ndarray, frame_rot: np.ndarray):
-    """Eigendecomposition with a deterministic sign convention.
+def gaussian_joint(g1: GaussianComponent, g2: GaussianComponent) -> np.ndarray:
+    """Mean of the product of two Gaussians: a batch of one of
+    `gaussian_joints`."""
+    return gaussian_joints(*_stack([g1, g2]))[0]
 
-    Each eigenvector's sign is fixed so its dot with the link x-axis is
-    nonnegative; if orthogonal to it, the frame y-axis breaks the tie.
+
+def link_frames(components: Sequence[GaussianComponent],
+                joints: np.ndarray) -> LinkFrames:
+    """Every component's mean and covariance eigenbasis in its link frame,
+    from one stacked eigendecomposition.
+
+    Each eigenvector's sign is fixed so that its link-x coordinate is
+    nonnegative; when it is orthogonal to the link, its link-y coordinate
+    breaks the tie.
     """
-    vals, vecs = np.linalg.eigh(cov)
-    x_axis = frame_rot[:, 0]
-    y_axis = frame_rot[:, 1]
-    for i in range(vecs.shape[1]):
-        dx = vecs[:, i] @ x_axis
-        ref = dx if abs(dx) > 1e-9 else vecs[:, i] @ y_axis
-        if ref < 0:
-            vecs[:, i] = -vecs[:, i]
-    return vals, vecs
-
-
-def _link_frame_for(component: GaussianComponent, joint: np.ndarray,
-                    next_joint: np.ndarray) -> LinkFrame:
-    frame = frame_from_two_points(joint, next_joint)
-    R = frame.rotation
-    vals, vecs = _canonical_eig(component.covariance, R)
-    local_vecs = R.T @ vecs
-    along = int(np.argmax(np.abs(local_vecs[0, :])))
-    return LinkFrame(local_mean=R.T @ (component.mean - joint),
-                     local_eigvecs=local_vecs,
-                     eigvals=vals,
-                     along_index=along)
+    R_t = frame_rotations(joints[:-1], joints[1:]).swapaxes(1, 2)
+    means, covs = _stack(components)
+    vals, vecs = np.linalg.eigh(covs)
+    local = R_t @ vecs
+    ref = np.where(np.abs(local[:, 0]) > 1e-9, local[:, 0], local[:, 1])
+    local *= np.where(ref < 0, -1.0, 1.0)[:, None, :]
+    return LinkFrames(local_mean=(R_t @ (means - joints[:-1])[..., None])[..., 0],
+                      local_eigvecs=local, eigvals=vals,
+                      along_index=np.argmax(np.abs(local[:, 0]), axis=1))
 
 
 def build_chain(gmm: OrderedGmm, demo: Trajectory) -> ElasticChain:
     """Joints = demo start, K-1 Gaussian products, demo end; frames per link."""
-    comps = gmm.components
-    K = len(comps)
-    joints = [np.asarray(demo.start, dtype=float)]
-    for k in range(K - 1):
-        joints.append(gaussian_joint(comps[k], comps[k + 1]))
-    joints.append(np.asarray(demo.end, dtype=float))
-    joints = np.array(joints)
-    lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
-    frames = tuple(
-        _link_frame_for(comps[k], joints[k], joints[k + 1]) for k in range(K))
-    return ElasticChain(gmm, joints, frames, lengths)
+    joints = np.vstack([demo.start, gaussian_joints(*_stack(gmm.components)),
+                        demo.end])
+    return chain_from_state(gmm.components, joints, gmm.order_scores)
 
 
 def build_laplacian(m: int) -> np.ndarray:
@@ -176,6 +200,17 @@ def solve_constrained_edit(joints0: np.ndarray,
     if link_lengths is None:
         link_lengths = np.linalg.norm(np.diff(joints0, axis=0), axis=1)
 
+    # a target far outside the chain's workspace would be edited in the
+    # rounding of its coordinates, and stretch the links past overflow
+    centre = joints0.mean(axis=0)
+    reach = DEFAULT_TOLERANCES.reach * joint_diameter(joints0)
+    for pose in (p for p in (o_start, o_end) if p is not None):
+        far = np.abs(pose.position - centre)
+        if far.max() > reach or np.linalg.norm(far) > reach:
+            raise ValidationError(
+                f"a descriptor position lies more than "
+                f"{DEFAULT_TOLERANCES.reach:g} joint diameters from the chain")
+
     L = build_laplacian(m)
     pins: dict = {}
 
@@ -197,6 +232,25 @@ def solve_constrained_edit(joints0: np.ndarray,
     return _solve_pinned(L, L @ joints0, pins), pins
 
 
+def _recovered(chain: ElasticChain, new_joints: np.ndarray):
+    """(frames, link lengths, components) of the chain re-posed at
+    `new_joints`: its link frames carried along the new links, stretched
+    by the length ratios, and mapped back to world coordinates."""
+    new_joints = np.asarray(new_joints, dtype=float)
+    if new_joints.shape != chain.joints.shape:
+        raise ValidationError("joint count mismatch")
+    R = frame_rotations(new_joints[:-1], new_joints[1:])
+    lengths = np.linalg.norm(np.diff(new_joints, axis=0), axis=1)
+    frames = chain.link_frames.stretched(lengths / chain.link_lengths)
+    means = new_joints[:-1] + (R @ frames.local_mean[..., None])[..., 0]
+    vecs = R @ frames.local_eigvecs
+    covs = (vecs * frames.eigvals[:, None, :]) @ vecs.swapaxes(1, 2)
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    comps = [GaussianComponent(c.prior, m, S) for c, m, S in
+             zip(chain.components.components, means, covs)]
+    return frames, lengths, comps
+
+
 def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     """Rebuild the mixture at new joint positions.
 
@@ -206,50 +260,31 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     and everything is mapped back to world coordinates. Priors are
     unchanged.
     """
-    new_joints = np.asarray(new_joints, dtype=float)
-    if new_joints.shape != chain.joints.shape:
-        raise ValidationError("joint count mismatch")
-    out = []
-    for k, (comp, lf) in enumerate(zip(chain.components.components,
-                                       chain.link_frames)):
-        frame = frame_from_two_points(new_joints[k], new_joints[k + 1])
-        R = frame.rotation
-        ratio = np.linalg.norm(new_joints[k + 1] - new_joints[k]) / \
-            chain.link_lengths[k]
-        local_mean = lf.local_mean.copy()
-        local_mean[0] *= ratio
-        mean = new_joints[k] + R @ local_mean
-        vals = lf.eigvals.copy()
-        vals[lf.along_index] *= ratio ** 2
-        vecs = R @ lf.local_eigvecs
-        cov = (vecs * vals) @ vecs.T
-        out.append(GaussianComponent(comp.prior, mean, 0.5 * (cov + cov.T)))
-    return out
+    return _recovered(chain, new_joints)[2]
 
 
 def chain_from_state(components: Sequence[GaussianComponent],
                      joints: np.ndarray,
                      order_scores: Optional[Sequence[float]] = None) -> ElasticChain:
-    """Assemble a chain from already-ordered components and known joints."""
+    """Assemble a chain from already-ordered components and known joints,
+    deriving its link frames."""
     joints = np.asarray(joints, dtype=float)
     K = len(components)
     if order_scores is None:
         order_scores = tuple((k + 0.5) / K for k in range(K))
     gmm = OrderedGmm(tuple(components), tuple(order_scores))
     lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
-    frames = tuple(
-        _link_frame_for(components[k], joints[k], joints[k + 1])
-        for k in range(K))
-    return ElasticChain(gmm, joints, frames, lengths)
+    return ElasticChain(gmm, joints, link_frames(components, joints), lengths)
 
 
 def transform_chain(chain: ElasticChain,
                     descriptor: GeometricDescriptor) -> Tuple[ElasticChain, list]:
-    """End-to-end re-targeting: Laplacian edit then parameter recovery."""
+    """End-to-end re-targeting: Laplacian edit then parameter recovery.
+    The new chain carries the old link frames, stretched, instead of
+    deriving them again from the components it has just built."""
     new_joints, _ = solve_constrained_edit(
         chain.joints, descriptor.enter, descriptor.exit,
         link_lengths=chain.link_lengths)
-    comps = recover_gmm(chain, new_joints)
-    new_chain = chain_from_state(comps, new_joints,
-                                 chain.components.order_scores)
-    return new_chain, comps
+    frames, lengths, comps = _recovered(chain, new_joints)
+    gmm = OrderedGmm(tuple(comps), chain.components.order_scores)
+    return ElasticChain(gmm, new_joints, frames, lengths), comps

@@ -21,12 +21,29 @@ from .errors import (
 
 _WORLD_Z = np.array([0.0, 0.0, 1.0])
 _WORLD_Y = np.array([0.0, 1.0, 0.0])
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _orthonormal(R: np.ndarray, tol: float) -> bool:
+    """Whether R^T R = I to within tol, for one (d, d) matrix or a stack.
+    An entry past 1 + tol fails first, so the product cannot overflow."""
+    d = R.shape[-1]
+    return bool(np.abs(R).max() <= 1.0 + tol and np.abs(
+        R.swapaxes(-1, -2) @ R - np.eye(d)).max() <= tol)
+
+
+def _pow2_scale(a: np.ndarray, axis=None) -> np.ndarray:
+    """A power of two within a factor 2 of the largest |entry| (1 where
+    all are zero): dividing by it is exact and leaves every entry in
+    [-2, 2], so sums and squares of a few entries cannot overflow."""
+    top = np.abs(a).max(axis=axis, keepdims=axis is not None)
+    return np.ldexp(1.0, np.frexp(np.where(top > 0, top, 1.0))[1] - 1)
 
 
 def _check_dim(d: int) -> None:
@@ -52,7 +69,7 @@ class Pose:
         tol = DEFAULT_TOLERANCES.orthonormal
         if not np.all(np.isfinite(self.position)) or not np.all(np.isfinite(R)):
             raise ValidationError("pose entries must be finite")
-        if np.max(np.abs(R.T @ R - np.eye(d))) > tol:
+        if not _orthonormal(R, tol):
             raise ValidationError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > tol:
             raise ValidationError("rotation must have determinant +1")
@@ -180,31 +197,48 @@ class GaussianComponent:
         return self.mean.shape[0]
 
 
-def frame_from_two_points(origin: np.ndarray, toward: np.ndarray) -> Pose:
-    """Pose at `origin` whose x-axis points at `toward`.
+def frame_rotations(origins: np.ndarray, towards: np.ndarray) -> np.ndarray:
+    """Rotations (n, d, d) whose x-axis points from each row of `origins`
+    (n, d) at the same row of `towards`.
 
     The remaining axes are completed deterministically: in 2D the y-axis is
     the 90-degree CCW rotation of x; in 3D the y-axis comes from crossing x
     with world z (or world y when x is nearly vertical), and z = x cross y.
     """
-    origin = np.asarray(origin, dtype=float)
-    toward = np.asarray(toward, dtype=float)
-    delta = toward - origin
-    norm = np.linalg.norm(delta)
-    if norm <= DEFAULT_TOLERANCES.degenerate_point:
+    origins = np.asarray(origins, dtype=float)
+    towards = np.asarray(towards, dtype=float)
+    if origins.ndim != 2 or towards.shape != origins.shape:
+        raise ValidationError("frame ends must be two (n, d) arrays")
+    _check_dim(origins.shape[1])
+    if not (np.all(np.isfinite(origins)) and np.all(np.isfinite(towards))):
+        raise ValidationError("frame ends must be finite")
+    # in units of each row's largest end, so the difference cannot overflow
+    s = np.maximum(_pow2_scale(origins, axis=1), _pow2_scale(towards, axis=1))
+    delta = towards / s - origins / s
+    norm = np.linalg.norm(delta, axis=1, keepdims=True)
+    if np.any(norm <= DEFAULT_TOLERANCES.degenerate_point / s):
         raise DegenerateFrame("frame endpoints coincide")
     x = delta / norm
-    d = origin.shape[0]
-    if d == 2:
-        y = np.array([-x[1], x[0]])
-        R = np.column_stack([x, y])
-    else:
-        aux = _WORLD_Y if abs(x @ _WORLD_Z) > 0.99 else _WORLD_Z
-        y = np.cross(x, aux)
-        y = y / np.linalg.norm(y)
-        z = np.cross(x, y)
-        R = np.column_stack([x, y, z])
-    return Pose(origin, R)
+    if origins.shape[1] == 2:
+        return np.stack([x, np.stack([-x[:, 1], x[:, 0]], axis=1)], axis=2)
+    aux = np.where(np.abs(x[:, 2:]) > 0.99, _WORLD_Y, _WORLD_Z)
+    y = _cross(x, aux)
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    return np.stack([x, y, _cross(x, y)], axis=2)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of (n, 3) stacks (np.cross's formula,
+    without its axis handling, which costs more than the products)."""
+    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
+
+
+def frame_from_two_points(origin: np.ndarray, toward: np.ndarray) -> Pose:
+    """Pose at `origin` whose x-axis points at `toward`: a batch of one of
+    `frame_rotations`."""
+    origin = np.asarray(origin, dtype=float)
+    return Pose(origin, frame_rotations(
+        origin[None], np.asarray(toward, dtype=float)[None])[0])
 
 
 def joint_diameter(joints: np.ndarray) -> float:

@@ -16,9 +16,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .chain import ElasticChain, LinkFrame
+from .chain import ElasticChain, LinkFrames
 from .core import (GaussianComponent, GeometricDescriptor, Pose, Trajectory,
-                   joint_diameter)
+                   _orthonormal, _pow2_scale, frame_rotations, joint_diameter)
 from .errors import ValidationError
 from .gmm import OrderedGmm
 from .policy import LpvDsPolicy, constraint_residual
@@ -27,8 +27,6 @@ DEMO_FORMAT = "stablemotion-demo"
 POLICY_FORMAT = "stablemotion-policy"
 DESCRIPTOR_FORMAT = "stablemotion-descriptor"
 FORMAT_VERSION = 1
-# how many joint diameters a loaded component mean may lie from the attractor
-_MEAN_REACH = 1e3
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -131,8 +129,7 @@ def _pose_from_dict(obj: dict) -> Pose:
     d = position.shape[0]
     rotation = _numeric(obj, "rotation", (d, d))
     tol = DEFAULT_TOLERANCES.orthonormal_io
-    _require(np.max(np.abs(rotation.T @ rotation - np.eye(d))) <= tol,
-             "rotation is not orthonormal")
+    _require(_orthonormal(rotation, tol), "rotation is not orthonormal")
     _require(abs(np.linalg.det(rotation) - 1.0) <= tol,
              "rotation must have determinant +1")
     # re-orthonormalize so downstream strict checks pass
@@ -176,7 +173,7 @@ def load_descriptor(path) -> GeometricDescriptor:
 
 def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
                    provenance: Optional[dict] = None) -> dict:
-    b = policy.b
+    b, lf = policy.b, chain.link_frames
     return {
         "format": POLICY_FORMAT,
         "version": FORMAT_VERSION,
@@ -194,11 +191,10 @@ def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
             "link_lengths": chain.link_lengths.tolist(),
             "order_scores": list(chain.components.order_scores),
             "link_frames": [
-                {"local_mean": lf.local_mean.tolist(),
-                 "local_eigvecs": lf.local_eigvecs.tolist(),
-                 "eigvals": lf.eigvals.tolist(),
-                 "along_index": lf.along_index}
-                for lf in chain.link_frames],
+                {"local_mean": m.tolist(), "local_eigvecs": v.tolist(),
+                 "eigvals": e.tolist(), "along_index": int(a)}
+                for m, v, e, a in zip(lf.local_mean, lf.local_eigvecs,
+                                      lf.eigvals, lf.along_index)],
         },
         "provenance": provenance or {},
     }
@@ -221,10 +217,12 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     # grows as |mean - attractor|^2: a mean past this reach is no part of
     # the workspace, and is rejected before its quadratic form overflows
     far = np.array([c.mean for c in comps]) - attractor
-    reach = _MEAN_REACH * joint_diameter(chain.joints)
+    reach = DEFAULT_TOLERANCES.reach * joint_diameter(chain.joints)
     _require(np.abs(far).max() <= reach and np.linalg.norm(far, axis=1).max()
-             <= reach, f"a component mean lies more than {_MEAN_REACH:g} "
-             "joint diameters from the attractor")
+             <= reach, f"a component mean lies more than "
+             f"{DEFAULT_TOLERANCES.reach:g} joint diameters from the attractor")
+    # after the reach check, so that a far mean is reported as one
+    _check_frames(chain)
     # the stacked gains; LpvDsPolicy checks their shape
     A = _numeric({"A": [c.get("A") for c in components]}, "A")
     policy = LpvDsPolicy(comps, A, _numeric(obj, "P"), attractor,
@@ -242,19 +240,52 @@ def _chain_from_dict(ch: dict, comps: tuple, d: int) -> ElasticChain:
     _require(isinstance(frames, list) and len(frames) == len(comps)
              and all(isinstance(f, dict) for f in frames),
              "chain link_frames must be a list of K objects")
-    link_frames = []
-    for f in frames:
-        along = f.get("along_index")
-        _require(isinstance(along, int) and not isinstance(along, bool)
-                 and 0 <= along < d,
-                 "link frame along_index must be an axis index")
-        link_frames.append(LinkFrame(_numeric(f, "local_mean", (d,)),
-                                     _numeric(f, "local_eigvecs", (d, d)),
-                                     _numeric(f, "eigvals", (d,)), along))
+    along = [f.get("along_index") for f in frames]
+    _require(all(isinstance(a, int) and not isinstance(a, bool)
+                 for a in along),
+             "link frame along_index must be an axis index")
+    link_frames = LinkFrames(
+        *(np.array([_numeric(f, key, shape) for f in frames])
+          for key, shape in (("local_mean", (d,)), ("local_eigvecs", (d, d)),
+                             ("eigvals", (d,)))), along)
     scores = _numeric(ch, "order_scores", (None,))
-    return ElasticChain(OrderedGmm(comps, tuple(scores.tolist())),
-                        _numeric(ch, "joints"), tuple(link_frames),
-                        _numeric(ch, "link_lengths"))
+    chain = ElasticChain(OrderedGmm(comps, tuple(scores.tolist())),
+                         _numeric(ch, "joints"), link_frames,
+                         _numeric(ch, "link_lengths"))
+    # joints and lengths are compared in units of a power of two near
+    # their largest entry: exact, and no difference can overflow
+    s = _pow2_scale(np.append(chain.joints, chain.link_lengths))
+    dist = np.linalg.norm(np.diff(chain.joints / s, axis=0), axis=1)
+    _require(np.all(np.abs(dist - chain.link_lengths / s)
+                    <= DEFAULT_TOLERANCES.chain_io * dist),
+             "chain link lengths are not the distances between its joints")
+    return chain
+
+
+def _check_frames(chain: ElasticChain) -> None:
+    """The chain's link frames, placed at its own joints, give back its
+    components. Each mean is compared in units of the largest of its
+    joint, local mean and mean, each covariance in units of the largest of
+    its eigenvalues and entries, so nothing overflows."""
+    tol = DEFAULT_TOLERANCES.chain_io
+    frames, joints = chain.link_frames, chain.joints[:-1]
+    _require(_orthonormal(frames.local_eigvecs, tol)
+             and np.all(frames.eigvals > 0),
+             "link frame eigenvectors must be orthonormal and eigenvalues "
+             "positive")
+    means = np.array([c.mean for c in chain.components.components])
+    covs = np.array([c.covariance for c in chain.components.components])
+    R = frame_rotations(joints, chain.joints[1:])
+    s = _pow2_scale(np.concatenate([joints, frames.local_mean, means],
+                                   axis=1), axis=1)
+    placed = joints / s + (R @ (frames.local_mean / s)[..., None])[..., 0]
+    vecs = R @ frames.local_eigvecs
+    t = _pow2_scale(np.concatenate([frames.eigvals, covs.reshape(
+        len(covs), -1)], axis=1), axis=1)[..., None]
+    shaped = (vecs * (frames.eigvals[:, None] / t)) @ vecs.swapaxes(1, 2)
+    _require(np.abs(placed - means / s).max() <= tol
+             and np.abs(shaped - covs / t).max() <= tol,
+             "chain link frames do not give back its components")
 
 
 def save_policy(path, policy: LpvDsPolicy, chain: ElasticChain,

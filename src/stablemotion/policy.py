@@ -112,12 +112,6 @@ def lyapunov_value(policy: LpvDsPolicy, xi: np.ndarray) -> float:
     return float(y @ policy.P @ y)
 
 
-def lyapunov_rate(policy: LpvDsPolicy, xi: np.ndarray) -> float:
-    """d/dt of the Lyapunov value along the policy flow: 2 (x-x*)^T P f(x)."""
-    y = np.asarray(xi, dtype=float) - policy.attractor
-    return float(2.0 * y @ policy.P @ evaluate(policy, xi))
-
-
 def constraint_residual(policy: LpvDsPolicy) -> float:
     """max over k of lambda_max(A_k^T P + P A_k) + margin; <= 0 is feasible."""
     M = np.swapaxes(policy.A, 1, 2) @ policy.P + policy.P @ policy.A
@@ -175,6 +169,17 @@ def objective_hessian(stats: FitStatistics, P_inv: np.ndarray,
                            Hr).reshape(n * d, n * d)
 
 
+def inverse_hessian_form(r: np.ndarray, P: np.ndarray,
+                         Hr_inv: np.ndarray) -> float:
+    """r^T Q^-1 r for the objective Hessian Q = 2 (P^-T P^-1) (x) Hr (see
+    `objective_hessian`, Hr = H + reg I) from its Kronecker factors:
+    Q^-1 = 1/2 (P P^T) (x) Hr^-1, so with R[a, (k j)] = r[k, a, j] the form
+    is 1/2 <P P^T R Hr^-1, R>, and Q is never inverted."""
+    d = P.shape[0]
+    R = r.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+    return 0.5 * float(np.vdot(P @ (P.T @ R) @ Hr_inv, R))
+
+
 def hkm_blocks(X_inv: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """The (K, d^2, d^2) blocks in vec(W_k) of dW_k -> sym(X_k^-1 sym(dW_k)
     Z_k), the HKM linearisation of X_k Z_k = mu I; with Z = X^-1, the
@@ -223,7 +228,7 @@ def solve(problem: FitProblem, max_steps: int) -> Solution:
     K, d, _ = W.shape
     m, I = K * d, np.eye(d)
     Q = objective_hessian(stats, P_inv, reg)
-    Q_inv = np.linalg.inv(Q)
+    Hr_inv = np.linalg.inv(stats.H + reg * np.eye(m))
     system = np.empty_like(Q)
     # a view of the Newton matrix's (K, d^2, d^2) diagonal blocks
     blocks = np.einsum("kikj->kij", system.reshape(K, d * d, K, d * d))
@@ -237,7 +242,7 @@ def solve(problem: FitProblem, max_steps: int) -> Solution:
         X = -_sym(W) - eps * I
         r = g + Z.ravel()
         mu = float(np.vdot(X, Z)) / m
-        gap = m * mu + 0.5 * float(r @ Q_inv @ r)
+        gap = m * mu + 0.5 * inverse_hessian_form(r, P, Hr_inv)
         if gap <= _GAP_RTOL * J or steps == max_steps:
             break
         try:

@@ -4,7 +4,9 @@ import pytest
 from stablemotion.chain import (
     build_chain,
     build_laplacian,
+    chain_from_state,
     gaussian_joint,
+    link_frames,
     recover_gmm,
     solve_constrained_edit,
     transform_chain,
@@ -15,9 +17,9 @@ from stablemotion.core import (
     Pose,
     frame_from_two_points,
 )
-from stablemotion.errors import RankDeficientSystem
+from stablemotion.errors import RankDeficientSystem, ValidationError
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
-from conftest import s_curve_demo
+from conftest import helix_demo, s_curve_demo
 
 
 def kkt_oracle(L, delta, pins):
@@ -39,6 +41,82 @@ def kkt_oracle(L, delta, pins):
     rhs = np.vstack([2.0 * L.T @ delta, targets])
     sol = np.linalg.solve(K, rhs)
     return sol[:m]
+
+
+def reference_rotation(origin, toward):
+    """One link frame's rotation, completed axis by axis (independent of
+    the stacked production code)."""
+    delta = np.asarray(toward, float) - np.asarray(origin, float)
+    x = delta / np.linalg.norm(delta)
+    if x.shape[0] == 2:
+        return np.column_stack([x, [-x[1], x[0]]])
+    aux = np.array([0.0, 1.0, 0.0]) if abs(x[2]) > 0.99 \
+        else np.array([0.0, 0.0, 1.0])
+    y = np.cross(x, aux)
+    y = y / np.linalg.norm(y)
+    return np.column_stack([x, y, np.cross(x, y)])
+
+
+def reference_link_frame(component, joint, next_joint):
+    """(local mean, local eigenvectors, eigenvalues, along index) of one
+    link, derived on its own; each eigenvector's sign makes its dot with
+    the link x-axis nonnegative, the y-axis breaking a tie."""
+    R = reference_rotation(joint, next_joint)
+    vals, vecs = np.linalg.eigh(component.covariance)
+    for i in range(vecs.shape[1]):
+        dx = vecs[:, i] @ R[:, 0]
+        ref = dx if abs(dx) > 1e-9 else vecs[:, i] @ R[:, 1]
+        if ref < 0:
+            vecs[:, i] = -vecs[:, i]
+    local = R.T @ vecs
+    return (R.T @ (component.mean - joint), local, vals,
+            int(np.argmax(np.abs(local[0]))))
+
+
+def reference_transform(chain, descriptor):
+    """The re-targeted components, link by link: frames derived afresh
+    from the chain's components, recreated along the edited links, the
+    along-link mean coordinate and variance scaled by the length ratio."""
+    new_joints, _ = solve_constrained_edit(
+        chain.joints, descriptor.enter, descriptor.exit, chain.link_lengths)
+    out = []
+    for k, comp in enumerate(chain.components.components):
+        mean, vecs, vals, along = reference_link_frame(
+            comp, chain.joints[k], chain.joints[k + 1])
+        R = reference_rotation(new_joints[k], new_joints[k + 1])
+        ratio = np.linalg.norm(new_joints[k + 1] - new_joints[k]) / \
+            np.linalg.norm(chain.joints[k + 1] - chain.joints[k])
+        mean, vals = mean.copy(), vals.copy()
+        mean[0] *= ratio
+        vals[along] *= ratio ** 2
+        world = R @ vecs
+        cov = (world * vals) @ world.T
+        out.append((new_joints[k] + R @ mean, 0.5 * (cov + cov.T)))
+    return new_joints, out
+
+
+def moved_descriptors(chain, rng, n):
+    """The identity descriptor, then n - 1 with both ends moved and
+    turned at random."""
+    base = chain.endpoint_descriptor()
+    out = [base]
+    d = chain.dim
+    for _ in range(n - 1):
+        poses = []
+        for pose in (base.enter, base.exit):
+            axis = pose.x_axis + rng.normal(scale=0.3, size=d)
+            turned = frame_from_two_points(np.zeros(d), axis).rotation
+            poses.append(Pose(pose.position + rng.uniform(-0.3, 0.3, d),
+                              turned))
+        out.append(GeometricDescriptor(*poses))
+    return out
+
+
+@pytest.fixture(scope="module", params=["s_curve", "helix"])
+def learned_chain(request):
+    demo = (s_curve_demo if request.param == "s_curve" else helix_demo)()
+    chain, _ = fitted_chain(demo, seed=0, k_max=6)
+    return chain
 
 
 def unit_gaussian(x, y, prior=0.5, cov=None):
@@ -172,19 +250,19 @@ class TestRecoverGmm:
     def test_uniform_scaling(self):
         chain, _ = fitted_chain()
         scaled = recover_gmm(chain, 2.0 * chain.joints)
+        lf = chain.link_frames
         for k, (orig, new) in enumerate(zip(chain.components.components,
                                             scaled)):
-            lf = chain.link_frames[k]
             vals_new = np.sort(np.linalg.eigvalsh(new.covariance))
-            expect = lf.eigvals.copy()
-            expect[lf.along_index] *= 4.0
+            expect = lf.eigvals[k].copy()
+            expect[lf.along_index[k]] *= 4.0
             assert np.allclose(vals_new, np.sort(expect), atol=1e-9)
             # along-link mean offset doubles in the (unchanged) link frame
             frame = frame_from_two_points(2 * chain.joints[k],
                                           2 * chain.joints[k + 1])
             local = frame.rotation.T @ (new.mean - 2 * chain.joints[k])
-            assert np.allclose(local[0], 2.0 * lf.local_mean[0], atol=1e-9)
-            assert np.allclose(local[1:], lf.local_mean[1:], atol=1e-9)
+            assert np.allclose(local[0], 2.0 * lf.local_mean[k, 0], atol=1e-9)
+            assert np.allclose(local[1:], lf.local_mean[k, 1:], atol=1e-9)
 
     def test_rigid_motion_equivariance(self):
         chain, _ = fitted_chain()
@@ -241,3 +319,76 @@ class TestTransformChain:
         assert np.allclose(applied.enter.x_axis, moved.enter.x_axis,
                            atol=1e-9)
         assert np.allclose(applied.exit.x_axis, moved.exit.x_axis, atol=1e-9)
+
+
+class TestStackedAgainstPerLinkReference:
+    def test_link_frames_match_the_per_link_derivation(self, learned_chain):
+        chain = learned_chain
+        frames = link_frames(chain.components.components, chain.joints)
+        for k, comp in enumerate(chain.components.components):
+            mean, vecs, vals, along = reference_link_frame(
+                comp, chain.joints[k], chain.joints[k + 1])
+            assert np.abs(frames.local_mean[k] - mean).max() <= 1e-12
+            assert np.abs(frames.local_eigvecs[k] - vecs).max() <= 1e-12
+            assert np.abs(frames.eigvals[k] - vals).max() <= 1e-12
+            assert frames.along_index[k] == along
+
+    def test_transform_matches_the_per_link_reference(self, learned_chain):
+        chain = learned_chain
+        for desc in moved_descriptors(chain, np.random.default_rng(8), 12):
+            new_chain, comps = transform_chain(chain, desc)
+            joints, expect = reference_transform(chain, desc)
+            assert np.array_equal(new_chain.joints, joints)
+            for comp, (mean, cov) in zip(comps, expect):
+                assert np.abs(comp.mean - mean).max() <= 1e-12
+                assert np.abs(comp.covariance - cov).max() <= 1e-12
+
+    def test_carried_frames_describe_the_derived_local_gaussians(
+            self, learned_chain):
+        """The frames a transform carries and the frames derived afresh
+        from its output give the same local mean, the same local
+        covariance and the same along-link axis, whatever the order and
+        signs of their eigenvector columns."""
+        chain = learned_chain
+        for desc in moved_descriptors(chain, np.random.default_rng(9), 12):
+            new_chain, comps = transform_chain(chain, desc)
+            carried = new_chain.link_frames
+            fresh = link_frames(comps, new_chain.joints)
+            assert np.abs(carried.local_mean - fresh.local_mean).max() \
+                <= 1e-12
+            cov_c, cov_f = ((f.local_eigvecs * f.eigvals[:, None])
+                            @ f.local_eigvecs.swapaxes(1, 2)
+                            for f in (carried, fresh))
+            scale = np.abs(cov_f).max(axis=(1, 2))
+            assert np.all(np.abs(cov_c - cov_f).max(axis=(1, 2))
+                          <= 1e-12 * scale)
+            assert np.abs(np.sort(carried.eigvals, axis=1)
+                          - fresh.eigvals).max() <= 1e-12 * scale.max()
+            k = np.arange(len(comps))
+            a = carried.local_eigvecs[k, :, carried.along_index]
+            b = fresh.local_eigvecs[k, :, fresh.along_index]
+            assert np.allclose(np.abs(np.sum(a * b, axis=1)), 1.0,
+                               atol=1e-9)
+
+    def test_carried_chain_re_targets_like_a_derived_one(self, learned_chain):
+        """A second edit from the carried frames gives what it gives from
+        frames derived afresh."""
+        chain = learned_chain
+        first, second = moved_descriptors(chain, np.random.default_rng(10),
+                                          3)[1:]
+        carried, comps = transform_chain(chain, first)
+        derived = chain_from_state(comps, carried.joints,
+                                   chain.components.order_scores)
+        _, a = transform_chain(carried, second)
+        _, b = transform_chain(derived, second)
+        for x, y in zip(a, b):
+            assert np.abs(x.mean - y.mean).max() <= 1e-12
+            assert np.abs(x.covariance - y.covariance).max() <= 1e-12
+
+    def test_far_descriptor_is_rejected_before_the_edit(self):
+        chain, _ = fitted_chain()
+        desc = chain.endpoint_descriptor()
+        far = GeometricDescriptor(
+            enter=Pose(desc.enter.position + 1e300, desc.enter.rotation))
+        with pytest.raises(ValidationError, match="joint diameters"):
+            transform_chain(chain, far)

@@ -589,3 +589,39 @@ def test_far_field_mean_is_rejected_at_load(valid_files, tmp_path, capsys):
     assert rc == EXIT_VALIDATION
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "joint diameters from the attractor" in capsys.readouterr().err
+
+
+def _far(*path):
+    """An edit that moves the value at `path` out to 1e300."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = 1e300
+    return edit
+
+
+@pytest.mark.parametrize("target, edit", [
+    ("policy", _far("chain", "joints", 1, 0)),
+    ("policy", _far("chain", "link_lengths", 0)),
+    ("policy", _far("chain", "link_frames", 0, "eigvals", 1)),
+    ("policy", _far("chain", "link_frames", 1, "local_mean", 0)),
+    ("policy", _far("chain", "link_frames", 2, "local_eigvecs", 0, 1)),
+    ("policy", _far("components", 1, "covariance", 0, 0)),
+    ("descriptor", _far("enter", "position", 0)),
+    ("descriptor", _far("exit", "rotation", 1, 0)),
+], ids=["chain_joint", "link_length", "link_frame_eigval",
+        "link_frame_local_mean", "link_frame_eigvec", "covariance",
+        "descriptor_position", "descriptor_rotation"])
+def test_far_value_is_rejected_without_overflow(valid_files, tmp_path, target,
+                                                edit):
+    """A value moved out to 1e300 in the policy or the descriptor ends a
+    transform with exit 2, before any arithmetic on it overflows."""
+    obj = json.loads(Path(valid_files[target]).read_text())
+    edit(obj)
+    files = dict(valid_files)
+    files[target] = _json_file(tmp_path, "far.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--quiet", *_COMMANDS["transform"](files, tmp_path)])
+    assert rc == EXIT_VALIDATION
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from stablemotion.core import (
     Trajectory,
     compute_velocities,
     frame_from_two_points,
+    frame_rotations,
 )
 from stablemotion.errors import (
     DegenerateFrame,
@@ -50,6 +53,59 @@ class TestFrameFromTwoPoints:
         assert abs(np.linalg.det(R) - 1.0) < 1e-9
 
 
+class TestFrameRotations:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack_is_proper_and_points_along_each_link(self, d, rng):
+        origins = rng.normal(size=(500, d))
+        delta = rng.normal(size=(500, d))
+        if d == 3:
+            # both completion branches: |x_z| above and below 0.99
+            delta[:200, :2] *= 1e-3
+            delta[:100, 2] = np.where(delta[:100, 2] < 0, -1.0, 1.0)
+            delta[200, :] = [0.0, 0.0, -2.0]
+        R = frame_rotations(origins, origins + delta)
+        eye = np.eye(d)
+        assert np.abs(R.swapaxes(1, 2) @ R - eye).max() < 1e-12
+        assert np.abs(np.linalg.det(R) - 1.0).max() < 1e-12
+        x = delta / np.linalg.norm(delta, axis=1, keepdims=True)
+        assert np.abs(R[:, :, 0] - x).max() < 1e-12
+        if d == 3:
+            vertical = np.abs(x[:, 2]) > 0.99
+            assert 0 < vertical.sum() < len(x)
+            # y = x cross world y (near vertical), x cross world z otherwise
+            assert np.all(R[vertical, 1, 1] == 0.0)
+            assert np.all(R[~vertical, 2, 1] == 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_single_frame_is_a_batch_of_one(self, d, rng):
+        for _ in range(20):
+            a, b = rng.normal(size=(2, d))
+            assert np.array_equal(frame_from_two_points(a, b).rotation,
+                                  frame_rotations(a[None], b[None])[0])
+
+    def test_far_apart_ends_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R = frame_rotations(np.array([[-1.7e308, 0.0]]),
+                                np.array([[1.7e308, 0.0]]))
+        assert np.array_equal(R[0], np.eye(2))
+
+    def test_one_coincident_pair_raises(self, rng):
+        ends = rng.normal(size=(4, 3))
+        towards = ends + 1.0
+        towards[2] = ends[2]
+        with pytest.raises(DegenerateFrame):
+            frame_rotations(ends, towards)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_end_raises(self, bad):
+        ends = np.zeros((2, 2))
+        towards = np.ones((2, 2))
+        towards[1, 0] = bad
+        with pytest.raises(ValidationError):
+            frame_rotations(ends, towards)
+
+
 class TestPose:
     def test_compose_associative(self, rng):
         poses = []
@@ -72,6 +128,12 @@ class TestPose:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValidationError):
             Pose(np.zeros(2), np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    def test_huge_rotation_entries_are_rejected_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="orthonormal"):
+                Pose(np.zeros(2), np.array([[1e300, 0.0], [0.0, 1.0]]))
 
     def test_rejects_reflection(self):
         with pytest.raises(ValidationError):

@@ -137,9 +137,11 @@ class TestPolicyRoundTrip:
         for c1, c2 in zip(policy.components, policy2.components):
             assert c1.prior == c2.prior
             assert np.array_equal(c1.covariance, c2.covariance)
-        for f1, f2 in zip(chain.link_frames, chain2.link_frames):
-            assert np.array_equal(f1.local_eigvecs, f2.local_eigvecs)
-            assert f1.along_index == f2.along_index
+        f1, f2 = chain.link_frames, chain2.link_frames
+        assert np.array_equal(f1.local_mean, f2.local_mean)
+        assert np.array_equal(f1.local_eigvecs, f2.local_eigvecs)
+        assert np.array_equal(f1.eigvals, f2.eigvals)
+        assert np.array_equal(f1.along_index, f2.along_index)
 
     def test_reloaded_policy_evaluates_identically(self, learned, tmp_path):
         chain, policy = learned

@@ -24,7 +24,7 @@ from stablemotion.policy import (
     fit_problem,
     fit_statistics,
     hkm_blocks,
-    lyapunov_rate,
+    inverse_hessian_form,
     lyapunov_value,
     objective_and_gradient,
     objective_hessian,
@@ -33,6 +33,14 @@ from stablemotion.policy import (
 from stablemotion.profile import ProfileConfig
 from test_gmm import brute_force_responsibilities
 from conftest import arc_demo, helix_demo, s_curve_demo
+
+
+def lyapunov_rates(policy, X):
+    """d/dt of the Lyapunov value along the policy flow at each row of X:
+    2 (x - x*)^T P f(x)."""
+    X = np.atleast_2d(X)
+    Y = X - policy.attractor
+    return 2.0 * np.sum((Y @ policy.P) * evaluate_batch(policy, X), axis=1)
 
 
 def toy_policy(A=None, attractor=(1.0, 1.0)):
@@ -117,14 +125,14 @@ class TestLyapunov:
     def test_zero_at_attractor(self):
         policy = toy_policy()
         assert lyapunov_value(policy, policy.attractor) == 0.0
-        assert lyapunov_rate(policy, policy.attractor) == 0.0
+        assert lyapunov_rates(policy, policy.attractor)[0] == 0.0
 
     def test_closed_form_linear(self):
         policy = toy_policy()
         x = np.array([3.0, -1.0])
         r2 = float(np.sum((x - policy.attractor) ** 2))
         assert lyapunov_value(policy, x) == pytest.approx(r2)
-        assert lyapunov_rate(policy, x) == pytest.approx(-2 * r2)
+        assert lyapunov_rates(policy, x)[0] == pytest.approx(-2 * r2)
 
 
 def direct_objective(W, gamma, Y, V, P_inv, reg, shrink):
@@ -220,6 +228,23 @@ class TestGradient:
         assert np.array_equal(hessian, hessian.T)
 
     @pytest.mark.parametrize("trial", range(10))
+    def test_kronecker_dual_term_matches_the_dense_inverse(self, trial):
+        """r^T Q^-1 r from Q's Kronecker factors equals the form on the
+        inverted dense Hessian, for identity and non-identity P (a turned
+        SPD matrix, so that P P^T and P^T P differ)."""
+        rng = np.random.default_rng(5200 + trial)
+        stats, K, d = random_problem(rng)
+        turn = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        P = np.eye(d) if trial % 2 else turn @ random_spd(rng, d)
+        reg = rng.uniform(0.01, 1.0)
+        r = rng.normal(size=K * d * d)
+        dense = float(r @ np.linalg.inv(objective_hessian(
+            stats, np.linalg.inv(P), reg)) @ r)
+        Hr_inv = np.linalg.inv(stats.H + reg * np.eye(K * d))
+        assert abs(inverse_hessian_form(r, P, Hr_inv) - dense) <= \
+            1e-12 * abs(dense)
+
+    @pytest.mark.parametrize("trial", range(10))
     def test_hkm_blocks_match_the_linear_map(self, trial):
         rng = np.random.default_rng(4500 + trial)
         K, d = int(rng.integers(1, 5)), int(rng.integers(2, 4))
@@ -281,10 +306,8 @@ class TestEstimate:
         assert constraint_residual(policy) <= 1e-9
         rng = np.random.default_rng(0)
         pts = rng.uniform(-1, 3, size=(10_000, 2))
-        for x in pts:
-            if np.linalg.norm(x - policy.attractor) < 1e-9:
-                continue
-            assert lyapunov_rate(policy, x) < 0
+        pts = pts[np.linalg.norm(pts - policy.attractor, axis=1) >= 1e-9]
+        assert np.all(lyapunov_rates(policy, pts) < 0)
 
     def test_s_curve_reproduction_rmse(self):
         from stablemotion.evaluation import RolloutConfig, rollout
@@ -459,8 +482,8 @@ class TestConvexOptimum:
         assert constraint_residual(policy) <= 0.0
         lo = demo.points.min(axis=0) - 0.5
         hi = demo.points.max(axis=0) + 0.5
-        for x in np.random.default_rng(5).uniform(lo, hi, (500, demo.dim)):
-            assert lyapunov_rate(policy, x) < 0
+        pts = np.random.default_rng(5).uniform(lo, hi, (500, demo.dim))
+        assert np.all(lyapunov_rates(policy, pts) < 0)
 
     @pytest.mark.parametrize("kind", ["learn", "adapt"])
     def test_gap_bounds_the_suboptimality_of_every_iterate(self,
