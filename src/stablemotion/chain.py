@@ -9,7 +9,7 @@ edit the full mixture can be reconstructed at the new geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,15 +71,16 @@ class ElasticChain:
     components: OrderedGmm
     joints: np.ndarray            # (K+1, d)
     link_frames: LinkFrames
-    link_lengths: np.ndarray      # (K,)
+    # (K,) distances between consecutive joints, derived from them
+    link_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K, d = len(self.components), self.components.dim
         if self.joints.shape != (K + 1, d):
             raise ValidationError(
                 "chain needs K+1 joints of the components' dimension")
-        if self.link_lengths.shape != (K,):
-            raise ValidationError("chain needs K link lengths")
+        object.__setattr__(self, "link_lengths", np.linalg.norm(
+            np.diff(self.joints, axis=0), axis=1))
         if not np.all(self.link_lengths > 0):
             raise ZeroLengthChain("links must have positive length")
 
@@ -180,8 +181,7 @@ def _solve_pinned(L: np.ndarray, delta: np.ndarray, pins: dict) -> np.ndarray:
 
 
 def solve_constrained_edit(joints0: np.ndarray,
-                           o_start: Optional[Pose], o_end: Optional[Pose],
-                           link_lengths: Optional[np.ndarray] = None
+                           o_start: Optional[Pose], o_end: Optional[Pose]
                            ) -> Tuple[np.ndarray, dict]:
     """Re-position the joints to satisfy new endpoint frames.
 
@@ -197,8 +197,7 @@ def solve_constrained_edit(joints0: np.ndarray,
     m = joints0.shape[0]
     if o_start is None and o_end is None:
         raise ValidationError("at least one descriptor pose is required")
-    if link_lengths is None:
-        link_lengths = np.linalg.norm(np.diff(joints0, axis=0), axis=1)
+    link_lengths = np.linalg.norm(np.diff(joints0, axis=0), axis=1)
 
     # a target far outside the chain's workspace would be edited in the
     # rounding of its coordinates, and stretch the links past overflow
@@ -233,7 +232,7 @@ def solve_constrained_edit(joints0: np.ndarray,
 
 
 def _recovered(chain: ElasticChain, new_joints: np.ndarray):
-    """(frames, link lengths, components) of the chain re-posed at
+    """(frames, components) of the chain re-posed at
     `new_joints`: its link frames carried along the new links, stretched
     by the length ratios, and mapped back to world coordinates."""
     new_joints = np.asarray(new_joints, dtype=float)
@@ -248,7 +247,7 @@ def _recovered(chain: ElasticChain, new_joints: np.ndarray):
     covs = 0.5 * (covs + covs.swapaxes(1, 2))
     comps = [GaussianComponent(c.prior, m, S) for c, m, S in
              zip(chain.components.components, means, covs)]
-    return frames, lengths, comps
+    return frames, comps
 
 
 def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
@@ -260,7 +259,7 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     and everything is mapped back to world coordinates. Priors are
     unchanged.
     """
-    return _recovered(chain, new_joints)[2]
+    return _recovered(chain, new_joints)[1]
 
 
 def chain_from_state(components: Sequence[GaussianComponent],
@@ -273,8 +272,7 @@ def chain_from_state(components: Sequence[GaussianComponent],
     if order_scores is None:
         order_scores = tuple((k + 0.5) / K for k in range(K))
     gmm = OrderedGmm(tuple(components), tuple(order_scores))
-    lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
-    return ElasticChain(gmm, joints, link_frames(components, joints), lengths)
+    return ElasticChain(gmm, joints, link_frames(components, joints))
 
 
 def transform_chain(chain: ElasticChain,
@@ -282,9 +280,8 @@ def transform_chain(chain: ElasticChain,
     """End-to-end re-targeting: Laplacian edit then parameter recovery.
     The new chain carries the old link frames, stretched, instead of
     deriving them again from the components it has just built."""
-    new_joints, _ = solve_constrained_edit(
-        chain.joints, descriptor.enter, descriptor.exit,
-        link_lengths=chain.link_lengths)
-    frames, lengths, comps = _recovered(chain, new_joints)
+    new_joints, _ = solve_constrained_edit(chain.joints, descriptor.enter,
+                                           descriptor.exit)
+    frames, comps = _recovered(chain, new_joints)
     gmm = OrderedGmm(tuple(comps), chain.components.order_scores)
-    return ElasticChain(gmm, new_joints, frames, lengths), comps
+    return ElasticChain(gmm, new_joints, frames), comps

@@ -13,9 +13,9 @@ class Tolerances:
     degenerate_point: float = 1e-9      # min separation for frame construction
     orthonormal: float = 1e-9           # R^T R = I check on Pose rotations
     orthonormal_io: float = 1e-6        # looser check when loading files
-    reach: float = 1e3                  # joint diameters a component mean or
-                                        # descriptor position may lie from
-                                        # the chain
+    reach: float = 1e3                  # diameters a loaded joint or
+                                        # component mean, or a descriptor
+                                        # position, may lie from the chain
 
     # mixtures
     prior_sum: float = 1e-9
@@ -24,8 +24,6 @@ class Tolerances:
     # chain transform
     constraint_exactness: float = 1e-9  # pinned joints hit their targets
     chain_gap: float = 1e-6             # stitching endpoint agreement
-    chain_io: float = 1e-9              # a loaded chain against its own
-                                        # joints and components
 
     # sequencing
     attractor_continuity: float = 1e-6  # segment attractor vs next start

@@ -16,11 +16,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .chain import ElasticChain, LinkFrames
+from .chain import ElasticChain, chain_from_state
 from .core import (GaussianComponent, GeometricDescriptor, Pose, Trajectory,
-                   _orthonormal, _pow2_scale, frame_rotations, joint_diameter)
+                   _orthonormal, _pow2_scale, joint_diameter)
 from .errors import ValidationError
-from .gmm import OrderedGmm
 from .policy import LpvDsPolicy, constraint_residual
 
 DEMO_FORMAT = "stablemotion-demo"
@@ -173,7 +172,6 @@ def load_descriptor(path) -> GeometricDescriptor:
 
 def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
                    provenance: Optional[dict] = None) -> dict:
-    b, lf = policy.b, chain.link_frames
     return {
         "format": POLICY_FORMAT,
         "version": FORMAT_VERSION,
@@ -183,24 +181,21 @@ def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
         "P": policy.P.tolist(),
         "components": [
             {"prior": c.prior, "mean": c.mean.tolist(),
-             "covariance": c.covariance.tolist(),
-             "A": policy.A[k].tolist(), "b": b[k].tolist()}
+             "covariance": c.covariance.tolist(), "A": policy.A[k].tolist()}
             for k, c in enumerate(policy.components)],
         "chain": {
             "joints": chain.joints.tolist(),
-            "link_lengths": chain.link_lengths.tolist(),
             "order_scores": list(chain.components.order_scores),
-            "link_frames": [
-                {"local_mean": m.tolist(), "local_eigvecs": v.tolist(),
-                 "eigvals": e.tolist(), "along_index": int(a)}
-                for m, v, e, a in zip(lf.local_mean, lf.local_eigvecs,
-                                      lf.eigvals, lf.along_index)],
         },
         "provenance": provenance or {},
     }
 
 
 def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
+    """The policy and chain of a policy file. The chain is rebuilt from
+    the components and joints alone; the keys that earlier files also
+    wrote (each component's `b`, the chain's `link_lengths` and
+    `link_frames`) are derived values and are ignored."""
     _check_header(obj, POLICY_FORMAT)
     components = obj.get("components")
     _require(isinstance(components, list) and len(components) > 0
@@ -212,17 +207,33 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
                                     _numeric(c, "mean", (d,)),
                                     _numeric(c, "covariance"))
                   for c in components)
-    chain = _chain_from_dict(obj.get("chain"), comps, d)
-    # the mixture is lifted about the attractor, with a rounding error that
-    # grows as |mean - attractor|^2: a mean past this reach is no part of
-    # the workspace, and is rejected before its quadratic form overflows
-    far = np.array([c.mean for c in comps]) - attractor
-    reach = DEFAULT_TOLERANCES.reach * joint_diameter(chain.joints)
+    ch = obj.get("chain")
+    _require(isinstance(ch, dict), "chain must be an object")
+    joints = _numeric(ch, "joints", (len(comps) + 1, d))
+    means = np.array([c.mean for c in comps])
+    # a joint, mean or covariance far outside the workspace would overflow
+    # the link lengths or the mixture's quadratic forms, and is rejected
+    # first: the joints in units of a power of two near the largest entry,
+    # so that no square overflows, then the means and spreads in the
+    # (now finite) joint diameter
+    anchors = np.vstack([means, attractor])
+    s = _pow2_scale(np.vstack([joints, anchors]))
+    far = np.linalg.norm(joints / s - (anchors / s).mean(axis=0), axis=1)
+    _require(far.max() <= DEFAULT_TOLERANCES.reach
+             * joint_diameter(anchors / s),
+             f"a chain joint lies more than {DEFAULT_TOLERANCES.reach:g} "
+             f"diameters of the component means and attractor from their "
+             f"centre")
+    far = means - attractor
+    reach = DEFAULT_TOLERANCES.reach * joint_diameter(joints)
     _require(np.abs(far).max() <= reach and np.linalg.norm(far, axis=1).max()
              <= reach, f"a component mean lies more than "
              f"{DEFAULT_TOLERANCES.reach:g} joint diameters from the attractor")
-    # after the reach check, so that a far mean is reported as one
-    _check_frames(chain)
+    _require(max(np.abs(c.covariance).max() for c in comps) <= reach ** 2,
+             f"a component spreads over more than "
+             f"{DEFAULT_TOLERANCES.reach:g} joint diameters")
+    chain = chain_from_state(comps, joints,
+                             _numeric(ch, "order_scores", (None,)).tolist())
     # the stacked gains; LpvDsPolicy checks their shape
     A = _numeric({"A": [c.get("A") for c in components]}, "A")
     policy = LpvDsPolicy(comps, A, _numeric(obj, "P"), attractor,
@@ -232,60 +243,6 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
              f"policy violates its stability certificate "
              f"(constraint residual {residual:.3e} > 0)")
     return policy, chain
-
-
-def _chain_from_dict(ch: dict, comps: tuple, d: int) -> ElasticChain:
-    _require(isinstance(ch, dict), "chain must be an object")
-    frames = ch.get("link_frames")
-    _require(isinstance(frames, list) and len(frames) == len(comps)
-             and all(isinstance(f, dict) for f in frames),
-             "chain link_frames must be a list of K objects")
-    along = [f.get("along_index") for f in frames]
-    _require(all(isinstance(a, int) and not isinstance(a, bool)
-                 for a in along),
-             "link frame along_index must be an axis index")
-    link_frames = LinkFrames(
-        *(np.array([_numeric(f, key, shape) for f in frames])
-          for key, shape in (("local_mean", (d,)), ("local_eigvecs", (d, d)),
-                             ("eigvals", (d,)))), along)
-    scores = _numeric(ch, "order_scores", (None,))
-    chain = ElasticChain(OrderedGmm(comps, tuple(scores.tolist())),
-                         _numeric(ch, "joints"), link_frames,
-                         _numeric(ch, "link_lengths"))
-    # joints and lengths are compared in units of a power of two near
-    # their largest entry: exact, and no difference can overflow
-    s = _pow2_scale(np.append(chain.joints, chain.link_lengths))
-    dist = np.linalg.norm(np.diff(chain.joints / s, axis=0), axis=1)
-    _require(np.all(np.abs(dist - chain.link_lengths / s)
-                    <= DEFAULT_TOLERANCES.chain_io * dist),
-             "chain link lengths are not the distances between its joints")
-    return chain
-
-
-def _check_frames(chain: ElasticChain) -> None:
-    """The chain's link frames, placed at its own joints, give back its
-    components. Each mean is compared in units of the largest of its
-    joint, local mean and mean, each covariance in units of the largest of
-    its eigenvalues and entries, so nothing overflows."""
-    tol = DEFAULT_TOLERANCES.chain_io
-    frames, joints = chain.link_frames, chain.joints[:-1]
-    _require(_orthonormal(frames.local_eigvecs, tol)
-             and np.all(frames.eigvals > 0),
-             "link frame eigenvectors must be orthonormal and eigenvalues "
-             "positive")
-    means = np.array([c.mean for c in chain.components.components])
-    covs = np.array([c.covariance for c in chain.components.components])
-    R = frame_rotations(joints, chain.joints[1:])
-    s = _pow2_scale(np.concatenate([joints, frames.local_mean, means],
-                                   axis=1), axis=1)
-    placed = joints / s + (R @ (frames.local_mean / s)[..., None])[..., 0]
-    vecs = R @ frames.local_eigvecs
-    t = _pow2_scale(np.concatenate([frames.eigvals, covs.reshape(
-        len(covs), -1)], axis=1), axis=1)[..., None]
-    shaped = (vecs * (frames.eigvals[:, None] / t)) @ vecs.swapaxes(1, 2)
-    _require(np.abs(placed - means / s).max() <= tol
-             and np.abs(shaped - covs / t).max() <= tol,
-             "chain link frames do not give back its components")
 
 
 def save_policy(path, policy: LpvDsPolicy, chain: ElasticChain,

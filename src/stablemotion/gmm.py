@@ -70,6 +70,8 @@ class OrderedGmm:
             raise ValidationError("need one order score per component")
         if np.any(np.diff(self.order_scores) < 0):
             raise ValidationError("order_scores must be nondecreasing")
+        if not all(0.0 <= s <= 1.0 for s in self.order_scores):
+            raise ValidationError("order_scores must lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.components)
@@ -361,7 +363,8 @@ def order_components(components: Sequence[GaussianComponent],
     s = s / max(s[-1], 1e-300)
     resp = responsibilities_batch(components, pts)
     weights = resp.sum(axis=0)
-    scores = (resp.T @ s) / np.maximum(weights, 1e-300)
+    # a weighted mean of s in [0, 1], kept there against rounding
+    scores = np.clip((resp.T @ s) / np.maximum(weights, 1e-300), 0.0, 1.0)
     start_dist = np.array([np.linalg.norm(c.mean - pts[0]) for c in components])
     order = np.lexsort((start_dist, scores))
     return OrderedGmm(tuple(components[i] for i in order),

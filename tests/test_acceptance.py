@@ -190,7 +190,7 @@ def test_3_transform_correctness():
         exit_ = frame_from_two_points(rng.normal(size=2) + 10.0,
                                       rng.normal(size=2) + 15.0)
         L = build_laplacian(m)
-        out, pins = solve_constrained_edit(joints, enter, exit_, lengths)
+        out, pins = solve_constrained_edit(joints, enter, exit_)
         oracle = kkt_oracle(L, L @ joints, pins)
         worst = max(worst, float(np.max(np.abs(out - oracle))))
     ok = ok and worst < 1e-8

@@ -18,7 +18,10 @@ from stablemotion.core import (
     frame_from_two_points,
 )
 from stablemotion.errors import RankDeficientSystem, ValidationError
+from stablemotion.fileio import load_policy, save_policy
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
+from stablemotion.pipeline import adapt
+from stablemotion.profile import ProfileConfig
 from conftest import helix_demo, s_curve_demo
 
 
@@ -78,7 +81,7 @@ def reference_transform(chain, descriptor):
     from the chain's components, recreated along the edited links, the
     along-link mean coordinate and variance scaled by the length ratio."""
     new_joints, _ = solve_constrained_edit(
-        chain.joints, descriptor.enter, descriptor.exit, chain.link_lengths)
+        chain.joints, descriptor.enter, descriptor.exit)
     out = []
     for k, comp in enumerate(chain.components.components):
         mean, vecs, vals, along = reference_link_frame(
@@ -194,8 +197,7 @@ class TestSolveConstrainedEdit:
     def test_identity_edit(self):
         chain, _ = fitted_chain()
         desc = chain.endpoint_descriptor()
-        out, _ = solve_constrained_edit(chain.joints, desc.enter, desc.exit,
-                                        chain.link_lengths)
+        out, _ = solve_constrained_edit(chain.joints, desc.enter, desc.exit)
         assert np.max(np.abs(out - chain.joints)) < 1e-9
 
     def test_pure_translation(self):
@@ -204,8 +206,7 @@ class TestSolveConstrainedEdit:
         t = np.array([2.5, -1.0])
         enter = Pose(desc.enter.position + t, desc.enter.rotation)
         exit_ = Pose(desc.exit.position + t, desc.exit.rotation)
-        out, _ = solve_constrained_edit(chain.joints, enter, exit_,
-                                        chain.link_lengths)
+        out, _ = solve_constrained_edit(chain.joints, enter, exit_)
         assert np.max(np.abs(out - (chain.joints + t))) < 1e-9
 
     def test_rotated_end_matches_kkt_oracle(self):
@@ -229,7 +230,7 @@ class TestSolveConstrainedEdit:
             exit_ = frame_from_two_points(rng.normal(size=2) + 10.0,
                                           rng.normal(size=2) + 15.0)
             L = build_laplacian(m)
-            out, pins = solve_constrained_edit(joints, enter, exit_, lengths)
+            out, pins = solve_constrained_edit(joints, enter, exit_)
             oracle = kkt_oracle(L, L @ joints, pins)
             assert np.max(np.abs(out - oracle)) < 1e-8
             # pinned joints hit their targets exactly
@@ -370,20 +371,27 @@ class TestStackedAgainstPerLinkReference:
             assert np.allclose(np.abs(np.sum(a * b, axis=1)), 1.0,
                                atol=1e-9)
 
-    def test_carried_chain_re_targets_like_a_derived_one(self, learned_chain):
+    def test_carried_chain_re_targets_like_a_derived_one(self, learned_chain,
+                                                         tmp_path):
         """A second edit from the carried frames gives what it gives from
-        frames derived afresh."""
+        frames derived afresh, in memory or from the adapted policy's
+        file."""
         chain = learned_chain
         first, second = moved_descriptors(chain, np.random.default_rng(10),
                                           3)[1:]
-        carried, comps = transform_chain(chain, first)
-        derived = chain_from_state(comps, carried.joints,
+        carried, _, policy = adapt(chain, first, ProfileConfig(p=200,
+                                                               dt=0.01))
+        derived = chain_from_state(carried.components.components,
+                                   carried.joints,
                                    chain.components.order_scores)
+        save_policy(tmp_path / "adapted.json", policy, carried)
+        _, loaded = load_policy(tmp_path / "adapted.json")
         _, a = transform_chain(carried, second)
-        _, b = transform_chain(derived, second)
-        for x, y in zip(a, b):
-            assert np.abs(x.mean - y.mean).max() <= 1e-12
-            assert np.abs(x.covariance - y.covariance).max() <= 1e-12
+        for other in (derived, loaded):
+            _, b = transform_chain(other, second)
+            for x, y in zip(a, b):
+                assert np.abs(x.mean - y.mean).max() <= 1e-12
+                assert np.abs(x.covariance - y.covariance).max() <= 1e-12
 
     def test_far_descriptor_is_rejected_before_the_edit(self):
         chain, _ = fitted_chain()

@@ -298,22 +298,14 @@ class TestMalformedFiles:
         lambda o: o.update(chain=5),
         lambda o: o["chain"].update(joints=o["chain"]["joints"][:-1]),
         lambda o: o["chain"]["joints"][1].append(0.0),
-        lambda o: o["chain"].update(link_lengths=[-1.0] * len(
-            o["chain"]["link_lengths"])),
         lambda o: o["chain"].update(order_scores=o["chain"]["order_scores"]
                                     [::-1] + [0.0]),
         lambda o: o["chain"].update(order_scores=["a"] * len(
             o["chain"]["order_scores"])),
-        lambda o: o["chain"].update(link_frames={}),
-        lambda o: o["chain"]["link_frames"][0].update(eigvals=[1.0]),
-        lambda o: o["chain"]["link_frames"][0].update(along_index=7),
-        lambda o: o["chain"]["link_frames"][0].update(along_index=0.5),
         lambda o: o["components"][0].update(prior=0.9),
     ], ids=["chain_not_an_object", "too_few_joints", "ragged_joints",
-            "negative_link_lengths", "order_scores_count",
-            "order_scores_not_numbers", "link_frames_not_a_list",
-            "link_frame_eigvals_shape", "along_index_out_of_range",
-            "along_index_not_an_integer", "priors_do_not_sum_to_one"])
+            "order_scores_count", "order_scores_not_numbers",
+            "priors_do_not_sum_to_one"])
     def test_malformed_policy(self, tmp_path, policy_file, edit):
         assert self._rollout_edited(tmp_path, policy_file, edit) == \
             EXIT_VALIDATION
@@ -602,15 +594,13 @@ def _far(*path):
 
 @pytest.mark.parametrize("target, edit", [
     ("policy", _far("chain", "joints", 1, 0)),
-    ("policy", _far("chain", "link_lengths", 0)),
-    ("policy", _far("chain", "link_frames", 0, "eigvals", 1)),
-    ("policy", _far("chain", "link_frames", 1, "local_mean", 0)),
-    ("policy", _far("chain", "link_frames", 2, "local_eigvecs", 0, 1)),
+    ("policy", _far("chain", "order_scores", -1)),
     ("policy", _far("components", 1, "covariance", 0, 0)),
+    ("policy", lambda o: o["components"][1].update(
+        covariance=(1e300 * np.eye(len(o["attractor"]))).tolist())),
     ("descriptor", _far("enter", "position", 0)),
     ("descriptor", _far("exit", "rotation", 1, 0)),
-], ids=["chain_joint", "link_length", "link_frame_eigval",
-        "link_frame_local_mean", "link_frame_eigvec", "covariance",
+], ids=["chain_joint", "order_score", "covariance", "covariance_spread",
         "descriptor_position", "descriptor_rotation"])
 def test_far_value_is_rejected_without_overflow(valid_files, tmp_path, target,
                                                 edit):

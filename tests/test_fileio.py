@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stablemotion.chain import link_frames
 from stablemotion.core import GeometricDescriptor, Pose, Trajectory
 from stablemotion.errors import ValidationError
 from stablemotion.fileio import (
@@ -117,6 +118,15 @@ class TestDescriptor:
         assert np.max(np.abs(R.T @ R - np.eye(2))) < 1e-12
 
 
+def _set(*path, value):
+    """An edit that sets the entry at `path` of a JSON object to `value`."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
 class TestPolicyRoundTrip:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -161,6 +171,49 @@ class TestPolicyRoundTrip:
         policy2, chain2 = policy_from_dict(json.loads(blob1))
         blob2 = json.dumps(policy_to_dict(policy2, chain2))
         assert blob1 == blob2
+
+    @pytest.mark.parametrize("edit", [
+        lambda o: None,
+        _set("components", 0, "b", 0, value=1e300),
+        _set("chain", "link_lengths", 0, value=-1.0),
+        _set("chain", "link_lengths", 0, value=1e300),
+        _set("chain", "link_frames", value={}),
+        _set("chain", "link_frames", 0, "eigvals", value=[1.0]),
+        _set("chain", "link_frames", 0, "eigvals", 1, value=1e300),
+        _set("chain", "link_frames", 1, "local_mean", 0, value=1e300),
+        _set("chain", "link_frames", 2, "local_eigvecs", 0, 1, value=1e300),
+        _set("chain", "link_frames", 0, "along_index", value=7),
+        _set("chain", "link_frames", 0, "along_index", value=0.5),
+    ], ids=["as_written", "far_b", "negative_link_lengths", "far_link_length",
+            "link_frames_not_a_list", "link_frame_eigvals_shape",
+            "far_link_frame_eigval", "far_link_frame_local_mean",
+            "far_link_frame_eigvec", "along_index_out_of_range",
+            "along_index_not_an_integer"])
+    def test_old_files_still_load(self, learned, edit):
+        """A file that still carries each component's `b` and the chain's
+        link lengths and link frames (derived values that files no longer
+        store) loads to the same policy and chain, whatever those keys
+        hold."""
+        chain, policy = learned
+        obj = policy_to_dict(policy, chain)
+        for comp, b in zip(obj["components"], policy.b):
+            comp["b"] = b.tolist()
+        lf = chain.link_frames
+        obj["chain"]["link_lengths"] = np.linalg.norm(
+            np.diff(chain.joints, axis=0), axis=1).tolist()
+        obj["chain"]["link_frames"] = [
+            {"local_mean": m.tolist(), "local_eigvecs": v.tolist(),
+             "eigvals": e.tolist(), "along_index": int(a)}
+            for m, v, e, a in zip(lf.local_mean, lf.local_eigvecs,
+                                  lf.eigvals, lf.along_index)]
+        edit(obj)
+        policy2, chain2 = policy_from_dict(json.loads(json.dumps(obj)))
+        assert policy_to_dict(policy2, chain2) == policy_to_dict(policy,
+                                                                 chain)
+        frames = link_frames(policy2.components, chain2.joints)
+        for name in ("local_mean", "local_eigvecs", "eigvals", "along_index"):
+            assert np.array_equal(getattr(chain2.link_frames, name),
+                                  getattr(frames, name))
 
     def test_provenance(self, learned, tmp_path):
         chain, policy = learned
