@@ -40,7 +40,8 @@ print(f"split at via-point {via}: segment lengths "
 shift = np.array([0.0, 0.25])
 segments = []
 for i, part in enumerate(parts):
-    chain, _ = learn(part, GmmFitConfig(k_max=3, restarts=2, seed=0))
+    # EM seeds from contiguous blocks of the segment, in order
+    chain, _ = learn(part, GmmFitConfig(k_max=3, restarts=2))
     base = chain.endpoint_descriptor()
     desc = GeometricDescriptor(
         enter=Pose(base.enter.position + (shift if i == 1 else 0),

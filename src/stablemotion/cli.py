@@ -84,9 +84,9 @@ def _single_demo(path):
     return compute_velocities(trajectories[0]), via, descriptor
 
 
-def _gmm_cfg(args, cfg) -> GmmFitConfig:
+def _gmm_cfg(cfg) -> GmmFitConfig:
     return GmmFitConfig(k_min=cfg.get("k_min", 1), k_max=cfg.get("k_max", 8),
-                        restarts=cfg.get("restarts", 5), seed=args.seed)
+                        restarts=cfg.get("restarts", 5))
 
 
 def _estimate_opts(cfg) -> EstimateOptions:
@@ -101,7 +101,7 @@ def _mse(policy, points, velocities) -> float:
 def cmd_fit(args, cfg) -> int:
     demo, _, _ = _single_demo(args.demo)
     t0 = time.perf_counter()
-    chain, policy = learn(demo, _gmm_cfg(args, cfg), _estimate_opts(cfg))
+    chain, policy = learn(demo, _gmm_cfg(cfg), _estimate_opts(cfg))
     elapsed = time.perf_counter() - t0
     fileio.save_policy(args.output, policy, chain,
                        fileio.make_provenance(source_path=args.demo))
@@ -150,10 +150,10 @@ def cmd_rollout(args, cfg) -> int:
     start = args.start if args.start is not None else chain.joints[0]
     run = rollout(policy, start, _rollout_cfg_for(chain, cfg))
     traj = run.trajectory
-    lyap = [lyapunov_value(policy, p) for p in traj.points]
     with open(args.output, "w") as fh:
-        fh.write(fileio.rollout_csv(compute_velocities(traj)
-                                    if len(traj) > 1 else traj, lyap))
+        fh.write(fileio.rollout_csv(
+            compute_velocities(traj) if len(traj) > 1 else traj,
+            lyapunov_value(policy, traj.points)))
     _report(args, {"command": "rollout", "steps": len(traj),
                    "converged": run.converged, "output": args.output})
     return EXIT_OK
@@ -204,7 +204,7 @@ def cmd_bench(args, cfg) -> int:
     rows = []
     for n in args.lengths:
         resampled = compute_velocities(_resample(demo, n))
-        chain, _ = learn(resampled, _gmm_cfg(args, cfg),
+        chain, _ = learn(resampled, _gmm_cfg(cfg),
                          _estimate_opts(cfg))
         # shift both ends by a tenth of the span: a representative re-target
         span = resampled.end - resampled.start
@@ -287,7 +287,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="stablemotion",
                      description="Learn, re-target, and execute stable "
                                  "motion policies from one demonstration.")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", default=None,
                         help=f"JSON defaults (or ${CONFIG_ENV})")
     parser.add_argument("--quiet", action="store_true")

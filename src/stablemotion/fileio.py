@@ -26,6 +26,9 @@ DEMO_FORMAT = "stablemotion-demo"
 POLICY_FORMAT = "stablemotion-policy"
 DESCRIPTOR_FORMAT = "stablemotion-descriptor"
 FORMAT_VERSION = 1
+# the largest |joint coordinate| a policy file may hold: the joint diameter
+# is then below 7 times it, and the reach in diameters squared is finite
+_JOINT_BOUND = np.sqrt(np.finfo(float).max) / (8.0 * DEFAULT_TOLERANCES.reach)
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -214,8 +217,9 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     # a joint, mean or covariance far outside the workspace would overflow
     # the link lengths or the mixture's quadratic forms, and is rejected
     # first: the joints in units of a power of two near the largest entry,
-    # so that no square overflows, then the means and spreads in the
-    # (now finite) joint diameter
+    # so that no square overflows; then the joints against an absolute
+    # bound, which catches far values that agree; then the means and
+    # spreads in the (now finite) joint diameter
     anchors = np.vstack([means, attractor])
     s = _pow2_scale(np.vstack([joints, anchors]))
     far = np.linalg.norm(joints / s - (anchors / s).mean(axis=0), axis=1)
@@ -224,6 +228,8 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
              f"a chain joint lies more than {DEFAULT_TOLERANCES.reach:g} "
              f"diameters of the component means and attractor from their "
              f"centre")
+    _require(np.abs(joints).max() <= _JOINT_BOUND,
+             f"a chain joint coordinate exceeds {_JOINT_BOUND:.3g}")
     far = means - attractor
     reach = DEFAULT_TOLERANCES.reach * joint_diameter(joints)
     _require(np.abs(far).max() <= reach and np.linalg.norm(far, axis=1).max()

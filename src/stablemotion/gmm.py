@@ -1,18 +1,19 @@
 """Gaussian mixture fitting and chain ordering.
 
-EM with k-means++ restarts and BIC model selection over K; the
-(K, restart) runs are stepped together in one lockstep loop. The fit is
-deterministic given the config seed; restarts use seed-indexed RNG streams
-so evaluation order cannot change the result. One kernel, `Mixture`,
-answers every density query: each log-density is a linear form in the
-lifted data [vec(y y^T); y; 1], so EM's M step and E step are one matrix
-product each.
+EM with BIC model selection over K. Each (K, restart) run starts from the
+demonstration cut, in order, into K contiguous blocks (a restart shifts
+the cuts), so a fit depends on its data and config alone; the runs are
+stepped together in one lockstep loop. One kernel, `Mixture`, answers
+every density query: each log-density is a linear form in the lifted
+data [vec(y y^T); y; 1], so EM's M step and E step are one matrix product
+each.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ class GmmFitConfig:
     k_min: int = 1
     k_max: int = 8
     restarts: int = 5
-    seed: int = 0
     covariance_floor: Optional[float] = None  # None: 1e-6 * tr(cov)/d
     max_em_iters: int = 200
     loglik_tol: float = 1e-7
@@ -45,8 +45,6 @@ class GmmFitConfig:
             raise ValidationError("need 1 <= k_min <= k_max")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         if self.covariance_floor is not None and self.covariance_floor <= 0:
             raise ValidationError("covariance_floor must be positive")
         if self.max_em_iters < 1:
@@ -185,28 +183,13 @@ def responsibilities_batch(components: Sequence[GaussianComponent],
     return Mixture.from_components(components, origin).weigh(phi)[0].T
 
 
-def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = data.shape[0]
-    centers = [data[rng.integers(n)]]
-    d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
-    for _ in range(1, k):
-        d2 = np.minimum(d2, np.sum((data - centers[-1]) ** 2, axis=1))
-        total = d2.sum()
-        if total <= 0:  # all points identical / already covered
-            centers.append(data[rng.integers(n)])
-            continue
-        centers.append(data[rng.choice(n, p=d2 / total)])
-    return np.array(centers)
-
-
-def _seed_resp(data: np.ndarray, k: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """Hard assignment (k, n) of the data to its nearest k-means++ seed."""
-    means = _kmeanspp_init(data, k, rng)
-    d2 = np.stack([np.sum((data - m) ** 2, axis=1) for m in means])
-    resp = np.zeros((k, data.shape[0]))
-    resp[np.argmin(d2, axis=0), np.arange(data.shape[0])] = 1.0
-    return resp
+def _block_resp(n: int, k: int, phase: Fraction) -> np.ndarray:
+    """Hard assignment (k, n) of n samples, in row order, to k contiguous
+    blocks cut at n (j + phase) / k for j = 1..k-1; a sample on a cut
+    starts the later block. Integer arithmetic keeps the cuts exact."""
+    p, q = phase.numerator, phase.denominator
+    labels = (q * k * np.arange(n) - p * n) // (q * n)
+    return np.eye(k)[:, np.clip(labels, 0, k - 1)]
 
 
 def _stack_runs(inits: Sequence[np.ndarray], d: int, floor: float):
@@ -310,10 +293,15 @@ def _bic(loglik: float, k: int, n: int, d: int) -> float:
 
 
 def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
-    """Best-of-restarts EM for each K in [k_min, k_max]; BIC picks K.
+    """EM for each K in [k_min, k_max], `restarts` runs each; BIC picks
+    the run.
 
-    Every (K, restart) run starts from its own k-means++ seeds. The runs
-    are stacked, padded to k_max, and `_em_lockstep` steps them together.
+    The rows of `data` are the demonstration's samples in order. Run r of
+    R for a given K starts from K contiguous blocks of them, cut at
+    n (j + phi_r) / K for j = 1..K-1 with phi_r = (r - (R - 1) / 2) / R:
+    R = 1 is the equal split, and as |phi_r| < 1/2 every block holds at
+    least d samples when n >= 2 d k_max. The runs are stacked, padded to
+    k_max, and `_em_lockstep` steps them together.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
@@ -326,9 +314,10 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
     else:
         floor = cfg.covariance_floor
 
+    R = cfg.restarts
     runs = [(k, r) for k in range(cfg.k_min, cfg.k_max + 1)
-            for r in range(cfg.restarts)]
-    inits = [_seed_resp(data, k, np.random.default_rng([cfg.seed, k, r]))
+            for r in range(R)]
+    inits = [_block_resp(n, k, Fraction(2 * r - R + 1, 2 * R))
              for k, r in runs]
     fits = _em_lockstep(np.ascontiguousarray(data.T),
                         *_stack_runs(inits, d, floor), cfg.max_em_iters,

@@ -107,9 +107,12 @@ def evaluate_batch(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
     return (mixed @ phi[d * d:-1].T[..., None])[..., 0]
 
 
-def lyapunov_value(policy: LpvDsPolicy, xi: np.ndarray) -> float:
+def lyapunov_value(policy: LpvDsPolicy, xi: np.ndarray):
+    """V = y^T P y, y = x - x*: a float for one state, shape (n,) for a
+    batch of states (n, d)."""
     y = np.asarray(xi, dtype=float) - policy.attractor
-    return float(y @ policy.P @ y)
+    v = ((y @ policy.P) * y).sum(axis=-1)
+    return float(v) if v.ndim == 0 else v
 
 
 def constraint_residual(policy: LpvDsPolicy) -> float:

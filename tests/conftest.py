@@ -42,7 +42,7 @@ def two_segment_plan():
     parts = split_demo(demo, [demo.points[100]], radius=1e-9)
     segs = []
     for part in parts:
-        chain, policy = learn(part, GmmFitConfig(k_max=3, restarts=2, seed=0))
+        chain, policy = learn(part, GmmFitConfig(k_max=3, restarts=2))
         segs.append(Segment(chain, chain.endpoint_descriptor(), policy))
     return TaskPlan(tuple(segs)), demo
 

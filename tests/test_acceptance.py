@@ -61,7 +61,7 @@ def _diameter(points: np.ndarray) -> float:
 def test_1_scenario_reproduction_both_ends_shifted():
     t0 = time.perf_counter()
     demo = s_curve_demo(n=200)
-    chain, _ = learn(demo, GmmFitConfig(k_max=6, restarts=3, seed=0))
+    chain, _ = learn(demo, GmmFitConfig(k_max=6, restarts=3))
     desc = _shifted(chain.endpoint_descriptor(), [-0.25, 0.35], [0.3, -0.25])
     new_chain, profile, policy = adapt(chain, desc,
                                        ProfileConfig.for_demo(demo))
@@ -125,8 +125,7 @@ def test_2_stability_suite():
     ok = True
     for demo in demos:
         # k_min=3 keeps >= 4 joints, enough for pins at both ends
-        chain, _ = learn(demo, GmmFitConfig(k_min=3, k_max=4, restarts=2,
-                                            seed=0))
+        chain, _ = learn(demo, GmmFitConfig(k_min=3, k_max=4, restarts=2))
         base = chain.endpoint_descriptor()
         span = 0.2 * _diameter(demo.points)
         variants = [
@@ -154,7 +153,7 @@ def test_2_stability_suite():
 def test_3_transform_correctness():
     rng = np.random.default_rng(7)
     demo = s_curve_demo()
-    chain, _ = learn(demo, GmmFitConfig(k_max=4, restarts=2, seed=0))
+    chain, _ = learn(demo, GmmFitConfig(k_max=4, restarts=2))
     ok = True
 
     # identity transform
@@ -260,7 +259,7 @@ def test_5_oracle_equivalence_3d():
 
 def test_6_timing(tmp_path, capsys):
     demo = s_curve_demo(n=200)
-    chain, _ = learn(demo, GmmFitConfig(k_max=6, restarts=3, seed=0))
+    chain, _ = learn(demo, GmmFitConfig(k_max=6, restarts=3))
     desc = _shifted(chain.endpoint_descriptor(), [0.2, 0.2], [-0.2, 0.2])
     # warm up JIT-free but cache-warm path once, then measure
     adapt_policy(chain, desc, ProfileConfig.for_demo(demo))
@@ -291,7 +290,7 @@ def test_7_multi_segment_plans():
     parts = split_demo(demo, [demo.points[100]], radius=1e-9)
     chains = []
     for part in parts:
-        chain, _ = learn(part, GmmFitConfig(k_max=3, restarts=2, seed=0))
+        chain, _ = learn(part, GmmFitConfig(k_max=3, restarts=2))
         chains.append(chain)
     ok = True
     for relocation in ([0.0, 0.25], [0.2, -0.15], [-0.15, 0.2]):

@@ -118,7 +118,7 @@ def moved_descriptors(chain, rng, n):
 @pytest.fixture(scope="module", params=["s_curve", "helix"])
 def learned_chain(request):
     demo = (s_curve_demo if request.param == "s_curve" else helix_demo)()
-    chain, _ = fitted_chain(demo, seed=0, k_max=6)
+    chain, _ = fitted_chain(demo, k_max=6)
     return chain
 
 
@@ -127,10 +127,9 @@ def unit_gaussian(x, y, prior=0.5, cov=None):
                              np.eye(2) if cov is None else cov)
 
 
-def fitted_chain(demo=None, seed=3, k_max=5):
+def fitted_chain(demo=None, k_max=5):
     demo = demo or s_curve_demo()
-    comps = fit_gmm(demo.points, GmmFitConfig(k_max=k_max, restarts=3,
-                                              seed=seed))
+    comps = fit_gmm(demo.points, GmmFitConfig(k_max=k_max, restarts=3))
     return build_chain(order_components(comps, demo), demo), demo
 
 

@@ -58,10 +58,11 @@ class TestFit:
         assert len(policy.components) == 1
 
     def test_seed_determinism(self, tmp_path, demo_file):
+        # EM seeds from the demo's order: a fit has no random state
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         for out in (a, b):
-            main(["--quiet", "--seed", "7", "fit", demo_file,
+            main(["--quiet", "fit", demo_file,
                   "-o", str(out), "--k-max", "3", "--restarts", "2"])
         pa = json.loads(a.read_text())
         pb = json.loads(b.read_text())
@@ -114,6 +115,17 @@ class TestRolloutField:
         V = np.array([float(l.split(",")[-1]) for l in lines[1:]])
         assert len(V) > 10
         assert np.all(np.diff(V) <= 1e-12)
+
+    def test_rollout_csv_lyapunov_is_the_quadratic_form(self, tmp_path,
+                                                        policy_file):
+        out = tmp_path / "run.csv"
+        assert main(["--quiet", "rollout", policy_file, "-o",
+                     str(out)]) == EXIT_OK
+        policy, _ = fileio.load_policy(policy_file)
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        y = rows[:, 1:1 + policy.dim] - policy.attractor
+        want = np.array([float(v @ policy.P @ v) for v in y])
+        np.testing.assert_allclose(rows[:, -1], want, rtol=1e-15, atol=0.0)
 
     def test_rollout_custom_start(self, tmp_path, policy_file):
         out = tmp_path / "run.csv"
@@ -434,9 +446,9 @@ _BAD_INPUTS = [
     pytest.param(lambda t, d, p: ["fit", d, "-o", str(t / "o.json"),
                                   "--k-max", "0", "--restarts", "0"],
                  EXIT_VALIDATION, id="zero_flags_reach_the_config"),
-    pytest.param(lambda t, d, p: ["--seed", "-1", "fit", d,
+    pytest.param(lambda t, d, p: ["--seed", "7", "fit", d,
                                   "-o", str(t / "o.json")],
-                 EXIT_VALIDATION, id="seed_negative"),
+                 EXIT_USAGE, id="seed_is_not_a_flag"),
 ]
 
 
@@ -592,6 +604,14 @@ def _far(*path):
     return edit
 
 
+def _both(*edits):
+    """The edits applied together."""
+    def edit(obj):
+        for one in edits:
+            one(obj)
+    return edit
+
+
 @pytest.mark.parametrize("target, edit", [
     ("policy", _far("chain", "joints", 1, 0)),
     ("policy", _far("chain", "order_scores", -1)),
@@ -600,8 +620,13 @@ def _far(*path):
         covariance=(1e300 * np.eye(len(o["attractor"]))).tolist())),
     ("descriptor", _far("enter", "position", 0)),
     ("descriptor", _far("exit", "rotation", 1, 0)),
+    # far pairs that agree, so neither is far from the other
+    ("policy", _both(_far("components", 0, "mean", 0),
+                     _far("chain", "joints", 1, 0))),
+    ("policy", _both(_far("attractor", 0), _far("chain", "joints", -1, 0))),
 ], ids=["chain_joint", "order_score", "covariance", "covariance_spread",
-        "descriptor_position", "descriptor_rotation"])
+        "descriptor_position", "descriptor_rotation", "mean_and_joint",
+        "attractor_and_last_joint"])
 def test_far_value_is_rejected_without_overflow(valid_files, tmp_path, target,
                                                 edit):
     """A value moved out to 1e300 in the policy or the descriptor ends a

@@ -88,7 +88,7 @@ class TestRollout:
 
     def test_lyapunov_monotone_along_rollout(self, rng):
         demo = s_curve_demo()
-        _, policy = learn(demo, GmmFitConfig(k_max=4, restarts=2, seed=2))
+        _, policy = learn(demo, GmmFitConfig(k_max=4, restarts=2))
         for _ in range(5):
             x0 = rng.uniform(-0.5, 2.5, size=2)
             run = rollout(policy, x0, RolloutConfig(dt=0.005,
@@ -129,12 +129,12 @@ def reference_rollout(policy_or_plan, xi0, cfg):
 
 @pytest.fixture(scope="module")
 def learned_2d():
-    return learn(s_curve_demo(), GmmFitConfig(k_max=4, restarts=2, seed=2))[1]
+    return learn(s_curve_demo(), GmmFitConfig(k_max=4, restarts=2))[1]
 
 
 @pytest.fixture(scope="module")
 def learned_3d():
-    return learn(helix_demo(), GmmFitConfig(k_max=4, restarts=2, seed=2))[1]
+    return learn(helix_demo(), GmmFitConfig(k_max=4, restarts=2))[1]
 
 
 class TestRolloutMatchesScalarReference:
@@ -184,7 +184,7 @@ class TestStiffness:
     @pytest.mark.parametrize("make_demo", [s_curve_demo, arc_demo, helix_demo])
     def test_default_dt_within_rk4_limit(self, make_demo):
         demo = make_demo()
-        chain, policy = learn(demo, GmmFitConfig(k_max=6, restarts=3, seed=0))
+        chain, policy = learn(demo, GmmFitConfig(k_max=6, restarts=3))
         base = chain.endpoint_descriptor()
         shift = np.full(demo.dim, 0.2)
         desc = GeometricDescriptor(
@@ -228,7 +228,7 @@ class TestStiffness:
 class TestRolloutBatch:
     def test_matches_sequential(self, rng):
         demo = s_curve_demo()
-        _, policy = learn(demo, GmmFitConfig(k_max=3, restarts=2, seed=1))
+        _, policy = learn(demo, GmmFitConfig(k_max=3, restarts=2))
         starts = rng.uniform(-0.5, 2.5, size=(8, 2))
         cfg = RolloutConfig(dt=0.01, convergence_radius=1e-3)
         finals, done = rollout_batch(policy, starts, cfg)
@@ -313,7 +313,7 @@ class TestSampleField:
 class TestBenchAdaptation:
     def test_report_fields_and_determinism(self):
         demo = s_curve_demo()
-        chain, _ = learn(demo, GmmFitConfig(k_max=4, restarts=2, seed=0))
+        chain, _ = learn(demo, GmmFitConfig(k_max=4, restarts=2))
         base = chain.endpoint_descriptor()
         shift = np.array([0.3, -0.2])
         desc = GeometricDescriptor(
@@ -334,7 +334,7 @@ class TestBenchAdaptation:
 
     def test_repeats_guard(self):
         demo = s_curve_demo()
-        chain, _ = learn(demo, GmmFitConfig(k_max=3, restarts=2, seed=0))
+        chain, _ = learn(demo, GmmFitConfig(k_max=3, restarts=2))
         with pytest.raises(ValueError):
             bench_adaptation(chain, chain.endpoint_descriptor(),
                              ProfileConfig.for_demo(demo), repeats=0)

@@ -132,7 +132,7 @@ class TestPolicyRoundTrip:
     @staticmethod
     def learned():
         demo = s_curve_demo()
-        return learn(demo, GmmFitConfig(k_max=3, restarts=2, seed=0))
+        return learn(demo, GmmFitConfig(k_max=3, restarts=2))
 
     def test_bit_exact_numbers(self, learned, tmp_path):
         chain, policy = learned

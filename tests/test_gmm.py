@@ -1,4 +1,5 @@
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,33 +80,23 @@ def lifted_tolerance(covs, means, origin, points):
     return (d * d + d + 2) * np.finfo(float).eps * lam * reach
 
 
-def reference_kmeanspp_init(data, k, rng):
-    """k-means++ seeding that takes the minimum over every earlier centre
-    at each draw."""
-    n = data.shape[0]
-    centers = [data[rng.integers(n)]]
-    for _ in range(1, k):
-        d2 = np.min(
-            [np.sum((data - c) ** 2, axis=1) for c in centers], axis=0)
-        total = d2.sum()
-        if total <= 0:
-            centers.append(data[rng.integers(n)])
-            continue
-        centers.append(data[rng.choice(n, p=d2 / total)])
-    return np.array(centers)
+def reference_block_labels(n, k, phase):
+    """Each sample's block: the number of cuts n (j + phase) / k,
+    j = 1..k-1, at or below its index, in exact fractions."""
+    cuts = [n * (j + phase) / k for j in range(1, k)]
+    return np.array([sum(cut <= i for cut in cuts) for i in range(n)])
 
 
-def reference_em_single(data, k, floor, rng, max_iters, tol):
-    """One EM run on its own: k-means++ seeds, hard assignment, then
+def reference_em_single(data, k, floor, phase, max_iters, tol):
+    """One EM run on its own: the hard assignment of the rows of `data`
+    to k contiguous blocks (`reference_block_labels`), then
     `reference_em_step` until the log-likelihood rises by less than `tol`
     (relative), falls (the run returns its previous parameters; a fall of
     more than 1e-3 is an error) or `max_iters` steps have run. Returns
     (priors, means, covs, loglik, steps, whether it rolled back)."""
     n = data.shape[0]
-    seeds = reference_kmeanspp_init(data, k, rng)
-    d2 = np.stack([np.sum((data - m) ** 2, axis=1) for m in seeds])
     resp = np.zeros((k, n))
-    resp[np.argmin(d2, axis=0), np.arange(n)] = 1.0
+    resp[reference_block_labels(n, k, phase), np.arange(n)] = 1.0
     points = np.ascontiguousarray(data.T)
     slack = DEFAULT_TOLERANCES.em_loglik_slack
     prev_ll, prev = -np.inf, None
@@ -122,9 +113,10 @@ def reference_em_single(data, k, floor, rng, max_iters, tol):
 
 def reference_fit_gmm(data, cfg):
     """`fit_gmm` one run at a time with `reference_em_single`, BIC and the
-    (bic, k, restart) tie-break. Returns the components and, in
-    (K, restart) order, each run's (BIC, EM steps, whether it rolled
-    back)."""
+    (bic, k, restart) tie-break; restart r of R cuts its blocks at phase
+    (r - (R - 1) / 2) / R. Returns the chosen components and, in
+    (K, restart) order, each run's (BIC, EM steps, whether it rolled back,
+    components)."""
     n, d = data.shape
     floor = cfg.covariance_floor or max(
         1e-6 * float(np.trace(np.cov(data.T))) / d, 1e-12)
@@ -132,16 +124,17 @@ def reference_fit_gmm(data, cfg):
     for k in range(cfg.k_min, cfg.k_max + 1):
         for r in range(cfg.restarts):
             priors, means, covs, ll, step, back = reference_em_single(
-                data, k, floor, np.random.default_rng([cfg.seed, k, r]),
+                data, k, floor,
+                (r - Fraction(cfg.restarts - 1, 2)) / cfg.restarts,
                 cfg.max_em_iters, cfg.loglik_tol)
             n_params = (k - 1) + k * d + k * d * (d + 1) // 2
             key = (-2.0 * ll + n_params * np.log(n), k, r)
-            runs.append((key[0], step, back))
+            comps = [GaussianComponent(float(p), m, 0.5 * (c + c.T))
+                     for p, m, c in zip(priors / priors.sum(), means, covs)]
+            runs.append((key[0], step, back, comps))
             if best is None or key < best[0]:
-                best = (key, priors, means, covs)
-    _, priors, means, covs = best
-    return [GaussianComponent(float(p), m, 0.5 * (c + c.T))
-            for p, m, c in zip(priors / priors.sum(), means, covs)], runs
+                best = (key, comps)
+    return best[1], runs
 
 
 def fit_record(caplog, data, cfg):
@@ -222,26 +215,31 @@ class TestEmStep:
                              ids=["s_curve", "helix"])
     def test_fit_matches_component_loop_em(self, caplog, demo):
         # the lockstep fit against the runs fitted one at a time
-        cfg = GmmFitConfig(k_max=5, restarts=2, seed=11)
+        cfg = GmmFitConfig(k_max=5, restarts=2)
         self._check_against_reference(caplog, demo.points, cfg)
 
     def test_roll_back_matches_component_loop_em(self, caplog):
         # a floor this wide makes the log-likelihood fall near a fixed
-        # point: both K = 4 runs roll back
-        cfg = GmmFitConfig(k_min=3, k_max=4, restarts=2, seed=2,
-                           covariance_floor=1e-3)
+        # point: both K = 3 runs roll back
+        cfg = GmmFitConfig(k_min=3, k_max=4, restarts=2,
+                           covariance_floor=1e-4)
         want = self._check_against_reference(
             caplog, s_curve_demo().points, cfg)
-        assert [back for *_, back in want[2:]] == [True, True]
+        assert [run[2] for run in want] == [True, True, False, False]
 
     def _check_against_reference(self, caplog, data, cfg):
         fast, (_, runs, _, _) = fit_record(caplog, data, cfg)
         slow, want = reference_fit_gmm(data, cfg)
-        assert [run[3] for run in runs] == [steps for _, steps, _ in want]
-        for run, (bic, _, _) in zip(runs, want):
+        assert [run[3] for run in runs] == [run[1] for run in want]
+        for run, (bic, *_) in zip(runs, want):
             assert run[2] == pytest.approx(bic, rel=1e-9, abs=0.0)
-        assert len(fast) == len(slow)
-        for a, b in zip(fast, slow):
+        # restarts that reach one optimum tie in BIC to within rounding,
+        # which then decides between them: the fit is checked against the
+        # reference run of the (K, restart) it chose
+        chosen = min(range(len(runs)),
+                     key=lambda i: runs[i][2:3] + runs[i][:2])
+        assert len(fast) == len(slow) == len(want[chosen][3])
+        for a, b in zip(fast, want[chosen][3]):
             assert a.prior == pytest.approx(b.prior, rel=1e-9, abs=0.0)
             assert _relative_error(a.mean, b.mean) < 1e-9
             assert _relative_error(a.covariance, b.covariance) < 1e-9
@@ -259,7 +257,7 @@ class TestEmStep:
         points = np.ascontiguousarray(data.T)
         floor = 1e-6
         ks = [1, 2, 3, 4, 5, 6, 3, 6]
-        inits = [gmm._seed_resp(data, k, np.random.default_rng([5, k, i]))
+        inits = [gmm._block_resp(n, k, Fraction(i - 3, 10))
                  for i, k in enumerate(ks)]
         stacked = gmm._em_lockstep(
             points, *gmm._stack_runs(inits, d, floor), 200, 1e-7)
@@ -328,28 +326,32 @@ class TestLiftedPrecision:
         assert got[4] == pytest.approx(ll_ref, rel=1e-12, abs=0.0)
 
 
-class TestKmeansppInit:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_centres_match_minimum_over_all_centres(self, seed):
-        data = helix_demo(300).points
-        for k in range(1, 9):
-            got = gmm._kmeanspp_init(
-                data, k, np.random.default_rng([seed, k]))
-            want = reference_kmeanspp_init(
-                data, k, np.random.default_rng([seed, k]))
-            assert np.array_equal(got, want)
+class TestBlockSeed:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_block_holds_d_samples(self, d):
+        # at the fewest samples fit_gmm accepts, for every run it seeds
+        for k_max in range(1, 9):
+            n = 2 * d * k_max
+            for R in range(1, 9):
+                for r in range(R):
+                    phase = (r - Fraction(R - 1, 2)) / R
+                    for k in range(1, k_max + 1):
+                        resp = gmm._block_resp(n, k, phase)
+                        assert np.array_equal(
+                            resp.argmax(axis=0),
+                            reference_block_labels(n, k, phase))
+                        assert np.all(resp.sum(axis=0) == 1.0)
+                        assert resp.sum(axis=1).min() >= d
 
-    def test_identical_points(self):
-        data = np.tile([1.0, 2.0], (20, 1))
-        got = gmm._kmeanspp_init(data, 3, np.random.default_rng(4))
-        want = reference_kmeanspp_init(data, 3, np.random.default_rng(4))
-        assert np.array_equal(got, want)
+    def test_one_restart_splits_equally(self):
+        resp = gmm._block_resp(12, 4, Fraction(0))
+        assert np.array_equal(resp.argmax(axis=0), np.repeat(range(4), 3))
 
 
 class TestFitGmm:
     def test_two_separated_clusters_bic_selects_two(self):
         data = _two_cluster_data()
-        comps = fit_gmm(data, GmmFitConfig(k_max=4, restarts=3, seed=1))
+        comps = fit_gmm(data, GmmFitConfig(k_max=4, restarts=3))
         assert len(comps) == 2
         means = sorted([c.mean for c in comps], key=lambda m: m[0])
         assert np.linalg.norm(means[0] - [0, 0]) < 0.1
@@ -357,7 +359,7 @@ class TestFitGmm:
 
     def test_identical_points_clamped_covariance(self):
         data = np.tile([1.0, 2.0], (50, 1))
-        cfg = GmmFitConfig(k_max=2, restarts=2, covariance_floor=1e-6, seed=0)
+        cfg = GmmFitConfig(k_max=2, restarts=2, covariance_floor=1e-6)
         comps = fit_gmm(data, cfg)
         assert len(comps) == 1
         assert np.allclose(comps[0].covariance, 1e-6 * np.eye(2))
@@ -366,20 +368,23 @@ class TestFitGmm:
         with pytest.raises(InsufficientData):
             fit_gmm(np.zeros((3, 3)), GmmFitConfig(k_max=4))
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
+        # a fit depends on its data and config alone, not on earlier fits
         data = _two_cluster_data()
-        cfg = GmmFitConfig(k_max=3, restarts=3, seed=42)
+        cfg = GmmFitConfig(k_max=3, restarts=3)
         a = fit_gmm(data, cfg)
+        fit_gmm(data[::-1], cfg)
         b = fit_gmm(data, cfg)
+        assert len(a) == len(b)
         for ca, cb in zip(a, b):
+            assert ca.prior == cb.prior
             assert np.array_equal(ca.mean, cb.mean)
             assert np.array_equal(ca.covariance, cb.covariance)
 
     def test_translation_equivariance(self):
         data = _two_cluster_data()
         shift = np.array([3.7, -1.2])
-        cfg = GmmFitConfig(k_max=3, restarts=3, seed=5,
-                           covariance_floor=1e-8)
+        cfg = GmmFitConfig(k_max=3, restarts=3, covariance_floor=1e-8)
         a = sorted(fit_gmm(data, cfg), key=lambda c: c.mean[0])
         b = sorted(fit_gmm(data + shift, cfg), key=lambda c: c.mean[0])
         for ca, cb in zip(a, b):
@@ -406,7 +411,7 @@ class TestFitGmm:
         t = np.linspace(0, 1, 80)
         data = np.column_stack([t, 2.0 * t])
         comps = fit_gmm(data, GmmFitConfig(k_max=2, restarts=2,
-                                           covariance_floor=1e-4, seed=0))
+                                           covariance_floor=1e-4))
         for c in comps:
             assert np.linalg.eigvalsh(c.covariance)[0] >= 1e-4 * (1 - 1e-9)
 
@@ -422,9 +427,9 @@ class TestFitRecord:
         assert min(runs, key=lambda run: run[2:3] + run[:2])[0] == k
         assert cap == 200
         assert capped == [run[:2] for run in runs if run[3] == 200]
-        assert len(capped) == 7
+        assert len(capped) == 6
         _, want = reference_fit_gmm(arc_demo().points, cfg)
-        assert [run[3] for run in runs] == [steps for _, steps, _ in want]
+        assert [run[3] for run in runs] == [run[1] for run in want]
 
     def test_silent_by_default(self, caplog):
         logger = logging.getLogger("stablemotion")
@@ -498,16 +503,14 @@ class TestResponsibilities:
 
 class TestOrderComponents:
     def test_orders_along_demo(self, s_curve):
-        comps = fit_gmm(s_curve.points, GmmFitConfig(k_max=5, restarts=3,
-                                                     seed=3))
+        comps = fit_gmm(s_curve.points, GmmFitConfig(k_max=5, restarts=3))
         ordered = order_components(comps, s_curve)
         xs = [c.mean[0] for c in ordered.components]
         assert xs == sorted(xs)
         assert np.all(np.diff(ordered.order_scores) >= 0)
 
     def test_reversed_demo_reverses_order(self, s_curve):
-        comps = fit_gmm(s_curve.points, GmmFitConfig(k_max=5, restarts=3,
-                                                     seed=3))
+        comps = fit_gmm(s_curve.points, GmmFitConfig(k_max=5, restarts=3))
         fwd = order_components(comps, s_curve)
         rev_demo = Trajectory(s_curve.points[::-1].copy(),
                               s_curve.timestamps.copy())

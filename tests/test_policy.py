@@ -299,7 +299,7 @@ class TestEstimate:
 
     def test_feasibility_on_fitted_demo(self):
         demo = s_curve_demo()
-        comps = fit_gmm(demo.points, GmmFitConfig(k_max=5, restarts=3, seed=3))
+        comps = fit_gmm(demo.points, GmmFitConfig(k_max=5, restarts=3))
         ordered = order_components(comps, demo)
         policy = estimate(list(ordered.components), demo.points,
                           demo.velocities, demo.end)
@@ -312,7 +312,7 @@ class TestEstimate:
     def test_s_curve_reproduction_rmse(self):
         from stablemotion.evaluation import RolloutConfig, rollout
         demo = s_curve_demo()
-        comps = fit_gmm(demo.points, GmmFitConfig(k_max=6, restarts=3, seed=3))
+        comps = fit_gmm(demo.points, GmmFitConfig(k_max=6, restarts=3))
         ordered = order_components(comps, demo)
         policy = estimate(list(ordered.components), demo.points,
                           demo.velocities, demo.end)
@@ -334,7 +334,7 @@ class TestEstimate:
 
     def test_objective_not_worse_than_warm_start(self, rng):
         demo = s_curve_demo(n=120)
-        comps = fit_gmm(demo.points, GmmFitConfig(k_max=3, restarts=2, seed=1))
+        comps = fit_gmm(demo.points, GmmFitConfig(k_max=3, restarts=2))
         ordered = order_components(comps, demo)
         args = (list(ordered.components), demo.points, demo.velocities,
                 demo.end)
@@ -362,7 +362,7 @@ class TestEstimate:
     @pytest.mark.parametrize("max_iters", [3, 500])
     def test_reports_its_status_in_one_debug_record(self, caplog, max_iters):
         demo = s_curve_demo(n=120)
-        comps = fit_gmm(demo.points, GmmFitConfig(k_max=3, restarts=2, seed=1))
+        comps = fit_gmm(demo.points, GmmFitConfig(k_max=3, restarts=2))
         args = (comps, demo.points, demo.velocities, demo.end)
         with caplog.at_level(logging.DEBUG, logger="stablemotion"):
             estimate(*args, EstimateOptions(max_iters=max_iters))
@@ -426,7 +426,7 @@ def fitted_chains():
         if (shape, T) not in cache:
             demo = SHAPES[shape](T)
             comps = fit_gmm(demo.points,
-                            GmmFitConfig(k_max=6, restarts=3, seed=0))
+                            GmmFitConfig(k_max=6, restarts=3))
             cache[shape, T] = demo, order_components(comps, demo)
         return cache[shape, T]
     return get

@@ -74,7 +74,7 @@ class TestRegenerateProfile:
 
     def test_identity_chain_arc_length_close_to_demo(self):
         demo = s_curve_demo()
-        comps = fit_gmm(demo.points, GmmFitConfig(k_max=6, restarts=3, seed=3))
+        comps = fit_gmm(demo.points, GmmFitConfig(k_max=6, restarts=3))
         chain = build_chain(order_components(comps, demo), demo)
         traj = regenerate_profile(chain.joints, ProfileConfig.for_demo(demo))
         assert len(traj) == len(demo)

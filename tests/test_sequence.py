@@ -21,10 +21,9 @@ from stablemotion.sequence import (
 from conftest import line_demo, s_curve_demo, two_segment_plan
 
 
-def fitted_chain(demo, k_max=3, seed=0):
+def fitted_chain(demo, k_max=3):
     gmm = order_components(
-        fit_gmm(demo.points, GmmFitConfig(k_max=k_max, restarts=2, seed=seed)),
-        demo)
+        fit_gmm(demo.points, GmmFitConfig(k_max=k_max, restarts=2)), demo)
     return build_chain(gmm, demo)
 
 
@@ -68,7 +67,7 @@ class TestStitchChains:
     def test_joint_and_component_arithmetic(self):
         demo = s_curve_demo()
         parts = split_demo(demo, [demo.points[100]], radius=1e-9)
-        chains = [fitted_chain(p, seed=i) for i, p in enumerate(parts)]
+        chains = [fitted_chain(p) for p in parts]
         stitched = stitch_chains(chains)
         n_joints = sum(len(c.joints) for c in chains) - (len(chains) - 1)
         assert len(stitched.joints) == n_joints
