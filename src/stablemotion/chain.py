@@ -149,7 +149,7 @@ def build_chain(gmm: OrderedGmm, demo: Trajectory) -> ElasticChain:
     """Joints = demo start, K-1 Gaussian products, demo end; frames per link."""
     joints = np.vstack([demo.start, gaussian_joints(*_stack(gmm.components)),
                         demo.end])
-    return chain_from_state(gmm.components, joints, gmm.order_scores)
+    return chain_from_state(gmm.components, joints)
 
 
 def build_laplacian(m: int) -> np.ndarray:
@@ -263,16 +263,12 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
 
 
 def chain_from_state(components: Sequence[GaussianComponent],
-                     joints: np.ndarray,
-                     order_scores: Optional[Sequence[float]] = None) -> ElasticChain:
+                     joints: np.ndarray) -> ElasticChain:
     """Assemble a chain from already-ordered components and known joints,
     deriving its link frames."""
     joints = np.asarray(joints, dtype=float)
-    K = len(components)
-    if order_scores is None:
-        order_scores = tuple((k + 0.5) / K for k in range(K))
-    gmm = OrderedGmm(tuple(components), tuple(order_scores))
-    return ElasticChain(gmm, joints, link_frames(components, joints))
+    return ElasticChain(OrderedGmm(tuple(components)), joints,
+                        link_frames(components, joints))
 
 
 def transform_chain(chain: ElasticChain,
@@ -283,5 +279,4 @@ def transform_chain(chain: ElasticChain,
     new_joints, _ = solve_constrained_edit(chain.joints, descriptor.enter,
                                            descriptor.exit)
     frames, comps = _recovered(chain, new_joints)
-    gmm = OrderedGmm(tuple(comps), chain.components.order_scores)
-    return ElasticChain(gmm, new_joints, frames), comps
+    return ElasticChain(OrderedGmm(tuple(comps)), new_joints, frames), comps

@@ -82,21 +82,6 @@ class Pose:
     def x_axis(self) -> np.ndarray:
         return self.rotation[:, 0]
 
-    def compose(self, other: "Pose") -> "Pose":
-        return Pose(self.position + self.rotation @ other.position,
-                    self.rotation @ other.rotation)
-
-    def inverse(self) -> "Pose":
-        Rt = self.rotation.T
-        return Pose(-Rt @ self.position, Rt)
-
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        return self.position + self.rotation @ np.asarray(point, dtype=float)
-
-    @staticmethod
-    def identity(d: int) -> "Pose":
-        return Pose(np.zeros(d), np.eye(d))
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -186,10 +186,7 @@ def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
             {"prior": c.prior, "mean": c.mean.tolist(),
              "covariance": c.covariance.tolist(), "A": policy.A[k].tolist()}
             for k, c in enumerate(policy.components)],
-        "chain": {
-            "joints": chain.joints.tolist(),
-            "order_scores": list(chain.components.order_scores),
-        },
+        "chain": {"joints": chain.joints.tolist()},
         "provenance": provenance or {},
     }
 
@@ -197,8 +194,8 @@ def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
 def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     """The policy and chain of a policy file. The chain is rebuilt from
     the components and joints alone; the keys that earlier files also
-    wrote (each component's `b`, the chain's `link_lengths` and
-    `link_frames`) are derived values and are ignored."""
+    wrote (each component's `b`, the chain's `link_lengths`, `link_frames`
+    and `order_scores`) are derived or unread values and are ignored."""
     _check_header(obj, POLICY_FORMAT)
     components = obj.get("components")
     _require(isinstance(components, list) and len(components) > 0
@@ -238,8 +235,7 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     _require(max(np.abs(c.covariance).max() for c in comps) <= reach ** 2,
              f"a component spreads over more than "
              f"{DEFAULT_TOLERANCES.reach:g} joint diameters")
-    chain = chain_from_state(comps, joints,
-                             _numeric(ch, "order_scores", (None,)).tolist())
+    chain = chain_from_state(comps, joints)
     # the stacked gains; LpvDsPolicy checks their shape
     A = _numeric({"A": [c.get("A") for c in components]}, "A")
     policy = LpvDsPolicy(comps, A, _numeric(obj, "P"), attractor,

@@ -29,47 +29,40 @@ _log = logging.getLogger("stablemotion")
 # there; from this many entries on, skipping them pays for the mask (a few
 # microseconds, which single-state queries never repay)
 _MASKED_EXP_SIZE = 1024
+# EM stops a run after this many steps, or once its log-likelihood rises by
+# less than this (relative)
+_EM_MAX_STEPS = 200
+_EM_LOGLIK_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class GmmFitConfig:
+    """The K range BIC chooses from and the runs fitted per K. The
+    covariance floor is derived from the data: 1e-6 tr(cov) / d, at least
+    1e-12."""
+
     k_min: int = 1
     k_max: int = 8
     restarts: int = 5
-    covariance_floor: Optional[float] = None  # None: 1e-6 * tr(cov)/d
-    max_em_iters: int = 200
-    loglik_tol: float = 1e-7
 
     def __post_init__(self):
         if not (1 <= self.k_min <= self.k_max):
             raise ValidationError("need 1 <= k_min <= k_max")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        if self.covariance_floor is not None and self.covariance_floor <= 0:
-            raise ValidationError("covariance_floor must be positive")
-        if self.max_em_iters < 1:
-            raise ValidationError("max_em_iters must be >= 1")
-        if self.loglik_tol < 0:
-            raise ValidationError("loglik_tol must be >= 0")
 
 
 @dataclass(frozen=True)
 class OrderedGmm:
-    """Components sorted along the demonstration's progression."""
+    """Components in order along the demonstration: the order of the
+    chain's links."""
 
     components: tuple
-    order_scores: tuple  # responsibility-weighted mean arc-length position
 
     def __post_init__(self):
         priors = sum(c.prior for c in self.components)
         if abs(priors - 1.0) > DEFAULT_TOLERANCES.prior_sum:
             raise ValidationError(f"priors sum to {priors}, expected 1")
-        if np.shape(self.order_scores) != (len(self.components),):
-            raise ValidationError("need one order score per component")
-        if np.any(np.diff(self.order_scores) < 0):
-            raise ValidationError("order_scores must be nondecreasing")
-        if not all(0.0 <= s <= 1.0 for s in self.order_scores):
-            raise ValidationError("order_scores must lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.components)
@@ -293,35 +286,33 @@ def _bic(loglik: float, k: int, n: int, d: int) -> float:
 
 
 def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
-    """EM for each K in [k_min, k_max], `restarts` runs each; BIC picks
-    the run.
+    """EM for each K in [k_min, k_max], `restarts` runs each (one for
+    K = 1, whose restarts could not differ); BIC picks the run.
 
     The rows of `data` are the demonstration's samples in order. Run r of
     R for a given K starts from K contiguous blocks of them, cut at
     n (j + phi_r) / K for j = 1..K-1 with phi_r = (r - (R - 1) / 2) / R:
     R = 1 is the equal split, and as |phi_r| < 1/2 every block holds at
     least d samples when n >= 2 d k_max. The runs are stacked, padded to
-    k_max, and `_em_lockstep` steps them together.
+    k_max, and `_em_lockstep` steps them together, each for at most 200
+    steps. Every covariance is floored by 1e-6 tr(cov) / d (at least
+    1e-12) on its diagonal.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
     if n < 2 * d * cfg.k_max:
         raise InsufficientData(
             f"{n} points < 2*d*k_max = {2 * d * cfg.k_max}")
-    if cfg.covariance_floor is None:
-        spread = float(np.trace(np.cov(data.T))) if n > 1 else 0.0
-        floor = max(1e-6 * spread / d, 1e-12)
-    else:
-        floor = cfg.covariance_floor
+    floor = max(1e-6 * float(np.trace(np.cov(data.T))) / d, 1e-12)
 
     R = cfg.restarts
     runs = [(k, r) for k in range(cfg.k_min, cfg.k_max + 1)
-            for r in range(R)]
+            for r in range(R if k > 1 else 1)]
     inits = [_block_resp(n, k, Fraction(2 * r - R + 1, 2 * R))
              for k, r in runs]
     fits = _em_lockstep(np.ascontiguousarray(data.T),
-                        *_stack_runs(inits, d, floor), cfg.max_em_iters,
-                        cfg.loglik_tol)
+                        *_stack_runs(inits, d, floor), _EM_MAX_STEPS,
+                        _EM_LOGLIK_TOL)
     bics = [_bic(fit[3], k, n, d) for (k, _), fit in zip(runs, fits)]
     best = min(range(len(runs)), key=lambda i: (bics[i],) + runs[i])
     k = runs[best][0]
@@ -330,9 +321,9 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
             "fit_gmm chose K = %d; per run (K, restart, BIC, EM steps): %s; "
             "runs that used all %d EM steps: %s", k,
             [run + (bic, fit[4]) for run, bic, fit in zip(runs, bics, fits)],
-            cfg.max_em_iters,
+            _EM_MAX_STEPS,
             [run for run, fit in zip(runs, fits)
-             if fit[4] == cfg.max_em_iters])
+             if fit[4] == _EM_MAX_STEPS])
     priors, means, covs = (a[:k] for a in fits[best][:3])
     priors = priors / priors.sum()
     return [GaussianComponent(float(p), m, 0.5 * (c + c.T))
@@ -352,9 +343,7 @@ def order_components(components: Sequence[GaussianComponent],
     s = s / max(s[-1], 1e-300)
     resp = responsibilities_batch(components, pts)
     weights = resp.sum(axis=0)
-    # a weighted mean of s in [0, 1], kept there against rounding
-    scores = np.clip((resp.T @ s) / np.maximum(weights, 1e-300), 0.0, 1.0)
+    scores = (resp.T @ s) / np.maximum(weights, 1e-300)
     start_dist = np.array([np.linalg.norm(c.mean - pts[0]) for c in components])
     order = np.lexsort((start_dist, scores))
-    return OrderedGmm(tuple(components[i] for i in order),
-                      tuple(float(scores[i]) for i in order))
+    return OrderedGmm(tuple(components[i] for i in order))

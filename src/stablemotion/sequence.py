@@ -3,7 +3,7 @@ executing multi-segment plans with one-hot activation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -30,8 +30,12 @@ class Segment:
 
 @dataclass(frozen=True)
 class TaskPlan:
+    """Segments executed in turn; the executor moves to the next segment
+    within `switch_radius` of the current one's attractor, 1% of the
+    diameter of all the segments' joints (at least 1e-14)."""
+
     segments: Tuple[Segment, ...]
-    switch_radius: float = 0.0          # 0: 1% of workspace diameter
+    switch_radius: float = field(init=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -42,10 +46,9 @@ class TaskPlan:
             if gap > tol:
                 raise ValidationError(
                     f"segment attractor and next start differ by {gap:.3e}")
-        if self.switch_radius == 0.0:
-            joints = np.vstack([s.chain.joints for s in self.segments])
-            object.__setattr__(self, "switch_radius",
-                               0.01 * max(joint_diameter(joints), 1e-12))
+        joints = np.vstack([s.chain.joints for s in self.segments])
+        object.__setattr__(self, "switch_radius",
+                           0.01 * max(joint_diameter(joints), 1e-12))
 
     @property
     def final_attractor(self) -> np.ndarray:
@@ -100,7 +103,8 @@ def stitch_chains(chains: Sequence[ElasticChain]) -> ElasticChain:
     """Concatenate chains sharing endpoints into one chain.
 
     Shared boundary joints are deduplicated and priors renormalized so the
-    stitched mixture is again a valid ordered chain.
+    stitched mixture is again a valid chain, its components in the chains'
+    order.
     """
     if not chains:
         raise ValidationError("nothing to stitch")
@@ -117,8 +121,4 @@ def stitch_chains(chains: Sequence[ElasticChain]) -> ElasticChain:
     total = sum(c.prior for c in comps)
     comps = [GaussianComponent(c.prior / total, c.mean, c.covariance)
              for c in comps]
-    # re-score along the concatenated polyline so ordering stays monotone
-    seg = np.linalg.norm(np.diff(all_joints, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)]) / max(np.sum(seg), 1e-300)
-    scores = 0.5 * (cum[:-1] + cum[1:])
-    return chain_from_state(comps, all_joints, tuple(scores))
+    return chain_from_state(comps, all_joints)

@@ -381,8 +381,7 @@ class TestStackedAgainstPerLinkReference:
         carried, _, policy = adapt(chain, first, ProfileConfig(p=200,
                                                                dt=0.01))
         derived = chain_from_state(carried.components.components,
-                                   carried.joints,
-                                   chain.components.order_scores)
+                                   carried.joints)
         save_policy(tmp_path / "adapted.json", policy, carried)
         _, loaded = load_policy(tmp_path / "adapted.json")
         _, a = transform_chain(carried, second)

@@ -310,13 +310,8 @@ class TestMalformedFiles:
         lambda o: o.update(chain=5),
         lambda o: o["chain"].update(joints=o["chain"]["joints"][:-1]),
         lambda o: o["chain"]["joints"][1].append(0.0),
-        lambda o: o["chain"].update(order_scores=o["chain"]["order_scores"]
-                                    [::-1] + [0.0]),
-        lambda o: o["chain"].update(order_scores=["a"] * len(
-            o["chain"]["order_scores"])),
         lambda o: o["components"][0].update(prior=0.9),
     ], ids=["chain_not_an_object", "too_few_joints", "ragged_joints",
-            "order_scores_count", "order_scores_not_numbers",
             "priors_do_not_sum_to_one"])
     def test_malformed_policy(self, tmp_path, policy_file, edit):
         assert self._rollout_edited(tmp_path, policy_file, edit) == \
@@ -614,7 +609,6 @@ def _both(*edits):
 
 @pytest.mark.parametrize("target, edit", [
     ("policy", _far("chain", "joints", 1, 0)),
-    ("policy", _far("chain", "order_scores", -1)),
     ("policy", _far("components", 1, "covariance", 0, 0)),
     ("policy", lambda o: o["components"][1].update(
         covariance=(1e300 * np.eye(len(o["attractor"]))).tolist())),
@@ -624,7 +618,7 @@ def _both(*edits):
     ("policy", _both(_far("components", 0, "mean", 0),
                      _far("chain", "joints", 1, 0))),
     ("policy", _both(_far("attractor", 0), _far("chain", "joints", -1, 0))),
-], ids=["chain_joint", "order_score", "covariance", "covariance_spread",
+], ids=["chain_joint", "covariance", "covariance_spread",
         "descriptor_position", "descriptor_rotation", "mean_and_joint",
         "attractor_and_last_joint"])
 def test_far_value_is_rejected_without_overflow(valid_files, tmp_path, target,

@@ -184,20 +184,28 @@ class TestPolicyRoundTrip:
         _set("chain", "link_frames", 2, "local_eigvecs", 0, 1, value=1e300),
         _set("chain", "link_frames", 0, "along_index", value=7),
         _set("chain", "link_frames", 0, "along_index", value=0.5),
+        lambda o: o["chain"].update(order_scores=o["chain"]["order_scores"]
+                                    [::-1] + [0.0]),
+        lambda o: o["chain"].update(order_scores=["a"] * len(
+            o["chain"]["order_scores"])),
+        _set("chain", "order_scores", -1, value=1e300),
     ], ids=["as_written", "far_b", "negative_link_lengths", "far_link_length",
             "link_frames_not_a_list", "link_frame_eigvals_shape",
             "far_link_frame_eigval", "far_link_frame_local_mean",
             "far_link_frame_eigvec", "along_index_out_of_range",
-            "along_index_not_an_integer"])
+            "along_index_not_an_integer", "order_scores_count",
+            "order_scores_not_numbers", "far_order_score"])
     def test_old_files_still_load(self, learned, edit):
         """A file that still carries each component's `b` and the chain's
         link lengths and link frames (derived values that files no longer
-        store) loads to the same policy and chain, whatever those keys
-        hold."""
+        store) and order scores (which nothing reads) loads to the same
+        policy and chain, whatever those keys hold."""
         chain, policy = learned
         obj = policy_to_dict(policy, chain)
         for comp, b in zip(obj["components"], policy.b):
             comp["b"] = b.tolist()
+        K = len(policy.components)
+        obj["chain"]["order_scores"] = [(k + 0.5) / K for k in range(K)]
         lf = chain.link_frames
         obj["chain"]["link_lengths"] = np.linalg.norm(
             np.diff(chain.joints, axis=0), axis=1).tolist()
@@ -214,6 +222,12 @@ class TestPolicyRoundTrip:
         for name in ("local_mean", "local_eigvecs", "eigvals", "along_index"):
             assert np.array_equal(getattr(chain2.link_frames, name),
                                   getattr(frames, name))
+
+    def test_saved_file_holds_no_order_scores(self, learned, tmp_path):
+        chain, policy = learned
+        p = tmp_path / "policy.json"
+        save_policy(p, policy, chain)
+        assert set(json.loads(p.read_text())["chain"]) == {"joints"}
 
     def test_provenance(self, learned, tmp_path):
         chain, policy = learned

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from fractions import Fraction
 
@@ -114,19 +115,18 @@ def reference_em_single(data, k, floor, phase, max_iters, tol):
 def reference_fit_gmm(data, cfg):
     """`fit_gmm` one run at a time with `reference_em_single`, BIC and the
     (bic, k, restart) tie-break; restart r of R cuts its blocks at phase
-    (r - (R - 1) / 2) / R. Returns the chosen components and, in
-    (K, restart) order, each run's (BIC, EM steps, whether it rolled back,
-    components)."""
+    (r - (R - 1) / 2) / R, and K = 1 has one run. Returns the chosen
+    components and, in (K, restart) order, each run's (BIC, EM steps,
+    whether it rolled back, components)."""
     n, d = data.shape
-    floor = cfg.covariance_floor or max(
-        1e-6 * float(np.trace(np.cov(data.T))) / d, 1e-12)
+    floor = max(1e-6 * float(np.trace(np.cov(data.T))) / d, 1e-12)
     best, runs = None, []
     for k in range(cfg.k_min, cfg.k_max + 1):
-        for r in range(cfg.restarts):
+        for r in range(cfg.restarts if k > 1 else 1):
             priors, means, covs, ll, step, back = reference_em_single(
                 data, k, floor,
                 (r - Fraction(cfg.restarts - 1, 2)) / cfg.restarts,
-                cfg.max_em_iters, cfg.loglik_tol)
+                gmm._EM_MAX_STEPS, gmm._EM_LOGLIK_TOL)
             n_params = (k - 1) + k * d + k * d * (d + 1) // 2
             key = (-2.0 * ll + n_params * np.log(n), k, r)
             comps = [GaussianComponent(float(p), m, 0.5 * (c + c.T))
@@ -139,8 +139,8 @@ def reference_fit_gmm(data, cfg):
 
 def fit_record(caplog, data, cfg):
     """fit_gmm's components and the arguments of its one DEBUG record:
-    (K, [(K, restart, BIC, EM steps)], max_em_iters, [(K, restart) of the
-    runs that used all max_em_iters steps])."""
+    (K, [(K, restart, BIC, EM steps)], the EM step cap, [(K, restart) of
+    the runs that used all its steps])."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="stablemotion"):
         comps = fit_gmm(data, cfg)
@@ -218,14 +218,28 @@ class TestEmStep:
         cfg = GmmFitConfig(k_max=5, restarts=2)
         self._check_against_reference(caplog, demo.points, cfg)
 
-    def test_roll_back_matches_component_loop_em(self, caplog):
-        # a floor this wide makes the log-likelihood fall near a fixed
-        # point: both K = 3 runs roll back
-        cfg = GmmFitConfig(k_min=3, k_max=4, restarts=2,
-                           covariance_floor=1e-4)
-        want = self._check_against_reference(
-            caplog, s_curve_demo().points, cfg)
-        assert [run[2] for run in want] == [True, True, False, False]
+    def test_roll_back_matches_component_loop_em(self):
+        # a floor this wide (fit_gmm derives ~1e-7 here) makes the
+        # log-likelihood fall near a fixed point: both K = 3 runs of two
+        # restarts roll back, at step 18
+        data = s_curve_demo().points
+        n, d = data.shape
+        floor = 1e-4
+        runs = [(k, Fraction(2 * r - 1, 4)) for k in (3, 4) for r in (0, 1)]
+        inits = [gmm._block_resp(n, k, phase) for k, phase in runs]
+        got = gmm._em_lockstep(np.ascontiguousarray(data.T),
+                               *gmm._stack_runs(inits, d, floor),
+                               gmm._EM_MAX_STEPS, gmm._EM_LOGLIK_TOL)
+        want = [reference_em_single(data, k, floor, phase, gmm._EM_MAX_STEPS,
+                                    gmm._EM_LOGLIK_TOL)
+                for k, phase in runs]
+        assert [run[5] for run in want] == [True, True, False, False]
+        assert [run[4] for run in got] == [run[4] for run in want]
+        assert [run[4] for run in got[:2]] == [18, 18]
+        for (k, _), g, w in zip(runs, got, want):
+            assert g[3] == pytest.approx(w[3], rel=1e-9, abs=0.0)
+            for a, b in zip(g[:3], w[:3]):
+                assert _relative_error(a[:k], b) < 1e-9
 
     def _check_against_reference(self, caplog, data, cfg):
         fast, (_, runs, _, _) = fit_record(caplog, data, cfg)
@@ -260,12 +274,13 @@ class TestEmStep:
         inits = [gmm._block_resp(n, k, Fraction(i - 3, 10))
                  for i, k in enumerate(ks)]
         stacked = gmm._em_lockstep(
-            points, *gmm._stack_runs(inits, d, floor), 200, 1e-7)
+            points, *gmm._stack_runs(inits, d, floor), gmm._EM_MAX_STEPS,
+            gmm._EM_LOGLIK_TOL)
         for k, init, got in zip(ks, inits, stacked):
             resp, floors = gmm._stack_runs([init, np.zeros((6, n))], d,
                                            floor)
-            [alone] = gmm._em_lockstep(points, resp[:1], floors[:1], 200,
-                                       1e-7)
+            [alone] = gmm._em_lockstep(points, resp[:1], floors[:1],
+                                       gmm._EM_MAX_STEPS, gmm._EM_LOGLIK_TOL)
             assert got[3:] == alone[3:]  # log-likelihood and EM steps
             for g, a in zip(got[:3], alone[:3]):
                 assert np.array_equal(g[:k], a[:k])
@@ -349,6 +364,10 @@ class TestBlockSeed:
 
 
 class TestFitGmm:
+    def test_config_holds_only_the_k_range_and_restarts(self):
+        assert tuple(f.name for f in dataclasses.fields(GmmFitConfig)) == (
+            "k_min", "k_max", "restarts")
+
     def test_two_separated_clusters_bic_selects_two(self):
         data = _two_cluster_data()
         comps = fit_gmm(data, GmmFitConfig(k_max=4, restarts=3))
@@ -358,11 +377,12 @@ class TestFitGmm:
         assert np.linalg.norm(means[1] - [10, 0]) < 0.1
 
     def test_identical_points_clamped_covariance(self):
+        # no spread: the floor is its least value, 1e-12
         data = np.tile([1.0, 2.0], (50, 1))
-        cfg = GmmFitConfig(k_max=2, restarts=2, covariance_floor=1e-6)
-        comps = fit_gmm(data, cfg)
+        comps = fit_gmm(data, GmmFitConfig(k_max=2, restarts=2))
         assert len(comps) == 1
-        assert np.allclose(comps[0].covariance, 1e-6 * np.eye(2))
+        np.testing.assert_allclose(comps[0].covariance, 1e-12 * np.eye(2),
+                                   rtol=1e-9, atol=0.0)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -384,36 +404,39 @@ class TestFitGmm:
     def test_translation_equivariance(self):
         data = _two_cluster_data()
         shift = np.array([3.7, -1.2])
-        cfg = GmmFitConfig(k_max=3, restarts=3, covariance_floor=1e-8)
+        cfg = GmmFitConfig(k_max=3, restarts=3)
         a = sorted(fit_gmm(data, cfg), key=lambda c: c.mean[0])
         b = sorted(fit_gmm(data + shift, cfg), key=lambda c: c.mean[0])
         for ca, cb in zip(a, b):
             assert np.allclose(cb.mean, ca.mean + shift, atol=1e-6)
             assert np.allclose(cb.covariance, ca.covariance, atol=1e-6)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(max_em_iters=0), dict(max_em_iters=-1), dict(loglik_tol=-1e-9)])
-    def test_rejects_an_empty_em_budget(self, kwargs):
-        with pytest.raises(ValueError):
-            GmmFitConfig(**kwargs)
-
-    def test_smallest_em_budget_fits(self, caplog):
-        cfg = GmmFitConfig(k_max=3, restarts=2, max_em_iters=1,
-                           loglik_tol=0.0)
-        comps, (k, runs, _, capped) = fit_record(
-            caplog, s_curve_demo().points, cfg)
-        assert len(comps) == k
-        assert [run[3] for run in runs] == [1] * 6
-        assert capped == [run[:2] for run in runs]
+    def test_smallest_em_budget_fits(self):
+        # a budget of one step: every run stops after its first M and E
+        # step, with that step's parameters
+        data = s_curve_demo().points
+        n, d = data.shape
+        points = np.ascontiguousarray(data.T)
+        floor = 1e-6
+        inits = [gmm._block_resp(n, k, Fraction(0)) for k in (1, 2, 3)]
+        fits = gmm._em_lockstep(points, *gmm._stack_runs(inits, d, floor),
+                                1, 0.0)
+        assert [fit[4] for fit in fits] == [1, 1, 1]
+        for init, fit in zip(inits, fits):
+            k = len(init)
+            want = reference_em_step(points, init, floor)
+            for g, w in zip(fit[:3], want[:3]):
+                assert _relative_error(g[:k], w) < 1e-12
+            assert fit[3] == pytest.approx(want[4], rel=1e-12, abs=0.0)
 
     def test_covariance_floor_enforced(self):
         # collinear data would otherwise be rank-deficient
         t = np.linspace(0, 1, 80)
         data = np.column_stack([t, 2.0 * t])
-        comps = fit_gmm(data, GmmFitConfig(k_max=2, restarts=2,
-                                           covariance_floor=1e-4))
+        floor = 1e-6 * np.trace(np.cov(data.T)) / 2
+        comps = fit_gmm(data, GmmFitConfig(k_max=2, restarts=2))
         for c in comps:
-            assert np.linalg.eigvalsh(c.covariance)[0] >= 1e-4 * (1 - 1e-9)
+            assert np.linalg.eigvalsh(c.covariance)[0] >= floor * (1 - 1e-9)
 
 
 class TestFitRecord:
@@ -430,6 +453,13 @@ class TestFitRecord:
         assert len(capped) == 6
         _, want = reference_fit_gmm(arc_demo().points, cfg)
         assert [run[3] for run in runs] == [run[1] for run in want]
+
+    def test_one_run_for_k_1(self, caplog):
+        # every restart of K = 1 is the same single block
+        _, (_, runs, _, _) = fit_record(caplog, s_curve_demo().points,
+                                        GmmFitConfig(k_max=3, restarts=3))
+        assert [run[:2] for run in runs] == [(1, 0)] + [
+            (K, r) for K in (2, 3) for r in range(3)]
 
     def test_silent_by_default(self, caplog):
         logger = logging.getLogger("stablemotion")
@@ -507,7 +537,6 @@ class TestOrderComponents:
         ordered = order_components(comps, s_curve)
         xs = [c.mean[0] for c in ordered.components]
         assert xs == sorted(xs)
-        assert np.all(np.diff(ordered.order_scores) >= 0)
 
     def test_reversed_demo_reverses_order(self, s_curve):
         comps = fit_gmm(s_curve.points, GmmFitConfig(k_max=5, restarts=3))
@@ -518,14 +547,3 @@ class TestOrderComponents:
         fwd_means = [tuple(c.mean) for c in fwd.components]
         rev_means = [tuple(c.mean) for c in rev.components]
         assert fwd_means == rev_means[::-1]
-
-    def test_single_component_score_near_half(self):
-        demo = s_curve_demo(n=100)
-        sym = [GaussianComponent(1.0, demo.points.mean(axis=0),
-                                 np.cov(demo.points.T))]
-        ordered = order_components(sym, demo)
-        # weighted arc-length mean computed directly
-        seg = np.linalg.norm(np.diff(demo.points, axis=0), axis=1)
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        s /= s[-1]
-        assert ordered.order_scores[0] == pytest.approx(s.mean(), abs=1e-9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stablemotion.chain import build_chain
-from stablemotion.core import Trajectory
+from stablemotion.core import Trajectory, joint_diameter
 from stablemotion.errors import (
     ChainGapTooLarge,
     NonMonotoneViaPoints,
@@ -81,13 +81,6 @@ class TestStitchChains:
         total = sum(c.prior for c in stitched.components.components)
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_order_scores_monotone(self):
-        demo = s_curve_demo()
-        parts = split_demo(demo, [demo.points[100]], radius=1e-9)
-        stitched = stitch_chains([fitted_chain(p) for p in parts])
-        scores = np.asarray(stitched.components.order_scores)
-        assert np.all(np.diff(scores) > 0)
-
     def test_gap_raises(self):
         a = fitted_chain(line_demo())
         far = Trajectory(line_demo().points + 5.0, line_demo().timestamps)
@@ -112,6 +105,14 @@ class TestTaskPlan:
     def test_default_switch_radius_positive(self):
         plan, _ = two_segment_plan()
         assert plan.switch_radius > 0
+
+    def test_switch_radius_is_derived(self):
+        # 1% of the diameter of every segment's joints; not an argument
+        plan, _ = two_segment_plan()
+        joints = np.vstack([s.chain.joints for s in plan.segments])
+        assert plan.switch_radius == 0.01 * joint_diameter(joints)
+        with pytest.raises(TypeError):
+            TaskPlan(plan.segments, switch_radius=0.5)
 
     def test_step_is_one_hot(self):
         plan, demo = two_segment_plan()
