@@ -25,7 +25,6 @@ from .chain import (
     build_chain,
     build_laplacian,
     gaussian_joint,
-    link_frames,
     recover_gmm,
     solve_constrained_edit,
     transform_chain,

@@ -1,10 +1,11 @@
 """The articulated Gaussian chain and its constrained re-targeting.
 
 An ordered mixture is condensed into joints (precision-weighted means of
-neighboring components, plus the demo endpoints). Each component's mean
-and covariance eigenbasis are stored relative to its preceding joint
-frame, so after the joints are re-positioned by a constrained Laplacian
-edit the full mixture can be reconstructed at the new geometry.
+neighboring components, plus the demo endpoints); the chain stores only
+the components and the joints. After the joints are re-positioned by a
+constrained Laplacian edit, each component is re-posed with its link:
+turned by the least rotation from the link's old direction to its new
+one, and stretched along it by the ratio of its lengths.
 """
 
 from __future__ import annotations
@@ -20,57 +21,29 @@ from .core import (
     GeometricDescriptor,
     Pose,
     Trajectory,
-    _frozen,
+    _cross,
     frame_from_two_points,
-    frame_rotations,
     joint_diameter,
 )
-from .errors import (RankDeficientSystem, SingularCovariance,
-                     ValidationError, ZeroLengthChain)
+from .errors import (DegenerateFrame, RankDeficientSystem,
+                     SingularCovariance, ValidationError)
 from .gmm import OrderedGmm
 
 
-@dataclass(frozen=True)
-class LinkFrames:
-    """Every component's parameters in the frame of its link (joint k
-    toward joint k+1), stacked over the K links."""
-
-    local_mean: np.ndarray        # (K, d): R_k^T (mu_k - joint_k)
-    local_eigvecs: np.ndarray     # (K, d, d) columns: covariance eigenbasis
-                                  # in frame coords
-    eigvals: np.ndarray           # (K, d)
-    along_index: np.ndarray       # (K,): eigenvector most aligned with the
-                                  # link axis
-
-    def __post_init__(self):
-        for name in ("local_mean", "local_eigvecs", "eigvals"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-        object.__setattr__(self, "along_index",
-                           _frozen(self.along_index, dtype=int))
-        d = self.local_mean.shape[1]
-        if not np.all((0 <= self.along_index) & (self.along_index < d)):
-            raise ValidationError("link frame along_index must be an axis "
-                                  "index")
-
-    def __len__(self) -> int:
-        return self.local_mean.shape[0]
-
-    def stretched(self, ratio: np.ndarray) -> "LinkFrames":
-        """The frames of links whose lengths are scaled by `ratio` (K,):
-        the local mean's along-link coordinate scales by the ratio and
-        the along-link eigenvalue (a variance) by its square."""
-        mean = self.local_mean.copy()
-        mean[:, 0] *= ratio
-        vals = self.eigvals.copy()
-        vals[np.arange(len(self)), self.along_index] *= ratio ** 2
-        return LinkFrames(mean, self.local_eigvecs, vals, self.along_index)
+def _link_lengths(joints: np.ndarray) -> np.ndarray:
+    """The (K,) distances between consecutive joints (K+1, d); a link no
+    longer than the degenerate-point tolerance has no direction."""
+    lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
+    if not np.all(lengths > DEFAULT_TOLERANCES.degenerate_point):
+        raise DegenerateFrame(f"a link is no longer than "
+                              f"{DEFAULT_TOLERANCES.degenerate_point:g}")
+    return lengths
 
 
 @dataclass(frozen=True)
 class ElasticChain:
     components: OrderedGmm
     joints: np.ndarray            # (K+1, d)
-    link_frames: LinkFrames
     # (K,) distances between consecutive joints, derived from them
     link_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -79,10 +52,7 @@ class ElasticChain:
         if self.joints.shape != (K + 1, d):
             raise ValidationError(
                 "chain needs K+1 joints of the components' dimension")
-        object.__setattr__(self, "link_lengths", np.linalg.norm(
-            np.diff(self.joints, axis=0), axis=1))
-        if not np.all(self.link_lengths > 0):
-            raise ZeroLengthChain("links must have positive length")
+        object.__setattr__(self, "link_lengths", _link_lengths(self.joints))
 
     @property
     def dim(self) -> int:
@@ -125,31 +95,10 @@ def gaussian_joint(g1: GaussianComponent, g2: GaussianComponent) -> np.ndarray:
     return gaussian_joints(*_stack([g1, g2]))[0]
 
 
-def link_frames(components: Sequence[GaussianComponent],
-                joints: np.ndarray) -> LinkFrames:
-    """Every component's mean and covariance eigenbasis in its link frame,
-    from one stacked eigendecomposition.
-
-    Each eigenvector's sign is fixed so that its link-x coordinate is
-    nonnegative; when it is orthogonal to the link, its link-y coordinate
-    breaks the tie.
-    """
-    R_t = frame_rotations(joints[:-1], joints[1:]).swapaxes(1, 2)
-    means, covs = _stack(components)
-    vals, vecs = np.linalg.eigh(covs)
-    local = R_t @ vecs
-    ref = np.where(np.abs(local[:, 0]) > 1e-9, local[:, 0], local[:, 1])
-    local *= np.where(ref < 0, -1.0, 1.0)[:, None, :]
-    return LinkFrames(local_mean=(R_t @ (means - joints[:-1])[..., None])[..., 0],
-                      local_eigvecs=local, eigvals=vals,
-                      along_index=np.argmax(np.abs(local[:, 0]), axis=1))
-
-
 def build_chain(gmm: OrderedGmm, demo: Trajectory) -> ElasticChain:
-    """Joints = demo start, K-1 Gaussian products, demo end; frames per link."""
-    joints = np.vstack([demo.start, gaussian_joints(*_stack(gmm.components)),
-                        demo.end])
-    return chain_from_state(gmm.components, joints)
+    """Joints = demo start, K-1 Gaussian products, demo end."""
+    return ElasticChain(gmm, np.vstack([
+        demo.start, gaussian_joints(*_stack(gmm.components)), demo.end]))
 
 
 def build_laplacian(m: int) -> np.ndarray:
@@ -231,52 +180,65 @@ def solve_constrained_edit(joints0: np.ndarray,
     return _solve_pinned(L, L @ joints0, pins), pins
 
 
-def _recovered(chain: ElasticChain, new_joints: np.ndarray):
-    """(frames, components) of the chain re-posed at
-    `new_joints`: its link frames carried along the new links, stretched
-    by the length ratios, and mapped back to world coordinates."""
-    new_joints = np.asarray(new_joints, dtype=float)
-    if new_joints.shape != chain.joints.shape:
-        raise ValidationError("joint count mismatch")
-    R = frame_rotations(new_joints[:-1], new_joints[1:])
-    lengths = np.linalg.norm(np.diff(new_joints, axis=0), axis=1)
-    frames = chain.link_frames.stretched(lengths / chain.link_lengths)
-    means = new_joints[:-1] + (R @ frames.local_mean[..., None])[..., 0]
-    vecs = R @ frames.local_eigvecs
-    covs = (vecs * frames.eigvals[:, None, :]) @ vecs.swapaxes(1, 2)
-    covs = 0.5 * (covs + covs.swapaxes(1, 2))
-    comps = [GaussianComponent(c.prior, m, S) for c, m, S in
-             zip(chain.components.components, means, covs)]
-    return frames, comps
+def _minimal_rotations(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rotations (K, d, d) taking each unit row of `u` (K, d) to the same
+    row of `w` by the least angle: in 2-D the rotation by the angle
+    between them, in 3-D the Rodrigues rotation about u x w. A 3-D
+    direction turned back on itself has no unique least rotation."""
+    c = np.sum(u * w, axis=1)
+    if u.shape[1] == 2:
+        s = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+        return np.stack([np.stack([c, -s], axis=1),
+                         np.stack([s, c], axis=1)], axis=1)
+    if np.any(1.0 + c <= 1e-12):
+        raise DegenerateFrame("the edit turns a link back on itself")
+    v = _cross(u, w)
+    z = np.zeros_like(c)
+    skew = np.stack([np.stack([z, -v[:, 2], v[:, 1]], axis=1),
+                     np.stack([v[:, 2], z, -v[:, 0]], axis=1),
+                     np.stack([-v[:, 1], v[:, 0], z], axis=1)], axis=1)
+    return (c[:, None, None] * np.eye(3) + skew
+            + v[:, :, None] * v[:, None, :] / (1.0 + c)[:, None, None])
 
 
 def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
-    """Rebuild the mixture at new joint positions.
+    """Rebuild the mixture at new joint positions: each component turns
+    with its link and stretches along it.
 
-    Per component: the joint frame is recreated along the new link, the
-    stored local mean's along-link coordinate and the along-link
-    eigenvalue are scaled by the length ratio (variance by its square),
-    and everything is mapped back to world coordinates. Priors are
-    unchanged.
+    For link k, Q_k is the least rotation from its old direction u_k to
+    its new one, and r_k its new length over its old. With m = mu_k -
+    joint_k, the new mean is joint'_k + Q_k (m + (r_k - 1)(m . u_k) u_k).
+    The new covariance is Q_k V diag(lambda') V^T Q_k^T, where V diag(lambda)
+    V^T is the old one (one stacked eigendecomposition) and lambda' is
+    lambda with the eigenvalue of the eigenvector most aligned with u_k
+    scaled by r_k^2. Priors are unchanged.
     """
-    return _recovered(chain, new_joints)[1]
-
-
-def chain_from_state(components: Sequence[GaussianComponent],
-                     joints: np.ndarray) -> ElasticChain:
-    """Assemble a chain from already-ordered components and known joints,
-    deriving its link frames."""
-    joints = np.asarray(joints, dtype=float)
-    return ElasticChain(OrderedGmm(tuple(components)), joints,
-                        link_frames(components, joints))
+    new_joints = np.asarray(new_joints, dtype=float)
+    if new_joints.shape != chain.joints.shape:
+        raise ValidationError("joint count mismatch")
+    lengths = _link_lengths(new_joints)
+    ratio = lengths / chain.link_lengths
+    u = np.diff(chain.joints, axis=0) / chain.link_lengths[:, None]
+    Q = _minimal_rotations(u, np.diff(new_joints, axis=0) / lengths[:, None])
+    comps = chain.components.components
+    means, covs = _stack(comps)
+    m = means - chain.joints[:-1]
+    m += ((ratio - 1.0) * np.sum(m * u, axis=1))[:, None] * u
+    means = new_joints[:-1] + (Q @ m[..., None])[..., 0]
+    vals, vecs = np.linalg.eigh(covs)
+    along = np.argmax(np.abs((u[:, None, :] @ vecs)[:, 0]), axis=1)
+    vals[np.arange(len(comps)), along] *= ratio ** 2
+    vecs = Q @ vecs
+    covs = (vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2)
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    return [GaussianComponent(c.prior, mean, S)
+            for c, mean, S in zip(comps, means, covs)]
 
 
 def transform_chain(chain: ElasticChain,
                     descriptor: GeometricDescriptor) -> Tuple[ElasticChain, list]:
-    """End-to-end re-targeting: Laplacian edit then parameter recovery.
-    The new chain carries the old link frames, stretched, instead of
-    deriving them again from the components it has just built."""
+    """End-to-end re-targeting: Laplacian edit then parameter recovery."""
     new_joints, _ = solve_constrained_edit(chain.joints, descriptor.enter,
                                            descriptor.exit)
-    frames, comps = _recovered(chain, new_joints)
-    return ElasticChain(OrderedGmm(tuple(comps)), new_joints, frames), comps
+    comps = recover_gmm(chain, new_joints)
+    return ElasticChain(OrderedGmm(tuple(comps)), new_joints), comps

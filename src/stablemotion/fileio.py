@@ -16,10 +16,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .chain import ElasticChain, chain_from_state
+from .chain import ElasticChain
 from .core import (GaussianComponent, GeometricDescriptor, Pose, Trajectory,
                    _orthonormal, _pow2_scale, joint_diameter)
 from .errors import ValidationError
+from .gmm import OrderedGmm
 from .policy import LpvDsPolicy, constraint_residual
 
 DEMO_FORMAT = "stablemotion-demo"
@@ -29,6 +30,11 @@ FORMAT_VERSION = 1
 # the largest |joint coordinate| a policy file may hold: the joint diameter
 # is then below 7 times it, and the reach in diameters squared is finite
 _JOINT_BOUND = np.sqrt(np.finfo(float).max) / (8.0 * DEFAULT_TOLERANCES.reach)
+# the least standard deviation a policy file's component may have, in joint
+# diameters: the policies fitted and adapted by the tests and perfbench
+# stay above 1e-4, and with every link longer than 1e-9 (as a chain's must
+# be) no covariance determinant can underflow
+_THINNEST = 1e-8
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -228,14 +234,19 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     _require(np.abs(joints).max() <= _JOINT_BOUND,
              f"a chain joint coordinate exceeds {_JOINT_BOUND:.3g}")
     far = means - attractor
-    reach = DEFAULT_TOLERANCES.reach * joint_diameter(joints)
+    diameter = joint_diameter(joints)
+    reach = DEFAULT_TOLERANCES.reach * diameter
     _require(np.abs(far).max() <= reach and np.linalg.norm(far, axis=1).max()
              <= reach, f"a component mean lies more than "
              f"{DEFAULT_TOLERANCES.reach:g} joint diameters from the attractor")
-    _require(max(np.abs(c.covariance).max() for c in comps) <= reach ** 2,
+    covs = np.array([c.covariance for c in comps])
+    _require(np.abs(covs).max() <= reach ** 2,
              f"a component spreads over more than "
              f"{DEFAULT_TOLERANCES.reach:g} joint diameters")
-    chain = chain_from_state(comps, joints)
+    _require(np.linalg.eigvalsh(covs)[:, 0].min()
+             >= (_THINNEST * diameter) ** 2,
+             f"a component is thinner than {_THINNEST:g} joint diameters")
+    chain = ElasticChain(OrderedGmm(comps), joints)
     # the stacked gains; LpvDsPolicy checks their shape
     A = _numeric({"A": [c.get("A") for c in components]}, "A")
     policy = LpvDsPolicy(comps, A, _numeric(obj, "P"), attractor,

@@ -9,7 +9,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .chain import ElasticChain, chain_from_state
+from .chain import ElasticChain
 from .core import (GaussianComponent, GeometricDescriptor, Trajectory,
                    joint_diameter)
 from .errors import (
@@ -18,6 +18,7 @@ from .errors import (
     ValidationError,
     ViaPointNotOnDemo,
 )
+from .gmm import OrderedGmm
 from .policy import LpvDsPolicy, evaluate
 
 
@@ -119,6 +120,6 @@ def stitch_chains(chains: Sequence[ElasticChain]) -> ElasticChain:
 
     comps = [c for ch in chains for c in ch.components.components]
     total = sum(c.prior for c in comps)
-    comps = [GaussianComponent(c.prior / total, c.mean, c.covariance)
-             for c in comps]
-    return chain_from_state(comps, all_joints)
+    return ElasticChain(OrderedGmm(tuple(
+        GaussianComponent(c.prior / total, c.mean, c.covariance)
+        for c in comps)), all_joints)

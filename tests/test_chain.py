@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from stablemotion.chain import (
+    ElasticChain,
     build_chain,
     build_laplacian,
-    chain_from_state,
     gaussian_joint,
-    link_frames,
     recover_gmm,
     solve_constrained_edit,
     transform_chain,
@@ -15,12 +14,16 @@ from stablemotion.core import (
     GaussianComponent,
     GeometricDescriptor,
     Pose,
+    Trajectory,
+    compute_velocities,
     frame_from_two_points,
 )
-from stablemotion.errors import RankDeficientSystem, ValidationError
+from stablemotion.errors import (DegenerateFrame, RankDeficientSystem,
+                                 ValidationError)
 from stablemotion.fileio import load_policy, save_policy
-from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
-from stablemotion.pipeline import adapt
+from stablemotion.gmm import (GmmFitConfig, OrderedGmm, fit_gmm,
+                              order_components)
+from stablemotion.pipeline import adapt, learn
 from stablemotion.profile import ProfileConfig
 from conftest import helix_demo, s_curve_demo
 
@@ -76,17 +79,38 @@ def reference_link_frame(component, joint, next_joint):
             int(np.argmax(np.abs(local[0]))))
 
 
+def reference_turn(u, w):
+    """The rotation about u x w, by the angle between the unit vectors u
+    and w (3,), from the unit axis and the angle (Rodrigues' formula)."""
+    axis = np.cross(u, w)
+    sin = np.linalg.norm(axis)
+    if sin == 0.0:
+        return np.eye(3)
+    K = np.cross(np.eye(3), axis / sin)
+    angle = np.arctan2(sin, u @ w)
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * K @ K
+
+
 def reference_transform(chain, descriptor):
     """The re-targeted components, link by link: frames derived afresh
-    from the chain's components, recreated along the edited links, the
-    along-link mean coordinate and variance scaled by the length ratio."""
+    from the chain's components, the along-link mean coordinate and
+    variance scaled by the length ratio, and mapped back by the edited
+    link's frame. In 2-D that frame is completed afresh along the new
+    link; in 3-D it is the old frame turned by the Rodrigues rotation
+    from the old link direction to the new one."""
     new_joints, _ = solve_constrained_edit(
         chain.joints, descriptor.enter, descriptor.exit)
     out = []
     for k, comp in enumerate(chain.components.components):
         mean, vecs, vals, along = reference_link_frame(
             comp, chain.joints[k], chain.joints[k + 1])
-        R = reference_rotation(new_joints[k], new_joints[k + 1])
+        if chain.dim == 2:
+            R = reference_rotation(new_joints[k], new_joints[k + 1])
+        else:
+            u, w = (np.diff(j[k:k + 2], axis=0)[0] for j in
+                    (chain.joints, new_joints))
+            R = reference_turn(u / np.linalg.norm(u), w / np.linalg.norm(w)) \
+                @ reference_rotation(chain.joints[k], chain.joints[k + 1])
         ratio = np.linalg.norm(new_joints[k + 1] - new_joints[k]) / \
             np.linalg.norm(chain.joints[k + 1] - chain.joints[k])
         mean, vals = mean.copy(), vals.copy()
@@ -113,6 +137,21 @@ def moved_descriptors(chain, rng, n):
                               turned))
         out.append(GeometricDescriptor(*poses))
     return out
+
+
+def s_curve_3d_demo(n=400, duration=4.0):
+    """An S-curve that also rises and falls out of its plane."""
+    t = np.linspace(0.0, 1.0, n)
+    pts = np.column_stack([2.0 * t, 0.4 * np.sin(2.0 * np.pi * t),
+                           0.3 * (1.0 - np.cos(2.0 * np.pi * t))])
+    return compute_velocities(Trajectory(pts, duration * t))
+
+
+def random_rotation(rng):
+    """A rotation of SO(3) drawn uniformly (QR of a Gaussian matrix)."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
 
 
 @pytest.fixture(scope="module", params=["s_curve", "helix"])
@@ -174,7 +213,7 @@ class TestBuildChain:
         assert chain.joints.shape[0] == 2
         assert np.allclose(chain.joints[0], demo.start)
         assert np.allclose(chain.joints[-1], demo.end)
-        assert len(chain.link_frames) == 1
+        assert chain.link_lengths.shape == (1,)
 
     def test_middle_joint_is_gaussian_product(self):
         chain, demo = fitted_chain(k_max=2)
@@ -182,6 +221,15 @@ class TestBuildChain:
             comps = chain.components.components
             assert np.allclose(chain.joints[1],
                                gaussian_joint(comps[0], comps[1]), atol=1e-12)
+
+    def test_link_no_longer_than_the_degenerate_point_is_rejected(self):
+        chain, _ = fitted_chain(k_max=3)
+        joints = chain.joints.copy()
+        joints[1] = joints[0] + 0.5e-9
+        with pytest.raises(DegenerateFrame):
+            ElasticChain(chain.components, joints)
+        with pytest.raises(DegenerateFrame):
+            recover_gmm(chain, joints)
 
     def test_round_trip_identity(self):
         chain, _ = fitted_chain()
@@ -250,19 +298,20 @@ class TestRecoverGmm:
     def test_uniform_scaling(self):
         chain, _ = fitted_chain()
         scaled = recover_gmm(chain, 2.0 * chain.joints)
-        lf = chain.link_frames
         for k, (orig, new) in enumerate(zip(chain.components.components,
                                             scaled)):
-            vals_new = np.sort(np.linalg.eigvalsh(new.covariance))
-            expect = lf.eigvals[k].copy()
-            expect[lf.along_index[k]] *= 4.0
-            assert np.allclose(vals_new, np.sort(expect), atol=1e-9)
-            # along-link mean offset doubles in the (unchanged) link frame
-            frame = frame_from_two_points(2 * chain.joints[k],
-                                          2 * chain.joints[k + 1])
-            local = frame.rotation.T @ (new.mean - 2 * chain.joints[k])
-            assert np.allclose(local[0], 2.0 * lf.local_mean[k, 0], atol=1e-9)
-            assert np.allclose(local[1:], lf.local_mean[k, 1:], atol=1e-9)
+            u = chain.joints[k + 1] - chain.joints[k]
+            u /= np.linalg.norm(u)
+            vals, vecs = np.linalg.eigh(orig.covariance)
+            vals[np.argmax(np.abs(u @ vecs))] *= 4.0
+            assert np.allclose(np.linalg.eigvalsh(new.covariance),
+                               np.sort(vals), atol=1e-9)
+            # the along-link mean offset doubles, the rest is unchanged
+            m = orig.mean - chain.joints[k]
+            offset = new.mean - 2 * chain.joints[k]
+            assert np.allclose(offset @ u, 2.0 * (m @ u), atol=1e-9)
+            assert np.allclose(offset - (offset @ u) * u, m - (m @ u) * u,
+                               atol=1e-9)
 
     def test_rigid_motion_equivariance(self):
         chain, _ = fitted_chain()
@@ -322,17 +371,6 @@ class TestTransformChain:
 
 
 class TestStackedAgainstPerLinkReference:
-    def test_link_frames_match_the_per_link_derivation(self, learned_chain):
-        chain = learned_chain
-        frames = link_frames(chain.components.components, chain.joints)
-        for k, comp in enumerate(chain.components.components):
-            mean, vecs, vals, along = reference_link_frame(
-                comp, chain.joints[k], chain.joints[k + 1])
-            assert np.abs(frames.local_mean[k] - mean).max() <= 1e-12
-            assert np.abs(frames.local_eigvecs[k] - vecs).max() <= 1e-12
-            assert np.abs(frames.eigvals[k] - vals).max() <= 1e-12
-            assert frames.along_index[k] == along
-
     def test_transform_matches_the_per_link_reference(self, learned_chain):
         chain = learned_chain
         for desc in moved_descriptors(chain, np.random.default_rng(8), 12):
@@ -343,45 +381,18 @@ class TestStackedAgainstPerLinkReference:
                 assert np.abs(comp.mean - mean).max() <= 1e-12
                 assert np.abs(comp.covariance - cov).max() <= 1e-12
 
-    def test_carried_frames_describe_the_derived_local_gaussians(
-            self, learned_chain):
-        """The frames a transform carries and the frames derived afresh
-        from its output give the same local mean, the same local
-        covariance and the same along-link axis, whatever the order and
-        signs of their eigenvector columns."""
-        chain = learned_chain
-        for desc in moved_descriptors(chain, np.random.default_rng(9), 12):
-            new_chain, comps = transform_chain(chain, desc)
-            carried = new_chain.link_frames
-            fresh = link_frames(comps, new_chain.joints)
-            assert np.abs(carried.local_mean - fresh.local_mean).max() \
-                <= 1e-12
-            cov_c, cov_f = ((f.local_eigvecs * f.eigvals[:, None])
-                            @ f.local_eigvecs.swapaxes(1, 2)
-                            for f in (carried, fresh))
-            scale = np.abs(cov_f).max(axis=(1, 2))
-            assert np.all(np.abs(cov_c - cov_f).max(axis=(1, 2))
-                          <= 1e-12 * scale)
-            assert np.abs(np.sort(carried.eigvals, axis=1)
-                          - fresh.eigvals).max() <= 1e-12 * scale.max()
-            k = np.arange(len(comps))
-            a = carried.local_eigvecs[k, :, carried.along_index]
-            b = fresh.local_eigvecs[k, :, fresh.along_index]
-            assert np.allclose(np.abs(np.sum(a * b, axis=1)), 1.0,
-                               atol=1e-9)
-
     def test_carried_chain_re_targets_like_a_derived_one(self, learned_chain,
                                                          tmp_path):
-        """A second edit from the carried frames gives what it gives from
-        frames derived afresh, in memory or from the adapted policy's
-        file."""
+        """A second edit from an adapted chain gives what it gives from
+        the chain rebuilt from its components and joints, in memory or
+        from the adapted policy's file."""
         chain = learned_chain
         first, second = moved_descriptors(chain, np.random.default_rng(10),
                                           3)[1:]
         carried, _, policy = adapt(chain, first, ProfileConfig(p=200,
                                                                dt=0.01))
-        derived = chain_from_state(carried.components.components,
-                                   carried.joints)
+        derived = ElasticChain(OrderedGmm(carried.components.components),
+                               carried.joints)
         save_policy(tmp_path / "adapted.json", policy, carried)
         _, loaded = load_policy(tmp_path / "adapted.json")
         _, a = transform_chain(carried, second)
@@ -398,3 +409,65 @@ class TestStackedAgainstPerLinkReference:
             enter=Pose(desc.enter.position + 1e300, desc.enter.rotation))
         with pytest.raises(ValidationError, match="joint diameters"):
             transform_chain(chain, far)
+
+
+class TestReposingIn3d:
+    """Each component turns with its link by the least rotation: the
+    re-targeted mixture does not depend on the world axes."""
+
+    @pytest.mark.parametrize("make_demo", [helix_demo, s_curve_3d_demo])
+    def test_adapt_is_rotation_equivariant(self, make_demo):
+        """The learned chain and the descriptor turned by R adapt to R A
+        R^T (measured 1e-11 to 4e-11 relative on three draws each)."""
+        rng = np.random.default_rng(5)
+        chain, _ = learn(make_demo(400), GmmFitConfig(k_max=6, restarts=3))
+        desc = moved_descriptors(chain, rng, 2)[1]
+        profile = ProfileConfig(p=200, dt=0.01)
+        A = adapt(chain, desc, profile)[2].A
+        for _ in range(3):
+            R = random_rotation(rng)
+            turned = ElasticChain(OrderedGmm(tuple(
+                GaussianComponent(c.prior, R @ c.mean, R @ c.covariance @ R.T)
+                for c in chain.components.components)), chain.joints @ R.T)
+            A_R = adapt(turned, GeometricDescriptor(*(
+                Pose(R @ p.position, R @ p.rotation)
+                for p in (desc.enter, desc.exit))), profile)[2].A
+            assert np.abs(A_R - R @ A @ R.T).max() <= 1e-9 * np.abs(A).max()
+
+    def test_reposing_is_continuous_across_the_old_frame_switch(self):
+        """Turning one link from z-component 0.98999 to 0.99001 (where
+        world-axis frame completion switched axes) moves its component by
+        no more than the turn itself."""
+        chain, _ = learn(helix_demo(400), GmmFitConfig(k_max=6, restarts=3))
+        J = chain.joints
+        turn = np.arccos(0.98999) - np.arccos(0.99001)
+        for k in range(len(chain.components)):
+            link = J[k + 1] - J[k]
+            length = np.linalg.norm(link)
+            azimuth = np.arctan2(link[1], link[0])
+            out = []
+            for z in (0.98999, 0.99001):
+                rho = np.sqrt(1.0 - z * z)
+                moved = J.copy()
+                moved[k + 1:] += length * np.array(
+                    [rho * np.cos(azimuth), rho * np.sin(azimuth), z]) - link
+                out.append(recover_gmm(chain, moved)[k])
+            S = out[0].covariance
+            assert np.abs(out[1].covariance - S).max() \
+                <= 2.0 * turn * np.abs(S).max()
+            assert np.abs(out[1].mean - out[0].mean).max() \
+                <= 2.0 * turn * length
+
+    def test_reversed_link_is_rejected(self):
+        """A 3-D link the edit turns back on itself has no unique least
+        rotation; a 2-D one is turned by half a turn."""
+        chain, _ = learn(helix_demo(), GmmFitConfig(k_max=3, restarts=1))
+        moved = chain.joints.copy()
+        moved[2:] -= 2.0 * (chain.joints[2] - chain.joints[1])
+        with pytest.raises(DegenerateFrame, match="back on itself"):
+            recover_gmm(chain, moved)
+        flat, _ = fitted_chain(k_max=3)
+        for orig, new in zip(flat.components.components,
+                             recover_gmm(flat, -flat.joints)):
+            assert np.allclose(new.mean, -orig.mean, atol=1e-12)
+            assert np.allclose(new.covariance, orig.covariance, atol=1e-12)

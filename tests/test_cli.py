@@ -529,7 +529,8 @@ def _mutate(data, obj):
     """obj with one value deep inside it dropped, swapped for a value of
     another JSON type, shortened or lengthened (a list), given a boolean
     as its last element (a list) or nested; or, in a policy, with one
-    component mean moved out to 1e300."""
+    component mean moved out to 1e300 or one covariance shrunk to
+    1e-200 I."""
     obj = copy.deepcopy(obj)
     parent, key = None, None
     node = obj
@@ -540,7 +541,7 @@ def _mutate(data, obj):
             list(node) if isinstance(node, dict) else range(len(node))))
         node = parent[key]
     kind = data.draw(st.sampled_from(["drop", "swap", "resize", "bool",
-                                      "nest", "far"]))
+                                      "nest", "far", "tiny"]))
     if kind == "drop":
         del parent[key]
     elif kind == "swap":
@@ -554,6 +555,9 @@ def _mutate(data, obj):
     elif kind == "far" and "components" in obj:
         comp = data.draw(st.sampled_from(obj["components"]))
         comp["mean"] = [1e300] * len(comp["mean"])
+    elif kind == "tiny" and "components" in obj:
+        comp = data.draw(st.sampled_from(obj["components"]))
+        comp["covariance"] = (1e-200 * np.eye(len(comp["mean"]))).tolist()
     else:
         parent[key] = [node]
     return obj
@@ -588,6 +592,22 @@ def test_far_field_mean_is_rejected_at_load(valid_files, tmp_path, capsys):
     assert rc == EXIT_VALIDATION
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "joint diameters from the attractor" in capsys.readouterr().err
+
+
+def test_tiny_covariance_is_rejected_at_load(valid_files, tmp_path, capsys):
+    """A component covariance of 1e-200 I, whose determinant underflows,
+    fails to load with exit 2 rather than failing in the rollout."""
+    obj = json.loads(Path(valid_files["policy"]).read_text())
+    obj["components"][0]["covariance"] = \
+        (1e-200 * np.eye(len(obj["attractor"]))).tolist()
+    tiny = _json_file(tmp_path, "tiny.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--quiet", "rollout", tiny, "-o",
+                   str(tmp_path / "r.csv")])
+    assert rc == EXIT_VALIDATION
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "thinner than" in capsys.readouterr().err
 
 
 def _far(*path):

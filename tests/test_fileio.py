@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stablemotion.chain import link_frames
-from stablemotion.core import GeometricDescriptor, Pose, Trajectory
+from stablemotion.core import (GeometricDescriptor, Pose, Trajectory,
+                               frame_from_two_points)
 from stablemotion.errors import ValidationError
 from stablemotion.fileio import (
     FORMAT_VERSION,
@@ -118,6 +118,23 @@ class TestDescriptor:
         assert np.max(np.abs(R.T @ R - np.eye(2))) < 1e-12
 
 
+def old_link_frames(policy, chain):
+    """The `link_frames` entries of files written before: each
+    component's mean and covariance eigenbasis in its link's frame, and
+    the index of the eigenvector most aligned with the link."""
+    out = []
+    for k, comp in enumerate(policy.components):
+        R = frame_from_two_points(chain.joints[k],
+                                  chain.joints[k + 1]).rotation
+        vals, vecs = np.linalg.eigh(comp.covariance)
+        local = R.T @ vecs
+        out.append({"local_mean": (R.T @ (comp.mean - chain.joints[k]))
+                    .tolist(), "local_eigvecs": local.tolist(),
+                    "eigvals": vals.tolist(),
+                    "along_index": int(np.argmax(np.abs(local[0])))})
+    return out
+
+
 def _set(*path, value):
     """An edit that sets the entry at `path` of a JSON object to `value`."""
     def edit(obj):
@@ -144,14 +161,13 @@ class TestPolicyRoundTrip:
         assert np.array_equal(policy2.attractor, policy.attractor)
         assert np.array_equal(chain2.joints, chain.joints)
         assert np.array_equal(chain2.link_lengths, chain.link_lengths)
-        for c1, c2 in zip(policy.components, policy2.components):
-            assert c1.prior == c2.prior
+        for c1, c2, c3 in zip(policy.components, policy2.components,
+                              chain2.components.components):
+            assert c1.prior == c2.prior == c3.prior
+            assert np.array_equal(c1.mean, c2.mean)
             assert np.array_equal(c1.covariance, c2.covariance)
-        f1, f2 = chain.link_frames, chain2.link_frames
-        assert np.array_equal(f1.local_mean, f2.local_mean)
-        assert np.array_equal(f1.local_eigvecs, f2.local_eigvecs)
-        assert np.array_equal(f1.eigvals, f2.eigvals)
-        assert np.array_equal(f1.along_index, f2.along_index)
+            assert np.array_equal(c2.mean, c3.mean)
+            assert np.array_equal(c2.covariance, c3.covariance)
 
     def test_reloaded_policy_evaluates_identically(self, learned, tmp_path):
         chain, policy = learned
@@ -197,31 +213,23 @@ class TestPolicyRoundTrip:
             "order_scores_not_numbers", "far_order_score"])
     def test_old_files_still_load(self, learned, edit):
         """A file that still carries each component's `b` and the chain's
-        link lengths and link frames (derived values that files no longer
-        store) and order scores (which nothing reads) loads to the same
-        policy and chain, whatever those keys hold."""
+        link lengths (derived values that files no longer store), link
+        frames (which chains no longer hold) and order scores (which
+        nothing reads) loads to the same policy and chain, whatever those
+        keys hold."""
         chain, policy = learned
         obj = policy_to_dict(policy, chain)
         for comp, b in zip(obj["components"], policy.b):
             comp["b"] = b.tolist()
         K = len(policy.components)
         obj["chain"]["order_scores"] = [(k + 0.5) / K for k in range(K)]
-        lf = chain.link_frames
         obj["chain"]["link_lengths"] = np.linalg.norm(
             np.diff(chain.joints, axis=0), axis=1).tolist()
-        obj["chain"]["link_frames"] = [
-            {"local_mean": m.tolist(), "local_eigvecs": v.tolist(),
-             "eigvals": e.tolist(), "along_index": int(a)}
-            for m, v, e, a in zip(lf.local_mean, lf.local_eigvecs,
-                                  lf.eigvals, lf.along_index)]
+        obj["chain"]["link_frames"] = old_link_frames(policy, chain)
         edit(obj)
         policy2, chain2 = policy_from_dict(json.loads(json.dumps(obj)))
         assert policy_to_dict(policy2, chain2) == policy_to_dict(policy,
                                                                  chain)
-        frames = link_frames(policy2.components, chain2.joints)
-        for name in ("local_mean", "local_eigvecs", "eigvals", "along_index"):
-            assert np.array_equal(getattr(chain2.link_frames, name),
-                                  getattr(frames, name))
 
     def test_saved_file_holds_no_order_scores(self, learned, tmp_path):
         chain, policy = learned
