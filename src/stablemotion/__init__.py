@@ -24,7 +24,7 @@ from .chain import (
     ElasticChain,
     build_chain,
     build_laplacian,
-    gaussian_joint,
+    gaussian_joints,
     recover_gmm,
     solve_constrained_edit,
     transform_chain,
@@ -45,10 +45,8 @@ from .policy import (
 )
 from .sequence import PlanExecutor, Segment, TaskPlan, split_demo, stitch_chains
 from .evaluation import (
-    AdaptationReport,
     RolloutConfig,
     RolloutResult,
-    bench_adaptation,
     endpoints_distance,
     goal_cosine,
     rollout,
@@ -67,7 +65,7 @@ from .fileio import (
     save_descriptor,
     save_policy,
 )
-from .pipeline import adapt, learn
+from .pipeline import adapt, learn, reestimate
 
 __version__ = "0.1.0"
 

@@ -89,12 +89,6 @@ def gaussian_joints(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     return (st @ (pm[:-1] + pm[1:])[..., None])[..., 0]
 
 
-def gaussian_joint(g1: GaussianComponent, g2: GaussianComponent) -> np.ndarray:
-    """Mean of the product of two Gaussians: a batch of one of
-    `gaussian_joints`."""
-    return gaussian_joints(*_stack([g1, g2]))[0]
-
-
 def build_chain(gmm: OrderedGmm, demo: Trajectory) -> ElasticChain:
     """Joints = demo start, K-1 Gaussian products, demo end."""
     return ElasticChain(gmm, np.vstack([
@@ -236,9 +230,9 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
 
 
 def transform_chain(chain: ElasticChain,
-                    descriptor: GeometricDescriptor) -> Tuple[ElasticChain, list]:
+                    descriptor: GeometricDescriptor) -> ElasticChain:
     """End-to-end re-targeting: Laplacian edit then parameter recovery."""
     new_joints, _ = solve_constrained_edit(chain.joints, descriptor.enter,
                                            descriptor.exit)
-    comps = recover_gmm(chain, new_joints)
-    return ElasticChain(OrderedGmm(tuple(comps)), new_joints), comps
+    return ElasticChain(OrderedGmm(tuple(recover_gmm(chain, new_joints))),
+                        new_joints)

@@ -16,20 +16,20 @@ import time
 import numpy as np
 
 from . import fileio
+from .chain import transform_chain
 from .core import GeometricDescriptor, Pose, Trajectory, compute_velocities
 from .errors import StableMotionError, ValidationError
 from .evaluation import (
     RolloutConfig,
     adaptation_metrics,
-    bench_adaptation,
     convergence_radius_for,
     rollout,
     sample_field,
 )
 from .gmm import GmmFitConfig
-from .pipeline import adapt, learn
-from .policy import EstimateOptions, estimate, evaluate_batch, lyapunov_value
-from .profile import ProfileConfig, regenerate_profile
+from .pipeline import adapt, learn, reestimate
+from .policy import EstimateOptions, evaluate_batch, lyapunov_value
+from .profile import ProfileConfig
 from .sequence import split_demo, stitch_chains
 
 EXIT_OK = 0
@@ -200,12 +200,14 @@ def _resample(demo: Trajectory, n: int) -> Trajectory:
 
 
 def cmd_bench(args, cfg) -> int:
+    if args.repeats < 1:
+        raise ValidationError("repeats must be >= 1")
     demo, _, _ = _single_demo(args.demo)
+    opts = _estimate_opts(cfg)
     rows = []
     for n in args.lengths:
         resampled = compute_velocities(_resample(demo, n))
-        chain, _ = learn(resampled, _gmm_cfg(cfg),
-                         _estimate_opts(cfg))
+        chain, _ = learn(resampled, _gmm_cfg(cfg), opts)
         # shift both ends by a tenth of the span: a representative re-target
         span = resampled.end - resampled.start
         offset = 0.1 * np.linalg.norm(span) * np.ones(resampled.dim) / \
@@ -213,13 +215,19 @@ def cmd_bench(args, cfg) -> int:
         desc = chain.endpoint_descriptor()
         moved = GeometricDescriptor(*(Pose(p.position + offset, p.rotation)
                                       for p in (desc.enter, desc.exit)))
-        report = bench_adaptation(
-            chain, moved, ProfileConfig(p=n, dt=resampled.median_dt()),
-            repeats=args.repeats, estimate_opts=_estimate_opts(cfg),
-            rollout_cfg=_rollout_cfg_for(chain, cfg))
-        rows.append(f"{n},{1e3 * report.transform_time:.3f},"
-                    f"{1e3 * report.estimate_time:.3f},"
-                    f"{1e3 * report.total_time:.3f},{report.converged}")
+        profile_cfg = ProfileConfig(p=n, dt=resampled.median_dt())
+        times = []
+        for _ in range(args.repeats):  # the last repeat's policy is scored
+            t0 = time.perf_counter()
+            new_chain = transform_chain(chain, moved)
+            t1 = time.perf_counter()
+            _, policy = reestimate(new_chain, profile_cfg, opts)
+            times.append((t1 - t0, time.perf_counter() - t1))
+        t_transform, t_estimate = np.median(times, axis=0)
+        converged = adaptation_metrics(
+            policy, new_chain, _rollout_cfg_for(new_chain, cfg))["converged"]
+        rows.append(f"{n},{1e3 * t_transform:.3f},{1e3 * t_estimate:.3f},"
+                    f"{1e3 * (t_transform + t_estimate):.3f},{converged}")
     table = ("T_n,transform_ms,estimate_ms,total_ms,converged\n"
              + "\n".join(rows) + "\n")
     if args.output:
@@ -236,12 +244,9 @@ def cmd_stitch(args, cfg) -> int:
         _, chain = fileio.load_policy(path)
         chains.append(chain)
     stitched = stitch_chains(chains)
-    profile = regenerate_profile(
-        stitched.joints,
-        _profile_cfg_for(stitched, cfg, points_per_component=20))
-    policy = estimate(list(stitched.components.components), profile.points,
-                      profile.velocities, stitched.joints[-1],
-                      _estimate_opts(cfg))
+    _, policy = reestimate(
+        stitched, _profile_cfg_for(stitched, cfg, points_per_component=20),
+        _estimate_opts(cfg))
     fileio.save_policy(args.output, policy, stitched,
                        fileio.make_provenance())
     _report(args, {"command": "stitch", "segments": len(args.policies),

@@ -1,7 +1,9 @@
 """Named numerical tolerances, collected in one record.
 
-Every default used by the library lives here so that tests and callers can
-tighten or relax them in one place.
+The library reads the fixed `DEFAULT_TOLERANCES`: no function takes a
+`Tolerances`, so callers cannot tighten or relax them. Constants of one
+algorithm, such as EM's stop rule and the estimator's gap tolerance, live
+in its module.
 """
 
 from dataclasses import dataclass

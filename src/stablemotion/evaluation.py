@@ -1,4 +1,4 @@
-"""Rollouts, adaptation metrics, vector-field sampling, and timing."""
+"""Rollouts, adaptation metrics and vector-field sampling."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ import numpy as np
 from .chain import ElasticChain
 from .core import GeometricDescriptor, Pose, Trajectory, joint_diameter
 from .errors import DegenerateDirection, NonFiniteState, ValidationError
-from .pipeline import adapt_policy
 from .policy import LpvDsPolicy, evaluate_batch
-from .profile import ProfileConfig
 from .sequence import PlanExecutor, TaskPlan
 
 
@@ -34,17 +32,6 @@ _RK4_REAL_LIMIT = 2.78  # RK4's stability interval ends near -2.785
 class RolloutResult:
     trajectory: Trajectory
     converged: bool
-
-
-@dataclass(frozen=True)
-class AdaptationReport:
-    start_cos: float
-    goal_cos: float
-    endpoints_distance: float
-    converged: bool
-    transform_time: float
-    estimate_time: float
-    total_time: float
 
 
 def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
@@ -195,25 +182,3 @@ def adaptation_metrics(policy: LpvDsPolicy, chain: ElasticChain,
         "converged": run.converged,
     }
 
-
-def bench_adaptation(chain: ElasticChain, descriptor: GeometricDescriptor,
-                     profile_cfg: ProfileConfig, repeats: int = 3,
-                     estimate_opts=None, rollout_cfg=None) -> AdaptationReport:
-    """Median wall times for the adaptation pipeline plus adaptation_metrics
-    for the last repeat's policy, rolled out with rollout_cfg (by default,
-    to within convergence_radius_for the adapted joints)."""
-    if repeats < 1:
-        raise ValidationError("repeats must be >= 1")
-    t_transform, t_estimate = [], []
-    for _ in range(repeats):  # the last repeat's policy is the one rolled out
-        new_chain, profile, policy, tt, te = adapt_policy(
-            chain, descriptor, profile_cfg, estimate_opts)
-        t_transform.append(tt)
-        t_estimate.append(te)
-
-    tt = float(np.median(t_transform))
-    te = float(np.median(t_estimate))
-    return AdaptationReport(
-        **adaptation_metrics(policy, new_chain, rollout_cfg or RolloutConfig(
-            convergence_radius=convergence_radius_for(new_chain.joints))),
-        transform_time=tt, estimate_time=te, total_time=tt + te)

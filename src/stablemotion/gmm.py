@@ -154,10 +154,6 @@ class Mixture:
         lj /= total
         return lj, top, total
 
-    def posterior(self, X: np.ndarray) -> np.ndarray:
-        """(n, K) responsibilities for the rows of X."""
-        return self.weigh(lift(np.atleast_2d(X).T, self.origin))[0].T
-
 
 def responsibilities(components: Sequence[GaussianComponent],
                      xi: np.ndarray) -> np.ndarray:

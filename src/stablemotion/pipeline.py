@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Tuple
 
 from .chain import ElasticChain, build_chain, transform_chain
@@ -30,21 +29,15 @@ def learn(demo: Trajectory,
     return chain, policy
 
 
-def adapt_policy(chain: ElasticChain, descriptor: GeometricDescriptor,
-                 profile_cfg: ProfileConfig, estimate_opts=None):
-    """Transform the chain, regenerate the profile, re-estimate the policy.
-
-    Returns (new_chain, profile, policy, transform_time, estimate_time).
-    """
-    opts = estimate_opts or EstimateOptions()
-    t0 = time.perf_counter()
-    new_chain, comps = transform_chain(chain, descriptor)
-    profile = regenerate_profile(new_chain.joints, profile_cfg)
-    t1 = time.perf_counter()
-    policy = estimate(comps, profile.points, profile.velocities,
-                      new_chain.joints[-1], opts)
-    t2 = time.perf_counter()
-    return new_chain, profile, policy, t1 - t0, t2 - t1
+def reestimate(chain: ElasticChain, profile_cfg: ProfileConfig,
+               opts: EstimateOptions = EstimateOptions()
+               ) -> Tuple[Trajectory, LpvDsPolicy]:
+    """Regenerate the profile through the chain's joints and estimate the
+    chain's components on it, with the attractor at the last joint;
+    returns (profile, policy)."""
+    profile = regenerate_profile(chain.joints, profile_cfg)
+    return profile, estimate(chain.components.components, profile.points,
+                             profile.velocities, chain.joints[-1], opts)
 
 
 def adapt(chain: ElasticChain, descriptor: GeometricDescriptor,
@@ -52,4 +45,5 @@ def adapt(chain: ElasticChain, descriptor: GeometricDescriptor,
           opts: EstimateOptions = EstimateOptions()):
     """Re-target a learned chain to a new descriptor; returns
     (new_chain, profile, policy)."""
-    return adapt_policy(chain, descriptor, profile_cfg, opts)[:3]
+    new_chain = transform_chain(chain, descriptor)
+    return (new_chain, *reestimate(new_chain, profile_cfg, opts))

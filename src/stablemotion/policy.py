@@ -225,16 +225,22 @@ def solve(problem: FitProblem, max_steps: int) -> Solution:
     is below a fixed share of J; one DEBUG record gives the status. X comes
     from W, so every iterate is feasible; J is quadratic, so J and dJ/dW
     follow each step exactly, and the stationarity residual
-    r = dJ/dW + Z shrinks by 1 - a with a step of length a."""
+    r = dJ/dW + Z shrinks by 1 - a with a step of length a.
+
+    Each Newton step is found in the eigenbasis V_k of X_k, where X_k is
+    diag(x_k): there X^-1 dX Z is a row scaling, and the Newton system's
+    stiff rows (Z / x for x near 0) stay apart from the rest. Formed in
+    world axes, the 1/min x entries round into the directions where Z or
+    r must be small, and near the solution the iterate stalls or leaves
+    the cone."""
     stats, P, eps, reg, shrink, W = problem
     P_inv = np.linalg.inv(P)
     K, d, _ = W.shape
-    m, I = K * d, np.eye(d)
+    m, n, I = K * d, K * d * d, np.eye(d)
     Q = objective_hessian(stats, P_inv, reg)
+    Q_blocks = np.ascontiguousarray(         # (K, K, d^2, d^2)
+        Q.reshape(K, d * d, K, d * d).swapaxes(1, 2))
     Hr_inv = np.linalg.inv(stats.H + reg * np.eye(m))
-    system = np.empty_like(Q)
-    # a view of the Newton matrix's (K, d^2, d^2) diagonal blocks
-    blocks = np.einsum("kikj->kij", system.reshape(K, d * d, K, d * d))
     J0, G = objective_and_gradient(W, stats, P_inv, reg, shrink)
     J, g = J0, G.ravel()
     Z = (J / m) * np.linalg.inv(-_sym(W) - eps * I)
@@ -243,46 +249,59 @@ def solve(problem: FitProblem, max_steps: int) -> Solution:
         if not np.isfinite(J):
             raise OptimizationDiverged("non-finite objective")
         X = -_sym(W) - eps * I
-        r = g + Z.ravel()
         mu = float(np.vdot(X, Z)) / m
-        gap = m * mu + 0.5 * inverse_hessian_form(r, P, Hr_inv)
+        gap = m * mu
+        # the residual's term is needed only once <X, Z> alone is small
         if gap <= _GAP_RTOL * J or steps == max_steps:
-            break
+            gap += 0.5 * inverse_hessian_form(g + Z.ravel(), P, Hr_inv)
+            if gap <= _GAP_RTOL * J or steps == max_steps:
+                break
         try:
-            # X and Z stacked: S = L L^T, so S^-1 = R R^T with R = L^-T
+            x, V = np.linalg.eigh(X)
+            # T_k = V_k (x) V_k maps vec(M) in the eigenbasis to
+            # vec(V_k M V_k^T) in world axes
+            T = (V[:, :, None, :, None] * V[:, None, :, None, :]).reshape(
+                K, d * d, d * d)
+            Tt = T.swapaxes(1, 2)
+            Xv = x[..., None] * I
+            Zv = (Tt @ Z.reshape(K, d * d, 1)).reshape(K, d, d)
+            # diag(x) and Zv stacked: S = L L^T, so S^-1 = R R^T, R = L^-T
             R = np.linalg.inv(np.linalg.cholesky(
-                np.concatenate([X, Z]))).swapaxes(1, 2)
-            X_inv = R[:K] @ R[:K].swapaxes(1, 2)
-            system[...] = Q
-            blocks += hkm_blocks(X_inv, Z)
+                np.concatenate([Xv, Zv]))).swapaxes(1, 2)
+            x_inv = 1.0 / x[..., None]      # X^-1 is a row scaling
+            # Q in the eigenbases, the HKM blocks on its (k, k) blocks
+            system = Tt[:, None] @ Q_blocks @ T
+            np.einsum("kkab->kab", system)[...] += hkm_blocks(x_inv * I, Zv)
+            system = system.swapaxes(1, 2).reshape(n, n)
+            gv = (Tt @ g.reshape(K, d * d, 1)).reshape(K, d, d)
             # the predictor aims at X Z = 0; the corrector at sigma mu I,
-            # with the predictor's second-order term
-            target, second = 0.0, 0.0
+            # less the predictor's second-order term
+            aim = 0.0
             for corrector in (False, True):
-                dw = np.linalg.solve(system,
-                                     -g - (target * X_inv - second).ravel())
+                dw = np.linalg.solve(system, -(gv + aim).ravel())
                 dX = -_sym(dw.reshape(K, d, d))
-                dZ = target * X_inv - second - Z - _sym(X_inv @ dX @ Z)
+                dZ = aim - Zv - _sym(x_inv * (dX @ Zv))
                 # the largest a with X + a dX, Z + a dZ >= 0 (inf if none)
                 low = np.linalg.eigvalsh(R.swapaxes(1, 2) @ np.concatenate(
                     [dX, dZ]) @ R)[:, 0].min()
                 a = np.inf if low >= 0.0 else -1.0 / low
                 if not corrector:
                     a = min(1.0, a)
-                    sigma = (float(np.vdot(X + a * dX, Z + a * dZ))
+                    sigma = (float(np.vdot(Xv + a * dX, Zv + a * dZ))
                              / (m * mu)) ** 3
                     # aiming below half the tolerance only feeds rounding
                     # into a Newton system that nears the boundary
                     target = max(sigma * mu, 0.5 * _GAP_RTOL * J / m)
-                    second = _sym(X_inv @ dX @ dZ)
+                    aim = target * x_inv * I - _sym(x_inv * (dX @ dZ))
         except np.linalg.LinAlgError as exc:
             raise OptimizationDiverged(f"Newton step: {exc}") from None
         a = min(1.0, _STEP_BACK * a)
+        dw = (T @ dw.reshape(K, d * d, 1)).ravel()
         Qdw = Q @ dw
         J += a * float(g @ dw) + 0.5 * a * a * float(dw @ Qdw)
         g = g + a * Qdw
         W = W + a * dw.reshape(K, d, d)
-        Z = Z + a * dZ
+        Z = Z + a * (T @ dZ.reshape(K, d * d, 1)).reshape(K, d, d)
         steps += 1
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("estimate: %d Newton iterations, stopped at the cap: %s; "

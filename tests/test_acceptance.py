@@ -23,7 +23,7 @@ from stablemotion.evaluation import (
 )
 from stablemotion.gmm import GmmFitConfig, \
     responsibilities_batch
-from stablemotion.pipeline import adapt, adapt_policy, learn
+from stablemotion.pipeline import adapt, learn
 from stablemotion.policy import (
     LpvDsPolicy,
     estimate,
@@ -31,7 +31,7 @@ from stablemotion.policy import (
     fit_statistics,
     objective_and_gradient,
 )
-from stablemotion.profile import ProfileConfig
+from stablemotion.profile import ProfileConfig, regenerate_profile
 from stablemotion.sequence import Segment, TaskPlan, split_demo, stitch_chains
 from test_chain import kkt_oracle
 from conftest import arc_demo, helix_demo, line_demo, s_curve_demo
@@ -157,19 +157,20 @@ def test_3_transform_correctness():
     ok = True
 
     # identity transform
-    same, comps = transform_chain(chain, chain.endpoint_descriptor())
+    same = transform_chain(chain, chain.endpoint_descriptor())
     ok = ok and np.allclose(same.joints, chain.joints, atol=1e-9)
-    for c0, c1 in zip(chain.components.components, comps):
+    for c0, c1 in zip(chain.components.components,
+                      same.components.components):
         ok = ok and np.allclose(c0.mean, c1.mean, atol=1e-9)
         ok = ok and np.allclose(c0.covariance, c1.covariance, atol=1e-9)
 
     # exact translation equivariance
     shift = np.array([0.7, -1.3])
-    moved, comps_m = transform_chain(chain,
-                                     _shifted(chain.endpoint_descriptor(),
-                                              shift, shift))
+    moved = transform_chain(chain, _shifted(chain.endpoint_descriptor(),
+                                            shift, shift))
     ok = ok and np.allclose(moved.joints, chain.joints + shift, atol=1e-9)
-    for c0, c1 in zip(chain.components.components, comps_m):
+    for c0, c1 in zip(chain.components.components,
+                      moved.components.components):
         ok = ok and np.allclose(c1.mean, c0.mean + shift, atol=1e-9)
         ok = ok and np.allclose(c1.covariance, c0.covariance, atol=1e-9)
 
@@ -261,10 +262,21 @@ def test_6_timing(tmp_path, capsys):
     demo = s_curve_demo(n=200)
     chain, _ = learn(demo, GmmFitConfig(k_max=6, restarts=3))
     desc = _shifted(chain.endpoint_descriptor(), [0.2, 0.2], [-0.2, 0.2])
+    profile_cfg = ProfileConfig.for_demo(demo)
+
+    def timed_adapt():
+        """(edit and profile, estimate) wall times of one adapt."""
+        t0 = time.perf_counter()
+        new_chain = transform_chain(chain, desc)
+        profile = regenerate_profile(new_chain.joints, profile_cfg)
+        t1 = time.perf_counter()
+        estimate(new_chain.components.components, profile.points,
+                 profile.velocities, new_chain.joints[-1])
+        return t1 - t0, time.perf_counter() - t1
+
     # warm up JIT-free but cache-warm path once, then measure
-    adapt_policy(chain, desc, ProfileConfig.for_demo(demo))
-    _, _, _, t_transform, t_estimate = adapt_policy(
-        chain, desc, ProfileConfig.for_demo(demo))
+    timed_adapt()
+    t_transform, t_estimate = timed_adapt()
 
     from stablemotion import fileio
     from stablemotion.cli import main
@@ -318,7 +330,6 @@ def test_7_multi_segment_plans():
         # one policy over the stitched chain, as a plan of one segment
         stitched = stitch_chains([s.chain for s in segs])
         profile_cfg = ProfileConfig.for_demo(demo)
-        from stablemotion.profile import regenerate_profile
         profile = regenerate_profile(stitched.joints, profile_cfg)
         one = estimate(list(stitched.components.components), profile.points,
                        profile.velocities, stitched.joints[-1])

@@ -5,7 +5,7 @@ from stablemotion.chain import (
     ElasticChain,
     build_chain,
     build_laplacian,
-    gaussian_joint,
+    gaussian_joints,
     recover_gmm,
     solve_constrained_edit,
     transform_chain,
@@ -172,22 +172,28 @@ def fitted_chain(demo=None, k_max=5):
     return build_chain(order_components(comps, demo), demo), demo
 
 
+def joint_of(g1: GaussianComponent, g2: GaussianComponent) -> np.ndarray:
+    """`gaussian_joints` of two components (K = 2)."""
+    return gaussian_joints(np.array([g1.mean, g2.mean]),
+                           np.array([g1.covariance, g2.covariance]))[0]
+
+
 class TestGaussianJoint:
     def test_symmetric_midpoint(self):
-        j = gaussian_joint(unit_gaussian(0, 0), unit_gaussian(2, 0))
+        j = joint_of(unit_gaussian(0, 0), unit_gaussian(2, 0))
         assert np.allclose(j, [1, 0])
 
     def test_precision_weighted(self):
         # Sigma1 = I, Sigma2 = 3I: joint = (3*mu1 + mu2) / 4
-        j = gaussian_joint(unit_gaussian(0, 0),
-                           unit_gaussian(4, 0, cov=3.0 * np.eye(2)))
+        j = joint_of(unit_gaussian(0, 0),
+                     unit_gaussian(4, 0, cov=3.0 * np.eye(2)))
         assert np.allclose(j, [1, 0])
 
     def test_coincident_means(self, rng):
         m = rng.normal(size=2)
         c1 = GaussianComponent(0.5, m, np.array([[2.0, 0.3], [0.3, 1.0]]))
         c2 = GaussianComponent(0.5, m, np.array([[0.5, -0.1], [-0.1, 3.0]]))
-        assert np.allclose(gaussian_joint(c1, c2), m, atol=1e-12)
+        assert np.allclose(joint_of(c1, c2), m, atol=1e-12)
 
 
 class TestBuildLaplacian:
@@ -220,7 +226,7 @@ class TestBuildChain:
         if len(chain.components) == 2:
             comps = chain.components.components
             assert np.allclose(chain.joints[1],
-                               gaussian_joint(comps[0], comps[1]), atol=1e-12)
+                               joint_of(comps[0], comps[1]), atol=1e-12)
 
     def test_link_no_longer_than_the_degenerate_point_is_rejected(self):
         chain, _ = fitted_chain(k_max=3)
@@ -329,9 +335,10 @@ class TestRecoverGmm:
 class TestTransformChain:
     def test_identity_descriptor(self):
         chain, _ = fitted_chain()
-        new_chain, comps = transform_chain(chain, chain.endpoint_descriptor())
+        new_chain = transform_chain(chain, chain.endpoint_descriptor())
         assert np.max(np.abs(new_chain.joints - chain.joints)) < 1e-9
-        for orig, new in zip(chain.components.components, comps):
+        for orig, new in zip(chain.components.components,
+                             new_chain.components.components):
             assert np.allclose(new.mean, orig.mean, atol=1e-9)
             assert np.allclose(new.covariance, orig.covariance, atol=1e-9)
 
@@ -342,9 +349,10 @@ class TestTransformChain:
         moved = GeometricDescriptor(
             enter=Pose(desc.enter.position + t, desc.enter.rotation),
             exit=Pose(desc.exit.position + t, desc.exit.rotation))
-        new_chain, comps = transform_chain(chain, moved)
+        new_chain = transform_chain(chain, moved)
         assert np.max(np.abs(new_chain.joints - (chain.joints + t))) < 1e-9
-        for orig, new in zip(chain.components.components, comps):
+        for orig, new in zip(chain.components.components,
+                             new_chain.components.components):
             assert np.allclose(new.mean, orig.mean + t, atol=1e-9)
             assert np.allclose(new.covariance, orig.covariance, atol=1e-9)
 
@@ -359,7 +367,7 @@ class TestTransformChain:
                        R @ desc.enter.rotation),
             exit=Pose(desc.exit.position + [-0.6, 0.8],
                       R.T @ desc.exit.rotation))
-        new_chain, _ = transform_chain(chain, moved)
+        new_chain = transform_chain(chain, moved)
         applied = new_chain.endpoint_descriptor()
         assert np.allclose(applied.enter.position, moved.enter.position,
                            atol=1e-9)
@@ -374,10 +382,11 @@ class TestStackedAgainstPerLinkReference:
     def test_transform_matches_the_per_link_reference(self, learned_chain):
         chain = learned_chain
         for desc in moved_descriptors(chain, np.random.default_rng(8), 12):
-            new_chain, comps = transform_chain(chain, desc)
+            new_chain = transform_chain(chain, desc)
             joints, expect = reference_transform(chain, desc)
             assert np.array_equal(new_chain.joints, joints)
-            for comp, (mean, cov) in zip(comps, expect):
+            for comp, (mean, cov) in zip(new_chain.components.components,
+                                         expect):
                 assert np.abs(comp.mean - mean).max() <= 1e-12
                 assert np.abs(comp.covariance - cov).max() <= 1e-12
 
@@ -395,9 +404,9 @@ class TestStackedAgainstPerLinkReference:
                                carried.joints)
         save_policy(tmp_path / "adapted.json", policy, carried)
         _, loaded = load_policy(tmp_path / "adapted.json")
-        _, a = transform_chain(carried, second)
+        a = transform_chain(carried, second).components.components
         for other in (derived, loaded):
-            _, b = transform_chain(other, second)
+            b = transform_chain(other, second).components.components
             for x, y in zip(a, b):
                 assert np.abs(x.mean - y.mean).max() <= 1e-12
                 assert np.abs(x.covariance - y.covariance).max() <= 1e-12

@@ -165,6 +165,10 @@ class TestBench:
         assert len(lines) == 3
         assert lines[1].startswith("80,") and lines[2].startswith("120,")
         assert all(line.endswith(",True") for line in lines[1:])
+        for line in lines[1:]:  # each time is rounded to 1e-3 ms
+            _, transform, estimate, total, _ = line.split(",")
+            assert float(total) == pytest.approx(
+                float(transform) + float(estimate), abs=2e-3)
 
     def test_bench_rolls_out_with_the_config(self, tmp_path, demo_file,
                                              policy_file, capsys):

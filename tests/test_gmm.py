@@ -15,6 +15,7 @@ from stablemotion.gmm import (
     GmmFitConfig,
     Mixture,
     fit_gmm,
+    lift,
     order_components,
     responsibilities,
     responsibilities_batch,
@@ -307,7 +308,8 @@ class TestLiftedPrecision:
         comps = [GaussianComponent(1.0 / 3.0, m, c)
                  for m, c in zip(means, covs)]
         X = far + 2.0 * width * rng.normal(size=(200, d))
-        got = Mixture.from_components(comps, attractor).posterior(X)
+        got = Mixture.from_components(comps, attractor).weigh(
+            lift(X.T, attractor))[0].T
         want, _ = reference_e_step(X.T, [1.0 / 3.0] * 3, means, covs)
         tol = lifted_tolerance(covs, means, attractor, X.T)
         assert tol < 1e-7

@@ -9,7 +9,8 @@ import pytest
 
 import stablemotion
 from stablemotion.chain import build_chain
-from stablemotion.core import GaussianComponent, GeometricDescriptor, Pose
+from stablemotion.core import (GaussianComponent, GeometricDescriptor, Pose,
+                               Trajectory, compute_velocities)
 from stablemotion.errors import (InfeasibleAttractor, InsufficientData,
                                  ValidationError)
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
@@ -484,6 +485,45 @@ class TestConvexOptimum:
         hi = demo.points.max(axis=0) + 0.5
         pts = np.random.default_rng(5).uniform(lo, hi, (500, demo.dim))
         assert np.all(lyapunov_rates(policy, pts) < 0)
+
+    @pytest.mark.parametrize("shape, scale, turn, eigs, oracle", [
+        ("s_curve", 0.3, 28, (1.90, 0.10), 2e-10),
+        ("s_curve", 0.3, 13, (0.02, 1.98), 2e-10),
+        ("s_curve", 0.1, 5, (1.98, 0.02), 2e-10),
+        ("s_curve", 0.1, 7, (1.98, 0.02), 2e-10),
+        ("helix", 1.0, 15, (1.4995, 1.4995, 0.001), 1e-8)])
+    def test_anisotropic_certificates_solve(self, shape, scale, turn, eigs,
+                                            oracle):
+        # the demo with x scaled, under P = R diag(eigs) R^T, R a turn by
+        # turn * pi / 36 in the plane of the last two axes. Newton steps
+        # formed in world axes left the cone on all five
+        # (OptimizationDiverged); with only X^-1 dX Z formed in the X
+        # eigenbases the helix stalled at the step cap. Measured: 14 to 24
+        # Newton steps; (J - lower) / J 5.1e-11 to 9.6e-11 on the S-curves
+        # and 3.4e-9 on the helix, whose oracle dual (built through P^-1,
+        # with an eigenvalue of 1e3) is looser than the solver's.
+        base = SHAPES[shape](200)
+        demo = compute_velocities(Trajectory(
+            base.points * np.r_[scale, np.ones(base.dim - 1)],
+            base.timestamps))
+        comps = fit_gmm(demo.points, GmmFitConfig(k_max=6, restarts=1))
+        c, s = np.cos(turn * np.pi / 36), np.sin(turn * np.pi / 36)
+        R = np.eye(demo.dim)
+        R[-2:, -2:] = [[c, -s], [s, c]]
+        opts = EstimateOptions(P=R @ np.diag(eigs) @ R.T)
+        args = (comps, demo.points, demo.velocities, demo.end)
+        policy = estimate(*args, opts)
+        assert constraint_residual(policy) <= 0.0
+        lo = demo.points.min(axis=0) - 0.5
+        hi = demo.points.max(axis=0) + 0.5
+        pts = np.random.default_rng(5).uniform(lo, hi, (500, demo.dim))
+        assert np.all(lyapunov_rates(policy, pts) < 0)
+        problem = fit_problem(*args, opts)
+        solution = solve(problem, opts.max_iters)
+        assert solution.newton_steps < 30
+        J, lower = dual_bound(problem, solution.W)
+        assert solution.gap <= 1e-10 * J
+        assert 0.0 <= J - lower <= oracle * J
 
     @pytest.mark.parametrize("kind", ["learn", "adapt"])
     def test_gap_bounds_the_suboptimality_of_every_iterate(self,
