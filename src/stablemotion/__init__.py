@@ -3,7 +3,6 @@ new task-frame configurations via a constrained Gaussian-chain edit."""
 
 import logging
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .core import (
     GaussianComponent,
     GeometricDescriptor,

@@ -15,8 +15,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .core import (
+    DEGENERATE_POINT,
+    REACH,
     GaussianComponent,
     GeometricDescriptor,
     Pose,
@@ -29,14 +30,17 @@ from .errors import (DegenerateFrame, RankDeficientSystem,
                      SingularCovariance, ValidationError)
 from .gmm import OrderedGmm
 
+# how far apart two targets for one pinned joint may lie
+_CONSTRAINT_EXACTNESS = 1e-9
+
 
 def _link_lengths(joints: np.ndarray) -> np.ndarray:
     """The (K,) distances between consecutive joints (K+1, d); a link no
     longer than the degenerate-point tolerance has no direction."""
     lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
-    if not np.all(lengths > DEFAULT_TOLERANCES.degenerate_point):
+    if not np.all(lengths > DEGENERATE_POINT):
         raise DegenerateFrame(f"a link is no longer than "
-                              f"{DEFAULT_TOLERANCES.degenerate_point:g}")
+                              f"{DEGENERATE_POINT:g}")
     return lengths
 
 
@@ -145,20 +149,20 @@ def solve_constrained_edit(joints0: np.ndarray,
     # a target far outside the chain's workspace would be edited in the
     # rounding of its coordinates, and stretch the links past overflow
     centre = joints0.mean(axis=0)
-    reach = DEFAULT_TOLERANCES.reach * joint_diameter(joints0)
+    reach = REACH * joint_diameter(joints0)
     for pose in (p for p in (o_start, o_end) if p is not None):
         far = np.abs(pose.position - centre)
         if far.max() > reach or np.linalg.norm(far) > reach:
             raise ValidationError(
                 f"a descriptor position lies more than "
-                f"{DEFAULT_TOLERANCES.reach:g} joint diameters from the chain")
+                f"{REACH:g} joint diameters from the chain")
 
     L = build_laplacian(m)
     pins: dict = {}
 
     def _pin(i: int, target: np.ndarray) -> None:
         if i in pins and np.linalg.norm(pins[i] - target) > \
-                DEFAULT_TOLERANCES.constraint_exactness:
+                _CONSTRAINT_EXACTNESS:
             raise RankDeficientSystem(
                 f"joint {i} pinned to conflicting targets "
                 f"(residual {np.linalg.norm(pins[i] - target):.3e})")
@@ -200,33 +204,29 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     with its link and stretches along it.
 
     For link k, Q_k is the least rotation from its old direction u_k to
-    its new one, and r_k its new length over its old. With m = mu_k -
-    joint_k, the new mean is joint'_k + Q_k (m + (r_k - 1)(m . u_k) u_k).
-    The new covariance is Q_k V diag(lambda') V^T Q_k^T, where V diag(lambda)
-    V^T is the old one (one stacked eigendecomposition) and lambda' is
-    lambda with the eigenvalue of the eigenvector most aligned with u_k
-    scaled by r_k^2. Priors are unchanged.
+    its new one w_k, and r_k its new length over its old. The link's map
+    F_k = Q_k (I + (r_k - 1) u_k u_k^T) = Q_k + (r_k - 1) w_k u_k^T carries
+    each component as an affine image of its Gaussian: the new mean is
+    joint'_k + F_k (mu_k - joint_k) and the new covariance F_k Sigma_k
+    F_k^T, so both are continuous in the joints and in the component.
+    Priors are unchanged.
     """
     new_joints = np.asarray(new_joints, dtype=float)
     if new_joints.shape != chain.joints.shape:
         raise ValidationError("joint count mismatch")
     lengths = _link_lengths(new_joints)
-    ratio = lengths / chain.link_lengths
     u = np.diff(chain.joints, axis=0) / chain.link_lengths[:, None]
-    Q = _minimal_rotations(u, np.diff(new_joints, axis=0) / lengths[:, None])
+    w = np.diff(new_joints, axis=0) / lengths[:, None]
+    stretch = lengths / chain.link_lengths - 1.0
+    F = (_minimal_rotations(u, w)
+         + stretch[:, None, None] * w[:, :, None] * u[:, None, :])
     comps = chain.components.components
     means, covs = _stack(comps)
-    m = means - chain.joints[:-1]
-    m += ((ratio - 1.0) * np.sum(m * u, axis=1))[:, None] * u
-    means = new_joints[:-1] + (Q @ m[..., None])[..., 0]
-    vals, vecs = np.linalg.eigh(covs)
-    along = np.argmax(np.abs((u[:, None, :] @ vecs)[:, 0]), axis=1)
-    vals[np.arange(len(comps)), along] *= ratio ** 2
-    vecs = Q @ vecs
-    covs = (vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2)
+    m = (F @ (means - chain.joints[:-1])[..., None])[..., 0]
+    covs = F @ covs @ F.swapaxes(1, 2)
     covs = 0.5 * (covs + covs.swapaxes(1, 2))
     return [GaussianComponent(c.prior, mean, S)
-            for c, mean, S in zip(comps, means, covs)]
+            for c, mean, S in zip(comps, new_joints[:-1] + m, covs)]
 
 
 def transform_chain(chain: ElasticChain,

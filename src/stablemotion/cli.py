@@ -84,13 +84,18 @@ def _single_demo(path):
     return compute_velocities(trajectories[0]), via, descriptor
 
 
+def _given(cfg, prefix: str, names) -> dict:
+    """The options among `names` that the config or a flag sets, each read
+    from key `prefix + name`; the others keep the library's defaults."""
+    return {name: cfg[prefix + name] for name in names if prefix + name in cfg}
+
+
 def _gmm_cfg(cfg) -> GmmFitConfig:
-    return GmmFitConfig(k_min=cfg.get("k_min", 1), k_max=cfg.get("k_max", 8),
-                        restarts=cfg.get("restarts", 5))
+    return GmmFitConfig(**_given(cfg, "", ("k_min", "k_max", "restarts")))
 
 
 def _estimate_opts(cfg) -> EstimateOptions:
-    return EstimateOptions(margin=cfg.get("margin", 1e-2))
+    return EstimateOptions(**_given(cfg, "", ("margin",)))
 
 
 def _mse(policy, points, velocities) -> float:
@@ -138,11 +143,9 @@ def _profile_cfg_for(chain, cfg, points_per_component: int) -> ProfileConfig:
 
 
 def _rollout_cfg_for(chain, cfg) -> RolloutConfig:
-    return RolloutConfig(
-        dt=cfg.get("rollout_dt", 0.01),
-        max_steps=cfg.get("rollout_max_steps", 100_000),
-        convergence_radius=cfg.get("rollout_convergence_radius",
-                                   convergence_radius_for(chain.joints)))
+    return RolloutConfig(**{
+        "convergence_radius": convergence_radius_for(chain.joints),
+        **_given(cfg, "rollout_", ("dt", "max_steps", "convergence_radius"))})
 
 
 def cmd_rollout(args, cfg) -> int:

@@ -12,12 +12,19 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import (
     DegenerateFrame,
     NonMonotoneTimestamps,
     ValidationError,
 )
+
+# the least separation of two points that span a frame or a link
+DEGENERATE_POINT = 1e-9
+# how many joint diameters a loaded joint or component mean, or a
+# descriptor position, may lie from the chain
+REACH = 1e3
+# R^T R = I check on Pose rotations
+_ORTHONORMAL = 1e-9
 
 _WORLD_Z = np.array([0.0, 0.0, 1.0])
 _WORLD_Y = np.array([0.0, 1.0, 0.0])
@@ -66,12 +73,11 @@ class Pose:
         R = self.rotation
         if R.shape != (d, d):
             raise ValidationError(f"rotation shape {R.shape} != ({d}, {d})")
-        tol = DEFAULT_TOLERANCES.orthonormal
         if not np.all(np.isfinite(self.position)) or not np.all(np.isfinite(R)):
             raise ValidationError("pose entries must be finite")
-        if not _orthonormal(R, tol):
+        if not _orthonormal(R, _ORTHONORMAL):
             raise ValidationError("rotation is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > tol:
+        if abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL:
             raise ValidationError("rotation must have determinant +1")
 
     @property
@@ -201,7 +207,7 @@ def frame_rotations(origins: np.ndarray, towards: np.ndarray) -> np.ndarray:
     s = np.maximum(_pow2_scale(origins, axis=1), _pow2_scale(towards, axis=1))
     delta = towards / s - origins / s
     norm = np.linalg.norm(delta, axis=1, keepdims=True)
-    if np.any(norm <= DEFAULT_TOLERANCES.degenerate_point / s):
+    if np.any(norm <= DEGENERATE_POINT / s):
         raise DegenerateFrame("frame endpoints coincide")
     x = delta / norm
     if origins.shape[1] == 2:

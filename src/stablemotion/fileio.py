@@ -15,10 +15,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .chain import ElasticChain
-from .core import (GaussianComponent, GeometricDescriptor, Pose, Trajectory,
-                   _orthonormal, _pow2_scale, joint_diameter)
+from .core import (REACH, GaussianComponent, GeometricDescriptor, Pose,
+                   Trajectory, _orthonormal, _pow2_scale, joint_diameter)
 from .errors import ValidationError
 from .gmm import OrderedGmm
 from .policy import LpvDsPolicy, constraint_residual
@@ -29,12 +28,15 @@ DESCRIPTOR_FORMAT = "stablemotion-descriptor"
 FORMAT_VERSION = 1
 # the largest |joint coordinate| a policy file may hold: the joint diameter
 # is then below 7 times it, and the reach in diameters squared is finite
-_JOINT_BOUND = np.sqrt(np.finfo(float).max) / (8.0 * DEFAULT_TOLERANCES.reach)
+_JOINT_BOUND = np.sqrt(np.finfo(float).max) / (8.0 * REACH)
 # the least standard deviation a policy file's component may have, in joint
 # diameters: the policies fitted and adapted by the tests and perfbench
 # stay above 1e-4, and with every link longer than 1e-9 (as a chain's must
 # be) no covariance determinant can underflow
 _THINNEST = 1e-8
+# R^T R = I check on loaded rotations, looser than Pose's own; a loaded
+# rotation is re-orthonormalised
+_ORTHONORMAL_IO = 1e-6
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -136,9 +138,9 @@ def _pose_from_dict(obj: dict) -> Pose:
     position = _numeric(obj, "position", (None,))
     d = position.shape[0]
     rotation = _numeric(obj, "rotation", (d, d))
-    tol = DEFAULT_TOLERANCES.orthonormal_io
-    _require(_orthonormal(rotation, tol), "rotation is not orthonormal")
-    _require(abs(np.linalg.det(rotation) - 1.0) <= tol,
+    _require(_orthonormal(rotation, _ORTHONORMAL_IO),
+             "rotation is not orthonormal")
+    _require(abs(np.linalg.det(rotation) - 1.0) <= _ORTHONORMAL_IO,
              "rotation must have determinant +1")
     # re-orthonormalize so downstream strict checks pass
     u, _, vt = np.linalg.svd(rotation)
@@ -226,23 +228,21 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     anchors = np.vstack([means, attractor])
     s = _pow2_scale(np.vstack([joints, anchors]))
     far = np.linalg.norm(joints / s - (anchors / s).mean(axis=0), axis=1)
-    _require(far.max() <= DEFAULT_TOLERANCES.reach
-             * joint_diameter(anchors / s),
-             f"a chain joint lies more than {DEFAULT_TOLERANCES.reach:g} "
-             f"diameters of the component means and attractor from their "
-             f"centre")
+    _require(far.max() <= REACH * joint_diameter(anchors / s),
+             f"a chain joint lies more than {REACH:g} diameters of the "
+             f"component means and attractor from their centre")
     _require(np.abs(joints).max() <= _JOINT_BOUND,
              f"a chain joint coordinate exceeds {_JOINT_BOUND:.3g}")
     far = means - attractor
     diameter = joint_diameter(joints)
-    reach = DEFAULT_TOLERANCES.reach * diameter
+    reach = REACH * diameter
     _require(np.abs(far).max() <= reach and np.linalg.norm(far, axis=1).max()
              <= reach, f"a component mean lies more than "
-             f"{DEFAULT_TOLERANCES.reach:g} joint diameters from the attractor")
+             f"{REACH:g} joint diameters from the attractor")
     covs = np.array([c.covariance for c in comps])
     _require(np.abs(covs).max() <= reach ** 2,
              f"a component spreads over more than "
-             f"{DEFAULT_TOLERANCES.reach:g} joint diameters")
+             f"{REACH:g} joint diameters")
     _require(np.linalg.eigvalsh(covs)[:, 0].min()
              >= (_THINNEST * diameter) ** 2,
              f"a component is thinner than {_THINNEST:g} joint diameters")

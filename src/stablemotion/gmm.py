@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .core import GaussianComponent, Trajectory, _frozen
 from .errors import EmDidNotImprove, InsufficientData, ValidationError
 
@@ -33,6 +32,11 @@ _MASKED_EXP_SIZE = 1024
 # less than this (relative)
 _EM_MAX_STEPS = 200
 _EM_LOGLIK_TOL = 1e-7
+# a run whose log-likelihood falls by more than this (relative) in a step
+# ends with its parameters before that step
+_EM_LOGLIK_SLACK = 1e-8
+# how far a mixture's priors may sum from 1
+_PRIOR_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class OrderedGmm:
 
     def __post_init__(self):
         priors = sum(c.prior for c in self.components)
-        if abs(priors - 1.0) > DEFAULT_TOLERANCES.prior_sum:
+        if abs(priors - 1.0) > _PRIOR_SUM_TOL:
             raise ValidationError(f"priors sum to {priors}, expected 1")
 
     def __len__(self) -> int:
@@ -239,7 +243,6 @@ def _em_lockstep(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
     """
     R = resp.shape[0]
     lifted = _lift_about_mean(points)
-    slack = DEFAULT_TOLERANCES.em_loglik_slack
     ids = list(range(R))
     prev_ll = [-np.inf] * R
     prev = None
@@ -253,7 +256,7 @@ def _em_lockstep(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
         # the stop rule on Python floats: for the few runs of a stack that
         # is cheaper than a dozen small numpy calls per step
         for j, (new, old) in enumerate(zip(ll, prev_ll)):
-            if new < old - slack * max(1.0, abs(old)):
+            if new < old - _EM_LOGLIK_SLACK * max(1.0, abs(old)):
                 # the additive covariance floor can nudge the objective down
                 # a little near a fixed point; only a large drop signals a bug
                 if new < old - 1e-3 * max(1.0, abs(old)):

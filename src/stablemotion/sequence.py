@@ -8,7 +8,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .chain import ElasticChain
 from .core import (GaussianComponent, GeometricDescriptor, Trajectory,
                    joint_diameter)
@@ -20,6 +19,11 @@ from .errors import (
 )
 from .gmm import OrderedGmm
 from .policy import LpvDsPolicy, evaluate
+
+# how far apart one chain's end and the next one's start, and one
+# segment's attractor and the next one's start, may lie
+_CHAIN_GAP = 1e-6
+_ATTRACTOR_CONTINUITY = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,10 +45,9 @@ class TaskPlan:
     def __post_init__(self):
         if not self.segments:
             raise ValidationError("plan needs at least one segment")
-        tol = DEFAULT_TOLERANCES.attractor_continuity
         for a, b in zip(self.segments, self.segments[1:]):
             gap = np.linalg.norm(a.policy.attractor - b.chain.joints[0])
-            if gap > tol:
+            if gap > _ATTRACTOR_CONTINUITY:
                 raise ValidationError(
                     f"segment attractor and next start differ by {gap:.3e}")
         joints = np.vstack([s.chain.joints for s in self.segments])
@@ -109,12 +112,12 @@ def stitch_chains(chains: Sequence[ElasticChain]) -> ElasticChain:
     """
     if not chains:
         raise ValidationError("nothing to stitch")
-    tol = DEFAULT_TOLERANCES.chain_gap
     joints = [chains[0].joints]
     for prev, nxt in zip(chains, chains[1:]):
         gap = np.linalg.norm(prev.joints[-1] - nxt.joints[0])
-        if gap > tol:
-            raise ChainGapTooLarge(f"endpoint gap {gap:.3e} exceeds {tol}")
+        if gap > _CHAIN_GAP:
+            raise ChainGapTooLarge(
+                f"endpoint gap {gap:.3e} exceeds {_CHAIN_GAP}")
         joints.append(nxt.joints[1:])
     all_joints = np.vstack(joints)
 

@@ -63,22 +63,6 @@ def reference_rotation(origin, toward):
     return np.column_stack([x, y, np.cross(x, y)])
 
 
-def reference_link_frame(component, joint, next_joint):
-    """(local mean, local eigenvectors, eigenvalues, along index) of one
-    link, derived on its own; each eigenvector's sign makes its dot with
-    the link x-axis nonnegative, the y-axis breaking a tie."""
-    R = reference_rotation(joint, next_joint)
-    vals, vecs = np.linalg.eigh(component.covariance)
-    for i in range(vecs.shape[1]):
-        dx = vecs[:, i] @ R[:, 0]
-        ref = dx if abs(dx) > 1e-9 else vecs[:, i] @ R[:, 1]
-        if ref < 0:
-            vecs[:, i] = -vecs[:, i]
-    local = R.T @ vecs
-    return (R.T @ (component.mean - joint), local, vals,
-            int(np.argmax(np.abs(local[0]))))
-
-
 def reference_turn(u, w):
     """The rotation about u x w, by the angle between the unit vectors u
     and w (3,), from the unit axis and the angle (Rodrigues' formula)."""
@@ -92,33 +76,30 @@ def reference_turn(u, w):
 
 
 def reference_transform(chain, descriptor):
-    """The re-targeted components, link by link: frames derived afresh
-    from the chain's components, the along-link mean coordinate and
-    variance scaled by the length ratio, and mapped back by the edited
-    link's frame. In 2-D that frame is completed afresh along the new
-    link; in 3-D it is the old frame turned by the Rodrigues rotation
-    from the old link direction to the new one."""
+    """The re-targeted components, link by link: F_k = R'_k diag(r_k, 1,
+    ...) R_k^T, with R_k the old link's frame and R'_k the edited one's,
+    maps each mean about its joint and each covariance. In 2-D R'_k is
+    completed afresh along the new link; in 3-D it is R_k turned by the
+    Rodrigues rotation from the old link direction to the new one."""
     new_joints, _ = solve_constrained_edit(
         chain.joints, descriptor.enter, descriptor.exit)
     out = []
     for k, comp in enumerate(chain.components.components):
-        mean, vecs, vals, along = reference_link_frame(
-            comp, chain.joints[k], chain.joints[k + 1])
+        R = reference_rotation(chain.joints[k], chain.joints[k + 1])
         if chain.dim == 2:
-            R = reference_rotation(new_joints[k], new_joints[k + 1])
+            R_new = reference_rotation(new_joints[k], new_joints[k + 1])
         else:
             u, w = (np.diff(j[k:k + 2], axis=0)[0] for j in
                     (chain.joints, new_joints))
-            R = reference_turn(u / np.linalg.norm(u), w / np.linalg.norm(w)) \
-                @ reference_rotation(chain.joints[k], chain.joints[k + 1])
-        ratio = np.linalg.norm(new_joints[k + 1] - new_joints[k]) / \
+            R_new = reference_turn(u / np.linalg.norm(u),
+                                   w / np.linalg.norm(w)) @ R
+        stretch = np.ones(chain.dim)
+        stretch[0] = np.linalg.norm(new_joints[k + 1] - new_joints[k]) / \
             np.linalg.norm(chain.joints[k + 1] - chain.joints[k])
-        mean, vals = mean.copy(), vals.copy()
-        mean[0] *= ratio
-        vals[along] *= ratio ** 2
-        world = R @ vecs
-        cov = (world * vals) @ world.T
-        out.append((new_joints[k] + R @ mean, 0.5 * (cov + cov.T)))
+        F = (R_new * stretch) @ R.T
+        cov = F @ comp.covariance @ F.T
+        out.append((new_joints[k] + F @ (comp.mean - chain.joints[k]),
+                    0.5 * (cov + cov.T)))
     return new_joints, out
 
 
@@ -159,6 +140,11 @@ def learned_chain(request):
     demo = (s_curve_demo if request.param == "s_curve" else helix_demo)()
     chain, _ = fitted_chain(demo, k_max=6)
     return chain
+
+
+def rotation_2d(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)],
+                     [np.sin(angle), np.cos(angle)]])
 
 
 def unit_gaussian(x, y, prior=0.5, cov=None):
@@ -308,10 +294,10 @@ class TestRecoverGmm:
                                             scaled)):
             u = chain.joints[k + 1] - chain.joints[k]
             u /= np.linalg.norm(u)
-            vals, vecs = np.linalg.eigh(orig.covariance)
-            vals[np.argmax(np.abs(u @ vecs))] *= 4.0
-            assert np.allclose(np.linalg.eigvalsh(new.covariance),
-                               np.sort(vals), atol=1e-9)
+            # the link's map doubles the along-link axis: F = I + u u^T
+            F = np.eye(2) + np.outer(u, u)
+            assert np.allclose(new.covariance, F @ orig.covariance @ F.T,
+                               atol=1e-9)
             # the along-link mean offset doubles, the rest is unchanged
             m = orig.mean - chain.joints[k]
             offset = new.mean - 2 * chain.joints[k]
@@ -330,6 +316,54 @@ class TestRecoverGmm:
             assert np.allclose(new.mean, R @ orig.mean + t, atol=1e-9)
             assert np.allclose(new.covariance, R @ orig.covariance @ R.T,
                                atol=1e-9)
+
+    def test_covariance_is_continuous_where_its_axes_tie_with_the_link(self):
+        """A component with axes 45 degrees from its link, turned by 2e-9
+        rad across that tie, is re-posed to the same covariance (to 1e-7
+        of its largest entry) by an edit that doubles the link."""
+        joints = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        moved = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        out = []
+        for angle in (np.pi / 4 - 1e-9, np.pi / 4 + 1e-9):
+            R = rotation_2d(angle)
+            chain = ElasticChain(OrderedGmm((
+                unit_gaussian(0.5, 0.0, cov=R @ np.diag([0.02, 0.01]) @ R.T),
+                unit_gaussian(1.5, 0.0, cov=0.01 * np.eye(2)))), joints)
+            out.append(recover_gmm(chain, moved)[0].covariance)
+        assert np.abs(out[1] - out[0]).max() <= 1e-7 * np.abs(out[0]).max()
+
+    def test_round_component_stretches_along_its_link(self):
+        """A covariance 0.01 R diag(1, 1 + 1e-9, ...) R^T is stretched
+        along its link whatever its axes R: to diag(r^2 0.01, 0.01, ...)
+        in the new link's axes, to 1e-12 beyond the image of its own
+        1e-9-relative departure from round (here r = 2)."""
+        joints = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        moved = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        for angle in (0.0, np.pi / 4, np.pi / 3):
+            R = rotation_2d(angle)
+            chain = ElasticChain(OrderedGmm((
+                unit_gaussian(0.5, 0.0,
+                              cov=0.01 * R @ np.diag([1.0, 1.0 + 1e-9]) @ R.T),
+                unit_gaussian(1.5, 0.0, cov=0.01 * np.eye(2)))), joints)
+            S = recover_gmm(chain, moved)[0].covariance
+            assert np.abs(S - np.diag([0.04, 0.01])).max() <= 4e-11 + 1e-12
+        # 3-D: a link along a tilted direction u, turned to w and doubled
+        rng = np.random.default_rng(3)
+        u = np.array([2.0, -1.0, 2.0]) / 3.0
+        w = np.array([1.0, 2.0, -2.0]) / 3.0
+        start = np.array([0.1, -0.2, 0.3])
+        joints = start + np.outer([0.0, 1.0, 2.0], u)
+        moved = start + np.outer([0.0, 2.0, 3.0], w)
+        for _ in range(3):
+            R = random_rotation(rng)
+            cov = 0.01 * R @ np.diag([1.0, 1.0 + 1e-9, 1.0 + 2e-9]) @ R.T
+            chain = ElasticChain(OrderedGmm((
+                GaussianComponent(0.5, start + 0.5 * u, cov),
+                GaussianComponent(0.5, start + 1.5 * u, 0.01 * np.eye(3)))),
+                joints)
+            S = recover_gmm(chain, moved)[0].covariance
+            expect = 0.01 * (np.eye(3) + 3.0 * np.outer(w, w))
+            assert np.abs(S - expect).max() <= 8e-11 + 1e-12
 
 
 class TestTransformChain:

@@ -8,7 +8,6 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from stablemotion import gmm
-from stablemotion.config import DEFAULT_TOLERANCES
 from stablemotion.core import GaussianComponent, Trajectory, joint_diameter
 from stablemotion.errors import InsufficientData
 from stablemotion.gmm import (
@@ -100,7 +99,7 @@ def reference_em_single(data, k, floor, phase, max_iters, tol):
     resp = np.zeros((k, n))
     resp[reference_block_labels(n, k, phase), np.arange(n)] = 1.0
     points = np.ascontiguousarray(data.T)
-    slack = DEFAULT_TOLERANCES.em_loglik_slack
+    slack = gmm._EM_LOGLIK_SLACK
     prev_ll, prev = -np.inf, None
     for step in range(1, max_iters + 1):
         priors, means, covs, resp, ll = reference_em_step(points, resp, floor)
