@@ -19,9 +19,8 @@ from stablemotion import (
     Trajectory,
     adapt,
     compute_velocities,
-    estimate,
     learn,
-    regenerate_profile,
+    reestimate,
     rollout,
     split_demo,
     stitch_chains,
@@ -62,9 +61,7 @@ print(f"sequential plan: converged={run.converged}, "
 
 # alternatively, stitch the chains and fit a single policy end to end
 stitched = stitch_chains([s.chain for s in segments])
-profile = regenerate_profile(stitched.joints, ProfileConfig.for_demo(demo))
-one = estimate(list(stitched.components.components), profile.points,
-               profile.velocities, stitched.joints[-1])
+_, one = reestimate(stitched, ProfileConfig.for_demo(demo))
 combined = TaskPlan((Segment(stitched, stitched.endpoint_descriptor(), one),))
 run_c = rollout(combined, stitched.joints[0],
                 RolloutConfig(convergence_radius=plan.switch_radius))

@@ -62,17 +62,11 @@ class ElasticChain:
     def dim(self) -> int:
         return self.joints.shape[1]
 
-    def start_pose(self) -> Pose:
-        """Frame at the first joint, x-axis along the first link."""
-        return frame_from_two_points(self.joints[0], self.joints[1])
-
-    def end_pose(self) -> Pose:
-        """Frame at the last joint, x-axis along the incoming link."""
-        j = self.joints
-        return Pose(j[-1], frame_from_two_points(j[-2], j[-1]).rotation)
-
     def endpoint_descriptor(self) -> GeometricDescriptor:
-        return GeometricDescriptor(enter=self.start_pose(), exit=self.end_pose())
+        j = self.joints
+        return GeometricDescriptor(
+            enter=frame_from_two_points(j[0], j[1]),
+            exit=Pose(j[-1], frame_from_two_points(j[-2], j[-1]).rotation))
 
 
 def _stack(components: Sequence[GaussianComponent]):
@@ -122,8 +116,7 @@ def _solve_pinned(L: np.ndarray, delta: np.ndarray, pins: dict) -> np.ndarray:
         x[i] = pins[i]
     if free:
         rhs = delta - L[:, pinned] @ x[pinned]
-        sol, _, rank, _ = np.linalg.lstsq(L[:, free], rhs, rcond=None)
-        x[free] = sol
+        x[free] = np.linalg.lstsq(L[:, free], rhs, rcond=None)[0]
     return x
 
 

@@ -38,7 +38,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 CONFIG_ENV = "STABLEMOTION_CONFIG"
-# the type of each config key the commands read; an int is a float too
+# the only config keys, each with its type; an int is a float too
 _CONFIG_TYPES = {
     "k_min": int, "k_max": int, "restarts": int, "margin": float,
     "profile_points": int, "profile_dt": float, "rollout_dt": float,
@@ -62,6 +62,9 @@ def _load_config(args) -> dict:
             cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
+    unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
+    if unknown:
+        raise ValidationError(f"unknown config keys {unknown}")
     for key, kind in _CONFIG_TYPES.items():
         value = cfg.get(key, 0)
         if isinstance(value, bool) or not isinstance(
@@ -78,10 +81,10 @@ def _report(args, payload: dict) -> None:
 
 
 def _single_demo(path):
-    trajectories, via, descriptor = fileio.load_demo(path)
+    trajectories, via = fileio.load_demo(path)
     if len(trajectories) != 1:
         raise ValidationError("command expects a single-trajectory demo file")
-    return compute_velocities(trajectories[0]), via, descriptor
+    return compute_velocities(trajectories[0]), via
 
 
 def _given(cfg, prefix: str, names) -> dict:
@@ -104,7 +107,7 @@ def _mse(policy, points, velocities) -> float:
 
 
 def cmd_fit(args, cfg) -> int:
-    demo, _, _ = _single_demo(args.demo)
+    demo, _ = _single_demo(args.demo)
     t0 = time.perf_counter()
     chain, policy = learn(demo, _gmm_cfg(cfg), _estimate_opts(cfg))
     elapsed = time.perf_counter() - t0
@@ -119,7 +122,7 @@ def cmd_fit(args, cfg) -> int:
 def cmd_transform(args, cfg) -> int:
     policy, chain = fileio.load_policy(args.policy)
     descriptor = fileio.load_descriptor(args.descriptor)
-    profile_cfg = _profile_cfg_for(chain, cfg, points_per_component=10)
+    profile_cfg = _profile_cfg_for(chain, cfg)
     t0 = time.perf_counter()
     new_chain, profile, new_policy = adapt(chain, descriptor, profile_cfg,
                                            _estimate_opts(cfg))
@@ -135,10 +138,9 @@ def cmd_transform(args, cfg) -> int:
     return EXIT_OK
 
 
-def _profile_cfg_for(chain, cfg, points_per_component: int) -> ProfileConfig:
+def _profile_cfg_for(chain, cfg) -> ProfileConfig:
     return ProfileConfig(
-        p=cfg.get("profile_points",
-                  max(200, points_per_component * len(chain.components))),
+        p=cfg.get("profile_points", max(200, 20 * len(chain.components))),
         dt=cfg.get("profile_dt", 0.01))
 
 
@@ -154,9 +156,8 @@ def cmd_rollout(args, cfg) -> int:
     run = rollout(policy, start, _rollout_cfg_for(chain, cfg))
     traj = run.trajectory
     with open(args.output, "w") as fh:
-        fh.write(fileio.rollout_csv(
-            compute_velocities(traj) if len(traj) > 1 else traj,
-            lyapunov_value(policy, traj.points)))
+        fh.write(fileio.rollout_csv(compute_velocities(traj),
+                                    lyapunov_value(policy, traj.points)))
     _report(args, {"command": "rollout", "steps": len(traj),
                    "converged": run.converged, "output": args.output})
     return EXIT_OK
@@ -205,7 +206,7 @@ def _resample(demo: Trajectory, n: int) -> Trajectory:
 def cmd_bench(args, cfg) -> int:
     if args.repeats < 1:
         raise ValidationError("repeats must be >= 1")
-    demo, _, _ = _single_demo(args.demo)
+    demo, _ = _single_demo(args.demo)
     opts = _estimate_opts(cfg)
     rows = []
     for n in args.lengths:
@@ -218,7 +219,7 @@ def cmd_bench(args, cfg) -> int:
         desc = chain.endpoint_descriptor()
         moved = GeometricDescriptor(*(Pose(p.position + offset, p.rotation)
                                       for p in (desc.enter, desc.exit)))
-        profile_cfg = ProfileConfig(p=n, dt=resampled.median_dt())
+        profile_cfg = ProfileConfig.for_demo(resampled)
         times = []
         for _ in range(args.repeats):  # the last repeat's policy is scored
             t0 = time.perf_counter()
@@ -247,9 +248,8 @@ def cmd_stitch(args, cfg) -> int:
         _, chain = fileio.load_policy(path)
         chains.append(chain)
     stitched = stitch_chains(chains)
-    _, policy = reestimate(
-        stitched, _profile_cfg_for(stitched, cfg, points_per_component=20),
-        _estimate_opts(cfg))
+    _, policy = reestimate(stitched, _profile_cfg_for(stitched, cfg),
+                           _estimate_opts(cfg))
     fileio.save_policy(args.output, policy, stitched,
                        fileio.make_provenance())
     _report(args, {"command": "stitch", "segments": len(args.policies),
@@ -258,7 +258,7 @@ def cmd_stitch(args, cfg) -> int:
 
 
 def cmd_split(args, cfg) -> int:
-    demo, via_from_file, _ = _single_demo(args.demo)
+    demo, via_from_file = _single_demo(args.demo)
     via = args.via if args.via is not None else via_from_file
     if via is None:
         raise ValidationError("no via-points given (flag or demo file)")

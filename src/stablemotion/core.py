@@ -31,8 +31,8 @@ _WORLD_Y = np.array([0.0, 1.0, 0.0])
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -132,9 +132,6 @@ class Trajectory:
     @property
     def end(self) -> np.ndarray:
         return self.points[-1]
-
-    def arc_length(self) -> float:
-        return float(np.sum(np.linalg.norm(np.diff(self.points, axis=0), axis=1)))
 
     def median_dt(self) -> float:
         return float(np.median(np.diff(self.timestamps)))

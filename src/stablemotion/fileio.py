@@ -79,8 +79,7 @@ def _check_header(obj: dict, fmt: str) -> None:
 # -- demos --------------------------------------------------------------------
 
 def demo_to_dict(trajectories: Sequence[Trajectory],
-                 via_points: Optional[np.ndarray] = None,
-                 descriptor: Optional[GeometricDescriptor] = None) -> dict:
+                 via_points: Optional[np.ndarray] = None) -> dict:
     _require(len(trajectories) > 0, "need at least one trajectory")
     d = trajectories[0].dim
     _require(all(t.dim == d for t in trajectories),
@@ -95,12 +94,11 @@ def demo_to_dict(trajectories: Sequence[Trajectory],
     }
     if via_points is not None:
         out["via_points"] = np.asarray(via_points, dtype=float).tolist()
-    if descriptor is not None:
-        out["descriptor"] = descriptor_to_dict(descriptor, header=False)
     return out
 
 
 def demo_from_dict(obj: dict):
+    """(trajectories, via-points or None); an old `descriptor` is ignored."""
     _check_header(obj, DEMO_FORMAT)
     d = obj.get("dimension")
     _require(isinstance(d, int), "dimension must be an integer")
@@ -111,15 +109,12 @@ def demo_from_dict(obj: dict):
                     for t in items]
     via = (_numeric(obj, "via_points", (None, d))
            if "via_points" in obj else None)
-    descriptor = (descriptor_from_dict(obj["descriptor"], header=False)
-                  if "descriptor" in obj else None)
-    return trajectories, via, descriptor
+    return trajectories, via
 
 
-def save_demo(path, trajectories, via_points=None, descriptor=None) -> None:
+def save_demo(path, trajectories, via_points=None) -> None:
     with open(path, "w") as fh:
-        json.dump(demo_to_dict(trajectories, via_points, descriptor), fh,
-                  indent=1)
+        json.dump(demo_to_dict(trajectories, via_points), fh, indent=1)
 
 
 def load_demo(path):
@@ -160,10 +155,8 @@ def descriptor_to_dict(descriptor: GeometricDescriptor,
     return out
 
 
-def descriptor_from_dict(obj: dict, header: bool = True) -> GeometricDescriptor:
-    if header:
-        _check_header(obj, DESCRIPTOR_FORMAT)
-    _require(isinstance(obj, dict), "descriptor must be an object")
+def descriptor_from_dict(obj: dict) -> GeometricDescriptor:
+    _check_header(obj, DESCRIPTOR_FORMAT)
     enter = _pose_from_dict(obj["enter"]) if obj.get("enter") else None
     exit_ = _pose_from_dict(obj["exit"]) if obj.get("exit") else None
     return GeometricDescriptor(enter=enter, exit=exit_)
@@ -306,10 +299,10 @@ def field_csv(points: np.ndarray, velocities: np.ndarray) -> str:
 
 
 def field_svg(points: np.ndarray, velocities: np.ndarray,
-              rollout_points: Optional[np.ndarray] = None,
-              size: int = 640) -> str:
+              rollout_points: Optional[np.ndarray] = None) -> str:
     """Fixed-length direction glyphs colored by speed, plus an optional
     rollout polyline overlay."""
+    size = 640  # the square's side, in pixels
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)

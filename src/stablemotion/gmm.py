@@ -334,15 +334,13 @@ def order_components(components: Sequence[GaussianComponent],
     """Sort components by responsibility-weighted arc-length position.
 
     Arc length (not time) makes the ordering invariant to resampling and
-    non-uniform demo timing.
+    non-uniform demo timing; an exact tie keeps the order of `components`.
     """
     pts = demo.points
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    s = s / max(s[-1], 1e-300)
     resp = responsibilities_batch(components, pts)
     weights = resp.sum(axis=0)
     scores = (resp.T @ s) / np.maximum(weights, 1e-300)
-    start_dist = np.array([np.linalg.norm(c.mean - pts[0]) for c in components])
-    order = np.lexsort((start_dist, scores))
+    order = np.argsort(scores, kind="stable")
     return OrderedGmm(tuple(components[i] for i in order))

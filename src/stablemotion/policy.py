@@ -222,10 +222,10 @@ def solve(problem: FitProblem, max_steps: int) -> Solution:
     """Minimise J(W) subject to X_k = -sym(W_k) - eps I > 0 by primal-dual
     path following from the warm start (duals Z_k > 0, HKM directions,
     Mehrotra's predictor-corrector) until the Lagrangian gap J(W) - L(Z)
-    is below a fixed share of J; one DEBUG record gives the status. X comes
-    from W, so every iterate is feasible; J is quadratic, so J and dJ/dW
-    follow each step exactly, and the stationarity residual
-    r = dJ/dW + Z shrinks by 1 - a with a step of length a.
+    is below a fixed share of J; one DEBUG record gives the status and the
+    final J, recomputed. X comes from W, so every iterate is feasible; J is
+    quadratic, so dJ/dW and J (to rounding) follow each step, and the
+    stationarity residual r = dJ/dW + Z shrinks by 1 - a at step length a.
 
     Each Newton step is found in the eigenbasis V_k of X_k, where X_k is
     diag(x_k): there X^-1 dX Z is a row scaling, and the Newton system's
@@ -306,7 +306,8 @@ def solve(problem: FitProblem, max_steps: int) -> Solution:
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("estimate: %d Newton iterations, stopped at the cap: %s; "
                    "J %.6g -> %.6g, gap %.3g", steps, gap > _GAP_RTOL * J,
-                   J0, J, gap)
+                   J0, objective_and_gradient(W, stats, P_inv, reg,
+                                              shrink)[0], gap)
     return Solution(W, steps, gap)
 
 

@@ -58,8 +58,6 @@ def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
     """Timed trajectory through the joints with derived velocities."""
     joints = np.asarray(joints, dtype=float)
     p = cfg.p
-    if p < joints.shape[0]:
-        raise ValidationError("profile must have at least as many points as joints")
     lam = joint_progress(joints)
     idx = map_joint_indices(lam, p)
 

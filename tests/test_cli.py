@@ -339,13 +339,17 @@ class TestMalformedFiles:
         assert rc == EXIT_VALIDATION
 
     def test_demo_descriptor_not_an_object(self, tmp_path, demo_file):
+        """Demo files written before could hold a descriptor; no command
+        reads it, so a malformed one fits as well as a valid one."""
         obj = json.loads(open(demo_file).read())
-        obj["descriptor"] = 5
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj))
-        rc = main(["--quiet", "fit", str(bad), "-o", str(tmp_path / "o.json"),
-                   "--k-max", "2", "--restarts", "1"])
-        assert rc == EXIT_VALIDATION
+        valid = {"enter": None, "exit": {"position": [2.0, 0.0], "rotation":
+                                         [[1.0, 0.0], [0.0, 1.0]]}}
+        for descriptor in (5, valid):
+            obj["descriptor"] = descriptor
+            old = _json_file(tmp_path, "old.json", obj)
+            rc = main(["--quiet", "fit", old, "-o", str(tmp_path / "o.json"),
+                       "--k-max", "2", "--restarts", "1"])
+            assert rc == EXIT_OK
 
 
 def _json_file(tmp_path, name, obj):
@@ -422,6 +426,9 @@ _BAD_INPUTS = [
     pytest.param(lambda t, d, p: [*_config(t, rollout_max_steps="a"),
                                   "rollout", p, "-o", str(t / "o.csv")],
                  EXIT_VALIDATION, id="config_max_steps_string"),
+    pytest.param(lambda t, d, p: [*_config(t, k_mx=3, margins=0.5), "fit", d,
+                                  "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="config_unknown_key"),
     pytest.param(lambda t, d, p: ["fit", _demo_with(t, d, trajectories=5),
                                   "-o", str(t / "o.json")],
                  EXIT_VALIDATION, id="demo_trajectories_a_number"),
@@ -463,7 +470,7 @@ def test_bad_input_exit_code(tmp_path, demo_file, policy_file, argv,
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """An 80-sample demo (with a via-point and a descriptor), the K = 3
+    """An 80-sample demo (with a via-point), the K = 3
     policies of its two halves, a descriptor that moves the first half's
     ends and a config: every file a subcommand reads, each valid."""
     tmp = tmp_path_factory.mktemp("valid")
@@ -492,7 +499,7 @@ def valid_files(tmp_path_factory):
     paths["descriptor"] = str(tmp / "desc.json")
     fileio.save_descriptor(paths["descriptor"], moved)
     paths["demo"] = str(tmp / "demo.json")
-    fileio.save_demo(paths["demo"], [demo], via, moved)
+    fileio.save_demo(paths["demo"], [demo], via)
     return paths
 
 

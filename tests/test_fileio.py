@@ -45,22 +45,27 @@ class TestDemoRoundTrip:
     def test_lossless_float_round_trip(self):
         t = awkward_traj()
         blob = json.dumps(demo_to_dict([t]))
-        back, via, desc = demo_from_dict(json.loads(blob))
+        back, via = demo_from_dict(json.loads(blob))
         assert np.array_equal(back[0].points, t.points)
         assert np.array_equal(back[0].timestamps, t.timestamps)
-        assert via is None and desc is None
+        assert via is None
 
-    def test_via_points_and_descriptor_round_trip(self, tmp_path):
+    def test_via_points_round_trip_descriptor_ignored(self, tmp_path):
         t = awkward_traj()
         via = np.array([[0.1, 0.2]])
-        desc = GeometricDescriptor(Pose(np.array([0.0, 0.0]), rot2(0.3)),
-                                   Pose(np.array([1.0, 1.0]), rot2(-0.7)))
         p = tmp_path / "demo.json"
-        save_demo(p, [t], via, desc)
-        back, via2, desc2 = load_demo(p)
+        save_demo(p, [t], via)
+        back, via2 = load_demo(p)
+        assert np.array_equal(back[0].points, t.points)
         assert np.array_equal(via2, via)
-        assert np.allclose(desc2.enter.rotation, rot2(0.3), atol=1e-9)
-        assert np.allclose(desc2.exit.position, [1.0, 1.0])
+        # files written before could hold a descriptor, which is not read
+        obj = json.loads(p.read_text())
+        obj["descriptor"] = descriptor_to_dict(GeometricDescriptor(
+            Pose(np.array([0.0, 0.0]), rot2(0.3)),
+            Pose(np.array([1.0, 1.0]), rot2(-0.7))), header=False)
+        back, via2 = demo_from_dict(obj)
+        assert np.array_equal(back[0].points, t.points)
+        assert np.array_equal(via2, via)
 
     def test_mixed_dimensions_rejected(self):
         t2 = awkward_traj()
@@ -111,9 +116,11 @@ class TestDescriptor:
 
     def test_slightly_off_rotation_reorthonormalized(self):
         noisy = rot2(0.4) + 1e-8
-        obj = {"enter": {"position": [0.0, 0.0],
+        obj = {"format": "stablemotion-descriptor",
+               "version": FORMAT_VERSION, "dimension": 2,
+               "enter": {"position": [0.0, 0.0],
                          "rotation": noisy.tolist()}, "exit": None}
-        back = descriptor_from_dict(obj, header=False)
+        back = descriptor_from_dict(obj)
         R = back.enter.rotation
         assert np.max(np.abs(R.T @ R - np.eye(2))) < 1e-12
 
