@@ -59,9 +59,10 @@ print(f"sequential plan: converged={run.converged}, "
       f"closest approach to relocated via-point = {d_via:.4f} "
       f"(switch radius {plan.switch_radius:.4f})")
 
-# alternatively, stitch the chains and fit a single policy end to end
+# alternatively, stitch the chains and fit a single policy end to end, at
+# the timing the stitched chain keeps (the whole demo's)
 stitched = stitch_chains([s.chain for s in segments])
-_, one = reestimate(stitched, ProfileConfig.for_demo(demo))
+_, one = reestimate(stitched)
 combined = TaskPlan((Segment(stitched, stitched.endpoint_descriptor(), one),))
 run_c = rollout(combined, stitched.joints[0],
                 RolloutConfig(convergence_radius=plan.switch_radius))

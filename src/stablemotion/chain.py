@@ -2,10 +2,11 @@
 
 An ordered mixture is condensed into joints (precision-weighted means of
 neighboring components, plus the demo endpoints); the chain stores only
-the components and the joints. After the joints are re-positioned by a
-constrained Laplacian edit, each component is re-posed with its link:
-turned by the least rotation from the link's old direction to its new
-one, and stretched along it by the ratio of its lengths.
+the components, the joints and the demo's timing. After the joints are
+re-positioned by a constrained Laplacian edit, each component is
+re-posed with its link: turned by the least rotation from the link's old
+direction to its new one, and stretched along it by the ratio of its
+lengths.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
 from .errors import (DegenerateFrame, RankDeficientSystem,
                      SingularCovariance, ValidationError)
 from .gmm import OrderedGmm
+from .profile import ProfileConfig
 
 # how far apart two targets for one pinned joint may lie
 _CONSTRAINT_EXACTNESS = 1e-9
@@ -48,6 +50,7 @@ def _link_lengths(joints: np.ndarray) -> np.ndarray:
 class ElasticChain:
     components: OrderedGmm
     joints: np.ndarray            # (K+1, d)
+    timing: ProfileConfig         # the source demo's length and interval
     # (K,) distances between consecutive joints, derived from them
     link_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -88,9 +91,10 @@ def gaussian_joints(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
 
 
 def build_chain(gmm: OrderedGmm, demo: Trajectory) -> ElasticChain:
-    """Joints = demo start, K-1 Gaussian products, demo end."""
+    """Joints = demo start, K-1 Gaussian products, demo end; its timing."""
     return ElasticChain(gmm, np.vstack([
-        demo.start, gaussian_joints(*_stack(gmm.components)), demo.end]))
+        demo.start, gaussian_joints(*_stack(gmm.components)), demo.end]),
+        ProfileConfig.for_demo(demo))
 
 
 def build_laplacian(m: int) -> np.ndarray:
@@ -224,8 +228,8 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
 
 def transform_chain(chain: ElasticChain,
                     descriptor: GeometricDescriptor) -> ElasticChain:
-    """End-to-end re-targeting: Laplacian edit then parameter recovery."""
+    """Laplacian edit then parameter recovery; the timing carries over."""
     new_joints, _ = solve_constrained_edit(chain.joints, descriptor.enter,
                                            descriptor.exit)
     return ElasticChain(OrderedGmm(tuple(recover_gmm(chain, new_joints))),
-                        new_joints)
+                        new_joints, chain.timing)

@@ -29,7 +29,6 @@ from .evaluation import (
 from .gmm import GmmFitConfig
 from .pipeline import adapt, learn, reestimate
 from .policy import EstimateOptions, evaluate_batch, lyapunov_value
-from .profile import ProfileConfig
 from .sequence import split_demo, stitch_chains
 
 EXIT_OK = 0
@@ -41,8 +40,8 @@ CONFIG_ENV = "STABLEMOTION_CONFIG"
 # the only config keys, each with its type; an int is a float too
 _CONFIG_TYPES = {
     "k_min": int, "k_max": int, "restarts": int, "margin": float,
-    "profile_points": int, "profile_dt": float, "rollout_dt": float,
-    "rollout_max_steps": int, "rollout_convergence_radius": float,
+    "rollout_dt": float, "rollout_max_steps": int,
+    "rollout_convergence_radius": float,
 }
 
 
@@ -122,9 +121,8 @@ def cmd_fit(args, cfg) -> int:
 def cmd_transform(args, cfg) -> int:
     policy, chain = fileio.load_policy(args.policy)
     descriptor = fileio.load_descriptor(args.descriptor)
-    profile_cfg = _profile_cfg_for(chain, cfg)
     t0 = time.perf_counter()
-    new_chain, profile, new_policy = adapt(chain, descriptor, profile_cfg,
+    new_chain, profile, new_policy = adapt(chain, descriptor, chain.timing,
                                            _estimate_opts(cfg))
     elapsed = time.perf_counter() - t0
     fileio.save_policy(args.output, new_policy, new_chain,
@@ -136,12 +134,6 @@ def cmd_transform(args, cfg) -> int:
                              _rollout_cfg_for(new_chain, cfg)),
         "total_time_s": elapsed, "output": args.output})
     return EXIT_OK
-
-
-def _profile_cfg_for(chain, cfg) -> ProfileConfig:
-    return ProfileConfig(
-        p=cfg.get("profile_points", max(200, 20 * len(chain.components))),
-        dt=cfg.get("profile_dt", 0.01))
 
 
 def _rollout_cfg_for(chain, cfg) -> RolloutConfig:
@@ -165,8 +157,6 @@ def cmd_rollout(args, cfg) -> int:
 
 def cmd_field(args, cfg) -> int:
     policy, chain = fileio.load_policy(args.policy)
-    if policy.dim != 2:
-        raise ValidationError("field sampling is 2D only")
     joints = chain.joints
     lo = joints.min(axis=0)
     hi = joints.max(axis=0)
@@ -219,13 +209,12 @@ def cmd_bench(args, cfg) -> int:
         desc = chain.endpoint_descriptor()
         moved = GeometricDescriptor(*(Pose(p.position + offset, p.rotation)
                                       for p in (desc.enter, desc.exit)))
-        profile_cfg = ProfileConfig.for_demo(resampled)
         times = []
         for _ in range(args.repeats):  # the last repeat's policy is scored
             t0 = time.perf_counter()
             new_chain = transform_chain(chain, moved)
             t1 = time.perf_counter()
-            _, policy = reestimate(new_chain, profile_cfg, opts)
+            _, policy = reestimate(new_chain, opts)
             times.append((t1 - t0, time.perf_counter() - t1))
         t_transform, t_estimate = np.median(times, axis=0)
         converged = adaptation_metrics(
@@ -248,8 +237,7 @@ def cmd_stitch(args, cfg) -> int:
         _, chain = fileio.load_policy(path)
         chains.append(chain)
     stitched = stitch_chains(chains)
-    _, policy = reestimate(stitched, _profile_cfg_for(stitched, cfg),
-                           _estimate_opts(cfg))
+    _, policy = reestimate(stitched, _estimate_opts(cfg))
     fileio.save_policy(args.output, policy, stitched,
                        fileio.make_provenance())
     _report(args, {"command": "stitch", "segments": len(args.policies),

@@ -153,11 +153,13 @@ def endpoints_distance(traj: Trajectory, o_start: Pose, o_end: Pose) -> float:
 
 def sample_field(policy: LpvDsPolicy, bounds: np.ndarray,
                  resolution: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Velocities on a regular 2D grid, row-major (y outer, x inner).
+    """Velocities on a regular 2D grid, row-major (y outer, x inner), of a
+    2D policy; a policy of another dimension is a ValidationError.
 
-    bounds: ((xmin, xmax), (ymin, ymax)). For 3D policies pass a 2D
-    axis-aligned slice via a policy projection; the grid itself is 2D.
+    bounds: ((xmin, xmax), (ymin, ymax)).
     """
+    if policy.dim != 2:
+        raise ValidationError("field sampling is 2D only")
     if resolution < 2:
         raise ValidationError("resolution must be >= 2 per axis")
     (x0, x1), (y0, y1) = bounds

@@ -21,6 +21,7 @@ from .core import (REACH, GaussianComponent, GeometricDescriptor, Pose,
 from .errors import ValidationError
 from .gmm import OrderedGmm
 from .policy import LpvDsPolicy, constraint_residual
+from .profile import ProfileConfig
 
 DEMO_FORMAT = "stablemotion-demo"
 POLICY_FORMAT = "stablemotion-policy"
@@ -34,6 +35,9 @@ _JOINT_BOUND = np.sqrt(np.finfo(float).max) / (8.0 * REACH)
 # stay above 1e-4, and with every link longer than 1e-9 (as a chain's must
 # be) no covariance determinant can underflow
 _THINNEST = 1e-8
+# the most profile points a policy file's timing may ask for:
+# regenerate_profile allocates one row per point
+_MAX_PROFILE_POINTS = 10 ** 6
 # R^T R = I check on loaded rotations, looser than Pose's own; a loaded
 # rotation is re-orthonormalised
 _ORTHONORMAL_IO = 1e-6
@@ -187,14 +191,15 @@ def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
             {"prior": c.prior, "mean": c.mean.tolist(),
              "covariance": c.covariance.tolist(), "A": policy.A[k].tolist()}
             for k, c in enumerate(policy.components)],
-        "chain": {"joints": chain.joints.tolist()},
+        "chain": {"joints": chain.joints.tolist(),
+                  "timing": {"p": chain.timing.p, "dt": chain.timing.dt}},
         "provenance": provenance or {},
     }
 
 
 def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     """The policy and chain of a policy file. The chain is rebuilt from
-    the components and joints alone; the keys that earlier files also
+    its components, joints and timing; the keys that earlier files also
     wrote (each component's `b`, the chain's `link_lengths`, `link_frames`
     and `order_scores`) are derived or unread values and are ignored."""
     _check_header(obj, POLICY_FORMAT)
@@ -239,7 +244,13 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     _require(np.linalg.eigvalsh(covs)[:, 0].min()
              >= (_THINNEST * diameter) ** 2,
              f"a component is thinner than {_THINNEST:g} joint diameters")
-    chain = ElasticChain(OrderedGmm(comps), joints)
+    timing = ch.get("timing")
+    _require(isinstance(timing, dict), "chain has no 'timing' object; refit")
+    p = float(_numeric(timing, "p", ()))
+    _require(p.is_integer() and 2 <= p <= _MAX_PROFILE_POINTS,
+             f"timing p must be an integer in [2, {_MAX_PROFILE_POINTS}]")
+    chain = ElasticChain(OrderedGmm(comps), joints, ProfileConfig(
+        int(p), float(_numeric(timing, "dt", ()))))
     # the stacked gains; LpvDsPolicy checks their shape
     A = _numeric({"A": [c.get("A") for c in components]}, "A")
     policy = LpvDsPolicy(comps, A, _numeric(obj, "P"), attractor,

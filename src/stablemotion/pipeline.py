@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Tuple
 
 from .chain import ElasticChain, build_chain, transform_chain
@@ -29,13 +30,13 @@ def learn(demo: Trajectory,
     return chain, policy
 
 
-def reestimate(chain: ElasticChain, profile_cfg: ProfileConfig,
+def reestimate(chain: ElasticChain,
                opts: EstimateOptions = EstimateOptions()
                ) -> Tuple[Trajectory, LpvDsPolicy]:
-    """Regenerate the profile through the chain's joints and estimate the
-    chain's components on it, with the attractor at the last joint;
-    returns (profile, policy)."""
-    profile = regenerate_profile(chain.joints, profile_cfg)
+    """Regenerate the profile through the chain's joints at the chain's
+    timing and estimate the chain's components on it, with the attractor
+    at the last joint; returns (profile, policy)."""
+    profile = regenerate_profile(chain.joints, chain.timing)
     return profile, estimate(chain.components.components, profile.points,
                              profile.velocities, chain.joints[-1], opts)
 
@@ -43,7 +44,8 @@ def reestimate(chain: ElasticChain, profile_cfg: ProfileConfig,
 def adapt(chain: ElasticChain, descriptor: GeometricDescriptor,
           profile_cfg: ProfileConfig,
           opts: EstimateOptions = EstimateOptions()):
-    """Re-target a learned chain to a new descriptor; returns
+    """Re-target a learned chain to a new descriptor and re-estimate it at
+    `profile_cfg`, which the new chain records as its timing; returns
     (new_chain, profile, policy)."""
-    new_chain = transform_chain(chain, descriptor)
-    return (new_chain, *reestimate(new_chain, profile_cfg, opts))
+    new_chain = replace(transform_chain(chain, descriptor), timing=profile_cfg)
+    return (new_chain, *reestimate(new_chain, opts))

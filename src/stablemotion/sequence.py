@@ -19,6 +19,7 @@ from .errors import (
 )
 from .gmm import OrderedGmm
 from .policy import LpvDsPolicy, evaluate
+from .profile import ProfileConfig
 
 # how far apart one chain's end and the next one's start, and one
 # segment's attractor and the next one's start, may lie
@@ -85,6 +86,8 @@ def split_demo(traj: Trajectory, via_points: Sequence[np.ndarray],
     indices = []
     for v in via_points:
         v = np.asarray(v, dtype=float)
+        if v.shape != (traj.dim,):
+            raise ValidationError(f"via-point {v} is not {traj.dim}-D")
         dist = np.linalg.norm(pts - v, axis=1)
         i = int(np.argmin(dist))
         if dist[i] > radius:
@@ -108,10 +111,13 @@ def stitch_chains(chains: Sequence[ElasticChain]) -> ElasticChain:
 
     Shared boundary joints are deduplicated and priors renormalized so the
     stitched mixture is again a valid chain, its components in the chains'
-    order.
+    order. Its timing keeps the chains' total sample count (each shared
+    joint's sample counted once) and total duration.
     """
     if not chains:
         raise ValidationError("nothing to stitch")
+    if len({ch.dim for ch in chains}) > 1:
+        raise ValidationError("chains of different dimensions")
     joints = [chains[0].joints]
     for prev, nxt in zip(chains, chains[1:]):
         gap = np.linalg.norm(prev.joints[-1] - nxt.joints[0])
@@ -123,6 +129,8 @@ def stitch_chains(chains: Sequence[ElasticChain]) -> ElasticChain:
 
     comps = [c for ch in chains for c in ch.components.components]
     total = sum(c.prior for c in comps)
+    p = sum(ch.timing.p for ch in chains) - (len(chains) - 1)
+    duration = sum((ch.timing.p - 1) * ch.timing.dt for ch in chains)
     return ElasticChain(OrderedGmm(tuple(
         GaussianComponent(c.prior / total, c.mean, c.covariance)
-        for c in comps)), all_joints)
+        for c in comps)), all_joints, ProfileConfig(p, duration / (p - 1)))

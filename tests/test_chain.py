@@ -27,6 +27,9 @@ from stablemotion.pipeline import adapt, learn
 from stablemotion.profile import ProfileConfig
 from conftest import helix_demo, s_curve_demo
 
+# the timing of a hand-built chain that no profile is regenerated from
+_TIMING = ProfileConfig(p=200, dt=0.01)
+
 
 def kkt_oracle(L, delta, pins):
     """Dense equality-constrained least-squares by the full KKT system.
@@ -219,7 +222,7 @@ class TestBuildChain:
         joints = chain.joints.copy()
         joints[1] = joints[0] + 0.5e-9
         with pytest.raises(DegenerateFrame):
-            ElasticChain(chain.components, joints)
+            ElasticChain(chain.components, joints, chain.timing)
         with pytest.raises(DegenerateFrame):
             recover_gmm(chain, joints)
 
@@ -328,7 +331,8 @@ class TestRecoverGmm:
             R = rotation_2d(angle)
             chain = ElasticChain(OrderedGmm((
                 unit_gaussian(0.5, 0.0, cov=R @ np.diag([0.02, 0.01]) @ R.T),
-                unit_gaussian(1.5, 0.0, cov=0.01 * np.eye(2)))), joints)
+                unit_gaussian(1.5, 0.0, cov=0.01 * np.eye(2)))), joints,
+                _TIMING)
             out.append(recover_gmm(chain, moved)[0].covariance)
         assert np.abs(out[1] - out[0]).max() <= 1e-7 * np.abs(out[0]).max()
 
@@ -344,7 +348,8 @@ class TestRecoverGmm:
             chain = ElasticChain(OrderedGmm((
                 unit_gaussian(0.5, 0.0,
                               cov=0.01 * R @ np.diag([1.0, 1.0 + 1e-9]) @ R.T),
-                unit_gaussian(1.5, 0.0, cov=0.01 * np.eye(2)))), joints)
+                unit_gaussian(1.5, 0.0, cov=0.01 * np.eye(2)))), joints,
+                _TIMING)
             S = recover_gmm(chain, moved)[0].covariance
             assert np.abs(S - np.diag([0.04, 0.01])).max() <= 4e-11 + 1e-12
         # 3-D: a link along a tilted direction u, turned to w and doubled
@@ -360,7 +365,7 @@ class TestRecoverGmm:
             chain = ElasticChain(OrderedGmm((
                 GaussianComponent(0.5, start + 0.5 * u, cov),
                 GaussianComponent(0.5, start + 1.5 * u, 0.01 * np.eye(3)))),
-                joints)
+                joints, _TIMING)
             S = recover_gmm(chain, moved)[0].covariance
             expect = 0.01 * (np.eye(3) + 3.0 * np.outer(w, w))
             assert np.abs(S - expect).max() <= 8e-11 + 1e-12
@@ -435,7 +440,7 @@ class TestStackedAgainstPerLinkReference:
         carried, _, policy = adapt(chain, first, ProfileConfig(p=200,
                                                                dt=0.01))
         derived = ElasticChain(OrderedGmm(carried.components.components),
-                               carried.joints)
+                               carried.joints, carried.timing)
         save_policy(tmp_path / "adapted.json", policy, carried)
         _, loaded = load_policy(tmp_path / "adapted.json")
         a = transform_chain(carried, second).components.components
@@ -471,7 +476,8 @@ class TestReposingIn3d:
             R = random_rotation(rng)
             turned = ElasticChain(OrderedGmm(tuple(
                 GaussianComponent(c.prior, R @ c.mean, R @ c.covariance @ R.T)
-                for c in chain.components.components)), chain.joints @ R.T)
+                for c in chain.components.components)), chain.joints @ R.T,
+                chain.timing)
             A_R = adapt(turned, GeometricDescriptor(*(
                 Pose(R @ p.position, R @ p.rotation)
                 for p in (desc.enter, desc.exit))), profile)[2].A

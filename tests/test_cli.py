@@ -18,7 +18,11 @@ from stablemotion.cli import (
     main,
 )
 from stablemotion.core import GeometricDescriptor, Pose, Trajectory
-from conftest import s_curve_demo
+from stablemotion.evaluation import (RolloutConfig, convergence_radius_for,
+                                     rollout)
+from stablemotion.pipeline import adapt
+from stablemotion.profile import ProfileConfig
+from conftest import helix_demo, s_curve_demo
 
 
 @pytest.fixture
@@ -103,6 +107,38 @@ class TestTransform:
                    "-o", str(tmp_path / "o.json")])
         assert rc == EXIT_OK
         assert open(policy_file).read() == before
+
+
+class TestTiming:
+    """A policy file carries its demo's timing, so `transform` re-targets
+    at the demo's pace, as the library's `adapt` does."""
+
+    @pytest.mark.parametrize("make_demo", [s_curve_demo, helix_demo])
+    def test_identity_transform_keeps_the_speed_and_matches_adapt(
+            self, tmp_path, make_demo):
+        """A fitted policy and its transform to the chain's own endpoint
+        descriptor reach the goal from the demo start within 20% of each
+        other's time, and the transform fits the library's `A`."""
+        demo = make_demo()
+        demo_path, desc_path = tmp_path / "demo.json", tmp_path / "desc.json"
+        fitted, moved = tmp_path / "fit.json", tmp_path / "moved.json"
+        fileio.save_demo(demo_path, [demo])
+        assert main(["--quiet", "fit", str(demo_path), "-o", str(fitted),
+                     "--k-max", "6"]) == EXIT_OK
+        policy, chain = fileio.load_policy(fitted)
+        fileio.save_descriptor(desc_path, chain.endpoint_descriptor())
+        assert main(["--quiet", "transform", str(fitted), str(desc_path),
+                     "-o", str(moved)]) == EXIT_OK
+        adapted, _ = fileio.load_policy(moved)
+        cfg = RolloutConfig(
+            convergence_radius=convergence_radius_for(chain.joints))
+        runs = [rollout(p, demo.start, cfg) for p in (policy, adapted)]
+        assert all(run.converged for run in runs)
+        fit_steps, moved_steps = (len(run.trajectory) for run in runs)
+        assert abs(moved_steps - fit_steps) <= 0.2 * fit_steps
+        expected = adapt(chain, fileio.load_descriptor(desc_path),
+                         ProfileConfig.for_demo(demo))[2]
+        assert np.array_equal(adapted.A, expected.A)
 
 
 class TestRolloutField:
@@ -206,6 +242,27 @@ class TestSplitStitch:
         assert len(policy.components) == sum(
             len(fileio.load_policy(p)[0].components) for p in policies)
         assert np.allclose(chain.joints[-1], demo.end, atol=1e-9)
+
+    def test_stitch_keeps_the_demo_timing(self, tmp_path, demo_file):
+        """Split, fit and stitch give the whole demo's sample count and
+        sampling interval."""
+        demo = s_curve_demo()
+        via = demo.points[100]
+        prefix = str(tmp_path / "seg_")
+        assert main(["--quiet", "split", demo_file, "--via",
+                     f"{via[0]},{via[1]}", "--radius", "1e-6",
+                     "--output-prefix", prefix]) == EXIT_OK
+        policies = [f"{prefix}{i}_policy.json" for i in (0, 1)]
+        for i, out in enumerate(policies):
+            assert main(["--quiet", "fit", f"{prefix}{i}.json", "-o", out,
+                         "--k-max", "3"]) == EXIT_OK
+        stitched = tmp_path / "stitched.json"
+        assert main(["--quiet", "stitch", *policies,
+                     "-o", str(stitched)]) == EXIT_OK
+        timing = json.loads(stitched.read_text())["chain"]["timing"]
+        expected = ProfileConfig.for_demo(demo)
+        assert timing["p"] == expected.p == len(demo)
+        assert abs(timing["dt"] - expected.dt) <= 1e-12 * expected.dt
 
     def test_split_without_via_points_fails(self, demo_file, tmp_path):
         rc = main(["--quiet", "split", demo_file,
@@ -374,6 +431,32 @@ def _policy_with_bool_mean(tmp_path, policy_file):
     return _json_file(tmp_path, "bool_policy.json", obj)
 
 
+def _rollout_argv(tmp_path, policy_file, edit):
+    """A rollout of the policy file with `edit` applied to its JSON."""
+    obj = json.loads(open(policy_file).read())
+    edit(obj)
+    return ["rollout", _json_file(tmp_path, "edited_policy.json", obj),
+            "-o", str(tmp_path / "o.csv")]
+
+
+def _without_timing(obj):
+    del obj["chain"]["timing"]
+
+
+def _timing(**fields):
+    """An edit that sets entries of a policy file's chain timing."""
+    return lambda obj: obj["chain"]["timing"].update(fields)
+
+
+def _helix_policy(tmp_path):
+    """A 3-D policy file."""
+    demo, out = tmp_path / "helix.json", str(tmp_path / "helix_policy.json")
+    fileio.save_demo(demo, [helix_demo()])
+    assert main(["--quiet", "fit", str(demo), "-o", out,
+                 "--k-max", "2"]) == EXIT_OK
+    return out
+
+
 def _non_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"format": "stablemotion-policy\xff"}')
@@ -429,6 +512,25 @@ _BAD_INPUTS = [
     pytest.param(lambda t, d, p: [*_config(t, k_mx=3, margins=0.5), "fit", d,
                                   "-o", str(t / "o.json")],
                  EXIT_VALIDATION, id="config_unknown_key"),
+    pytest.param(lambda t, d, p: [*_config(t, profile_points=300), "rollout",
+                                  p, "-o", str(t / "o.csv")],
+                 EXIT_VALIDATION, id="config_profile_points_deleted"),
+    pytest.param(lambda t, d, p: _rollout_argv(t, p, _without_timing),
+                 EXIT_VALIDATION, id="policy_without_timing"),
+    pytest.param(lambda t, d, p: _rollout_argv(t, p, _timing(p=200.5)),
+                 EXIT_VALIDATION, id="timing_p_not_an_integer"),
+    pytest.param(lambda t, d, p: _rollout_argv(t, p, _timing(p=10 ** 7)),
+                 EXIT_VALIDATION, id="timing_p_too_large"),
+    pytest.param(lambda t, d, p: _rollout_argv(t, p, _timing(dt=0.0)),
+                 EXIT_VALIDATION, id="timing_dt_zero"),
+    pytest.param(lambda t, d, p: _rollout_argv(t, p, _timing(dt=-0.01)),
+                 EXIT_VALIDATION, id="timing_dt_negative"),
+    pytest.param(lambda t, d, p: ["stitch", p, _helix_policy(t),
+                                  "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="stitch_mixed_dimensions"),
+    pytest.param(lambda t, d, p: ["split", d, "--via", "1,0,0",
+                                  "--output-prefix", str(t / "s_")],
+                 EXIT_VALIDATION, id="split_via_wrong_dimension"),
     pytest.param(lambda t, d, p: ["fit", _demo_with(t, d, trajectories=5),
                                   "-o", str(t / "o.json")],
                  EXIT_VALIDATION, id="demo_trajectories_a_number"),

@@ -310,6 +310,10 @@ class TestSampleField:
         with pytest.raises(ValueError):
             sample_field(linear_policy(), ((-1, 1), (-1, 1)), 1)
 
+    def test_policy_that_is_not_2d_is_rejected(self, learned_3d):
+        with pytest.raises(ValidationError, match="2D only"):
+            sample_field(learned_3d, ((-1, 1), (-1, 1)), 3)
+
 
 class TestAdaptationMetrics:
     def test_shifted_adapt_is_scored_the_same_twice_and_aligned(self):

@@ -26,6 +26,7 @@ from stablemotion.fileio import (
 from stablemotion.gmm import GmmFitConfig
 from stablemotion.pipeline import learn
 from stablemotion.policy import evaluate, evaluate_batch
+from stablemotion.profile import ProfileConfig
 from conftest import s_curve_demo
 
 
@@ -242,7 +243,15 @@ class TestPolicyRoundTrip:
         chain, policy = learned
         p = tmp_path / "policy.json"
         save_policy(p, policy, chain)
-        assert set(json.loads(p.read_text())["chain"]) == {"joints"}
+        assert set(json.loads(p.read_text())["chain"]) == {"joints", "timing"}
+
+    def test_timing_round_trips_exactly(self, learned, tmp_path):
+        """The chain's timing is the demo's, and a saved file keeps it."""
+        chain, policy = learned
+        assert chain.timing == ProfileConfig.for_demo(s_curve_demo())
+        p = tmp_path / "policy.json"
+        save_policy(p, policy, chain)
+        assert load_policy(p)[1].timing == chain.timing
 
     def test_provenance(self, learned, tmp_path):
         chain, policy = learned
