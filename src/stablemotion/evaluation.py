@@ -36,30 +36,32 @@ class RolloutResult:
 
 def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
                cfg: RolloutConfig, record: bool, stiffness: float):
-    """RK4 in lockstep from every row of X0 until each row is within the
+    """RK4 in lockstep from every row of X0 until each state is within the
     convergence radius of the attractor or the step budget runs out. A dt
     outside RK4's stability interval on the field's stiffest mode (its
     largest |eig A_k|) raises ValidationError first.
 
-    field maps an (n, d) batch of states to its velocities. Only the rows
+    The states are kept as columns: field maps a (d, n) block of states
+    to its velocities (d, n), so no stage transposes. Only the columns
     still moving are integrated; they are written back into the result
     when one of them converges, and at the end. With record, every state
-    of row 0 is kept (rollouts record a batch of one).
-    Returns (final_states, converged, recorded_states or None).
+    of column 0 is kept (rollouts record a batch of one).
+    Returns (final_states (n, d), converged, recorded_states or None).
     """
     dt = cfg.dt
     if dt * stiffness >= _RK4_REAL_LIMIT:
         raise ValidationError(f"dt * max |eig A_k| = {dt * stiffness:.3g}: "
                               f"RK4 is unstable at dt = {dt:g}")
-    X = np.array(X0, dtype=float, ndmin=2)
+    X = np.array(X0, dtype=float, ndmin=2).T
+    goal = attractor[:, None]
     r2 = cfg.convergence_radius ** 2
-    D = X - attractor
-    done = (D * D).sum(axis=1) < r2
-    rows = np.flatnonzero(~done)
-    Xa = X[rows]
-    states = [X[0].copy()] if record else None
+    D = X - goal
+    done = (D * D).sum(axis=0) < r2
+    cols = np.flatnonzero(~done)
+    Xa = X[:, cols]
+    states = [X[:, 0].copy()] if record else None
     for _ in range(cfg.max_steps):
-        if not rows.size:
+        if not cols.size:
             break
         k1 = field(Xa)
         k2 = field(Xa + 0.5 * dt * k1)
@@ -69,16 +71,16 @@ def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
         if not np.isfinite(Xa).all():
             raise NonFiniteState("rollout state is not finite")
         if record:
-            states.append(Xa[0])
-        D = Xa - attractor
-        d2 = (D * D).sum(axis=1)
+            states.append(Xa[:, 0])
+        D = Xa - goal
+        d2 = (D * D).sum(axis=0)
         if d2.min() < r2:
             hit = d2 < r2
-            X[rows] = Xa
-            done[rows[hit]] = True
-            rows, Xa = rows[~hit], Xa[~hit]
-    X[rows] = Xa
-    return X, done, states
+            X[:, cols] = Xa
+            done[cols[hit]] = True
+            cols, Xa = cols[~hit], Xa[:, ~hit]
+    X[:, cols] = Xa
+    return X.T, done, states
 
 
 def convergence_radius_for(joints: np.ndarray) -> float:
@@ -91,12 +93,12 @@ def rollout(policy_or_plan: Union[LpvDsPolicy, TaskPlan], xi0: np.ndarray,
     """Integrate the flow until the (final) attractor or the step budget."""
     if isinstance(policy_or_plan, TaskPlan):
         executor = PlanExecutor(policy_or_plan)
-        field = lambda X: executor.step(X[0])[0][None]
+        field = lambda X: executor.step(X[:, 0])[0][:, None]
         attractor = policy_or_plan.final_attractor
         stiffness = max(s.policy.stiffness for s in policy_or_plan.segments)
     else:
         policy = policy_or_plan
-        field = lambda X: evaluate_batch(policy, X)
+        field = policy.kernel
         attractor, stiffness = policy.attractor, policy.stiffness
     if np.shape(xi0) != attractor.shape:
         raise ValidationError(
@@ -116,8 +118,8 @@ def rollout_batch(policy: LpvDsPolicy, starts: np.ndarray,
     Converged rows stop moving, so the whole batch costs one vectorized
     policy evaluation per stage.
     """
-    X, done, _ = _integrate(lambda X: evaluate_batch(policy, X), starts,
-                            policy.attractor, cfg, False, policy.stiffness)
+    X, done, _ = _integrate(policy.kernel, starts, policy.attractor, cfg,
+                            False, policy.stiffness)
     return X, done
 
 

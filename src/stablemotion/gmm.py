@@ -3,10 +3,13 @@
 EM with BIC model selection over K. Each (K, restart) run starts from the
 demonstration cut, in order, into K contiguous blocks (a restart shifts
 the cuts), so a fit depends on its data and config alone; the runs are
-stepped together in one lockstep loop. One kernel, `Mixture`, answers
-every density query: each log-density is a linear form in the lifted
-data [vec(y y^T); y; 1], so EM's M step and E step are one matrix product
-each.
+stepped together in one lockstep loop. `Mixture` answers EM's density
+queries and `responsibilities_batch`: each log-density is a linear form
+in the lifted data [vec(y y^T); y; 1], so EM's M step and E step are one
+matrix product each. The expanded quadratic loses digits as
+lambda_max(Sigma^-1) |x - origin|^2, which is small about the data mean;
+a policy's velocities, queried far from any such origin, use the
+whitened kernel in `policy` instead.
 """
 
 from __future__ import annotations

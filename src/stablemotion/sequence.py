@@ -69,11 +69,13 @@ class PlanExecutor:
 
     def step(self, xi: np.ndarray) -> Tuple[np.ndarray, int]:
         """One-hot policy evaluation with monotone proximity switching."""
-        while (self.cursor < len(self.plan.segments) - 1 and
-               np.linalg.norm(xi - self.plan.segments[self.cursor]
-                              .policy.attractor) < self.plan.switch_radius):
+        segments, r = self.plan.segments, self.plan.switch_radius
+        while self.cursor < len(segments) - 1:
+            e = xi - segments[self.cursor].policy.attractor
+            if e @ e >= r * r:
+                break
             self.cursor += 1
-        seg = self.plan.segments[self.cursor]
+        seg = segments[self.cursor]
         return evaluate(seg.policy, xi), self.cursor
 
 

@@ -723,6 +723,29 @@ def test_tiny_covariance_is_rejected_at_load(valid_files, tmp_path, capsys):
     assert "thinner than" in capsys.readouterr().err
 
 
+def test_tiny_timing_dt_exits_numerical(demo_file, tmp_path, capsys):
+    """A chain timing of dt = 1e-20 loads, but the regenerated profile's
+    velocities grow as 1/dt; on this K = 6 fit they leave a set-up matrix
+    of the estimator singular, and a transform to the chain's own
+    endpoints exits 3, not in a traceback."""
+    fitted = str(tmp_path / "policy.json")
+    assert main(["--quiet", "fit", demo_file, "-o", fitted,
+                 "--k-max", "6"]) == EXIT_OK
+    obj = json.loads(Path(fitted).read_text())
+    obj["chain"]["timing"]["dt"] = 1e-20
+    tiny = _json_file(tmp_path, "tiny_dt.json", obj)
+    _, chain = fileio.load_policy(fitted)
+    own = tmp_path / "own.json"
+    fileio.save_descriptor(own, chain.endpoint_descriptor())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--quiet", "transform", tiny, str(own),
+                   "-o", str(tmp_path / "o.json")])
+    assert rc == EXIT_NUMERICAL
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "OptimizationDiverged" in capsys.readouterr().err
+
+
 def _far(*path):
     """An edit that moves the value at `path` out to 1e300."""
     def edit(obj):

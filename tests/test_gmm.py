@@ -293,9 +293,9 @@ class TestLiftedPrecision:
     @pytest.mark.parametrize("make_demo", [s_curve_demo, arc_demo,
                                            helix_demo])
     def test_floor_width_posterior_at_the_far_edge(self, rng, make_demo):
-        # the worst case of a policy's mixture: components as narrow as
-        # fit_gmm's floor, a demo's length from the attractor it is
-        # lifted about
+        # components as narrow as fit_gmm's floor, lifted about a point a
+        # demo's length away: the bound holds even there (a policy's
+        # velocities use the whitened kernel instead; see test_policy)
         pts = make_demo().points
         d = pts.shape[1]
         attractor = pts[-1]

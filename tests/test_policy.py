@@ -32,7 +32,7 @@ from stablemotion.policy import (
     solve,
 )
 from stablemotion.profile import ProfileConfig
-from test_gmm import brute_force_responsibilities
+from test_gmm import brute_force_responsibilities, reference_e_step
 from conftest import arc_demo, helix_demo, s_curve_demo
 
 
@@ -105,7 +105,7 @@ class TestEvaluate:
             assert np.array_equal(evaluate(policy, X[i]),
                                   evaluate_batch(policy, X[i][None])[0])
 
-    def test_replace_rebuilds_the_cached_mixture(self, rng):
+    def test_replace_rebuilds_the_cached_kernel(self, rng):
         A = np.array([-np.eye(2), -2.0 * np.eye(2)])
         policy = LpvDsPolicy(tuple(random_components(rng, 2)), A, np.eye(2),
                              np.zeros(2), 1e-2)
@@ -120,6 +120,57 @@ class TestEvaluate:
         for x in X:
             assert np.allclose(evaluate(moved, x),
                                brute_force_evaluate(moved, x), atol=1e-12)
+
+
+    def test_rejects_components_it_cannot_factor(self):
+        A = np.array([-np.eye(2)])
+        # eigvalsh finds this covariance positive definite (1e-17 rounds
+        # to 5.6e-17 here), but its Cholesky factorisation fails; where
+        # eigvalsh rounds the other way, the component itself is rejected
+        th = 12 * np.pi / 64
+        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        S = R @ np.diag([1.0, 1e-17]) @ R.T
+        S = 0.5 * (S + S.T)
+        with pytest.raises(ValidationError):
+            LpvDsPolicy((GaussianComponent(1.0, np.zeros(2), S),),
+                        A, np.eye(2), np.zeros(2), 1e-2)
+        with pytest.raises(ValidationError):
+            LpvDsPolicy((GaussianComponent(1.0, np.zeros(3), np.eye(3)),),
+                        A, np.eye(2), np.zeros(2), 1e-2)
+
+
+class TestFarEdgePrecision:
+    """The kernel whitens x - x* and subtracts the whitened offset of each
+    mean, so a log-density's rounding grows as |z| |C^-1 (x - x*)|, not
+    as lambda_max(Sigma^-1) |x - x*|^2 as in an expanded quadratic."""
+
+    @pytest.mark.parametrize("make_demo", [s_curve_demo, arc_demo,
+                                           helix_demo])
+    def test_floor_width_components_at_the_far_edge(self, make_demo):
+        # components as narrow as fit_gmm's floor, a demo's length from
+        # the attractor; distinct gains, so that an error in the mixing
+        # weights shows in the velocity
+        pts = make_demo().points
+        d = pts.shape[1]
+        attractor = pts[-1]
+        floor = 1e-6 * np.trace(np.cov(pts.T)) / d
+        far = pts[np.argmax(np.linalg.norm(pts - attractor, axis=1))]
+        width = np.sqrt(floor)
+        A = -np.arange(1.0, 4.0)[:, None, None] * np.eye(d)
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            means = far + width * rng.normal(size=(3, d))
+            covs = [floor * np.eye(d)] * 3
+            policy = LpvDsPolicy(tuple(
+                GaussianComponent(1.0 / 3.0, m, c)
+                for m, c in zip(means, covs)), A, np.eye(d), attractor, 1e-2)
+            X = far + 2.0 * width * rng.normal(size=(200, d))
+            gamma, _ = reference_e_step(X.T, [1.0 / 3.0] * 3, means, covs)
+            want = np.einsum("kn,kij,nj->ni", gamma, A, X - attractor)
+            err = np.linalg.norm(evaluate_batch(policy, X) - want, axis=1)
+            worst = max(worst, np.max(err / np.linalg.norm(want, axis=1)))
+        assert worst < 1e-11
 
 
 class TestLyapunov:
