@@ -116,9 +116,13 @@ def rollout_batch(policy: LpvDsPolicy, starts: np.ndarray,
     """Integrate many starts in lockstep; returns (final_states, converged).
 
     Converged rows stop moving, so the whole batch costs one vectorized
-    policy evaluation per stage.
+    policy evaluation per stage. `starts` is (n, d), or one start (d,).
     """
-    X, done, _ = _integrate(policy.kernel, starts, policy.attractor, cfg,
+    X0 = np.atleast_2d(np.asarray(starts, dtype=float))
+    if X0.shape[1:] != policy.attractor.shape:
+        raise ValidationError(
+            f"starts have shape {np.shape(starts)}, expected (n, {policy.dim})")
+    X, done, _ = _integrate(policy.kernel, X0, policy.attractor, cfg,
                             False, policy.stiffness)
     return X, done
 

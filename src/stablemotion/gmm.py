@@ -4,9 +4,11 @@ EM with BIC model selection over K. Each (K, restart) run starts from the
 demonstration cut, in order, into K contiguous blocks (a restart shifts
 the cuts), so a fit depends on its data and config alone; the runs are
 stepped together in one lockstep loop. `Mixture` answers EM's density
-queries and `responsibilities_batch`: each log-density is a linear form
-in the lifted data [vec(y y^T); y; 1], so EM's M step and E step are one
-matrix product each. The expanded quadratic loses digits as
+queries and `responsibilities_batch`: each log-density, normaliser
+included, is a linear form in the lifted data [vec(y y^T); y; 1], so EM's
+M step and E step are one matrix product each. The covariances of a whole
+stack are factored by a Cholesky factor written out entry by entry, not
+one LAPACK call per matrix. The expanded quadratic loses digits as
 lambda_max(Sigma^-1) |x - origin|^2, which is small about the data mean;
 a policy's velocities, queried far from any such origin, use the
 whitened kernel in `policy` instead.
@@ -21,10 +23,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GaussianComponent, Trajectory, _frozen
+from .core import GaussianComponent, Trajectory
 from .errors import EmDidNotImprove, InsufficientData, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
+_add, _max = np.add.reduce, np.maximum.reduce
+# the log-normaliser of an empty slot: finite, so that it can ride in the
+# E step's product, and far enough below any real one that its weight
+# rounds to exactly 0
+_EMPTY_LOG_NORM = -1e300
 _log = logging.getLogger("stablemotion")
 # exp(x) rounds to 0 below x = -745.14 (weigh masks from -746, clear of the
 # last subnormal) but takes a slow path there, and most of EM's entries lie
@@ -97,19 +104,62 @@ def _lift_about_mean(points: np.ndarray):
     return origin, lift(points, origin)
 
 
+def _precision_logdet(cov: np.ndarray):
+    """Sigma^-1 (..., d, d) and log det Sigma (...) of SPD covariances
+    (..., d, d), d = 2 or 3, from the Cholesky factor Sigma = L L^T and
+    M = L^-1, so Sigma^-1 = M^T M.
+
+    Every entry of L, M and Sigma^-1 is one elementwise expression over
+    the whole stack: a stack of 72 matrices costs the same few dozen ufunc
+    calls as one, where LAPACK pays a call per matrix. Only the lower
+    triangle is read. Cholesky is backward-stable on SPD input, so the
+    precision is within about cond(Sigma) eps of the exact inverse. An
+    empty slot's inf * I gives a precision of exactly 0 and a
+    log-determinant of +inf, with no NaN and no warning.
+    """
+    d = cov.shape[-1]
+    prec = np.empty(cov.shape)
+    l11 = np.sqrt(cov[..., 0, 0])
+    m11 = 1.0 / l11
+    l21 = cov[..., 1, 0] * m11
+    l22 = np.sqrt(cov[..., 1, 1] - l21 * l21)
+    m22 = 1.0 / l22
+    m21 = -l21 * m11 * m22
+    if d == 2:
+        prec[..., 0, 0] = m11 * m11 + m21 * m21
+        prec[..., 1, 0] = prec[..., 0, 1] = m21 * m22
+        prec[..., 1, 1] = m22 * m22
+        return prec, 2.0 * np.log(l11 * l22)
+    l31 = cov[..., 2, 0] * m11
+    l32 = (cov[..., 2, 1] - l31 * l21) * m22
+    l33 = np.sqrt(cov[..., 2, 2] - l31 * l31 - l32 * l32)
+    m33 = 1.0 / l33
+    m32 = -l32 * m22 * m33
+    m31 = -(l31 * m11 + l32 * m21) * m33
+    prec[..., 0, 0] = m11 * m11 + m21 * m21 + m31 * m31
+    prec[..., 1, 0] = prec[..., 0, 1] = m21 * m22 + m31 * m32
+    prec[..., 2, 0] = prec[..., 0, 2] = m31 * m33
+    prec[..., 1, 1] = m22 * m22 + m32 * m32
+    prec[..., 2, 1] = prec[..., 1, 2] = m32 * m33
+    prec[..., 2, 2] = m33 * m33
+    return prec, 2.0 * np.log(l11 * l22 * l33)
+
+
 @dataclass(frozen=True)
 class Mixture:
     """A component set factored once for repeated posterior queries.
 
     With y = x - origin and m_k = mu_k - origin, log pi_k N(x; mu_k,
-    Sigma_k) is the row `coef[k]` = [-1/2 vec(Sigma_k^-1), Sigma_k^-1 m_k]
-    against [vec(y y^T); y], plus `log_norm[k]`. The constant stays out of
-    the product, so an empty slot's -inf never meets a zero.
+    Sigma_k) is the row `coef[k]` = [-1/2 vec(Sigma_k^-1), Sigma_k^-1 m_k,
+    c_k] against the lifted data [vec(y y^T); y; 1], c_k the
+    log-normaliser, so a posterior query is one product. An empty slot
+    (Sigma = inf * I) has a zero precision and the finite sentinel
+    c = -1e300 in place of -inf, so that it can ride in the product: its
+    log-density is -1e300 and its weight exactly 0.
     """
 
     origin: np.ndarray      # (d,)
-    coef: np.ndarray        # (..., K, d^2 + d)
-    log_norm: np.ndarray    # (..., K, 1)
+    coef: np.ndarray        # (..., K, d^2 + d + 1)
 
     @classmethod
     def from_arrays(cls, priors: np.ndarray, means: np.ndarray,
@@ -118,16 +168,21 @@ class Mixture:
         (..., K, d, d) about `origin` (d,); leading axes index independent
         mixtures."""
         d = len(origin)
-        prec = np.linalg.inv(covariances)
-        m = np.asarray(means, dtype=float) - origin
-        pm = (prec @ m[..., None])[..., 0]
-        coef = np.concatenate(
-            [-0.5 * prec.reshape(prec.shape[:-2] + (d * d,)), pm], axis=-1)
+        prec, logdet = _precision_logdet(
+            np.asarray(covariances, dtype=float))
+        m = np.subtract(means, origin)
+        coef = np.empty(m.shape[:-1] + (d * d + d + 1,))
+        np.multiply(prec.reshape(coef.shape[:-1] + (d * d,)), -0.5,
+                    out=coef[..., :d * d])
+        pm = np.matmul(prec, m[..., None], out=coef[..., d * d:-1, None])
         log_norm = np.log(priors) - 0.5 * (
-            d * _LOG_2PI + np.log(np.linalg.det(covariances))
-            + (m * pm).sum(axis=-1))
-        return cls(_frozen(origin), _frozen(coef),
-                   _frozen(log_norm[..., None]))
+            d * _LOG_2PI + logdet + _add(m * pm[..., 0], axis=-1))
+        np.maximum(log_norm, _EMPTY_LOG_NORM, out=coef[..., -1])
+        # frozen without a copy: a read-only view of the caller's origin
+        origin = np.asarray(origin, dtype=float).view()
+        origin.setflags(write=False)
+        coef.setflags(write=False)
+        return cls(origin, coef)
 
     @classmethod
     def from_components(cls, components: Sequence[GaussianComponent],
@@ -147,9 +202,8 @@ class Mixture:
         (shaped like the responsibilities), if given, receives them, so a
         loop that calls this once per step allocates nothing large.
         """
-        lj = np.matmul(self.coef, phi[:-1], out=out)
-        lj += self.log_norm
-        top = lj.max(axis=-2, keepdims=True)
+        lj = np.matmul(self.coef, phi, out=out)
+        top = _max(lj, axis=-2, keepdims=True)
         lj -= top
         if lj.size < _MASKED_EXP_SIZE:
             np.exp(lj, out=lj)
@@ -157,8 +211,8 @@ class Mixture:
             low = lj < -746.0
             np.exp(lj, out=lj, where=~low)
             lj[low] = 0.0
-        total = lj.sum(axis=-2, keepdims=True)
-        lj /= total
+        total = _add(lj, axis=-2, keepdims=True)
+        lj *= 1.0 / total
         return lj, top, total
 
 
@@ -173,10 +227,17 @@ def responsibilities(components: Sequence[GaussianComponent],
 def responsibilities_batch(components: Sequence[GaussianComponent],
                            xi: np.ndarray) -> np.ndarray:
     """(n, K) posterior probabilities for a batch of query points, lifted
-    about their mean."""
+    about their mean. A covariance whose Cholesky factorisation fails
+    (a valid component can be that thin; a policy rejects it too) raises
+    ValidationError."""
     origin, phi = _lift_about_mean(
         np.ascontiguousarray(np.atleast_2d(xi).T, dtype=float))
-    return Mixture.from_components(components, origin).weigh(phi)[0].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixture = Mixture.from_components(components, origin)
+    if not np.isfinite(mixture.coef).all():
+        raise ValidationError("a component covariance is not numerically "
+                              "positive definite")
+    return mixture.weigh(phi)[0].T
 
 
 def _block_resp(n: int, k: int, phase: Fraction) -> np.ndarray:
@@ -212,7 +273,7 @@ def _em_step(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
     index independent runs. `resp @ phi^T` holds each component's weight
     and first and second moments. `floor` (..., K, d, d) is added to each
     covariance: floor * I on a run's components, inf * I on the empty
-    slots that pad it to K, whose log-normaliser -inf gives them exactly
+    slots that pad it to K, whose log-normaliser -1e300 gives them exactly
     zero responsibility. The new responsibilities overwrite `resp`.
     Returns (priors, means, covs, resp, loglik per run).
     """

@@ -155,14 +155,23 @@ class LpvDsPolicy:
 
 
 def evaluate(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
-    """Policy velocity at one state: a batch of one."""
-    return evaluate_batch(policy, np.asarray(xi, dtype=float)[None])[0]
+    """Policy velocity at one state (d,): a batch of one. A plan's field
+    calls this at every RK4 stage, so the check is one shape comparison."""
+    x = np.asarray(xi, dtype=float)
+    if x.shape != policy.attractor.shape:
+        raise ValidationError(
+            f"state has shape {x.shape}, expected {policy.attractor.shape}")
+    return policy.kernel(x[:, None])[:, 0]
 
 
 def evaluate_batch(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
-    """Policy velocities for a batch of states, shape (n, d): the kernel
-    on the states as columns."""
-    return policy.kernel(np.atleast_2d(np.asarray(xi, dtype=float)).T).T
+    """Policy velocities for a batch of states (n, d), shape (n, d): the
+    kernel on the states as columns."""
+    X = np.atleast_2d(np.asarray(xi, dtype=float))
+    if X.shape[1:] != policy.attractor.shape:
+        raise ValidationError(
+            f"states have shape {np.shape(xi)}, expected (n, {policy.dim})")
+    return policy.kernel(X.T).T
 
 
 def lyapunov_value(policy: LpvDsPolicy, xi: np.ndarray):

@@ -248,6 +248,16 @@ class TestRolloutBatch:
                                               convergence_radius=1e-4))
         assert done.tolist() == [True, False]
 
+    @pytest.mark.parametrize("d, starts", [
+        (2, np.ones((4, 3))), (2, np.ones(3)), (3, np.ones((4, 2)))],
+        ids=["2d-policy-4x3", "2d-policy-3", "3d-policy-4x2"])
+    def test_rejects_starts_of_another_dimension(self, d, starts):
+        policy = LpvDsPolicy(
+            (GaussianComponent(1.0, np.zeros(d), np.eye(d)),),
+            np.array([-np.eye(d)]), np.eye(d), np.zeros(d), 1e-2)
+        with pytest.raises(ValidationError, match=rf"expected \(n, {d}\)"):
+            rollout_batch(policy, starts)
+
 
 class TestMetrics:
     def pose_x(self, x_axis, position=(0.0, 0.0)):

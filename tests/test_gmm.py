@@ -1,5 +1,7 @@
 import dataclasses
 import logging
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +10,9 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from stablemotion import gmm
-from stablemotion.core import GaussianComponent, Trajectory, joint_diameter
-from stablemotion.errors import InsufficientData
+from stablemotion.core import (GaussianComponent, GeometricDescriptor, Pose,
+                               Trajectory, joint_diameter)
+from stablemotion.errors import InsufficientData, ValidationError
 from stablemotion.gmm import (
     GmmFitConfig,
     Mixture,
@@ -19,6 +22,8 @@ from stablemotion.gmm import (
     responsibilities,
     responsibilities_batch,
 )
+from stablemotion.pipeline import adapt, learn
+from stablemotion.profile import ProfileConfig
 from conftest import arc_demo, helix_demo, s_curve_demo
 
 
@@ -342,6 +347,98 @@ class TestLiftedPrecision:
         assert got[4] == pytest.approx(ll_ref, rel=1e-12, abs=0.0)
 
 
+def exact_inverse_logdet(S):
+    """The inverse of one 2x2 or 3x3 matrix of doubles, from its adjugate
+    and determinant in exact rational arithmetic and rounded once, and its
+    log-determinant to within an ulp of log det: an oracle with no
+    rounding error of its own to speak of."""
+    a = [[Fraction(x) for x in row] for row in S]
+    d = len(a)
+
+    def minor(i, j):
+        r, c = [k for k in range(d) if k != i], [k for k in range(d) if k != j]
+        if d == 2:
+            return a[r[0]][c[0]]
+        return (a[r[0]][c[0]] * a[r[1]][c[1]]
+                - a[r[0]][c[1]] * a[r[1]][c[0]])
+
+    det = sum((-1) ** j * a[0][j] * minor(0, j) for j in range(d))
+    inv = [[float((-1) ** (i + j) * minor(j, i) / det) for j in range(d)]
+           for i in range(d)]
+    return np.array(inv), math.log(float(det))
+
+
+class TestFactor:
+    """`gmm._precision_logdet`, the closed-form Cholesky factorisation of
+    a covariance stack, against exact rational arithmetic."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_exact_inverse(self, d):
+        # seeded SPD stacks: cond(Sigma) 1 to 1e10, scale 1e-8 to 1e2.
+        # Cholesky is backward-stable, so the precision is within
+        # 2 cond eps (relative to its largest entry) and the
+        # log-determinant within 2 cond eps (absolute), plus four ulps of
+        # a number its size, which rounding alone reaches at cond = 1
+        rng = np.random.default_rng(2)
+        eps = np.finfo(float).eps
+        for cond in 10.0 ** np.arange(11):
+            for scale in 10.0 ** np.arange(-8, 3):
+                Q, _ = np.linalg.qr(rng.normal(size=(4, d, d)))
+                S = (Q * scale * np.geomspace(1.0, 1.0 / cond, d)) \
+                    @ np.swapaxes(Q, 1, 2)
+                S = 0.5 * (S + np.swapaxes(S, 1, 2))
+                prec, logdet = gmm._precision_logdet(S)
+                assert prec.shape == S.shape and logdet.shape == (4,)
+                for P, ld, Si in zip(prec, logdet, S):
+                    want, want_ld = exact_inverse_logdet(Si)
+                    w = np.linalg.eigvalsh(Si)
+                    tol = 2.0 * (w[-1] / w[0]) * eps
+                    assert np.max(np.abs(P - want)) \
+                        <= tol * np.max(np.abs(want))
+                    assert abs(ld - want_ld) \
+                        <= tol + 4.0 * eps * max(1.0, abs(want_ld))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_empty_slot_is_exactly_zero(self, d):
+        # an empty slot of EM's stack: inf * I, beside a real covariance
+        S = np.array([np.eye(d), np.eye(d)])
+        S[1][range(d), range(d)] = np.inf
+        with np.errstate(all="raise"):
+            prec, logdet = gmm._precision_logdet(S)
+        assert np.array_equal(prec[0], np.eye(d))
+        assert logdet[0] == 0.0
+        assert np.all(prec[1] == 0.0)
+        assert logdet[1] == np.inf
+
+
+class TestAdaptedPosterior:
+    """responsibilities_batch on re-targeted policies, against scipy
+    densities at 1e-9: the check the benchmark makes of every adapted
+    policy."""
+
+    @pytest.mark.parametrize("demo", [helix_demo(1000), helix_demo(200),
+                                      s_curve_demo(1000)],
+                             ids=["helix-1000", "helix-200", "s_curve-1000"])
+    def test_matches_scipy_densities(self, demo):
+        chain, _ = learn(demo, GmmFitConfig(k_min=5, k_max=5, restarts=1))
+        base = chain.endpoint_descriptor()
+        # each end moves within a fifth of the demo's extent
+        reach = 0.2 * joint_diameter(demo.points) / np.sqrt(demo.dim)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            desc = GeometricDescriptor(*(
+                Pose(pose.position + rng.uniform(-reach, reach, demo.dim),
+                     pose.rotation) for pose in (base.enter, base.exit)))
+            _, profile, policy = adapt(chain, desc,
+                                       ProfileConfig.for_demo(demo))
+            comps = policy.components
+            got = responsibilities_batch(comps, profile.points)
+            want, _ = reference_e_step(
+                profile.points.T, [c.prior for c in comps],
+                [c.mean for c in comps], [c.covariance for c in comps])
+            assert np.max(np.abs(got - want.T)) <= 1e-9
+
+
 class TestBlockSeed:
     @pytest.mark.parametrize("d", [2, 3])
     def test_every_block_holds_d_samples(self, d):
@@ -520,6 +617,20 @@ class TestResponsibilities:
             assert np.all(np.isfinite(g))
             assert abs(g.sum() - 1.0) < 1e-12
             assert np.allclose(g, row, rtol=0.0, atol=1e-15)
+
+    def test_rejects_a_covariance_it_cannot_factor(self):
+        # eigvalsh finds this covariance positive definite, so it makes a
+        # valid component, but its Cholesky factorisation fails: a typed
+        # error, with no RuntimeWarning on the way
+        th = 12 * np.pi / 64
+        R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        S = R @ np.diag([1.0, 1e-17]) @ R.T
+        comps = [GaussianComponent(0.5, np.zeros(2), 0.5 * (S + S.T)),
+                 GaussianComponent(0.5, np.ones(2), np.eye(2))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="positive definite"):
+                responsibilities_batch(comps, np.zeros((3, 2)))
 
     def test_matches_brute_force(self, rng):
         comps = [GaussianComponent(0.3, rng.normal(size=2),

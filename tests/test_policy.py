@@ -138,6 +138,19 @@ class TestEvaluate:
             LpvDsPolicy((GaussianComponent(1.0, np.zeros(3), np.eye(3)),),
                         A, np.eye(2), np.zeros(2), 1e-2)
 
+    @pytest.mark.parametrize("d, states", [
+        (2, np.ones((4, 3))), (2, np.ones(3)), (3, np.ones((4, 2))),
+        (3, np.ones(2))], ids=["2d-policy-4x3", "2d-policy-3",
+                               "3d-policy-4x2", "3d-policy-2"])
+    def test_rejects_states_of_another_dimension(self, d, states):
+        policy = LpvDsPolicy(
+            (GaussianComponent(1.0, np.zeros(d), np.eye(d)),),
+            np.array([-np.eye(d)]), np.eye(d), np.zeros(d), 1e-2)
+        with pytest.raises(ValidationError, match=rf"expected \({d},\)"):
+            evaluate(policy, states)
+        with pytest.raises(ValidationError, match=rf"expected \(n, {d}\)"):
+            evaluate_batch(policy, states)
+
 
 class TestFarEdgePrecision:
     """The kernel whitens x - x* and subtracts the whitened offset of each
