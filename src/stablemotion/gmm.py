@@ -8,10 +8,14 @@ queries and `responsibilities_batch`: each log-density, normaliser
 included, is a linear form in the lifted data [vec(y y^T); y; 1], so EM's
 M step and E step are one matrix product each. The covariances of a whole
 stack are factored by a Cholesky factor written out entry by entry, not
-one LAPACK call per matrix. The expanded quadratic loses digits as
-lambda_max(Sigma^-1) |x - origin|^2, which is small about the data mean;
-a policy's velocities, queried far from any such origin, use the
-whitened kernel in `policy` instead.
+one LAPACK call per matrix. A weight whose log lies more than 700 below
+its column's largest is exactly 0, at every query size, so every nonzero
+responsibility is a normal double: exp and the M step's product never
+meet the subnormal range, where numpy takes slow paths, and the weights
+dropped are too small to change any sum. The expanded quadratic loses
+digits as lambda_max(Sigma^-1) |x - origin|^2, which is small about the
+data mean; a policy's velocities, queried far from any such origin, use
+the whitened kernel in `policy` instead.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ _add, _max = np.add.reduce, np.maximum.reduce
 # rounds to exactly 0
 _EMPTY_LOG_NORM = -1e300
 _log = logging.getLogger("stablemotion")
-# exp(x) rounds to 0 below x = -745.14 (weigh masks from -746, clear of the
-# last subnormal) but takes a slow path there, and most of EM's entries lie
-# there; from this many entries on, skipping them pays for the mask (a few
-# microseconds, which single-state queries never repay)
-_MASKED_EXP_SIZE = 1024
+# a weight whose log lies more than this below its column's largest is
+# exactly 0: exp(-700) ~ 1e-304, so every kept weight and its normalised
+# value stay normal doubles for K below about 4000, and exp never meets
+# the subnormal range below -708.4, where numpy's exp and the M step's
+# product both take slow paths; a zeroed weight is about 1e-304 of its
+# column's sum, so it changes no sum it enters
+_LOG_WEIGHT_CUT = -700.0
 # EM stops a run after this many steps, or once its log-likelihood rises by
 # less than this (relative)
 _EM_MAX_STEPS = 200
@@ -198,19 +204,21 @@ class Mixture:
         log p(x) = top + log(total).
 
         Computed in log space with the per-point maximum subtracted, so
-        far-field queries never underflow to an all-zero column. `out`
+        far-field queries never underflow to an all-zero column. A weight
+        whose log lies more than 700 below its column's largest is set to
+        exactly 0 rather than exponentiated: exp(-700) is about 1e-304 of
+        the column's sum, so dropping it changes no sum, and every kept
+        weight and responsibility stays a normal double, clear of the
+        subnormal range where numpy's exp and matmul slow down. `out`
         (shaped like the responsibilities), if given, receives them, so a
         loop that calls this once per step allocates nothing large.
         """
         lj = np.matmul(self.coef, phi, out=out)
         top = _max(lj, axis=-2, keepdims=True)
         lj -= top
-        if lj.size < _MASKED_EXP_SIZE:
-            np.exp(lj, out=lj)
-        else:
-            low = lj < -746.0
-            np.exp(lj, out=lj, where=~low)
-            lj[low] = 0.0
+        low = lj < _LOG_WEIGHT_CUT
+        np.exp(lj, out=lj, where=~low)
+        lj[low] = 0.0
         total = _add(lj, axis=-2, keepdims=True)
         lj *= 1.0 / total
         return lj, top, total

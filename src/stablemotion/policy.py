@@ -148,11 +148,6 @@ class LpvDsPolicy:
     def dim(self) -> int:
         return self.attractor.shape[0]
 
-    @property
-    def b(self) -> np.ndarray:
-        """Offsets b_k = -A_k attractor (constructed, never fitted)."""
-        return -self.A @ self.attractor
-
 
 def evaluate(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
     """Policy velocity at one state (d,): a batch of one. A plan's field
@@ -402,16 +397,24 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
     # workspace radius (A is invariant to the scaling, the objective is not)
     Y = data - attractor
     scale = max(float(np.max(np.linalg.norm(Y, axis=1))), 1e-12)
-    Yn, Vn = Y / scale, velocities / scale
     gamma = responsibilities_batch(components, data)
-    stats = fit_statistics(gamma, Yn, Vn)
+    # finite velocities can still be too large to square (a profile's grow
+    # as 1/dt): that is a fit the solver cannot make, not a warning
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            Yn, Vn = Y / scale, velocities / scale
+            stats = fit_statistics(gamma, Yn, Vn)
+            # shrinkage target for unexcited directions: a few times the
+            # data's speed-to-radius ratio, so they contract strictly
+            # faster than the fitted modes -- the slow mode (and hence the
+            # asymptotic approach direction into the attractor) must stay
+            # the demonstrated one
+            shrink = 10.0 * float(
+                np.mean(np.linalg.norm(Vn, axis=1))
+                / max(np.mean(np.linalg.norm(Yn, axis=1)), 1e-12))
+    except FloatingPointError as exc:
+        raise OptimizationDiverged(f"set-up: {exc}") from None
     reg = _RIDGE * T
-    # shrinkage target for unexcited directions: a few times the data's
-    # speed-to-radius ratio, so they contract strictly faster than the
-    # fitted modes -- the slow mode (and hence the asymptotic approach
-    # direction into the attractor) must stay the demonstrated one
-    shrink = 10.0 * float(np.mean(np.linalg.norm(Vn, axis=1)) /
-                         max(np.mean(np.linalg.norm(Yn, axis=1)), 1e-12))
 
     # warm start: per-component ridge least-squares A, mapped to W = P A
     # with the eigenvalues of sym(W_k) clamped to <= -2 eps

@@ -8,6 +8,7 @@ re-estimation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ class ProfileConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValidationError("dt must be positive")
+        # finite differences divide by dt
+        if not math.isfinite(1.0 / float(self.dt)):
+            raise ValidationError(f"dt = {self.dt} has no finite reciprocal")
         if self.p < 2:
             raise ValidationError("need at least 2 profile points")
 

@@ -241,7 +241,7 @@ def _oracle_deviations(rng, K: int, d: int):
     v_oracle = np.zeros_like(pts)
     for k in range(len(comps)):
         v_oracle += gamma_oracle[:, k, None] * \
-            (pts @ policy.A[k].T + policy.b[k])
+            (pts @ policy.A[k].T - policy.A[k] @ policy.attractor)
     d_eval = float(np.max(np.abs(evaluate_batch(policy, pts) - v_oracle)))
     return d_gamma, d_eval
 

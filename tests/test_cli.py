@@ -642,8 +642,8 @@ def _mutate(data, obj):
     """obj with one value deep inside it dropped, swapped for a value of
     another JSON type, shortened or lengthened (a list), given a boolean
     as its last element (a list) or nested; or, in a policy, with one
-    component mean moved out to 1e300 or one covariance shrunk to
-    1e-200 I."""
+    component mean moved out to 1e300, or one covariance shrunk to
+    1e-200 I or the chain's timing dt to 1e-300."""
     obj = copy.deepcopy(obj)
     parent, key = None, None
     node = obj
@@ -668,6 +668,8 @@ def _mutate(data, obj):
     elif kind == "far" and "components" in obj:
         comp = data.draw(st.sampled_from(obj["components"]))
         comp["mean"] = [1e300] * len(comp["mean"])
+    elif kind == "tiny" and "chain" in obj and data.draw(st.booleans()):
+        obj["chain"]["timing"]["dt"] = 1e-300
     elif kind == "tiny" and "components" in obj:
         comp = data.draw(st.sampled_from(obj["components"]))
         comp["covariance"] = (1e-200 * np.eye(len(comp["mean"]))).tolist()
@@ -723,16 +725,25 @@ def test_tiny_covariance_is_rejected_at_load(valid_files, tmp_path, capsys):
     assert "thinner than" in capsys.readouterr().err
 
 
-def test_tiny_timing_dt_exits_numerical(demo_file, tmp_path, capsys):
-    """A chain timing of dt = 1e-20 loads, but the regenerated profile's
-    velocities grow as 1/dt; on this K = 6 fit they leave a set-up matrix
-    of the estimator singular, and a transform to the chain's own
-    endpoints exits 3, not in a traceback."""
+@pytest.mark.parametrize("dt, code, error", [
+    pytest.param(1e-20, EXIT_NUMERICAL, "OptimizationDiverged", id="1e-20"),
+    pytest.param(1e-300, EXIT_NUMERICAL, "OptimizationDiverged",
+                 id="1e-300"),
+    pytest.param(5e-324, EXIT_VALIDATION, "no finite reciprocal",
+                 id="5e-324")])
+def test_tiny_timing_dt_exits_numerical(demo_file, tmp_path, capsys, dt,
+                                        code, error):
+    """A tiny positive chain timing dt ends a transform to the chain's own
+    endpoints with an exit code, never a traceback or a RuntimeWarning.
+    The regenerated profile's velocities grow as 1/dt: at 1e-20 this
+    K = 6 fit's Newton system loses definiteness, and at 1e-300 their
+    squares overflow in the estimator's set-up (both exit 3); 5e-324 has
+    no finite reciprocal and fails to load (exit 2)."""
     fitted = str(tmp_path / "policy.json")
     assert main(["--quiet", "fit", demo_file, "-o", fitted,
                  "--k-max", "6"]) == EXIT_OK
     obj = json.loads(Path(fitted).read_text())
-    obj["chain"]["timing"]["dt"] = 1e-20
+    obj["chain"]["timing"]["dt"] = dt
     tiny = _json_file(tmp_path, "tiny_dt.json", obj)
     _, chain = fileio.load_policy(fitted)
     own = tmp_path / "own.json"
@@ -741,9 +752,9 @@ def test_tiny_timing_dt_exits_numerical(demo_file, tmp_path, capsys):
         warnings.simplefilter("always")
         rc = main(["--quiet", "transform", tiny, str(own),
                    "-o", str(tmp_path / "o.json")])
-    assert rc == EXIT_NUMERICAL
+    assert rc == code
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "OptimizationDiverged" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
 
 
 def _far(*path):

@@ -227,7 +227,7 @@ class TestPolicyRoundTrip:
         keys hold."""
         chain, policy = learned
         obj = policy_to_dict(policy, chain)
-        for comp, b in zip(obj["components"], policy.b):
+        for comp, b in zip(obj["components"], -policy.A @ policy.attractor):
             comp["b"] = b.tolist()
         K = len(policy.components)
         obj["chain"]["order_scores"] = [(k + 0.5) / K for k in range(K)]

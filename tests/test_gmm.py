@@ -291,6 +291,41 @@ class TestEmStep:
                 assert np.array_equal(g[:k], a[:k])
 
 
+class TestNegligibleWeights:
+    """A weight whose log lies more than 700 below its column's largest is
+    exactly 0; every other weight, and so every nonzero responsibility,
+    is a normal double."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_columns_spanning_the_subnormal_band(self, d):
+        # two blocks of width sigma, 1 apart: at a point of one block the
+        # other's log-density lies about 1 / (2 sigma^2) = 720 lower, and
+        # the block's spread carries its columns across -745..-700, where
+        # exp(-708.4) and below are subnormal
+        rng = np.random.default_rng(d)
+        n, sigma = 400, np.sqrt(1.0 / 1440.0)
+        labels = np.arange(n) * 2 // n
+        data = np.outer(labels, np.eye(d)[0]) \
+            + sigma * rng.normal(size=(n, d))
+        points = np.ascontiguousarray(data.T)
+        priors, means, covs, stepped, _ = gmm._em_step(
+            points, np.eye(2)[:, labels], 1e-6 * np.eye(d))
+        lj = np.stack([np.log(p) + multivariate_normal.logpdf(data, m, c)
+                       for p, m, c in zip(priors, means, covs)])
+        below_top = lj - lj.max(axis=0)
+        want = np.exp(lj - logsumexp(lj, axis=0))
+        assert np.sum((below_top < -708.4) & (below_top > -745.2)) > 100
+        comps = [GaussianComponent(p, m, c)
+                 for p, m, c in zip(priors, means, covs)]
+        batch = responsibilities_batch(comps, data).T
+        for got in (stepped, batch):
+            kept = got != 0.0
+            assert np.all(got[kept] >= np.finfo(float).tiny)
+            np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12,
+                                       atol=0.0)
+            assert np.all(below_top[~kept] < -700.0)
+
+
 class TestLiftedPrecision:
     """The lifted kernel's terms cancel, so its error grows as
     lambda_max(Sigma^-1) |x - origin|^2 (`lifted_tolerance`)."""

@@ -55,7 +55,8 @@ def brute_force_evaluate(policy, xi):
     gamma = brute_force_responsibilities(policy.components, xi)
     out = np.zeros(policy.dim)
     for k in range(len(policy.components)):
-        out += gamma[k] * (policy.A[k] @ xi + policy.b[k])
+        out += gamma[k] * (policy.A[k] @ xi
+                           - policy.A[k] @ policy.attractor)
     return out
 
 
@@ -348,7 +349,6 @@ class TestEstimate:
         assert np.linalg.norm(policy.A[0] + np.eye(2), ord=2) < 0.05
         r = V - evaluate_batch(policy, X)
         assert float(np.mean(np.sum(r * r, axis=1))) < 1e-6
-        assert np.allclose(policy.b[0], -policy.A[0] @ g)
 
     def test_zero_velocities_yield_minimal_contraction(self, rng):
         g = np.zeros(2)
