@@ -7,6 +7,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -239,10 +240,17 @@ def compute_velocities(traj: Trajectory) -> Trajectory:
     """Forward finite differences; the terminal velocity is the zero vector.
 
     The demonstration ends at the attractor, so zero terminal velocity is
-    the consistent training signal.
+    the consistent training signal. A sampling interval with no finite
+    reciprocal (`ProfileConfig`'s rule for dt), or a velocity that
+    overflows, is a ValidationError.
     """
     pts, ts = traj.points, traj.timestamps
     dt = np.diff(ts)[:, None]
+    # the shortest interval has the largest reciprocal
+    if not math.isfinite(1.0 / float(dt.min())):
+        raise ValidationError(
+            f"sampling interval {dt.min():g} has no finite reciprocal")
     vel = np.zeros_like(pts)
-    vel[:-1] = np.diff(pts, axis=0) / dt
+    with np.errstate(over="ignore"):  # Trajectory rejects an inf velocity
+        vel[:-1] = np.diff(pts, axis=0) / dt
     return Trajectory(pts, ts, vel)

@@ -65,7 +65,7 @@ class VelocityKernel:
 
     attractor: np.ndarray   # (d, 1)
     M: np.ndarray           # (2Kd, d)
-    offsets: np.ndarray     # (Kd, 1)
+    offsets: np.ndarray     # (K, d, 1)
     log_norm: np.ndarray    # (K, 1)
 
     @classmethod
@@ -87,24 +87,27 @@ class VelocityKernel:
                     - 0.5 * d * np.log(2.0 * np.pi)
                     - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
         M = np.concatenate([whiten.reshape(K * d, d), A.reshape(K * d, d)])
-        return cls(_frozen(attractor[:, None]), _frozen(M),
-                   _frozen(offsets.reshape(K * d, 1)),
+        return cls(_frozen(attractor[:, None]), _frozen(M), _frozen(offsets),
                    _frozen(log_norm[:, None]))
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
         """Velocities (d, n) at states as columns Y (d, n): the mixing
         weights stay unnormalised, with each column's largest log-weight
-        subtracted, until one division at the end. The reductions call
-        their ufuncs directly, skipping numpy's method wrappers: about a
-        tenth of the kernel's time at a single state."""
-        K, Kd, n = len(self.log_norm), len(self.offsets), Y.shape[1]
+        subtracted, until one division at the end. Each sum over a
+        component's d rows, and the weighted sum over the K components,
+        is one `vecdot` contraction on a (K, d, n) view of the product,
+        and the reductions call their ufuncs directly: a single-state
+        evaluation is bounded by its count of numpy calls, not by its
+        arithmetic. A component whose |z_k|^2 overflows gets weight 0."""
+        K, d, _ = self.offsets.shape
+        n = Y.shape[1]
         out = self.M @ (Y - self.attractor)
-        z = out[:Kd] - self.offsets
-        z *= z
-        w = self.log_norm - _add(z.reshape(K, Kd // K, n), axis=1)
+        z = out[:K * d].reshape(K, d, n)
+        z -= self.offsets
+        w = self.log_norm - np.vecdot(z, z, axis=1)
         w -= _max(w, axis=0)
         np.exp(w, out=w)
-        v = _add(w[:, None] * out[Kd:].reshape(K, Kd // K, n), axis=0)
+        v = np.vecdot(out[K * d:].reshape(K, d, n), w[:, None], axis=0)
         v /= _add(w, axis=0)
         return v
 

@@ -757,6 +757,34 @@ def test_tiny_timing_dt_exits_numerical(demo_file, tmp_path, capsys, dt,
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reach, scale, code, error", [
+    pytest.param(1.0, 1e-300, EXIT_NUMERICAL, "OptimizationDiverged",
+                 id="1e-300"),
+    pytest.param(1.0, 1e-310, EXIT_VALIDATION, "no finite reciprocal",
+                 id="1e-310"),
+    pytest.param(1e4, 5e-307, EXIT_VALIDATION, "velocities must be finite",
+                 id="1e4-over-5e-307")])
+def test_tiny_timestamps_end_fit_without_warning(tmp_path, capsys, reach,
+                                                 scale, code, error):
+    """A demo whose timestamps are scaled down to the subnormal range ends
+    `fit` with an exit code, never a traceback or a RuntimeWarning. At
+    1e-300 the velocities' squares overflow in the estimator's set-up
+    (exit 3); at 1e-310 the sampling intervals have no finite reciprocal,
+    and with positions scaled by 1e4 at 5e-307 the velocities themselves
+    overflow (both exit 2)."""
+    demo = s_curve_demo()
+    path = tmp_path / "tiny_ts.json"
+    fileio.save_demo(path, [Trajectory(reach * demo.points,
+                                       scale * demo.timestamps)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--quiet", "fit", str(path),
+                   "-o", str(tmp_path / "o.json")])
+    assert rc == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert error in capsys.readouterr().err
+
+
 def _far(*path):
     """An edit that moves the value at `path` out to 1e300."""
     def edit(obj):

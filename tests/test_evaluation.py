@@ -31,6 +31,14 @@ def linear_policy(attractor=(0.0, 0.0)):
                        np.array(attractor), 1e-2)
 
 
+def diverging_policy(variance=1.0):
+    """The linear field xdot = 2 x: at dt = 1, dt * |eig A| = 2 passes the
+    step-size check, and RK4 then multiplies the state by 7 per step."""
+    comps = (GaussianComponent(1.0, np.zeros(2), variance * np.eye(2)),)
+    return LpvDsPolicy(comps, np.array([2.0 * np.eye(2)]), np.eye(2),
+                       np.zeros(2), 1e-2)
+
+
 class TestRollout:
     def test_exponential_decay_closed_form(self):
         # xdot = -x from (1, 0): x(t) = e^{-t}; stop radius 1e-3 at t = ln 1000
@@ -78,13 +86,8 @@ class TestRollout:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_policy_raises(self):
-        comps = (GaussianComponent(1.0, np.zeros(2), np.eye(2)),)
-        # dt * |eig A| = 2 passes the step-size check; RK4 then multiplies
-        # the state by 7 per step
-        bad = LpvDsPolicy(comps, np.array([2.0 * np.eye(2)]), np.eye(2),
-                          np.zeros(2), 1e-2)
         with pytest.raises(NonFiniteState):
-            rollout(bad, np.array([1.0, 0.0]),
+            rollout(diverging_policy(), np.array([1.0, 0.0]),
                     RolloutConfig(dt=1.0, max_steps=2000))
 
     def test_lyapunov_monotone_along_rollout(self, rng):
@@ -176,6 +179,63 @@ class TestRolloutMatchesScalarReference:
                                RolloutConfig(max_steps=1))
         assert not run.converged
         assert len(run.trajectory) == 2
+
+
+def first_non_finite_step(policy, x0, cfg):
+    """The step N after which the scalar reference's state is not finite."""
+    points, _ = reference_rollout(policy, x0, cfg)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    assert bad.size
+    return int(bad[0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteStep:
+    """NonFiniteState is raised after the very step whose state is not
+    finite, for one state and for any column of a batch."""
+
+    cfg = RolloutConfig(dt=1.0, max_steps=2000)
+
+    def test_at_the_reference_step(self):
+        policy, x0 = diverging_policy(), np.array([1.0, 0.0])
+        n = first_non_finite_step(policy, x0, self.cfg)
+        at, before = (replace(self.cfg, max_steps=m) for m in (n, n - 1))
+        with pytest.raises(NonFiniteState):
+            rollout(policy, x0, at)
+        with pytest.raises(NonFiniteState):
+            rollout_batch(policy, x0[None], at)
+        assert not rollout(policy, x0, before).converged
+        _, done = rollout_batch(policy, x0[None], before)
+        assert not done.any()
+
+    def test_beside_a_start_inside_the_radius(self):
+        policy, x0 = diverging_policy(), np.array([1.0, 0.0])
+        n = first_non_finite_step(policy, x0, self.cfg)
+        starts = np.array([[1e-6, 0.0], x0])
+        with pytest.raises(NonFiniteState):
+            rollout_batch(policy, starts, replace(self.cfg, max_steps=n))
+        _, done = rollout_batch(policy, starts,
+                                replace(self.cfg, max_steps=n - 1))
+        assert done.tolist() == [True, False]
+
+    def test_lone_infinite_column(self):
+        # so wide a component that the state overflows to inf rather
+        # than NaN; the other column is still finite, with a finite
+        # squared distance, at that step
+        policy = diverging_policy(variance=1e308)
+        starts = np.array([[1e160, 0.0], [1.0, 0.0]])
+        n = first_non_finite_step(policy, starts[0], self.cfg)
+        points, _ = reference_rollout(policy, starts[0],
+                                      replace(self.cfg, max_steps=n))
+        assert np.isinf(points[-1]).any() and not np.isnan(points).any()
+        other, _ = reference_rollout(policy, starts[1],
+                                     replace(self.cfg, max_steps=n))
+        assert np.isfinite(np.sum(other[-1] ** 2))
+        with pytest.raises(NonFiniteState):
+            rollout_batch(policy, starts, replace(self.cfg, max_steps=n))
+        final, done = rollout_batch(policy, starts,
+                                    replace(self.cfg, max_steps=n - 1))
+        assert np.isfinite(final).all() and not done.any()
 
 
 class TestStiffness:

@@ -94,6 +94,40 @@ class TestEvaluate:
             assert np.allclose(evaluate(policy, x),
                                brute_force_evaluate(policy, x), atol=1e-12)
 
+    @pytest.mark.parametrize("d, K", [(3, 3), (2, 8), (3, 8)])
+    def test_single_and_batch_match_brute_force_oracle(self, d, K):
+        rng = np.random.default_rng(10 * d + K)
+        A = np.array([-np.eye(d) - 0.2 * abs(rng.normal()) * np.eye(d)
+                      + 0.1 * rng.normal(size=(d, d)) for _ in range(K)])
+        policy = LpvDsPolicy(tuple(random_components(rng, K, d)), A,
+                             np.eye(d), rng.normal(size=d), 1e-2)
+        X = rng.uniform(-5, 5, size=(64, d))
+        want = np.array([brute_force_evaluate(policy, x) for x in X])
+        for x, v in zip(X, want):
+            np.testing.assert_allclose(evaluate(policy, x), v,
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(evaluate_batch(policy, X[:1]), want[:1],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(evaluate_batch(policy, X), want,
+                                   rtol=0, atol=1e-12)
+
+    def test_overflowed_norm_gives_its_component_weight_zero(self):
+        # |z_0|^2 of the thin component overflows to inf 1e60 from its
+        # mean, while the unit component's stays finite: the thin one
+        # must get weight 0, not turn the other's velocity into NaN
+        comps = (GaussianComponent(0.5, np.zeros(2), 1e-200 * np.eye(2)),
+                 GaussianComponent(0.5, np.array([1.0, 2.0]), np.eye(2)))
+        A = np.array([-np.eye(2), [[-2.0, 1.0], [-1.0, -2.0]]])
+        policy = LpvDsPolicy(comps, A, np.eye(2), np.array([0.5, 0.0]),
+                             1e-2)
+        X = np.array([[1e60, -3e59], [-2e59, 1e60]])
+        want = (X - policy.attractor) @ A[1].T
+        assert np.all(np.isfinite(want))
+        with np.errstate(over="ignore", invalid="raise"):
+            for x, v in zip(X, want):
+                assert np.array_equal(evaluate(policy, x), v)
+            assert np.array_equal(evaluate_batch(policy, X), want)
+
     def test_batch_matches_single(self, rng):
         comps = random_components(rng, 2)
         A = np.array([-np.eye(2), -2 * np.eye(2)])
