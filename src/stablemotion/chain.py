@@ -222,8 +222,8 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     m = (F @ (means - chain.joints[:-1])[..., None])[..., 0]
     covs = F @ covs @ F.swapaxes(1, 2)
     covs = 0.5 * (covs + covs.swapaxes(1, 2))
-    return [GaussianComponent(c.prior, mean, S)
-            for c, mean, S in zip(comps, new_joints[:-1] + m, covs)]
+    return GaussianComponent._from_symmetric_stack(
+        [c.prior for c in comps], new_joints[:-1] + m, covs)
 
 
 def transform_chain(chain: ElasticChain,

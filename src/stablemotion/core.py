@@ -181,6 +181,26 @@ class GaussianComponent:
         if np.linalg.eigvalsh(S)[0] <= 0:
             raise ValidationError("covariance must be positive definite")
 
+    @classmethod
+    def _from_symmetric_stack(cls, priors, means: np.ndarray,
+                              covs: np.ndarray) -> list:
+        """Components of valid priors, (K, d) means and a (K, d, d)
+        covariance stack that is symmetric by construction (a congruent
+        image of valid covariances, symmetrised): one batched eigvalsh
+        stands for the K constructors' checks. Components from callers and
+        files go through the constructor."""
+        if not np.all(np.linalg.eigvalsh(covs)[:, 0] > 0):
+            raise ValidationError("covariance must be positive definite")
+        means, covs = _frozen(means), _frozen(covs)
+        out = []
+        for prior, mean, S in zip(priors, means, covs):
+            c = object.__new__(cls)
+            object.__setattr__(c, "prior", prior)
+            object.__setattr__(c, "mean", mean)
+            object.__setattr__(c, "covariance", S)
+            out.append(c)
+        return out
+
     @property
     def dim(self) -> int:
         return self.mean.shape[0]

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import GaussianComponent, _frozen
+from .core import GaussianComponent, _check_dim, _frozen
 from .errors import (InfeasibleAttractor, InsufficientData,
                      OptimizationDiverged, ValidationError)
 from .gmm import responsibilities_batch
@@ -277,6 +277,16 @@ class Solution(NamedTuple):
 
 _GAP_RTOL = 1e-10       # stop once the gap is below this share of J
 _STEP_BACK = 0.98       # share of the step to the cone's boundary taken
+# The warm start's sym(W_k) <= -depth * eps I. Shallower, X0 = -sym(W0) -
+# eps I has eigenvalues near 0, the dual start (J0/m) X0^-1 is huge there,
+# and the first steps are cut short. Newton steps in all at depths 2, 5,
+# 10, 15, 20, 25, 50, 100: 60 adapt problems (perfbench `retarget` items
+# and stitched estimates, seeds 7-9) 566, 520, 512, 515, 515, 515, 522,
+# 565; 18 learn problems (perfbench corpus and probe, conftest S-curve,
+# arc and helix at T = 200, 400, 1000) 257, 225, 188, 197, 193, 192, 184,
+# 195; the five anisotropic-P test problems 87 (max 24), 90, 79, 67
+# (max 15), 66 (max 15), 75, 75, 78 (max 23 or 24 at every other depth).
+_START_DEPTH = 20.0
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -386,16 +396,26 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
     data = np.asarray(data, dtype=float)
     velocities = np.asarray(velocities, dtype=float)
     attractor = np.asarray(attractor, dtype=float)
+    if data.ndim != 2:
+        raise ValidationError(f"data must be (T, d), got shape {data.shape}")
+    T, d = data.shape
+    _check_dim(d)
+    if velocities.shape != data.shape:
+        raise ValidationError("data and velocities must have the same shape")
+    if attractor.shape != (d,):
+        raise ValidationError(
+            f"attractor must have shape ({d},), got {attractor.shape}")
     if not np.all(np.isfinite(attractor)):
         raise InfeasibleAttractor("attractor must be finite")
     K = len(components)
-    T, d = data.shape
-    if velocities.shape != data.shape:
-        raise ValidationError("data and velocities must have the same shape")
+    if K == 0 or any(c.dim != d for c in components):
+        raise ValidationError(f"need one or more {d}-dimensional components")
+    P = np.eye(d) if opts.P is None else np.asarray(opts.P, dtype=float)
+    if P.shape != (d, d):
+        raise ValidationError(f"P must have shape ({d}, {d}), got {P.shape}")
     if T < 10 * K:
         raise InsufficientData(f"{T} samples < 10*K = {10 * K}")
 
-    P = np.eye(d) if opts.P is None else np.asarray(opts.P, dtype=float)
     # condition the quadratic: center at the attractor, scale by the
     # workspace radius (A is invariant to the scaling, the objective is not)
     Y = data - attractor
@@ -420,14 +440,14 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
     reg = _RIDGE * T
 
     # warm start: per-component ridge least-squares A, mapped to W = P A
-    # with the eigenvalues of sym(W_k) clamped to <= -2 eps
+    # with the eigenvalues of sym(W_k) clamped to <= -_START_DEPTH * eps
     I = np.eye(d)
     Syy = (gamma.T[:, None, :] * Yn.T) @ Yn + max(reg, 1e-9) * I
     # the k-th (d x d) block of B is sum_t gamma_tk v_t y_t^T
     Svy = stats.B.reshape(d, K, d).transpose(1, 0, 2) - reg * shrink * I
     W = P @ (Svy @ np.linalg.inv(Syy))
     vals, vecs = np.linalg.eigh(_sym(W))
-    vals = np.minimum(vals, -2.0 * opts.margin)
+    vals = np.minimum(vals, -_START_DEPTH * opts.margin)
     W0 = W - _sym(W) + (vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2)
     return FitProblem(stats, P, opts.margin, reg, shrink, W0)
 

@@ -370,6 +370,34 @@ class TestRecoverGmm:
             expect = 0.01 * (np.eye(3) + 3.0 * np.outer(w, w))
             assert np.abs(S - expect).max() <= 8e-11 + 1e-12
 
+    def test_components_are_what_the_constructor_builds(self, learned_chain):
+        """recover_gmm checks its re-posed covariance stack once, not
+        component by component: each component it returns passes every
+        check of the constructor, and equals bit for bit the component
+        the constructor builds from the same prior, mean and covariance."""
+        chain = learned_chain
+        for desc in moved_descriptors(chain, np.random.default_rng(4), 8):
+            joints, _ = solve_constrained_edit(chain.joints, desc.enter,
+                                               desc.exit)
+            for old, comp in zip(chain.components.components,
+                                 recover_gmm(chain, joints)):
+                built = GaussianComponent(comp.prior, comp.mean,
+                                          comp.covariance)
+                assert comp.prior == built.prior == old.prior
+                assert np.array_equal(comp.mean, built.mean)
+                assert np.array_equal(comp.covariance, built.covariance)
+                assert not comp.mean.flags.writeable
+                assert not comp.covariance.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.diag([1.0, 0.0]),
+                                     np.diag([1.0, -1e-300]),
+                                     np.full((2, 2), np.nan)])
+    def test_stack_check_rejects_a_covariance_not_positive_definite(self,
+                                                                   bad):
+        with pytest.raises(ValidationError, match="positive definite"):
+            GaussianComponent._from_symmetric_stack(
+                [0.5, 0.5], np.zeros((2, 2)), np.stack([np.eye(2), bad]))
+
 
 class TestTransformChain:
     def test_identity_descriptor(self):
