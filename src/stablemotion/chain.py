@@ -12,7 +12,7 @@ lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .core import (
     Pose,
     Trajectory,
     _cross,
+    _stack,
     frame_from_two_points,
     joint_diameter,
 )
@@ -70,12 +71,6 @@ class ElasticChain:
         return GeometricDescriptor(
             enter=frame_from_two_points(j[0], j[1]),
             exit=Pose(j[-1], frame_from_two_points(j[-2], j[-1]).rotation))
-
-
-def _stack(components: Sequence[GaussianComponent]):
-    """The (K, d) means and (K, d, d) covariances of a component list."""
-    return (np.array([c.mean for c in components]),
-            np.array([c.covariance for c in components]))
 
 
 def gaussian_joints(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -141,6 +136,8 @@ def solve_constrained_edit(joints0: np.ndarray,
     m = joints0.shape[0]
     if o_start is None and o_end is None:
         raise ValidationError("at least one descriptor pose is required")
+    if any(p.dim != joints0.shape[-1] for p in (o_start, o_end) if p):
+        raise ValidationError("descriptor and chain dimensions differ")
     link_lengths = np.linalg.norm(np.diff(joints0, axis=0), axis=1)
 
     # a target far outside the chain's workspace would be edited in the

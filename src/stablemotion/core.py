@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,10 @@ _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 def _frozen(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    try:  # entries that are not numbers, or ragged rows, are typed
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"entries must be numbers: {exc}") from None
     out.setflags(write=False)
     return out
 
@@ -185,10 +188,11 @@ class GaussianComponent:
     def _from_symmetric_stack(cls, priors, means: np.ndarray,
                               covs: np.ndarray) -> list:
         """Components of valid priors, (K, d) means and a (K, d, d)
-        covariance stack that is symmetric by construction (a congruent
-        image of valid covariances, symmetrised): one batched eigvalsh
-        stands for the K constructors' checks. Components from callers and
-        files go through the constructor."""
+        covariance stack that is symmetric by construction: EM's
+        covariances or a congruent image of valid ones, symmetrised, or
+        the covariances of valid components taken unchanged. One batched
+        eigvalsh stands for the K constructors' checks. Components from
+        callers and files go through the constructor."""
         if not np.all(np.linalg.eigvalsh(covs)[:, 0] > 0):
             raise ValidationError("covariance must be positive definite")
         means, covs = _frozen(means), _frozen(covs)
@@ -204,6 +208,12 @@ class GaussianComponent:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+def _stack(components: Sequence[GaussianComponent]) -> tuple:
+    """The (K, d) means and (K, d, d) covariances of a component list."""
+    return (np.array([c.mean for c in components]),
+            np.array([c.covariance for c in components]))
 
 
 def frame_rotations(origins: np.ndarray, towards: np.ndarray) -> np.ndarray:
@@ -256,6 +266,20 @@ def joint_diameter(joints: np.ndarray) -> float:
         joints - joints.mean(axis=0), axis=1)))
 
 
+def _forward_velocities(pts: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Forward differences of points (n, d) at timestamps (n,), the last
+    row 0; an overflow is left inf, for `Trajectory` to reject."""
+    dt = np.diff(ts)[:, None]
+    # the shortest interval has the largest reciprocal
+    if not math.isfinite(1.0 / float(dt.min())):
+        raise ValidationError(
+            f"sampling interval {dt.min():g} has no finite reciprocal")
+    vel = np.zeros_like(pts)
+    with np.errstate(over="ignore"):
+        vel[:-1] = np.diff(pts, axis=0) / dt
+    return vel
+
+
 def compute_velocities(traj: Trajectory) -> Trajectory:
     """Forward finite differences; the terminal velocity is the zero vector.
 
@@ -264,13 +288,5 @@ def compute_velocities(traj: Trajectory) -> Trajectory:
     reciprocal (`ProfileConfig`'s rule for dt), or a velocity that
     overflows, is a ValidationError.
     """
-    pts, ts = traj.points, traj.timestamps
-    dt = np.diff(ts)[:, None]
-    # the shortest interval has the largest reciprocal
-    if not math.isfinite(1.0 / float(dt.min())):
-        raise ValidationError(
-            f"sampling interval {dt.min():g} has no finite reciprocal")
-    vel = np.zeros_like(pts)
-    with np.errstate(over="ignore"):  # Trajectory rejects an inf velocity
-        vel[:-1] = np.diff(pts, axis=0) / dt
-    return Trajectory(pts, ts, vel)
+    return Trajectory(traj.points, traj.timestamps,
+                      _forward_velocities(traj.points, traj.timestamps))

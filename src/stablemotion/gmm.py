@@ -3,19 +3,15 @@
 EM with BIC model selection over K. Each (K, restart) run starts from the
 demonstration cut, in order, into K contiguous blocks (a restart shifts
 the cuts), so a fit depends on its data and config alone; the runs are
-stepped together in one lockstep loop. `Mixture` answers EM's density
-queries and `responsibilities_batch`: each log-density, normaliser
-included, is a linear form in the lifted data [vec(y y^T); y; 1], so EM's
-M step and E step are one matrix product each. The covariances of a whole
-stack are factored by a Cholesky factor written out entry by entry, not
-one LAPACK call per matrix. A weight whose log lies more than 700 below
-its column's largest is exactly 0, at every query size, so every nonzero
-responsibility is a normal double: exp and the M step's product never
-meet the subnormal range, where numpy takes slow paths, and the weights
-dropped are too small to change any sum. The expanded quadratic loses
-digits as lambda_max(Sigma^-1) |x - origin|^2, which is small about the
-data mean; a policy's velocities, queried far from any such origin, use
-the whitened kernel in `policy` instead.
+stepped together in one lockstep loop. EM's E step and
+`responsibilities_batch` share `_log_density_rows`, which writes each
+log-density, normaliser included, as a linear form in the lifted data
+[vec(y y^T); y; 1], and `_weigh`, so EM's M step and E step are one
+matrix product each. A stack's covariances are factored by a Cholesky
+factor written out entry by entry, not one LAPACK call per matrix. The
+expanded quadratic loses digits as lambda_max(Sigma^-1) |x - origin|^2,
+which is small about the data mean; a policy's velocities, queried far
+from any such origin, use the whitened kernel in `policy` instead.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GaussianComponent, Trajectory
+from .core import GaussianComponent, Trajectory, _check_dim, _stack
 from .errors import EmDidNotImprove, InsufficientData, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -151,77 +147,48 @@ def _precision_logdet(cov: np.ndarray):
     return prec, 2.0 * np.log(l11 * l22 * l33)
 
 
-@dataclass(frozen=True)
-class Mixture:
-    """A component set factored once for repeated posterior queries.
-
-    With y = x - origin and m_k = mu_k - origin, log pi_k N(x; mu_k,
-    Sigma_k) is the row `coef[k]` = [-1/2 vec(Sigma_k^-1), Sigma_k^-1 m_k,
-    c_k] against the lifted data [vec(y y^T); y; 1], c_k the
-    log-normaliser, so a posterior query is one product. An empty slot
-    (Sigma = inf * I) has a zero precision and the finite sentinel
-    c = -1e300 in place of -inf, so that it can ride in the product: its
-    log-density is -1e300 and its weight exactly 0.
+def _log_density_rows(priors: np.ndarray, means: np.ndarray,
+                      covariances: np.ndarray,
+                      origin: np.ndarray) -> np.ndarray:
+    """Rows (..., K, d^2 + d + 1) from priors (..., K), means (..., K, d)
+    and covariances (..., K, d, d), leading axes indexing independent
+    mixtures: with y = x - origin and m_k = mu_k - origin, row k,
+    [-1/2 vec(Sigma_k^-1), Sigma_k^-1 m_k, c_k] with c_k the
+    log-normaliser, against `lift(points, origin)` is log pi_k N(x; mu_k,
+    Sigma_k). An empty slot (Sigma = inf * I) gets [0, 0, _EMPTY_LOG_NORM].
     """
+    d = len(origin)
+    prec, logdet = _precision_logdet(np.asarray(covariances, dtype=float))
+    m = np.subtract(means, origin)
+    coef = np.empty(m.shape[:-1] + (d * d + d + 1,))
+    np.multiply(prec.reshape(coef.shape[:-1] + (d * d,)), -0.5,
+                out=coef[..., :d * d])
+    pm = np.matmul(prec, m[..., None], out=coef[..., d * d:-1, None])
+    log_norm = np.log(priors) - 0.5 * (
+        d * _LOG_2PI + logdet + _add(m * pm[..., 0], axis=-1))
+    np.maximum(log_norm, _EMPTY_LOG_NORM, out=coef[..., -1])
+    return coef
 
-    origin: np.ndarray      # (d,)
-    coef: np.ndarray        # (..., K, d^2 + d + 1)
 
-    @classmethod
-    def from_arrays(cls, priors: np.ndarray, means: np.ndarray,
-                    covariances: np.ndarray, origin: np.ndarray) -> "Mixture":
-        """Factor priors (..., K), means (..., K, d) and covariances
-        (..., K, d, d) about `origin` (d,); leading axes index independent
-        mixtures."""
-        d = len(origin)
-        prec, logdet = _precision_logdet(
-            np.asarray(covariances, dtype=float))
-        m = np.subtract(means, origin)
-        coef = np.empty(m.shape[:-1] + (d * d + d + 1,))
-        np.multiply(prec.reshape(coef.shape[:-1] + (d * d,)), -0.5,
-                    out=coef[..., :d * d])
-        pm = np.matmul(prec, m[..., None], out=coef[..., d * d:-1, None])
-        log_norm = np.log(priors) - 0.5 * (
-            d * _LOG_2PI + logdet + _add(m * pm[..., 0], axis=-1))
-        np.maximum(log_norm, _EMPTY_LOG_NORM, out=coef[..., -1])
-        # frozen without a copy: a read-only view of the caller's origin
-        origin = np.asarray(origin, dtype=float).view()
-        origin.setflags(write=False)
-        coef.setflags(write=False)
-        return cls(origin, coef)
-
-    @classmethod
-    def from_components(cls, components: Sequence[GaussianComponent],
-                        origin: np.ndarray) -> "Mixture":
-        return cls.from_arrays([c.prior for c in components],
-                               [c.mean for c in components],
-                               [c.covariance for c in components], origin)
-
-    def weigh(self, phi: np.ndarray, out: Optional[np.ndarray] = None):
-        """Responsibilities (..., K, n) from the lifted data
-        `phi = lift(points, self.origin)`, with the per-point largest log
-        term `top` and normaliser `total` (..., 1, n) of
-        log p(x) = top + log(total).
-
-        Computed in log space with the per-point maximum subtracted, so
-        far-field queries never underflow to an all-zero column. A weight
-        whose log lies more than 700 below its column's largest is set to
-        exactly 0 rather than exponentiated: exp(-700) is about 1e-304 of
-        the column's sum, so dropping it changes no sum, and every kept
-        weight and responsibility stays a normal double, clear of the
-        subnormal range where numpy's exp and matmul slow down. `out`
-        (shaped like the responsibilities), if given, receives them, so a
-        loop that calls this once per step allocates nothing large.
-        """
-        lj = np.matmul(self.coef, phi, out=out)
-        top = _max(lj, axis=-2, keepdims=True)
-        lj -= top
-        low = lj < _LOG_WEIGHT_CUT
-        np.exp(lj, out=lj, where=~low)
-        lj[low] = 0.0
-        total = _add(lj, axis=-2, keepdims=True)
-        lj *= 1.0 / total
-        return lj, top, total
+def _weigh(coef: np.ndarray, phi: np.ndarray,
+           out: Optional[np.ndarray] = None):
+    """Responsibilities (..., K, n) of `_log_density_rows` on the lifted
+    data `phi` (about the same origin), with the per-point largest log
+    term `top` and normaliser `total` (..., 1, n) of log p(x) = top +
+    log(total). The largest is subtracted before exp, so a far-field
+    column never underflows to all zeros, and a weight more than
+    `_LOG_WEIGHT_CUT` below it is exactly 0. `out`, if given, receives
+    the responsibilities, so EM's loop allocates nothing large per step.
+    """
+    lj = np.matmul(coef, phi, out=out)
+    top = _max(lj, axis=-2, keepdims=True)
+    lj -= top
+    low = lj < _LOG_WEIGHT_CUT
+    np.exp(lj, out=lj, where=~low)
+    lj[low] = 0.0
+    total = _add(lj, axis=-2, keepdims=True)
+    lj *= 1.0 / total
+    return lj, top, total
 
 
 def responsibilities(components: Sequence[GaussianComponent],
@@ -241,11 +208,12 @@ def responsibilities_batch(components: Sequence[GaussianComponent],
     origin, phi = _lift_about_mean(
         np.ascontiguousarray(np.atleast_2d(xi).T, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
-        mixture = Mixture.from_components(components, origin)
-    if not np.isfinite(mixture.coef).all():
+        coef = _log_density_rows([c.prior for c in components],
+                                 *_stack(components), origin)
+    if not np.isfinite(coef).all():
         raise ValidationError("a component covariance is not numerically "
                               "positive definite")
-    return mixture.weigh(phi)[0].T
+    return _weigh(coef, phi)[0].T
 
 
 def _block_resp(n: int, k: int, phase: Fraction) -> np.ndarray:
@@ -295,8 +263,8 @@ def _em_step(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
             / nk[..., None, None]
             - centred[..., :, None] * centred[..., None, :] + floor)
     means = centred + origin
-    _, top, total = Mixture.from_arrays(priors, means, covs, origin).weigh(
-        phi, out=resp)
+    _, top, total = _weigh(_log_density_rows(priors, means, covs, origin),
+                           phi, out=resp)
     log_px = top + np.log(total)
     return priors, means, covs, resp, log_px.sum(axis=-1)[..., 0]
 
@@ -370,7 +338,10 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
     1e-12) on its diagonal.
     """
     data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ValidationError(f"data must be (n, d), got shape {data.shape}")
     n, d = data.shape
+    _check_dim(d)
     if n < 2 * d * cfg.k_max:
         raise InsufficientData(
             f"{n} points < 2*d*k_max = {2 * d * cfg.k_max}")
@@ -397,8 +368,8 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
              if fit[4] == _EM_MAX_STEPS])
     priors, means, covs = (a[:k] for a in fits[best][:3])
     priors = priors / priors.sum()
-    return [GaussianComponent(float(p), m, 0.5 * (c + c.T))
-            for p, m, c in zip(priors, means, covs)]
+    return GaussianComponent._from_symmetric_stack(
+        priors.tolist(), means, 0.5 * (covs + covs.swapaxes(1, 2)))
 
 
 def order_components(components: Sequence[GaussianComponent],

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import GaussianComponent, _check_dim, _frozen
+from .core import GaussianComponent, _check_dim, _frozen, _stack
 from .errors import (InfeasibleAttractor, InsufficientData,
                      OptimizationDiverged, ValidationError)
 from .gmm import responsibilities_batch
@@ -47,6 +47,20 @@ class EstimateOptions:
 
 
 _add, _max = np.add.reduce, np.maximum.reduce
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.swapaxes(-1, -2))
+
+
+def _check_certificate(P: np.ndarray, d: int) -> None:
+    """A certificate is (d, d) and finite, with sym(P) positive definite."""
+    if P.shape != (d, d):
+        raise ValidationError(f"P must have shape ({d}, {d}), got {P.shape}")
+    if not np.isfinite(P).all():
+        raise ValidationError("P must be finite")
+    if np.linalg.eigvalsh(_sym(P))[0] <= 0:
+        raise ValidationError("P must be positive definite")
 
 
 @dataclass(frozen=True)
@@ -74,14 +88,13 @@ class VelocityKernel:
         """Factor the components, with gains A (K, d, d), about the
         attractor (d,)."""
         K, d, _ = A.shape
+        means, covs = _stack(components)
         try:
-            chol = np.linalg.cholesky(
-                np.array([c.covariance for c in components]))
+            chol = np.linalg.cholesky(covs)
         except np.linalg.LinAlgError:
             raise ValidationError("a component covariance is not "
                                   "numerically positive definite") from None
         whiten = np.sqrt(0.5) * np.linalg.inv(chol)
-        means = np.array([c.mean for c in components])
         offsets = whiten @ (means - attractor)[..., None]
         log_norm = (np.log([c.prior for c in components])
                     - 0.5 * d * np.log(2.0 * np.pi)
@@ -132,10 +145,10 @@ class LpvDsPolicy:
             raise ValidationError("components must be d-dimensional")
         if self.A.shape != (K, d, d):
             raise ValidationError("A shape must be (K, d, d)")
-        if self.P.shape != (d, d):
-            raise ValidationError("P shape must be (d, d)")
-        if np.linalg.eigvalsh(0.5 * (self.P + self.P.T))[0] <= 0:
-            raise ValidationError("P must be positive definite")
+        if not (np.isfinite(self.A).all()
+                and np.isfinite(self.attractor).all()):
+            raise ValidationError("A and the attractor must be finite")
+        _check_certificate(self.P, d)
         if not self.margin > 0:
             raise ValidationError("margin must be positive")
         object.__setattr__(self, "kernel", VelocityKernel.factor(
@@ -289,10 +302,6 @@ _STEP_BACK = 0.98       # share of the step to the cone's boundary taken
 _START_DEPTH = 20.0
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.swapaxes(-1, -2))
-
-
 def solve(problem: FitProblem, max_steps: int) -> Solution:
     """Minimise J(W) subject to X_k = -sym(W_k) - eps I > 0 by primal-dual
     path following from the warm start (duals Z_k > 0, HKM directions,
@@ -341,11 +350,13 @@ def solve(problem: FitProblem, max_steps: int) -> Solution:
             T = (V[:, :, None, :, None] * V[:, None, :, None, :]).reshape(
                 K, d * d, d * d)
             Tt = T.swapaxes(1, 2)
+            if not x[:, 0].min() > 0.0:
+                raise np.linalg.LinAlgError("a slack left the cone")
             Xv = x[..., None] * I
             Zv = (Tt @ Z.reshape(K, d * d, 1)).reshape(K, d, d)
-            # diag(x) and Zv stacked: S = L L^T, so S^-1 = R R^T, R = L^-T
-            R = np.linalg.inv(np.linalg.cholesky(
-                np.concatenate([Xv, Zv]))).swapaxes(1, 2)
+            # S^-1 = R R^T: R = diag(x^-1/2) on diag(x), L^-T on Zv = L L^T
+            R = np.linalg.inv(np.linalg.cholesky(Zv)).swapaxes(1, 2)
+            R = np.concatenate([(1.0 / np.sqrt(x))[..., None] * I, R])
             x_inv = 1.0 / x[..., None]      # X^-1 is a row scaling
             # Q in the eigenbases, the HKM blocks on its (k, k) blocks
             system = Tt[:, None] @ Q_blocks @ T
@@ -411,8 +422,7 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
     if K == 0 or any(c.dim != d for c in components):
         raise ValidationError(f"need one or more {d}-dimensional components")
     P = np.eye(d) if opts.P is None else np.asarray(opts.P, dtype=float)
-    if P.shape != (d, d):
-        raise ValidationError(f"P must have shape ({d}, {d}), got {P.shape}")
+    _check_certificate(P, d)
     if T < 10 * K:
         raise InsufficientData(f"{T} samples < 10*K = {10 * K}")
 

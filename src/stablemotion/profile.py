@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Trajectory, compute_velocities
+from .core import Trajectory, _forward_velocities
 from .errors import IndexCollision, ValidationError, ZeroLengthChain
 
 
@@ -28,6 +28,8 @@ class ProfileConfig:
         # finite differences divide by dt
         if not math.isfinite(1.0 / float(self.dt)):
             raise ValidationError(f"dt = {self.dt} has no finite reciprocal")
+        if not math.isfinite(self.dt * (self.p - 1)):  # the last timestamp
+            raise ValidationError(f"dt (p - 1) overflows at p = {self.p}")
         if self.p < 2:
             raise ValidationError("need at least 2 profile points")
 
@@ -70,4 +72,5 @@ def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
     points = np.column_stack([np.interp(np.arange(p), idx, joints[:, a])
                               for a in range(joints.shape[1])])
     timestamps = cfg.dt * np.arange(p)
-    return compute_velocities(Trajectory(points, timestamps))
+    return Trajectory(points, timestamps,
+                      _forward_velocities(points, timestamps))

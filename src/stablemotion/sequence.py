@@ -10,7 +10,7 @@ import numpy as np
 
 from .chain import ElasticChain
 from .core import (GaussianComponent, GeometricDescriptor, Trajectory,
-                   joint_diameter)
+                   _stack, joint_diameter)
 from .errors import (
     ChainGapTooLarge,
     NonMonotoneViaPoints,
@@ -134,5 +134,6 @@ def stitch_chains(chains: Sequence[ElasticChain]) -> ElasticChain:
     p = sum(ch.timing.p for ch in chains) - (len(chains) - 1)
     duration = sum((ch.timing.p - 1) * ch.timing.dt for ch in chains)
     return ElasticChain(OrderedGmm(tuple(
-        GaussianComponent(c.prior / total, c.mean, c.covariance)
-        for c in comps)), all_joints, ProfileConfig(p, duration / (p - 1)))
+        GaussianComponent._from_symmetric_stack(
+            [c.prior / total for c in comps], *_stack(comps)))),
+        all_joints, ProfileConfig(p, duration / (p - 1)))

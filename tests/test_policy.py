@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import logging
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from stablemotion.core import (GaussianComponent, GeometricDescriptor, Pose,
 from stablemotion.errors import (InfeasibleAttractor, InsufficientData,
                                  ValidationError)
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
-from stablemotion.pipeline import adapt
+from stablemotion.pipeline import adapt, learn
 from stablemotion.policy import (
     EstimateOptions,
     LpvDsPolicy,
@@ -473,6 +475,23 @@ class TestEstimate:
             with pytest.raises(ValidationError):
                 call()
 
+    @pytest.mark.parametrize("P", [-np.eye(2), np.diag([1.0, -1.0]),
+                                   np.full((2, 2), np.nan),
+                                   np.diag([np.inf, 1.0])],
+                             ids=["minus_identity", "indefinite", "nan",
+                                  "inf"])
+    def test_certificate_is_checked_before_the_solve(self, caplog, P):
+        # the policy's rule, applied before any arithmetic: no Newton step
+        # is taken, so the solve leaves no DEBUG record
+        demo = s_curve_demo()
+        comps = fit_gmm(demo.points, GmmFitConfig(k_max=3, restarts=1))
+        with caplog.at_level(logging.DEBUG, logger="stablemotion"):
+            with pytest.raises(ValidationError, match="P must be"):
+                estimate(comps, demo.points, demo.velocities, demo.end,
+                         EstimateOptions(P=P))
+        assert not [r for r in caplog.records
+                    if r.getMessage().startswith("estimate:")]
+
     @pytest.mark.parametrize("max_iters", [3, 500])
     def test_reports_its_status_in_one_debug_record(self, caplog, max_iters):
         demo = s_curve_demo(n=120)
@@ -754,3 +773,44 @@ def test_importing_the_library_loads_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+@functools.lru_cache(maxsize=None)
+def learned_s_curve():
+    return learn(s_curve_demo(), GmmFitConfig(k_max=3, restarts=1))
+
+
+def _policy_with(**changes):
+    _, policy = learned_s_curve()
+    fields = {"components": policy.components, "A": policy.A, "P": policy.P,
+              "attractor": policy.attractor, "margin": policy.margin}
+    return LpvDsPolicy(**{**fields, **changes})
+
+
+_DESCRIPTOR_3D = GeometricDescriptor(Pose(np.zeros(3), np.eye(3)),
+                                     Pose(np.ones(3), np.eye(3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: adapt(learned_s_curve()[0], _DESCRIPTOR_3D,
+                  learned_s_curve()[0].timing),
+    lambda: fit_gmm(np.arange(100.0)),
+    lambda: fit_gmm(np.arange(100.0)[:, None]),
+    lambda: Trajectory([["a", "b"], ["c", "d"]], [0.0, 1.0]),
+    lambda: _policy_with(A=np.full_like(learned_s_curve()[1].A, np.nan)),
+    lambda: _policy_with(P=np.full((2, 2), np.nan)),
+    lambda: _policy_with(attractor=np.array([np.nan, 0.0])),
+    lambda: _policy_with(attractor=np.array([np.inf, 0.0])),
+    lambda: ProfileConfig(50, 1e307),
+], ids=["adapt_3d_descriptor_on_2d_chain", "fit_gmm_1d_data",
+        "fit_gmm_n_by_1_data", "trajectory_of_strings", "policy_nan_A",
+        "policy_nan_P", "policy_nan_attractor", "policy_inf_attractor",
+        "profile_last_timestamp_overflows"])
+def test_library_entry_raises_a_typed_error(call):
+    # each is checked before any arithmetic: a bare numpy ValueError, a
+    # RuntimeWarning or a policy built from non-finite values would
+    # escape the library's error types
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError):
+            call()
