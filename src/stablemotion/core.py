@@ -32,11 +32,17 @@ _WORLD_Y = np.array([0.0, 1.0, 0.0])
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
-def _frozen(a) -> np.ndarray:
-    try:  # entries that are not numbers, or ragged rows, are typed
-        out = np.array(a, dtype=float)
+def _floats(a, copy=None) -> np.ndarray:
+    """a as a float array; entries that are not numbers, or ragged rows,
+    are a ValidationError, not numpy's bare ValueError."""
+    try:
+        return np.array(a, dtype=float, copy=copy)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"entries must be numbers: {exc}") from None
+
+
+def _frozen(a) -> np.ndarray:
+    out = _floats(a, copy=True)
     out.setflags(write=False)
     return out
 

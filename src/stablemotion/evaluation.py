@@ -26,7 +26,7 @@ class RolloutConfig:
 
 
 _RK4_REAL_LIMIT = 2.78  # RK4's stability interval ends near -2.785
-_min, _max = np.minimum.reduce, np.maximum.reduce
+_count = np.count_nonzero
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,10 @@ def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
 
     A step costs its count of numpy calls more than its arithmetic: the
     stages are combined in place, in the scalar RK4 order, and the
-    columns' squared distances to the attractor are one contraction,
-    whose max and min decide NonFiniteState (after the very step whose
-    state is not finite) and the stop test.
+    columns' squared distances to the attractor are one contraction.
+    Two counts of those distances decide the rest: of the finite ones,
+    for NonFiniteState (after the very step whose state is not finite),
+    and of those within the radius, for the stop test.
     Returns (final_states (n, d), converged, recorded_states or None).
     """
     dt = cfg.dt
@@ -86,15 +87,15 @@ def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
         Xa = k2
         D = Xa - goal
         d2 = np.vecdot(D, D, axis=0)
-        # a non-finite state has a non-finite distance, and max sees a
-        # lone inf that min would not; an overflowed distance of a finite
-        # state is told apart by isfinite
-        if not _max(d2) < np.inf and not np.isfinite(Xa).all():
+        # a non-finite state has a non-finite distance; an overflowed
+        # distance of a finite state is told apart by the states
+        if (_count(np.isfinite(d2)) < d2.size
+                and not np.isfinite(Xa).all()):
             raise NonFiniteState("rollout state is not finite")
         if record:
             states.append(Xa[:, 0])
-        if _min(d2) < r2:
-            hit = d2 < r2
+        hit = d2 < r2
+        if _count(hit):
             X[:, cols] = Xa
             done[cols[hit]] = True
             cols, Xa = cols[~hit], Xa[:, ~hit]
@@ -111,8 +112,7 @@ def rollout(policy_or_plan: Union[LpvDsPolicy, TaskPlan], xi0: np.ndarray,
             cfg: RolloutConfig = RolloutConfig()) -> RolloutResult:
     """Integrate the flow until the (final) attractor or the step budget."""
     if isinstance(policy_or_plan, TaskPlan):
-        executor = PlanExecutor(policy_or_plan)
-        field = lambda X: executor.step(X[:, 0])[0][:, None]
+        field = PlanExecutor(policy_or_plan).column
         attractor = policy_or_plan.final_attractor
         stiffness = max(s.policy.stiffness for s in policy_or_plan.segments)
     else:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GaussianComponent, Trajectory, _check_dim, _stack
+from .core import GaussianComponent, Trajectory, _check_dim, _floats, _stack
 from .errors import EmDidNotImprove, InsufficientData, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -337,7 +337,7 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
     steps. Every covariance is floored by 1e-6 tr(cov) / d (at least
     1e-12) on its diagonal.
     """
-    data = np.asarray(data, dtype=float)
+    data = _floats(data)
     if data.ndim != 2:
         raise ValidationError(f"data must be (n, d), got shape {data.shape}")
     n, d = data.shape

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import GaussianComponent, _check_dim, _frozen, _stack
+from .core import GaussianComponent, _check_dim, _floats, _frozen, _stack
 from .errors import (InfeasibleAttractor, InsufficientData,
                      OptimizationDiverged, ValidationError)
 from .gmm import responsibilities_batch
@@ -46,7 +46,7 @@ class EstimateOptions:
             raise ValidationError("need margin > 0 and max_iters >= 1")
 
 
-_add, _max = np.add.reduce, np.maximum.reduce
+_min = np.minimum.reduce
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -67,20 +67,33 @@ def _check_certificate(P: np.ndarray, d: int) -> None:
 class VelocityKernel:
     """A policy factored once for repeated evaluation on state columns.
 
-    With Sigma_k = C_k C_k^T and y = x - x*, `M` (2Kd, d) stacks the
-    whitening rows sqrt(1/2) C_k^-1 over the gains A_k, so one product
-    M y holds both halves of the field: z_k = sqrt(1/2) C_k^-1 y - c_k,
-    with `offsets` c_k = sqrt(1/2) C_k^-1 (mu_k - x*), gives
-    log pi_k N(x; mu_k, Sigma_k) = `log_norm`_k - |z_k|^2, and the lower
-    half is A_k y. The quadratic is never expanded, so a log-density's
-    rounding grows as eps |z_k| |C_k^-1 y|, not as the lifted form's
-    eps |C_k^-1 y|^2, and stays small far from the attractor.
+    With Sigma_k = C_k C_k^T, y = x - x* and l_k = log pi_k - d/2 log 2 pi
+    - log det C_k, one product `M` y less `offsets` holds both halves of
+    the field, each with one constant row:
+    - per component, z_k = sqrt(1/2) C_k^-1 y - c_k, c_k = sqrt(1/2)
+      C_k^-1 (mu_k - x*), and the row s_k = sqrt(max_j l_j - l_k), so
+      |(z_k, s_k)|^2 = |z_k|^2 - l_k + max_j l_j: the log-weight
+      log pi_k N(x; mu_k, Sigma_k) = l_k - |z_k|^2 up to a constant of
+      the column;
+    - the gains, laid out (d + 1, K): row i < d of component k is
+      (A_k y)_i, and row d is 1, so that the weighted sum over the
+      components also gives the sum of the weights.
+    A constant row's entries of M are 0, and its offset is -s_k or -1.
+    The quadratic is never expanded, so a log-density's rounding grows
+    as eps |z_k| |C_k^-1 y|, not as the lifted form's eps |C_k^-1 y|^2,
+    and stays small far from the attractor; s_k^2 adds at most
+    eps (max_j l_j - l_k) to it.
+
+    The rows are stored last to first, and `__call__` reads both halves
+    back to front. numpy's dot calls BLAS once per output entry when
+    both strides are positive, and runs its own loop, with no call per
+    entry, when one is negative: on a batch, that loop makes each
+    contraction one pass over the product.
     """
 
     attractor: np.ndarray   # (d, 1)
-    M: np.ndarray           # (2Kd, d)
-    offsets: np.ndarray     # (K, d, 1)
-    log_norm: np.ndarray    # (K, 1)
+    M: np.ndarray           # (2K(d + 1), d), rows stored last to first
+    offsets: np.ndarray     # (2K(d + 1), 1), in M's row order
 
     @classmethod
     def factor(cls, components: Sequence[GaussianComponent], A: np.ndarray,
@@ -95,34 +108,43 @@ class VelocityKernel:
             raise ValidationError("a component covariance is not "
                                   "numerically positive definite") from None
         whiten = np.sqrt(0.5) * np.linalg.inv(chol)
-        offsets = whiten @ (means - attractor)[..., None]
         log_norm = (np.log([c.prior for c in components])
                     - 0.5 * d * np.log(2.0 * np.pi)
                     - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
-        M = np.concatenate([whiten.reshape(K * d, d), A.reshape(K * d, d)])
-        return cls(_frozen(attractor[:, None]), _frozen(M), _frozen(offsets),
-                   _frozen(log_norm[:, None]))
+        M = np.zeros((2, K * (d + 1), d))
+        offsets = np.zeros((2, K * (d + 1), 1))
+        M[0].reshape(K, d + 1, d)[:, :d] = whiten
+        z_offsets = offsets[0].reshape(K, d + 1)
+        z_offsets[:, :d] = (whiten @ (means - attractor)[..., None])[..., 0]
+        z_offsets[:, d] = -np.sqrt(log_norm.max() - log_norm)
+        M[1].reshape(d + 1, K, d)[:d] = A.transpose(1, 0, 2)
+        offsets[1].reshape(d + 1, K)[d] = -1.0
+        return cls(_frozen(attractor[:, None]),
+                   _frozen(M.reshape(-1, d)[::-1]),
+                   _frozen(offsets.reshape(-1, 1)[::-1]))
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
-        """Velocities (d, n) at states as columns Y (d, n): the mixing
-        weights stay unnormalised, with each column's largest log-weight
-        subtracted, until one division at the end. Each sum over a
-        component's d rows, and the weighted sum over the K components,
-        is one `vecdot` contraction on a (K, d, n) view of the product,
-        and the reductions call their ufuncs directly: a single-state
+        """Velocities (d, n) at states as columns Y (d, n), in nine numpy
+        calls. The norms are one `vecdot` contraction on a (K, d + 1, n)
+        view of the product; the log-weights, each column's smallest
+        |(z_k, s_k)|^2 less the component's own, are at most 0. The
+        weighted sum and the sum of the weights are one contraction on a
+        (d + 1, K, n) view, and one division normalises. A single-state
         evaluation is bounded by its count of numpy calls, not by its
-        arithmetic. A component whose |z_k|^2 overflows gets weight 0."""
-        K, d, _ = self.offsets.shape
-        n = Y.shape[1]
+        arithmetic. A component whose |z_k|^2 overflows gets weight
+        exactly 0."""
+        e, n = Y.shape[0] + 1, Y.shape[1]
+        K = self.M.shape[0] // (2 * e)
         out = self.M @ (Y - self.attractor)
-        z = out[:K * d].reshape(K, d, n)
-        z -= self.offsets
-        w = self.log_norm - np.vecdot(z, z, axis=1)
-        w -= _max(w, axis=0)
+        out -= self.offsets
+        z = out[:K * e - 1:-1].reshape(K, e, n)
+        w = np.vecdot(z, z, axis=1)
+        np.subtract(_min(w, axis=0), w, out=w)
         np.exp(w, out=w)
-        v = np.vecdot(out[K * d:].reshape(K, d, n), w[:, None], axis=0)
-        v /= _add(w, axis=0)
-        return v
+        v = np.vecdot(out[K * e - 1::-1].reshape(e, K, n), w, axis=-2)
+        u = v[:-1]
+        u /= v[-1]
+        return u
 
 
 @dataclass(frozen=True)
@@ -404,9 +426,7 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
                 velocities: np.ndarray, attractor: np.ndarray,
                 opts: EstimateOptions = EstimateOptions()) -> FitProblem:
     """Validate the inputs and reduce them to the problem estimate solves."""
-    data = np.asarray(data, dtype=float)
-    velocities = np.asarray(velocities, dtype=float)
-    attractor = np.asarray(attractor, dtype=float)
+    data, velocities, attractor = map(_floats, (data, velocities, attractor))
     if data.ndim != 2:
         raise ValidationError(f"data must be (T, d), got shape {data.shape}")
     T, d = data.shape

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Trajectory, _forward_velocities
+from .core import Trajectory, _floats, _forward_velocities
 from .errors import IndexCollision, ValidationError, ZeroLengthChain
 
 
@@ -61,8 +61,12 @@ def map_joint_indices(lam: np.ndarray, p: int) -> np.ndarray:
 
 
 def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
-    """Timed trajectory through the joints with derived velocities."""
-    joints = np.asarray(joints, dtype=float)
+    """Timed trajectory through the joints (m, d), m >= 2, with derived
+    velocities."""
+    joints = _floats(joints)
+    if joints.ndim != 2 or len(joints) < 2:
+        raise ValidationError(
+            f"joints must be (m, d) with m >= 2, got shape {joints.shape}")
     p = cfg.p
     lam = joint_progress(joints)
     idx = map_joint_indices(lam, p)

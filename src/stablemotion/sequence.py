@@ -18,7 +18,7 @@ from .errors import (
     ViaPointNotOnDemo,
 )
 from .gmm import OrderedGmm
-from .policy import LpvDsPolicy, evaluate
+from .policy import LpvDsPolicy
 from .profile import ProfileConfig
 
 # how far apart one chain's end and the next one's start, and one
@@ -67,16 +67,25 @@ class PlanExecutor:
         self.plan = plan
         self.cursor = 0
 
-    def step(self, xi: np.ndarray) -> Tuple[np.ndarray, int]:
-        """One-hot policy evaluation with monotone proximity switching."""
+    def column(self, Y: np.ndarray) -> np.ndarray:
+        """Velocity (d, 1) at one state column Y (d, 1): the active
+        segment's kernel, after monotone proximity switching."""
         segments, r = self.plan.segments, self.plan.switch_radius
         while self.cursor < len(segments) - 1:
-            e = xi - segments[self.cursor].policy.attractor
+            e = Y[:, 0] - segments[self.cursor].policy.attractor
             if e @ e >= r * r:
                 break
             self.cursor += 1
-        seg = segments[self.cursor]
-        return evaluate(seg.policy, xi), self.cursor
+        return segments[self.cursor].policy.kernel(Y)
+
+    def step(self, xi: np.ndarray) -> Tuple[np.ndarray, int]:
+        """One-hot policy evaluation at one state (d,): a batch of one
+        of `column`. Returns the velocity and the active segment."""
+        x = np.asarray(xi, dtype=float)
+        if x.shape != self.plan.final_attractor.shape:
+            raise ValidationError(f"state has shape {x.shape}, expected "
+                                  f"{self.plan.final_attractor.shape}")
+        return self.column(x[:, None])[:, 0], self.cursor
 
 
 def split_demo(traj: Trajectory, via_points: Sequence[np.ndarray],

@@ -33,7 +33,7 @@ from stablemotion.policy import (
     objective_hessian,
     solve,
 )
-from stablemotion.profile import ProfileConfig
+from stablemotion.profile import ProfileConfig, regenerate_profile
 from test_gmm import brute_force_responsibilities, reference_e_step
 from conftest import arc_demo, helix_demo, s_curve_demo
 
@@ -112,6 +112,7 @@ class TestEvaluate:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(evaluate_batch(policy, X), want,
                                    rtol=0, atol=1e-12)
+        assert evaluate_batch(policy, X[:0]).shape == (0, d)
 
     def test_overflowed_norm_gives_its_component_weight_zero(self):
         # |z_0|^2 of the thin component overflows to inf 1e60 from its
@@ -187,6 +188,46 @@ class TestEvaluate:
             evaluate(policy, states)
         with pytest.raises(ValidationError, match=rf"expected \(n, {d}\)"):
             evaluate_batch(policy, states)
+
+
+class TestLogNormaliserFold:
+    """The kernel adds s_k^2 = max_j l_j - l_k, the spread of the
+    log-normalisers, to each |z_k|^2; here it reaches 479 (d = 2) and 488
+    (d = 3), from priors 1 to 1e-200 and covariances 1e-6 I to 1e2 I."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_priors_and_widths_far_apart(self, d):
+        priors = [1.0, 1e-50, 1e-100, 1e-150, 1e-200]
+        variances = [1e-6, 1e-3, 1e-1, 1.0, 1e2]
+        means = np.array([np.zeros(d), np.eye(d)[0], 3.0 * np.ones(d),
+                          -4.0 * np.eye(d)[-1], 10.0 * np.ones(d)])
+        worst = 0.0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            A = np.array([-(k + 1.0) * np.eye(d)
+                          + 0.3 * rng.normal(size=(d, d)) for k in range(5)])
+            policy = LpvDsPolicy(tuple(
+                GaussianComponent(p, m, v * np.eye(d))
+                for p, m, v in zip(priors, means, variances)),
+                A, np.eye(d), rng.normal(size=d), 1e-2)
+            # states on the segments between means, where two components'
+            # log-weights cross: 18-34 of each 200 have a second weight
+            # above 1e-6
+            i, j = rng.integers(5, size=(2, 200))
+            X = (means[i] + rng.uniform(size=(200, 1)) * (means[j] - means[i])
+                 + 0.1 * rng.normal(size=(200, d)))
+            want = np.array([brute_force_evaluate(policy, x) for x in X])
+            # a velocity is a convex combination of the A_k y: its error is
+            # measured against the largest of them
+            scale = np.linalg.norm(
+                np.einsum("kij,nj->nki", A, X - policy.attractor), axis=2
+            ).max(axis=1)
+            single = np.array([evaluate(policy, x) for x in X])
+            for got in (single, evaluate_batch(policy, X)):
+                err = np.linalg.norm(got - want, axis=1) / scale
+                worst = max(worst, err.max())
+        # measured: 1.4e-14 worst over both d (the unfolded kernel: 1.0e-14)
+        assert worst < 1e-13
 
 
 class TestFarEdgePrecision:
@@ -802,10 +843,17 @@ _DESCRIPTOR_3D = GeometricDescriptor(Pose(np.zeros(3), np.eye(3)),
     lambda: _policy_with(attractor=np.array([np.nan, 0.0])),
     lambda: _policy_with(attractor=np.array([np.inf, 0.0])),
     lambda: ProfileConfig(50, 1e307),
+    lambda: fit_gmm([["a", "b"]] * 100),
+    lambda: estimate(learned_s_curve()[1].components, [["a", "b"]] * 30,
+                     np.zeros((30, 2)), np.zeros(2)),
+    lambda: regenerate_profile(np.arange(5.0), ProfileConfig(50, 0.1)),
+    lambda: regenerate_profile(np.ones((1, 2)), ProfileConfig(50, 0.1)),
 ], ids=["adapt_3d_descriptor_on_2d_chain", "fit_gmm_1d_data",
         "fit_gmm_n_by_1_data", "trajectory_of_strings", "policy_nan_A",
         "policy_nan_P", "policy_nan_attractor", "policy_inf_attractor",
-        "profile_last_timestamp_overflows"])
+        "profile_last_timestamp_overflows", "fit_gmm_strings",
+        "estimate_strings", "regenerate_profile_1d_joints",
+        "regenerate_profile_one_joint"])
 def test_library_entry_raises_a_typed_error(call):
     # each is checked before any arithmetic: a bare numpy ValueError, a
     # RuntimeWarning or a policy built from non-finite values would
