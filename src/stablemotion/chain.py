@@ -17,13 +17,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (
-    DEGENERATE_POINT,
     REACH,
     GaussianComponent,
     GeometricDescriptor,
     Pose,
     Trajectory,
     _cross,
+    _link_lengths,
     _stack,
     frame_from_two_points,
     joint_diameter,
@@ -35,16 +35,6 @@ from .profile import ProfileConfig
 
 # how far apart two targets for one pinned joint may lie
 _CONSTRAINT_EXACTNESS = 1e-9
-
-
-def _link_lengths(joints: np.ndarray) -> np.ndarray:
-    """The (K,) distances between consecutive joints (K+1, d); a link no
-    longer than the degenerate-point tolerance has no direction."""
-    lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
-    if not np.all(lengths > DEGENERATE_POINT):
-        raise DegenerateFrame(f"a link is no longer than "
-                              f"{DEGENERATE_POINT:g}")
-    return lengths
 
 
 @dataclass(frozen=True)
@@ -219,8 +209,8 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     m = (F @ (means - chain.joints[:-1])[..., None])[..., 0]
     covs = F @ covs @ F.swapaxes(1, 2)
     covs = 0.5 * (covs + covs.swapaxes(1, 2))
-    return GaussianComponent._from_symmetric_stack(
-        [c.prior for c in comps], new_joints[:-1] + m, covs)
+    return GaussianComponent.from_stack([c.prior for c in comps],
+                                        new_joints[:-1] + m, covs)
 
 
 def transform_chain(chain: ElasticChain,

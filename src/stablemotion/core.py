@@ -8,6 +8,7 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,12 +34,16 @@ _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 def _floats(a, copy=None) -> np.ndarray:
-    """a as a float array; entries that are not numbers, or ragged rows,
-    are a ValidationError, not numpy's bare ValueError."""
+    """a as a float array; entries that are not real numbers (a string,
+    even a numeral, a bool or None among them), or ragged rows, are a
+    ValidationError, not numpy's bare ValueError or a conversion."""
     try:
-        return np.array(a, dtype=float, copy=copy)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"entries must be numbers: {exc}") from None
+        arr = np.asarray(a)
+    except ValueError:  # ragged rows
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError("entries must be real numbers")
+    return np.array(arr, dtype=float, copy=copy)
 
 
 def _frozen(a) -> np.ndarray:
@@ -61,6 +66,28 @@ def _pow2_scale(a: np.ndarray, axis=None) -> np.ndarray:
     [-2, 2], so sums and squares of a few entries cannot overflow."""
     top = np.abs(a).max(axis=axis, keepdims=axis is not None)
     return np.ldexp(1.0, np.frexp(np.where(top > 0, top, 1.0))[1] - 1)
+
+
+def _check_numbers(obj, counts=(), reals=()) -> None:
+    """Each field of `obj` named in `counts` is an int (a numpy integer
+    too) and each in `reals` a real number; a bool is neither."""
+    for name in counts + reals:
+        value, count = getattr(obj, name), name in counts
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if count else numbers.Real):
+            raise ValidationError(f"{name} must be "
+                                  f"{'an int' if count else 'a number'}, "
+                                  f"got {value!r}")
+
+
+def _link_lengths(joints: np.ndarray) -> np.ndarray:
+    """The (m - 1,) distances between consecutive joints (m, d); a link no
+    longer than the degenerate-point tolerance has no direction."""
+    lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
+    if not np.all(lengths > DEGENERATE_POINT):
+        raise DegenerateFrame(f"a link is no longer than "
+                              f"{DEGENERATE_POINT:g}")
+    return lengths
 
 
 def _check_dim(d: int) -> None:
@@ -169,45 +196,48 @@ class GeometricDescriptor:
 
 @dataclass(frozen=True)
 class GaussianComponent:
-    """One weighted Gaussian of a mixture."""
+    """One weighted Gaussian of a mixture: a batch of one of `from_stack`,
+    so that every component has passed the one check."""
 
     prior: float
     mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _frozen(self.mean))
-        object.__setattr__(self, "covariance", _frozen(self.covariance))
-        if not (0.0 < self.prior <= 1.0):
-            raise ValidationError(f"prior must be in (0, 1], got {self.prior}")
-        d = self.mean.shape[0]
-        _check_dim(d)
-        S = self.covariance
-        if S.shape != (d, d):
-            raise ValidationError("covariance shape mismatch")
-        if np.max(np.abs(S - S.T)) > 1e-9:
-            raise ValidationError("covariance must be symmetric")
-        if np.linalg.eigvalsh(S)[0] <= 0:
-            raise ValidationError("covariance must be positive definite")
+        [c] = self.from_stack([self.prior], [self.mean], [self.covariance])
+        self.__dict__.update(c.__dict__)
 
     @classmethod
-    def _from_symmetric_stack(cls, priors, means: np.ndarray,
-                              covs: np.ndarray) -> list:
-        """Components of valid priors, (K, d) means and a (K, d, d)
-        covariance stack that is symmetric by construction: EM's
-        covariances or a congruent image of valid ones, symmetrised, or
-        the covariances of valid components taken unchanged. One batched
-        eigvalsh stands for the K constructors' checks. Components from
-        callers and files go through the constructor."""
-        if not np.all(np.linalg.eigvalsh(covs)[:, 0] > 0):
-            raise ValidationError("covariance must be positive definite")
-        means, covs = _frozen(means), _frozen(covs)
+    def from_stack(cls, priors, means, covariances) -> list:
+        """The components of (K,) priors in (0, 1], (K, d) means and
+        (K, d, d) covariances, d = 2 or 3, all finite, each covariance
+        symmetric within 1e-9 and factored by Cholesky, as the policy
+        kernel factors it: one check of the whole stack."""
+        priors, means, covs = map(_frozen, (priors, means, covariances))
+        K, d = priors.size, means.shape[-1] if means.ndim else 0
+        if not K or (priors.shape, means.shape, covs.shape) != (
+                (K,), (K, d), (K, d, d)):
+            raise ValidationError(
+                f"need (K,) priors, (K, d) means and (K, d, d) covariances,"
+                f" K >= 1, got {priors.shape}, {means.shape} and {covs.shape}")
+        _check_dim(d)
+        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+            raise ValidationError("component entries must be finite")
+        priors = priors.tolist()
+        if not all(0.0 < p <= 1.0 for p in priors):
+            raise ValidationError(f"priors must be in (0, 1], got {priors}")
+        with np.errstate(over="ignore"):  # an inf difference fails too
+            if np.abs(covs - covs.swapaxes(1, 2)).max() > 1e-9:
+                raise ValidationError("covariance must be symmetric")
+        try:
+            np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            raise ValidationError(
+                "covariance must be positive definite") from None
         out = []
-        for prior, mean, S in zip(priors, means, covs):
+        for prior, mean, cov in zip(priors, means, covs):
             c = object.__new__(cls)
-            object.__setattr__(c, "prior", prior)
-            object.__setattr__(c, "mean", mean)
-            object.__setattr__(c, "covariance", S)
+            c.__dict__.update(prior=prior, mean=mean, covariance=cov)
             out.append(c)
         return out
 

@@ -33,10 +33,6 @@ class RankDeficientSystem(StableMotionError):
     """Constrained edit has conflicting or underdetermined pins."""
 
 
-class ZeroLengthChain(ValidationError):
-    """Consecutive chain joints coincide."""
-
-
 class IndexCollision(ValidationError):
     """Two joints map to the same profile index (too few points)."""
 

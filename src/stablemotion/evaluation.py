@@ -8,7 +8,8 @@ from typing import Tuple, Union
 import numpy as np
 
 from .chain import ElasticChain
-from .core import GeometricDescriptor, Pose, Trajectory, joint_diameter
+from .core import (GeometricDescriptor, Pose, Trajectory, _check_numbers,
+                   joint_diameter)
 from .errors import DegenerateDirection, NonFiniteState, ValidationError
 from .policy import LpvDsPolicy, evaluate_batch
 from .sequence import PlanExecutor, TaskPlan
@@ -21,6 +22,8 @@ class RolloutConfig:
     convergence_radius: float = 1e-3
 
     def __post_init__(self):
+        _check_numbers(self, counts=("max_steps",),
+                       reals=("dt", "convergence_radius"))
         if not (self.dt > 0 and self.convergence_radius > 0):
             raise ValidationError("dt and convergence_radius must be positive")
 

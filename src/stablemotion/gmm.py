@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GaussianComponent, Trajectory, _check_dim, _floats, _stack
+from .core import (GaussianComponent, Trajectory, _check_dim, _check_numbers,
+                   _floats, _stack)
 from .errors import EmDidNotImprove, InsufficientData, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -62,6 +63,7 @@ class GmmFitConfig:
     restarts: int = 5
 
     def __post_init__(self):
+        _check_numbers(self, counts=("k_min", "k_max", "restarts"))
         if not (1 <= self.k_min <= self.k_max):
             raise ValidationError("need 1 <= k_min <= k_max")
         if self.restarts < 1:
@@ -202,9 +204,9 @@ def responsibilities(components: Sequence[GaussianComponent],
 def responsibilities_batch(components: Sequence[GaussianComponent],
                            xi: np.ndarray) -> np.ndarray:
     """(n, K) posterior probabilities for a batch of query points, lifted
-    about their mean. A covariance whose Cholesky factorisation fails
-    (a valid component can be that thin; a policy rejects it too) raises
-    ValidationError."""
+    about their mean. Log-density rows that are not finite (the factor
+    is written out entry by entry, not LAPACK's, and a thin component
+    far from the queries' mean can overflow) raise ValidationError."""
     origin, phi = _lift_about_mean(
         np.ascontiguousarray(np.atleast_2d(xi).T, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -368,8 +370,8 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
              if fit[4] == _EM_MAX_STEPS])
     priors, means, covs = (a[:k] for a in fits[best][:3])
     priors = priors / priors.sum()
-    return GaussianComponent._from_symmetric_stack(
-        priors.tolist(), means, 0.5 * (covs + covs.swapaxes(1, 2)))
+    return GaussianComponent.from_stack(
+        priors, means, 0.5 * (covs + covs.swapaxes(1, 2)))
 
 
 def order_components(components: Sequence[GaussianComponent],

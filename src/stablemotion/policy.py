@@ -24,7 +24,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import GaussianComponent, _check_dim, _floats, _frozen, _stack
+from .core import (GaussianComponent, _check_dim, _check_numbers, _floats,
+                   _frozen, _stack)
 from .errors import (InfeasibleAttractor, InsufficientData,
                      OptimizationDiverged, ValidationError)
 from .gmm import responsibilities_batch
@@ -42,6 +43,7 @@ class EstimateOptions:
     P: Optional[np.ndarray] = None  # None: identity certificate
 
     def __post_init__(self):
+        _check_numbers(self, counts=("max_iters",), reals=("margin",))
         if not (self.margin > 0 and self.max_iters >= 1):
             raise ValidationError("need margin > 0 and max_iters >= 1")
 
@@ -54,11 +56,16 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 
 def _check_certificate(P: np.ndarray, d: int) -> None:
-    """A certificate is (d, d) and finite, with sym(P) positive definite."""
+    """A certificate is (d, d), finite, symmetric and positive definite."""
     if P.shape != (d, d):
         raise ValidationError(f"P must have shape ({d}, {d}), got {P.shape}")
     if not np.isfinite(P).all():
         raise ValidationError("P must be finite")
+    # |P - P^T| <= 1e-9 of P's largest entry: the fit constrains sym(P A_k),
+    # which is half of A_k^T P + P A_k only when P = P^T
+    H = 0.5 * P  # halved, so that no difference overflows
+    if np.abs(H - H.T).max() > 1e-9 * np.abs(H).max():
+        raise ValidationError("P must be symmetric")
     if np.linalg.eigvalsh(_sym(P))[0] <= 0:
         raise ValidationError("P must be positive definite")
 
@@ -102,11 +109,8 @@ class VelocityKernel:
         attractor (d,)."""
         K, d, _ = A.shape
         means, covs = _stack(components)
-        try:
-            chol = np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError:
-            raise ValidationError("a component covariance is not "
-                                  "numerically positive definite") from None
+        # a component is one whose covariance this factorisation succeeds on
+        chol = np.linalg.cholesky(covs)
         whiten = np.sqrt(0.5) * np.linalg.inv(chol)
         log_norm = (np.log([c.prior for c in components])
                     - 0.5 * d * np.log(2.0 * np.pi)
@@ -149,6 +153,9 @@ class VelocityKernel:
 
 @dataclass(frozen=True)
 class LpvDsPolicy:
+    """xdot = sum_k gamma_k(x) A_k (x - attractor), built only with its
+    certificate: A_k^T P + P A_k <= -margin I (`constraint_residual` <= 0)."""
+
     components: Tuple[GaussianComponent, ...]
     A: np.ndarray               # (K, d, d)
     P: np.ndarray               # (d, d) Lyapunov certificate
@@ -173,6 +180,12 @@ class LpvDsPolicy:
         _check_certificate(self.P, d)
         if not self.margin > 0:
             raise ValidationError("margin must be positive")
+        # an overflowed product gives NaN, which fails the test too
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = constraint_residual(self)
+        if not residual <= 0.0:
+            raise ValidationError(f"policy violates its stability certificate "
+                                  f"(constraint residual {residual:.3e} > 0)")
         object.__setattr__(self, "kernel", VelocityKernel.factor(
             self.components, self.A, self.attractor))
 

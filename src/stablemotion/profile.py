@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Trajectory, _floats, _forward_velocities
-from .errors import IndexCollision, ValidationError, ZeroLengthChain
+from .core import (Trajectory, _check_numbers, _floats, _forward_velocities,
+                   _link_lengths)
+from .errors import IndexCollision, ValidationError
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,7 @@ class ProfileConfig:
     dt: float             # uniform sampling interval, seconds
 
     def __post_init__(self):
+        _check_numbers(self, counts=("p",), reals=("dt",))
         if not self.dt > 0:
             raise ValidationError("dt must be positive")
         # finite differences divide by dt
@@ -40,12 +42,10 @@ class ProfileConfig:
 
 
 def joint_progress(joints: np.ndarray) -> np.ndarray:
-    """Normalized cumulative piecewise distance along the joint polyline."""
-    joints = np.asarray(joints, dtype=float)
-    seg = np.linalg.norm(np.diff(joints, axis=0), axis=1)
-    if np.any(seg <= 0):
-        raise ZeroLengthChain("consecutive joints coincide")
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    """Normalized cumulative piecewise distance along the joint polyline;
+    a link with no direction is a DegenerateFrame, as in a chain."""
+    cum = np.concatenate([[0.0], np.cumsum(
+        _link_lengths(np.asarray(joints, dtype=float)))])
     return cum / cum[-1]
 
 

@@ -142,7 +142,6 @@ def stitch_chains(chains: Sequence[ElasticChain]) -> ElasticChain:
     total = sum(c.prior for c in comps)
     p = sum(ch.timing.p for ch in chains) - (len(chains) - 1)
     duration = sum((ch.timing.p - 1) * ch.timing.dt for ch in chains)
-    return ElasticChain(OrderedGmm(tuple(
-        GaussianComponent._from_symmetric_stack(
-            [c.prior / total for c in comps], *_stack(comps)))),
+    return ElasticChain(OrderedGmm(tuple(GaussianComponent.from_stack(
+        [c.prior / total for c in comps], *_stack(comps)))),
         all_joints, ProfileConfig(p, duration / (p - 1)))

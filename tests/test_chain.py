@@ -389,14 +389,32 @@ class TestRecoverGmm:
                 assert not comp.mean.flags.writeable
                 assert not comp.covariance.flags.writeable
 
-    @pytest.mark.parametrize("bad", [np.diag([1.0, 0.0]),
-                                     np.diag([1.0, -1e-300]),
-                                     np.full((2, 2), np.nan)])
-    def test_stack_check_rejects_a_covariance_not_positive_definite(self,
-                                                                   bad):
-        with pytest.raises(ValidationError, match="positive definite"):
-            GaussianComponent._from_symmetric_stack(
-                [0.5, 0.5], np.zeros((2, 2)), np.stack([np.eye(2), bad]))
+    @pytest.mark.parametrize("build", [
+        lambda *stacks: [GaussianComponent(*row) for row in zip(*stacks)],
+        GaussianComponent.from_stack], ids=["constructor", "from_stack"])
+    @pytest.mark.parametrize("priors, means, covs, match", [
+        ([0.5, 0.5], np.zeros((2, 2)), [np.eye(2), np.diag([1.0, 0.0])],
+         "positive definite"),
+        ([0.5, 0.5], np.zeros((2, 2)), [np.eye(2), np.diag([1.0, -1e-300])],
+         "positive definite"),
+        ([0.5, 0.5], np.zeros((2, 2)), [np.eye(2), np.full((2, 2), np.nan)],
+         "finite"),
+        ([0.5, 0.5], [[0.0, 0.0], [np.nan, 0.0]], [np.eye(2)] * 2, "finite"),
+        ([0.5, 0.5], [[0.0, 0.0], [np.inf, 0.0]], [np.eye(2)] * 2, "finite"),
+        ([0.5, 0.5], np.zeros((2, 2, 1)), [np.eye(2)] * 2,
+         r"\(K, d\) means"),
+        ([0.5, "0.5"], np.zeros((2, 2)), [np.eye(2)] * 2, "real numbers"),
+        ([0.5, 0.5], np.zeros((2, 2)),
+         [np.eye(2), [[1e308, -1.7e308], [1.7e308, 1e308]]], "symmetric"),
+    ], ids=["singular", "negative", "nan_covariance", "nan_mean", "inf_mean",
+            "column_mean", "string_prior", "asymmetry_overflows"])
+    def test_stack_check_rejects_a_malformed_component(
+            self, build, priors, means, covs, match):
+        """The component constructor and the batched one run one check:
+        each rejects a stack whose second component is malformed, with no
+        RuntimeWarning on the way (the suite makes one an error)."""
+        with pytest.raises(ValidationError, match=match):
+            build(priors, means, covs)
 
 
 class TestTransformChain:

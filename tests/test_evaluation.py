@@ -9,6 +9,7 @@ from stablemotion.errors import (DegenerateDirection, NonFiniteState,
 from stablemotion.evaluation import (
     RolloutConfig,
     adaptation_metrics,
+    _integrate,
     convergence_radius_for,
     endpoints_distance,
     goal_cosine,
@@ -31,12 +32,17 @@ def linear_policy(attractor=(0.0, 0.0)):
                        np.array(attractor), 1e-2)
 
 
-def diverging_policy(variance=1.0):
-    """The linear field xdot = 2 x: at dt = 1, dt * |eig A| = 2 passes the
-    step-size check, and RK4 then multiplies the state by 7 per step."""
-    comps = (GaussianComponent(1.0, np.zeros(2), variance * np.eye(2)),)
-    return LpvDsPolicy(comps, np.array([2.0 * np.eye(2)]), np.eye(2),
-                       np.zeros(2), 1e-2)
+def doubling(Y):
+    """The raw field xdot = 2 x, on one state or on state columns. No
+    policy holds it, as it has no certificate. At dt = 1, dt * 2 passes
+    the step-size check, and RK4 then multiplies the state by 7 per step."""
+    return 2.0 * Y
+
+
+def diverge(starts, cfg, record=True):
+    """`_integrate` of `doubling` from the rows of `starts`, towards the
+    origin: (final_states, converged, recorded_states or None)."""
+    return _integrate(doubling, starts, np.zeros(2), cfg, record, 2.0)
 
 
 class TestRollout:
@@ -87,7 +93,7 @@ class TestRollout:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_policy_raises(self):
         with pytest.raises(NonFiniteState):
-            rollout(diverging_policy(), np.array([1.0, 0.0]),
+            diverge(np.array([1.0, 0.0]),
                     RolloutConfig(dt=1.0, max_steps=2000))
 
     def test_lyapunov_monotone_along_rollout(self, rng):
@@ -103,12 +109,15 @@ class TestRollout:
 
 
 def reference_rollout(policy_or_plan, xi0, cfg):
-    """Scalar RK4 oracle: one state, one `evaluate` (or `PlanExecutor.step`)
-    per stage, stopping on the Euclidean norm. Returns (points, converged)."""
+    """Scalar RK4 oracle: one state, one `evaluate` (or `PlanExecutor.step`,
+    or a call of a raw field towards the origin) per stage, stopping on the
+    Euclidean norm. Returns (points, converged)."""
     if isinstance(policy_or_plan, TaskPlan):
         executor = PlanExecutor(policy_or_plan)
         f = lambda x: executor.step(x)[0]
         attractor = policy_or_plan.final_attractor
+    elif callable(policy_or_plan):
+        f, attractor = policy_or_plan, np.zeros(len(xi0))
     else:
         f = lambda x: evaluate(policy_or_plan, x)
         attractor = policy_or_plan.attractor
@@ -181,9 +190,10 @@ class TestRolloutMatchesScalarReference:
         assert len(run.trajectory) == 2
 
 
-def first_non_finite_step(policy, x0, cfg):
-    """The step N after which the scalar reference's state is not finite."""
-    points, _ = reference_rollout(policy, x0, cfg)
+def first_non_finite_step(x0, cfg):
+    """The step N after which the scalar reference's state of `doubling`
+    is not finite."""
+    points, _ = reference_rollout(doubling, x0, cfg)
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     assert bad.size
     return int(bad[0])
@@ -197,44 +207,42 @@ class TestNonFiniteStep:
     cfg = RolloutConfig(dt=1.0, max_steps=2000)
 
     def test_at_the_reference_step(self):
-        policy, x0 = diverging_policy(), np.array([1.0, 0.0])
-        n = first_non_finite_step(policy, x0, self.cfg)
+        x0 = np.array([1.0, 0.0])
+        n = first_non_finite_step(x0, self.cfg)
         at, before = (replace(self.cfg, max_steps=m) for m in (n, n - 1))
         with pytest.raises(NonFiniteState):
-            rollout(policy, x0, at)
+            diverge(x0, at)
         with pytest.raises(NonFiniteState):
-            rollout_batch(policy, x0[None], at)
-        assert not rollout(policy, x0, before).converged
-        _, done = rollout_batch(policy, x0[None], before)
+            diverge(x0[None], at, record=False)
+        assert not diverge(x0, before)[1][0]
+        _, done, _ = diverge(x0[None], before, record=False)
         assert not done.any()
 
     def test_beside_a_start_inside_the_radius(self):
-        policy, x0 = diverging_policy(), np.array([1.0, 0.0])
-        n = first_non_finite_step(policy, x0, self.cfg)
+        x0 = np.array([1.0, 0.0])
+        n = first_non_finite_step(x0, self.cfg)
         starts = np.array([[1e-6, 0.0], x0])
         with pytest.raises(NonFiniteState):
-            rollout_batch(policy, starts, replace(self.cfg, max_steps=n))
-        _, done = rollout_batch(policy, starts,
-                                replace(self.cfg, max_steps=n - 1))
+            diverge(starts, replace(self.cfg, max_steps=n), record=False)
+        _, done, _ = diverge(starts, replace(self.cfg, max_steps=n - 1),
+                             record=False)
         assert done.tolist() == [True, False]
 
     def test_lone_infinite_column(self):
-        # so wide a component that the state overflows to inf rather
-        # than NaN; the other column is still finite, with a finite
-        # squared distance, at that step
-        policy = diverging_policy(variance=1e308)
+        # the state overflows to inf rather than NaN; the other column is
+        # still finite, with a finite squared distance, at that step
         starts = np.array([[1e160, 0.0], [1.0, 0.0]])
-        n = first_non_finite_step(policy, starts[0], self.cfg)
-        points, _ = reference_rollout(policy, starts[0],
+        n = first_non_finite_step(starts[0], self.cfg)
+        points, _ = reference_rollout(doubling, starts[0],
                                       replace(self.cfg, max_steps=n))
         assert np.isinf(points[-1]).any() and not np.isnan(points).any()
-        other, _ = reference_rollout(policy, starts[1],
+        other, _ = reference_rollout(doubling, starts[1],
                                      replace(self.cfg, max_steps=n))
         assert np.isfinite(np.sum(other[-1] ** 2))
         with pytest.raises(NonFiniteState):
-            rollout_batch(policy, starts, replace(self.cfg, max_steps=n))
-        final, done = rollout_batch(policy, starts,
-                                    replace(self.cfg, max_steps=n - 1))
+            diverge(starts, replace(self.cfg, max_steps=n), record=False)
+        final, done, _ = diverge(starts, replace(self.cfg, max_steps=n - 1),
+                                 record=False)
         assert np.isfinite(final).all() and not done.any()
 
 

@@ -654,18 +654,16 @@ class TestResponsibilities:
             assert np.allclose(g, row, rtol=0.0, atol=1e-15)
 
     def test_rejects_a_covariance_it_cannot_factor(self):
-        # eigvalsh finds this covariance positive definite, so it makes a
-        # valid component, but its Cholesky factorisation fails: a typed
+        # eigvalsh finds this covariance positive definite, but its
+        # Cholesky factorisation fails, so it makes no component: a typed
         # error, with no RuntimeWarning on the way
         th = 12 * np.pi / 64
         R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         S = R @ np.diag([1.0, 1e-17]) @ R.T
-        comps = [GaussianComponent(0.5, np.zeros(2), 0.5 * (S + S.T)),
-                 GaussianComponent(0.5, np.ones(2), np.eye(2))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="positive definite"):
-                responsibilities_batch(comps, np.zeros((3, 2)))
+                GaussianComponent(0.5, np.zeros(2), 0.5 * (S + S.T))
 
     def test_matches_brute_force(self, rng):
         comps = [GaussianComponent(0.3, rng.normal(size=2),

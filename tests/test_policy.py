@@ -15,6 +15,7 @@ from stablemotion.core import (GaussianComponent, GeometricDescriptor, Pose,
                                Trajectory, compute_velocities)
 from stablemotion.errors import (InfeasibleAttractor, InsufficientData,
                                  ValidationError)
+from stablemotion.evaluation import RolloutConfig
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
 from stablemotion.pipeline import adapt, learn
 from stablemotion.policy import (
@@ -518,9 +519,10 @@ class TestEstimate:
 
     @pytest.mark.parametrize("P", [-np.eye(2), np.diag([1.0, -1.0]),
                                    np.full((2, 2), np.nan),
-                                   np.diag([np.inf, 1.0])],
+                                   np.diag([np.inf, 1.0]),
+                                   np.array([[1.0, 3.0], [-3.0, 1.0]])],
                              ids=["minus_identity", "indefinite", "nan",
-                                  "inf"])
+                                  "inf", "not_symmetric"])
     def test_certificate_is_checked_before_the_solve(self, caplog, P):
         # the policy's rule, applied before any arithmetic: no Newton step
         # is taken, so the solve leaves no DEBUG record
@@ -828,6 +830,24 @@ def _policy_with(**changes):
     return LpvDsPolicy(**{**fields, **changes})
 
 
+def _typed_config_cases() -> dict:
+    """Each numeric field of the configs set to a numeral string, and each
+    count to a float or a bool: every one a ValidationError."""
+    configs = {ProfileConfig: {"p": 50, "dt": 0.1},
+               RolloutConfig: {}, EstimateOptions: {}, GmmFitConfig: {}}
+    counts = {"p", "max_steps", "max_iters", "k_min", "k_max", "restarts"}
+    cases = {}
+    for cls, base in configs.items():
+        for f in (f.name for f in dataclasses.fields(cls) if f.name != "P"):
+            bad = [("string", "1")] + (
+                [("float", 2.5), ("bool", True)] if f in counts else [])
+            for kind, value in bad:
+                cases[f"{cls.__name__}_{f}_{kind}"] = functools.partial(
+                    cls, **{**base, f: value})
+    return cases
+
+
+_TYPED_CONFIG_CASES = _typed_config_cases()
 _DESCRIPTOR_3D = GeometricDescriptor(Pose(np.zeros(3), np.eye(3)),
                                      Pose(np.ones(3), np.eye(3)))
 
@@ -848,12 +868,23 @@ _DESCRIPTOR_3D = GeometricDescriptor(Pose(np.zeros(3), np.eye(3)),
                      np.zeros((30, 2)), np.zeros(2)),
     lambda: regenerate_profile(np.arange(5.0), ProfileConfig(50, 0.1)),
     lambda: regenerate_profile(np.ones((1, 2)), ProfileConfig(50, 0.1)),
+    lambda: GaussianComponent("0.5", np.zeros(2), np.eye(2)),
+    lambda: LpvDsPolicy(
+        (GaussianComponent(1.0, np.array([np.nan, 0.0]), np.eye(2)),),
+        np.array([-np.eye(2)]), np.eye(2), np.zeros(2), 1e-2),
+    lambda: _policy_with(A=2.0 * np.ones_like(learned_s_curve()[1].A)
+                         * np.eye(2)),
+    lambda: _policy_with(A=-np.ones_like(learned_s_curve()[1].A)
+                         * np.eye(2), margin=10.0),
+    *_TYPED_CONFIG_CASES.values(),
 ], ids=["adapt_3d_descriptor_on_2d_chain", "fit_gmm_1d_data",
         "fit_gmm_n_by_1_data", "trajectory_of_strings", "policy_nan_A",
         "policy_nan_P", "policy_nan_attractor", "policy_inf_attractor",
         "profile_last_timestamp_overflows", "fit_gmm_strings",
         "estimate_strings", "regenerate_profile_1d_joints",
-        "regenerate_profile_one_joint"])
+        "regenerate_profile_one_joint", "component_string_prior",
+        "policy_nan_mean_component", "policy_A_2I",
+        "policy_minus_I_at_margin_10", *_TYPED_CONFIG_CASES])
 def test_library_entry_raises_a_typed_error(call):
     # each is checked before any arithmetic: a bare numpy ValueError, a
     # RuntimeWarning or a policy built from non-finite values would
@@ -862,3 +893,10 @@ def test_library_entry_raises_a_typed_error(call):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValidationError):
             call()
+
+
+def test_a_count_may_be_a_numpy_integer():
+    n = np.int32(3)
+    assert (ProfileConfig(n, 0.1).p == RolloutConfig(max_steps=n).max_steps
+            == EstimateOptions(max_iters=n).max_iters
+            == GmmFitConfig(n, n, n).k_max == 3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stablemotion.chain import build_chain
-from stablemotion.errors import IndexCollision, ZeroLengthChain
+from stablemotion.errors import DegenerateFrame, IndexCollision
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
 from stablemotion.profile import (
     ProfileConfig,
@@ -23,7 +23,7 @@ class TestJointProgress:
         assert np.allclose(lam, [0, 0.25, 1])
 
     def test_coincident_joints_raise(self):
-        with pytest.raises(ZeroLengthChain):
+        with pytest.raises(DegenerateFrame):
             joint_progress(np.array([[0.0, 0], [0, 0], [1, 0]]))
 
 
