@@ -22,7 +22,10 @@ from .core import (
     GeometricDescriptor,
     Pose,
     Trajectory,
+    _array,
+    _check_number,
     _cross,
+    _frozen,
     _link_lengths,
     _stack,
     frame_from_two_points,
@@ -47,10 +50,9 @@ class ElasticChain:
 
     def __post_init__(self):
         K, d = len(self.components), self.components.dim
-        if self.joints.shape != (K + 1, d):
-            raise ValidationError(
-                "chain needs K+1 joints of the components' dimension")
-        object.__setattr__(self, "link_lengths", _link_lengths(self.joints))
+        joints = _frozen(self.joints, "joints", (K + 1, d))
+        object.__setattr__(self, "joints", joints)
+        object.__setattr__(self, "link_lengths", _link_lengths(joints))
 
     @property
     def dim(self) -> int:
@@ -66,6 +68,8 @@ class ElasticChain:
 def gaussian_joints(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Means (K-1, d) of the products of consecutive Gaussians of (K, d)
     means and (K, d, d) covariances (precision-weighted means)."""
+    means = _array(means, "means", (None, "d"))
+    covs = _array(covs, "covs", means.shape + means.shape[1:])
     try:
         prec = np.linalg.inv(covs)
         st = np.linalg.inv(prec[:-1] + prec[1:])
@@ -84,6 +88,7 @@ def build_chain(gmm: OrderedGmm, demo: Trajectory) -> ElasticChain:
 
 def build_laplacian(m: int) -> np.ndarray:
     """Path-graph Laplacian, unit weights: rows sum to 0, diagonal 1."""
+    _check_number("m", m, count=True)
     if m < 2:
         raise ValidationError("need at least 2 waypoints")
     L = np.eye(m)
@@ -122,12 +127,13 @@ def solve_constrained_edit(joints0: np.ndarray,
     least-squares. Returns (new_joints, pins), pins mapping each pinned
     joint index to its target.
     """
-    joints0 = np.asarray(joints0, dtype=float)
+    joints0 = _array(joints0, "joints", (None, "d"))
     m = joints0.shape[0]
     if o_start is None and o_end is None:
         raise ValidationError("at least one descriptor pose is required")
     if any(p.dim != joints0.shape[-1] for p in (o_start, o_end) if p):
         raise ValidationError("descriptor and chain dimensions differ")
+    L = build_laplacian(m)
     link_lengths = np.linalg.norm(np.diff(joints0, axis=0), axis=1)
 
     # a target far outside the chain's workspace would be edited in the
@@ -141,7 +147,6 @@ def solve_constrained_edit(joints0: np.ndarray,
                 f"a descriptor position lies more than "
                 f"{REACH:g} joint diameters from the chain")
 
-    L = build_laplacian(m)
     pins: dict = {}
 
     def _pin(i: int, target: np.ndarray) -> None:
@@ -150,7 +155,7 @@ def solve_constrained_edit(joints0: np.ndarray,
             raise RankDeficientSystem(
                 f"joint {i} pinned to conflicting targets "
                 f"(residual {np.linalg.norm(pins[i] - target):.3e})")
-        pins[i] = np.asarray(target, dtype=float)
+        pins[i] = target
 
     if o_start is not None:
         _pin(0, o_start.position)
@@ -195,9 +200,7 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     F_k^T, so both are continuous in the joints and in the component.
     Priors are unchanged.
     """
-    new_joints = np.asarray(new_joints, dtype=float)
-    if new_joints.shape != chain.joints.shape:
-        raise ValidationError("joint count mismatch")
+    new_joints = _array(new_joints, "new_joints", chain.joints.shape)
     lengths = _link_lengths(new_joints)
     u = np.diff(chain.joints, axis=0) / chain.link_lengths[:, None]
     w = np.diff(new_joints, axis=0) / lengths[:, None]

@@ -33,21 +33,72 @@ _WORLD_Y = np.array([0.0, 1.0, 0.0])
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
-def _floats(a, copy=None) -> np.ndarray:
+def _has_bool(value) -> bool:
+    """Whether value, or an entry of it at any depth of lists and tuples,
+    is a bool or a numpy bool: numpy reads one among numbers as 0 or 1."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_bool, value))
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
+
+
+def _floats(a, name: str, copy=None) -> np.ndarray:
     """a as a float array; entries that are not real numbers (a string,
     even a numeral, a bool or None among them), or ragged rows, are a
-    ValidationError, not numpy's bare ValueError or a conversion."""
+    ValidationError, not numpy's bare ValueError or a conversion. Only a
+    list or tuple is walked for bools: an array of them has their dtype."""
     try:
         arr = np.asarray(a)
     except ValueError:  # ragged rows
         arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf":
-        raise ValidationError("entries must be real numbers")
+    if arr.dtype.kind not in "iuf" or (
+            isinstance(a, (list, tuple)) and _has_bool(a)):
+        raise ValidationError(f"{name} must be real numbers")
     return np.array(arr, dtype=float, copy=copy)
 
 
-def _frozen(a) -> np.ndarray:
-    out = _floats(a, copy=True)
+def _fits(have: tuple, shape: tuple) -> bool:
+    """Whether an array of shape `have` matches the pattern `shape`: None
+    matches any length and "d" a workspace dimension, 2 or 3, the same at
+    each place."""
+    if len(have) != len(shape):
+        return False
+    d = None
+    for n, want in zip(have, shape):
+        if want == "d":
+            if n not in (2, 3) or d not in (None, n):
+                return False
+            d = n
+        elif want is not None and n != want:
+            return False
+    return True
+
+
+def _array(a, name: str, shape: tuple, copy=None) -> np.ndarray:
+    """The one reader of an array a caller hands the library: `_floats`
+    of a, of the pattern `shape` (see `_fits`), every entry finite, or a
+    ValidationError."""
+    arr = _floats(a, name, copy)
+    # an exact shape is one comparison
+    if arr.shape != shape and not _fits(arr.shape, shape):
+        dims = ", ".join("n" if w is None else str(w) for w in shape)
+        raise ValidationError(
+            f"{name} has shape {arr.shape}, expected ({dims}"
+            f"{',' * (len(shape) == 1)}){', d = 2 or 3' * ('d' in shape)}")
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:
+        raise ValidationError(f"{name} must be finite")
+    return arr
+
+
+def _rows(a, name: str, d: int) -> np.ndarray:
+    """`_array` of a batch of states (n, d); one state (d,) is a batch of
+    one."""
+    arr = _floats(a, name)
+    return _array(arr[None] if arr.ndim == 1 else arr, name, (None, d))
+
+
+def _frozen(a, name: str, shape: tuple) -> np.ndarray:
+    """`_array`'s copy of a, which cannot be written: a value's own."""
+    out = _array(a, name, shape, copy=True)
     out.setflags(write=False)
     return out
 
@@ -68,16 +119,21 @@ def _pow2_scale(a: np.ndarray, axis=None) -> np.ndarray:
     return np.ldexp(1.0, np.frexp(np.where(top > 0, top, 1.0))[1] - 1)
 
 
+def _check_number(name: str, value, count: bool = False) -> None:
+    """value is an int (a numpy integer too) if a count, else a real
+    number; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if count else numbers.Real):
+        raise ValidationError(f"{name} must be "
+                              f"{'an int' if count else 'a number'}, "
+                              f"got {value!r}")
+
+
 def _check_numbers(obj, counts=(), reals=()) -> None:
-    """Each field of `obj` named in `counts` is an int (a numpy integer
-    too) and each in `reals` a real number; a bool is neither."""
+    """`_check_number` on each field of `obj` named in `counts` or
+    `reals`."""
     for name in counts + reals:
-        value, count = getattr(obj, name), name in counts
-        if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral if count else numbers.Real):
-            raise ValidationError(f"{name} must be "
-                                  f"{'an int' if count else 'a number'}, "
-                                  f"got {value!r}")
+        _check_number(name, getattr(obj, name), name in counts)
 
 
 def _link_lengths(joints: np.ndarray) -> np.ndarray:
@@ -90,11 +146,6 @@ def _link_lengths(joints: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def _check_dim(d: int) -> None:
-    if d not in (2, 3):
-        raise ValidationError(f"workspace dimension must be 2 or 3, got {d}")
-
-
 @dataclass(frozen=True)
 class Pose:
     """A position plus a proper orthonormal orientation."""
@@ -103,15 +154,10 @@ class Pose:
     rotation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _frozen(self.position))
-        object.__setattr__(self, "rotation", _frozen(self.rotation))
-        d = self.position.shape[0]
-        _check_dim(d)
-        R = self.rotation
-        if R.shape != (d, d):
-            raise ValidationError(f"rotation shape {R.shape} != ({d}, {d})")
-        if not np.all(np.isfinite(self.position)) or not np.all(np.isfinite(R)):
-            raise ValidationError("pose entries must be finite")
+        position = _frozen(self.position, "position", ("d",))
+        R = _frozen(self.rotation, "rotation", position.shape * 2)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "rotation", R)
         if not _orthonormal(R, _ORTHONORMAL):
             raise ValidationError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL:
@@ -135,25 +181,17 @@ class Trajectory:
     velocities: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen(self.points))
-        object.__setattr__(self, "timestamps", _frozen(self.timestamps))
-        pts, ts = self.points, self.timestamps
-        if pts.ndim != 2 or pts.shape[0] < 2:
+        pts = _frozen(self.points, "points", (None, "d"))
+        if len(pts) < 2:
             raise ValidationError("trajectory needs at least 2 points")
-        _check_dim(pts.shape[1])
-        if ts.shape != (pts.shape[0],):
-            raise ValidationError("timestamps must match point count")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(ts)):
-            raise ValidationError("trajectory entries must be finite")
+        ts = _frozen(self.timestamps, "timestamps", pts.shape[:1])
         if np.any(np.diff(ts) <= 0):
             raise NonMonotoneTimestamps("timestamps must be strictly increasing")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "timestamps", ts)
         if self.velocities is not None:
-            v = _frozen(self.velocities)
-            object.__setattr__(self, "velocities", v)
-            if v.shape != pts.shape:
-                raise ValidationError("velocities must match points shape")
-            if not np.all(np.isfinite(v)):
-                raise ValidationError("velocities must be finite")
+            object.__setattr__(self, "velocities", _frozen(
+                self.velocities, "velocities", pts.shape))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -213,17 +251,13 @@ class GaussianComponent:
         (K, d, d) covariances, d = 2 or 3, all finite, each covariance
         symmetric within 1e-9 and factored by Cholesky, as the policy
         kernel factors it: one check of the whole stack."""
-        priors, means, covs = map(_frozen, (priors, means, covariances))
-        K, d = priors.size, means.shape[-1] if means.ndim else 0
-        if not K or (priors.shape, means.shape, covs.shape) != (
-                (K,), (K, d), (K, d, d)):
-            raise ValidationError(
-                f"need (K,) priors, (K, d) means and (K, d, d) covariances,"
-                f" K >= 1, got {priors.shape}, {means.shape} and {covs.shape}")
-        _check_dim(d)
-        if not (np.isfinite(means).all() and np.isfinite(covs).all()):
-            raise ValidationError("component entries must be finite")
-        priors = priors.tolist()
+        priors = _array(priors, "priors", (None,)).tolist()
+        K = len(priors)
+        if not K:
+            raise ValidationError("need K >= 1 components")
+        means = _frozen(means, "(K, d) means", (K, "d"))
+        covs = _frozen(covariances, "(K, d, d) covariances",
+                       means.shape + means.shape[1:])
         if not all(0.0 < p <= 1.0 for p in priors):
             raise ValidationError(f"priors must be in (0, 1], got {priors}")
         with np.errstate(over="ignore"):  # an inf difference fails too
@@ -260,13 +294,8 @@ def frame_rotations(origins: np.ndarray, towards: np.ndarray) -> np.ndarray:
     the 90-degree CCW rotation of x; in 3D the y-axis comes from crossing x
     with world z (or world y when x is nearly vertical), and z = x cross y.
     """
-    origins = np.asarray(origins, dtype=float)
-    towards = np.asarray(towards, dtype=float)
-    if origins.ndim != 2 or towards.shape != origins.shape:
-        raise ValidationError("frame ends must be two (n, d) arrays")
-    _check_dim(origins.shape[1])
-    if not (np.all(np.isfinite(origins)) and np.all(np.isfinite(towards))):
-        raise ValidationError("frame ends must be finite")
+    origins = _array(origins, "origins", (None, "d"))
+    towards = _array(towards, "towards", origins.shape)
     # in units of each row's largest end, so the difference cannot overflow
     s = np.maximum(_pow2_scale(origins, axis=1), _pow2_scale(towards, axis=1))
     delta = towards / s - origins / s
@@ -291,9 +320,7 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def frame_from_two_points(origin: np.ndarray, toward: np.ndarray) -> Pose:
     """Pose at `origin` whose x-axis points at `toward`: a batch of one of
     `frame_rotations`."""
-    origin = np.asarray(origin, dtype=float)
-    return Pose(origin, frame_rotations(
-        origin[None], np.asarray(toward, dtype=float)[None])[0])
+    return Pose(origin, frame_rotations([origin], [toward])[0])
 
 
 def joint_diameter(joints: np.ndarray) -> float:

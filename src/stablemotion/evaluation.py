@@ -8,8 +8,8 @@ from typing import Tuple, Union
 import numpy as np
 
 from .chain import ElasticChain
-from .core import (GeometricDescriptor, Pose, Trajectory, _check_numbers,
-                   joint_diameter)
+from .core import (GeometricDescriptor, Pose, Trajectory, _array,
+                   _check_number, _check_numbers, _rows, joint_diameter)
 from .errors import DegenerateDirection, NonFiniteState, ValidationError
 from .policy import LpvDsPolicy, evaluate_batch
 from .sequence import PlanExecutor, TaskPlan
@@ -63,7 +63,7 @@ def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
     if dt * stiffness >= _RK4_REAL_LIMIT:
         raise ValidationError(f"dt * max |eig A_k| = {dt * stiffness:.3g}: "
                               f"RK4 is unstable at dt = {dt:g}")
-    X = np.array(X0, dtype=float, ndmin=2).T
+    X = np.array(X0, ndmin=2).T
     goal = attractor[:, None]
     r2 = cfg.convergence_radius ** 2
     D = X - goal
@@ -122,10 +122,8 @@ def rollout(policy_or_plan: Union[LpvDsPolicy, TaskPlan], xi0: np.ndarray,
         policy = policy_or_plan
         field = policy.kernel
         attractor, stiffness = policy.attractor, policy.stiffness
-    if np.shape(xi0) != attractor.shape:
-        raise ValidationError(
-            f"start has shape {np.shape(xi0)}, expected {attractor.shape}")
-    _, done, states = _integrate(field, xi0, attractor, cfg, True, stiffness)
+    _, done, states = _integrate(field, _array(xi0, "start", attractor.shape),
+                                 attractor, cfg, True, stiffness)
     if len(states) == 1:  # started inside the convergence radius
         states.append(states[0])
     pts = np.array(states)
@@ -140,12 +138,8 @@ def rollout_batch(policy: LpvDsPolicy, starts: np.ndarray,
     Converged rows stop moving, so the whole batch costs one vectorized
     policy evaluation per stage. `starts` is (n, d), or one start (d,).
     """
-    X0 = np.atleast_2d(np.asarray(starts, dtype=float))
-    if X0.shape[1:] != policy.attractor.shape:
-        raise ValidationError(
-            f"starts have shape {np.shape(starts)}, expected (n, {policy.dim})")
-    X, done, _ = _integrate(policy.kernel, X0, policy.attractor, cfg,
-                            False, policy.stiffness)
+    X, done, _ = _integrate(policy.kernel, _rows(starts, "starts", policy.dim),
+                            policy.attractor, cfg, False, policy.stiffness)
     return X, done
 
 
@@ -184,13 +178,15 @@ def sample_field(policy: LpvDsPolicy, bounds: np.ndarray,
     """Velocities on a regular 2D grid, row-major (y outer, x inner), of a
     2D policy; a policy of another dimension is a ValidationError.
 
-    bounds: ((xmin, xmax), (ymin, ymax)).
+    bounds: ((xmin, xmax), (ymin, ymax)), finite; resolution: an int
+    >= 2, the grid points per axis.
     """
     if policy.dim != 2:
         raise ValidationError("field sampling is 2D only")
+    _check_number("resolution", resolution, count=True)
     if resolution < 2:
         raise ValidationError("resolution must be >= 2 per axis")
-    (x0, x1), (y0, y1) = bounds
+    (x0, x1), (y0, y1) = _array(bounds, "bounds", (2, 2))
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     gx, gy = np.meshgrid(xs, ys)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .chain import ElasticChain
 from .core import (REACH, GaussianComponent, GeometricDescriptor, Pose,
-                   Trajectory, _orthonormal, _pow2_scale, joint_diameter)
+                   Trajectory, _array, _orthonormal, _pow2_scale,
+                   joint_diameter)
 from .errors import ValidationError
 from .gmm import OrderedGmm
 from .policy import LpvDsPolicy
@@ -48,29 +49,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-def _has_bool(value) -> bool:
-    return isinstance(value, bool) or (
-        isinstance(value, list) and any(map(_has_bool, value)))
-
-
-def _numeric(obj, key: str, shape: Optional[tuple] = None) -> np.ndarray:
-    """obj[key] as a non-empty float array of finite numbers, of `shape`
-    when one is given (None in it matches any length), or a
-    ValidationError."""
+def _numeric(obj, key: str, shape: tuple) -> np.ndarray:
+    """obj[key] read by the library's one array reader (`core._array`),
+    or a ValidationError if obj is no object with that key."""
     _require(isinstance(obj, dict) and key in obj,
              f"expected an object with a {key!r} entry")
-    try:
-        arr = np.asarray(obj[key])
-    except ValueError:  # ragged rows
-        arr = np.asarray(None)
-    # numpy reads a boolean among numbers as 0 or 1
-    _require(arr.dtype.kind in "iuf" and arr.size > 0
-             and np.all(np.isfinite(arr)) and not _has_bool(obj[key]),
-             f"{key} must be a non-empty array of finite numbers")
-    _require(shape is None or (arr.ndim == len(shape) and all(
-        n is None or n == m for n, m in zip(shape, arr.shape))),
-        f"{key} has shape {arr.shape}, expected {shape}")
-    return arr.astype(float)
+    return _array(obj[key], key, shape)
 
 
 def _check_header(obj: dict, fmt: str) -> None:
@@ -97,7 +81,8 @@ def demo_to_dict(trajectories: Sequence[Trajectory],
             for t in trajectories],
     }
     if via_points is not None:
-        out["via_points"] = np.asarray(via_points, dtype=float).tolist()
+        out["via_points"] = _array(via_points, "via_points",
+                                   (None, d)).tolist()
     return out
 
 
@@ -134,7 +119,7 @@ def _pose_to_dict(pose: Pose) -> dict:
 
 
 def _pose_from_dict(obj: dict) -> Pose:
-    position = _numeric(obj, "position", (None,))
+    position = _numeric(obj, "position", ("d",))
     d = position.shape[0]
     rotation = _numeric(obj, "rotation", (d, d))
     _require(_orthonormal(rotation, _ORTHONORMAL_IO),
@@ -207,11 +192,11 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     _require(isinstance(components, list) and len(components) > 0
              and all(isinstance(c, dict) for c in components),
              "components must be a non-empty list of objects")
-    attractor = _numeric(obj, "attractor", (None,))
+    attractor = _numeric(obj, "attractor", ("d",))
     K, d = len(components), attractor.shape[0]
     # the components' stacks, gains included
     priors, means, covs, A = (
-        _numeric({key: [c.get(key) for c in components]}, key, shape)
+        _array([c.get(key) for c in components], key, shape)
         for key, shape in (("prior", (K,)), ("mean", (K, d)),
                            ("covariance", (K, d, d)), ("A", (K, d, d))))
     comps = tuple(GaussianComponent.from_stack(priors, means, covs))
@@ -251,7 +236,7 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
              f"timing p must be an integer in [2, {_MAX_PROFILE_POINTS}]")
     chain = ElasticChain(OrderedGmm(comps), joints, ProfileConfig(
         int(p), float(_numeric(timing, "dt", ()))))
-    policy = LpvDsPolicy(comps, A, _numeric(obj, "P"), attractor,
+    policy = LpvDsPolicy(comps, A, _numeric(obj, "P", (d, d)), attractor,
                          float(_numeric(obj, "margin", ())))
     return policy, chain
 

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (GaussianComponent, Trajectory, _check_dim, _check_numbers,
-                   _floats, _stack)
+from .core import (GaussianComponent, Trajectory, _array, _check_numbers,
+                   _rows, _stack)
 from .errors import EmDidNotImprove, InsufficientData, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -160,7 +160,7 @@ def _log_density_rows(priors: np.ndarray, means: np.ndarray,
     Sigma_k). An empty slot (Sigma = inf * I) gets [0, 0, _EMPTY_LOG_NORM].
     """
     d = len(origin)
-    prec, logdet = _precision_logdet(np.asarray(covariances, dtype=float))
+    prec, logdet = _precision_logdet(covariances)
     m = np.subtract(means, origin)
     coef = np.empty(m.shape[:-1] + (d * d + d + 1,))
     np.multiply(prec.reshape(coef.shape[:-1] + (d * d,)), -0.5,
@@ -197,8 +197,7 @@ def responsibilities(components: Sequence[GaussianComponent],
                      xi: np.ndarray) -> np.ndarray:
     """Posterior component probabilities at one query point: a batch of
     one."""
-    return responsibilities_batch(components,
-                                  np.asarray(xi, dtype=float)[None])[0]
+    return responsibilities_batch(components, [xi])[0]
 
 
 def responsibilities_batch(components: Sequence[GaussianComponent],
@@ -207,11 +206,14 @@ def responsibilities_batch(components: Sequence[GaussianComponent],
     about their mean. Log-density rows that are not finite (the factor
     is written out entry by entry, not LAPACK's, and a thin component
     far from the queries' mean can overflow) raise ValidationError."""
-    origin, phi = _lift_about_mean(
-        np.ascontiguousarray(np.atleast_2d(xi).T, dtype=float))
+    means, covs = _stack(components)
+    X = _rows(xi, "states", means.shape[-1])
+    if not len(X):  # no mean to lift about
+        return np.zeros((0, len(components)))
+    origin, phi = _lift_about_mean(np.ascontiguousarray(X.T))
     with np.errstate(divide="ignore", invalid="ignore"):
-        coef = _log_density_rows([c.prior for c in components],
-                                 *_stack(components), origin)
+        coef = _log_density_rows([c.prior for c in components], means, covs,
+                                 origin)
     if not np.isfinite(coef).all():
         raise ValidationError("a component covariance is not numerically "
                               "positive definite")
@@ -339,11 +341,8 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
     steps. Every covariance is floored by 1e-6 tr(cov) / d (at least
     1e-12) on its diagonal.
     """
-    data = _floats(data)
-    if data.ndim != 2:
-        raise ValidationError(f"data must be (n, d), got shape {data.shape}")
+    data = _array(data, "data", (None, "d"))
     n, d = data.shape
-    _check_dim(d)
     if n < 2 * d * cfg.k_max:
         raise InsufficientData(
             f"{n} points < 2*d*k_max = {2 * d * cfg.k_max}")

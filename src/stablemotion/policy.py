@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (GaussianComponent, _check_dim, _check_numbers, _floats,
-                   _frozen, _stack)
+from .core import (GaussianComponent, _array, _check_numbers, _floats,
+                   _frozen, _rows, _stack)
 from .errors import (InfeasibleAttractor, InsufficientData,
                      OptimizationDiverged, ValidationError)
 from .gmm import responsibilities_batch
@@ -55,12 +55,9 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _check_certificate(P: np.ndarray, d: int) -> None:
-    """A certificate is (d, d), finite, symmetric and positive definite."""
-    if P.shape != (d, d):
-        raise ValidationError(f"P must have shape ({d}, {d}), got {P.shape}")
-    if not np.isfinite(P).all():
-        raise ValidationError("P must be finite")
+def _check_certificate(P: np.ndarray) -> None:
+    """A certificate, read as a finite (d, d) array, is symmetric and
+    positive definite."""
     # |P - P^T| <= 1e-9 of P's largest entry: the fit constrains sym(P A_k),
     # which is half of A_k^T P + P A_k only when P = P^T
     H = 0.5 * P  # halved, so that no difference overflows
@@ -123,9 +120,12 @@ class VelocityKernel:
         z_offsets[:, d] = -np.sqrt(log_norm.max() - log_norm)
         M[1].reshape(d + 1, K, d)[:d] = A.transpose(1, 0, 2)
         offsets[1].reshape(d + 1, K)[d] = -1.0
-        return cls(_frozen(attractor[:, None]),
-                   _frozen(M.reshape(-1, d)[::-1]),
-                   _frozen(offsets.reshape(-1, 1)[::-1]))
+        arrays = [np.array(a) for a in (attractor[:, None],
+                                        M.reshape(-1, d)[::-1],
+                                        offsets.reshape(-1, 1)[::-1])]
+        for a in arrays:
+            a.setflags(write=False)
+        return cls(*arrays)
 
     def __call__(self, Y: np.ndarray) -> np.ndarray:
         """Velocities (d, n) at states as columns Y (d, n), in nine numpy
@@ -166,18 +166,15 @@ class LpvDsPolicy:
     kernel: VelocityKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _frozen(self.A))
-        object.__setattr__(self, "P", _frozen(self.P))
-        object.__setattr__(self, "attractor", _frozen(self.attractor))
-        K, d = len(self.components), self.attractor.shape[0]
+        _check_numbers(self, reals=("margin",))
+        attractor = _frozen(self.attractor, "attractor", ("d",))
+        K, d = len(self.components), attractor.shape[0]
         if any(c.dim != d for c in self.components):
             raise ValidationError("components must be d-dimensional")
-        if self.A.shape != (K, d, d):
-            raise ValidationError("A shape must be (K, d, d)")
-        if not (np.isfinite(self.A).all()
-                and np.isfinite(self.attractor).all()):
-            raise ValidationError("A and the attractor must be finite")
-        _check_certificate(self.P, d)
+        object.__setattr__(self, "attractor", attractor)
+        object.__setattr__(self, "A", _frozen(self.A, "A", (K, d, d)))
+        object.__setattr__(self, "P", _frozen(self.P, "P", (d, d)))
+        _check_certificate(self.P)
         if not self.margin > 0:
             raise ValidationError("margin must be positive")
         # an overflowed product gives NaN, which fails the test too
@@ -201,29 +198,23 @@ class LpvDsPolicy:
 
 
 def evaluate(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
-    """Policy velocity at one state (d,): a batch of one. A plan's field
-    calls this at every RK4 stage, so the check is one shape comparison."""
-    x = np.asarray(xi, dtype=float)
-    if x.shape != policy.attractor.shape:
-        raise ValidationError(
-            f"state has shape {x.shape}, expected {policy.attractor.shape}")
-    return policy.kernel(x[:, None])[:, 0]
+    """Policy velocity at one state (d,): a batch of one."""
+    return policy.kernel(
+        _array(xi, "state", policy.attractor.shape)[:, None])[:, 0]
 
 
 def evaluate_batch(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
     """Policy velocities for a batch of states (n, d), shape (n, d): the
     kernel on the states as columns."""
-    X = np.atleast_2d(np.asarray(xi, dtype=float))
-    if X.shape[1:] != policy.attractor.shape:
-        raise ValidationError(
-            f"states have shape {np.shape(xi)}, expected (n, {policy.dim})")
-    return policy.kernel(X.T).T
+    return policy.kernel(_rows(xi, "states", policy.dim).T).T
 
 
 def lyapunov_value(policy: LpvDsPolicy, xi: np.ndarray):
     """V = y^T P y, y = x - x*: a float for one state, shape (n,) for a
     batch of states (n, d)."""
-    y = np.asarray(xi, dtype=float) - policy.attractor
+    x = _floats(xi, "states")
+    y = _array(x, "states", (None,) * (x.ndim - 1) + (policy.dim,)
+               ) - policy.attractor
     v = ((y @ policy.P) * y).sum(axis=-1)
     return float(v) if v.ndim == 0 else v
 
@@ -439,23 +430,17 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
                 velocities: np.ndarray, attractor: np.ndarray,
                 opts: EstimateOptions = EstimateOptions()) -> FitProblem:
     """Validate the inputs and reduce them to the problem estimate solves."""
-    data, velocities, attractor = map(_floats, (data, velocities, attractor))
-    if data.ndim != 2:
-        raise ValidationError(f"data must be (T, d), got shape {data.shape}")
+    data = _array(data, "data", (None, "d"))
     T, d = data.shape
-    _check_dim(d)
-    if velocities.shape != data.shape:
-        raise ValidationError("data and velocities must have the same shape")
-    if attractor.shape != (d,):
-        raise ValidationError(
-            f"attractor must have shape ({d},), got {attractor.shape}")
-    if not np.all(np.isfinite(attractor)):
+    velocities = _array(velocities, "velocities", data.shape)
+    if not np.isfinite(_floats(attractor, "attractor")).all():
         raise InfeasibleAttractor("attractor must be finite")
+    attractor = _array(attractor, "attractor", (d,))
     K = len(components)
     if K == 0 or any(c.dim != d for c in components):
         raise ValidationError(f"need one or more {d}-dimensional components")
-    P = np.eye(d) if opts.P is None else np.asarray(opts.P, dtype=float)
-    _check_certificate(P, d)
+    P = np.eye(d) if opts.P is None else _array(opts.P, "P", (d, d))
+    _check_certificate(P)
     if T < 10 * K:
         raise InsufficientData(f"{T} samples < 10*K = {10 * K}")
 
@@ -503,5 +488,5 @@ def estimate(components: Sequence[GaussianComponent], data: np.ndarray,
     within the solve's duality gap."""
     problem = fit_problem(components, data, velocities, attractor, opts)
     A = np.linalg.inv(problem.P) @ solve(problem, opts.max_iters).W
-    return LpvDsPolicy(tuple(components), A, problem.P,
-                       np.asarray(attractor, dtype=float), problem.eps)
+    return LpvDsPolicy(tuple(components), A, problem.P, attractor,
+                       problem.eps)

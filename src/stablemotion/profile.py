@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Trajectory, _check_numbers, _floats, _forward_velocities,
-                   _link_lengths)
+from .core import (Trajectory, _array, _check_number, _check_numbers,
+                   _forward_velocities, _link_lengths)
 from .errors import IndexCollision, ValidationError
 
 
@@ -42,18 +42,22 @@ class ProfileConfig:
 
 
 def joint_progress(joints: np.ndarray) -> np.ndarray:
-    """Normalized cumulative piecewise distance along the joint polyline;
-    a link with no direction is a DegenerateFrame, as in a chain."""
-    cum = np.concatenate([[0.0], np.cumsum(
-        _link_lengths(np.asarray(joints, dtype=float)))])
+    """Normalized cumulative piecewise distance along the joint polyline
+    of m >= 2 joints; a link with no direction is a DegenerateFrame, as in
+    a chain."""
+    joints = _array(joints, "joints", (None, "d"))
+    if len(joints) < 2:
+        raise ValidationError(f"need m >= 2 joints, got {len(joints)}")
+    cum = np.concatenate([[0.0], np.cumsum(_link_lengths(joints))])
     return cum / cum[-1]
 
 
 def map_joint_indices(lam: np.ndarray, p: int) -> np.ndarray:
     """Index of each joint on a p-point profile: floor(lambda * (p-1))."""
+    _check_number("p", p, count=True)
     if p < 2:
         raise ValidationError("need p >= 2")
-    idx = np.floor(np.asarray(lam) * (p - 1)).astype(int)
+    idx = np.floor(_array(lam, "lam", (None,)) * (p - 1)).astype(int)
     if len(np.unique(idx)) != len(idx):
         raise IndexCollision(
             f"{len(idx)} joints collide on a {p}-point profile")
@@ -63,10 +67,7 @@ def map_joint_indices(lam: np.ndarray, p: int) -> np.ndarray:
 def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
     """Timed trajectory through the joints (m, d), m >= 2, with derived
     velocities."""
-    joints = _floats(joints)
-    if joints.ndim != 2 or len(joints) < 2:
-        raise ValidationError(
-            f"joints must be (m, d) with m >= 2, got shape {joints.shape}")
+    joints = _array(joints, "joints", (None, "d"))
     p = cfg.p
     lam = joint_progress(joints)
     idx = map_joint_indices(lam, p)

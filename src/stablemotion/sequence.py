@@ -10,7 +10,7 @@ import numpy as np
 
 from .chain import ElasticChain
 from .core import (GaussianComponent, GeometricDescriptor, Trajectory,
-                   _stack, joint_diameter)
+                   _array, _check_number, _stack, joint_diameter)
 from .errors import (
     ChainGapTooLarge,
     NonMonotoneViaPoints,
@@ -81,24 +81,23 @@ class PlanExecutor:
     def step(self, xi: np.ndarray) -> Tuple[np.ndarray, int]:
         """One-hot policy evaluation at one state (d,): a batch of one
         of `column`. Returns the velocity and the active segment."""
-        x = np.asarray(xi, dtype=float)
-        if x.shape != self.plan.final_attractor.shape:
-            raise ValidationError(f"state has shape {x.shape}, expected "
-                                  f"{self.plan.final_attractor.shape}")
+        x = _array(xi, "state", self.plan.final_attractor.shape)
         return self.column(x[:, None])[:, 0], self.cursor
 
 
 def split_demo(traj: Trajectory, via_points: Sequence[np.ndarray],
                radius: float) -> list:
-    """Cut the demo at each via-point's closest-approach index."""
+    """Cut the demo at each via-point's closest-approach index, which
+    must lie within `radius`, a positive number, of the via-point."""
+    via_points = _array(via_points, "via_points", (None, traj.dim))
     if len(via_points) == 0:
         raise ValidationError("need at least one via-point")
+    _check_number("radius", radius)
+    if not radius > 0:
+        raise ValidationError(f"radius must be positive, got {radius}")
     pts = traj.points
     indices = []
     for v in via_points:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (traj.dim,):
-            raise ValidationError(f"via-point {v} is not {traj.dim}-D")
         dist = np.linalg.norm(pts - v, axis=1)
         i = int(np.argmin(dist))
         if dist[i] > radius:

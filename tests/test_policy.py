@@ -10,13 +10,18 @@ import numpy as np
 import pytest
 
 import stablemotion
-from stablemotion.chain import build_chain
+from stablemotion.chain import (build_chain, build_laplacian,
+                                gaussian_joints, recover_gmm,
+                                solve_constrained_edit)
 from stablemotion.core import (GaussianComponent, GeometricDescriptor, Pose,
-                               Trajectory, compute_velocities)
+                               Trajectory, compute_velocities,
+                               frame_rotations)
 from stablemotion.errors import (InfeasibleAttractor, InsufficientData,
                                  ValidationError)
-from stablemotion.evaluation import RolloutConfig
-from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
+from stablemotion.evaluation import (RolloutConfig, rollout, rollout_batch,
+                                     sample_field)
+from stablemotion.gmm import (GmmFitConfig, fit_gmm, order_components,
+                              responsibilities_batch)
 from stablemotion.pipeline import adapt, learn
 from stablemotion.policy import (
     EstimateOptions,
@@ -34,7 +39,9 @@ from stablemotion.policy import (
     objective_hessian,
     solve,
 )
-from stablemotion.profile import ProfileConfig, regenerate_profile
+from stablemotion.profile import (ProfileConfig, joint_progress,
+                                  map_joint_indices, regenerate_profile)
+from stablemotion.sequence import split_demo
 from test_gmm import brute_force_responsibilities, reference_e_step
 from conftest import arc_demo, helix_demo, s_curve_demo
 
@@ -848,6 +855,68 @@ def _typed_config_cases() -> dict:
 
 
 _TYPED_CONFIG_CASES = _typed_config_cases()
+
+
+def _malformed_input_cases() -> dict:
+    """Arrays that are not real, finite numbers (strings, numerals, a
+    bool among numbers, NaN, inf), handed to the library's entries, and
+    scalars beside them that break the configs' number rule."""
+    chain = lambda: learned_s_curve()[0]  # noqa: E731
+    policy = lambda: learned_s_curve()[1]  # noqa: E731
+    strings, numerals = ["a", "b"], ["0.1", "0.2"]
+    unit = [[0.0, 1.0], [0.0, 1.0]]
+    return {
+        "evaluate_strings": lambda: evaluate(policy(), strings),
+        "evaluate_batch_strings": lambda: evaluate_batch(policy(), [strings]),
+        "rollout_strings": lambda: rollout(policy(), strings),
+        "rollout_batch_strings": lambda: rollout_batch(policy(), [strings]),
+        "lyapunov_value_strings": lambda: lyapunov_value(policy(), strings),
+        "responsibilities_batch_strings": lambda: responsibilities_batch(
+            policy().components, [strings]),
+        "split_demo_string_via_point": lambda: split_demo(
+            s_curve_demo(), [strings], 0.1),
+        "frame_rotations_strings": lambda: frame_rotations(
+            [strings], [["c", "d"]]),
+        "solve_constrained_edit_strings": lambda: solve_constrained_edit(
+            [strings] * 4, chain().endpoint_descriptor().enter, None),
+        "recover_gmm_strings": lambda: recover_gmm(
+            chain(), [strings] * len(chain().joints)),
+        "joint_progress_strings": lambda: joint_progress([strings] * 3),
+        "joint_progress_one_joint": lambda: joint_progress([[0.0, 0.0]]),
+        "map_joint_indices_strings": lambda: map_joint_indices(strings, 5),
+        "map_joint_indices_string_p": lambda: map_joint_indices(
+            [0.0, 1.0], "5"),
+        "build_laplacian_string": lambda: build_laplacian("5"),
+        "gaussian_joints_strings": lambda: gaussian_joints(
+            [strings] * 2, [[strings, strings]] * 2),
+        "sample_field_string_bounds": lambda: sample_field(
+            policy(), [strings, strings], 5),
+        "sample_field_resolution_2.5": lambda: sample_field(
+            policy(), unit, 2.5),
+        "sample_field_nan_bounds": lambda: sample_field(
+            policy(), [[np.nan, 1.0], [0.0, 1.0]], 5),
+        "split_demo_radius_string": lambda: split_demo(
+            s_curve_demo(), [[1.0, 0.0]], "a"),
+        "split_demo_radius_nan": lambda: split_demo(
+            s_curve_demo(), [[1.0, 5.0]], np.nan),
+        "rollout_inf_start": lambda: rollout(policy(), [np.inf, 0.2]),
+        "fit_gmm_inf_data": lambda: fit_gmm(np.full((100, 2), np.inf)),
+        "evaluate_numerals": lambda: evaluate(policy(), numerals),
+        "rollout_numerals": lambda: rollout(policy(), numerals),
+        "evaluate_bool": lambda: evaluate(policy(), [True, 0.2]),
+        "evaluate_numpy_bool": lambda: evaluate(policy(), [np.True_, 0.2]),
+        "evaluate_nan": lambda: evaluate(policy(), [np.nan, 0.2]),
+        "fit_gmm_bool": lambda: fit_gmm(
+            s_curve_demo().points.tolist() + [[True, 0.0]]),
+        "trajectory_bool": lambda: Trajectory([[0.0, True], [1.0, 2.0]],
+                                              [0.0, 1.0]),
+        "pose_bool": lambda: Pose([0.0, True], np.eye(2)),
+        "component_bool_prior": lambda: GaussianComponent.from_stack(
+            [0.5, True], np.zeros((2, 2)), [np.eye(2)] * 2),
+    }
+
+
+_MALFORMED_INPUT_CASES = _malformed_input_cases()
 _DESCRIPTOR_3D = GeometricDescriptor(Pose(np.zeros(3), np.eye(3)),
                                      Pose(np.ones(3), np.eye(3)))
 
@@ -877,6 +946,7 @@ _DESCRIPTOR_3D = GeometricDescriptor(Pose(np.zeros(3), np.eye(3)),
     lambda: _policy_with(A=-np.ones_like(learned_s_curve()[1].A)
                          * np.eye(2), margin=10.0),
     *_TYPED_CONFIG_CASES.values(),
+    *_MALFORMED_INPUT_CASES.values(),
 ], ids=["adapt_3d_descriptor_on_2d_chain", "fit_gmm_1d_data",
         "fit_gmm_n_by_1_data", "trajectory_of_strings", "policy_nan_A",
         "policy_nan_P", "policy_nan_attractor", "policy_inf_attractor",
@@ -884,7 +954,8 @@ _DESCRIPTOR_3D = GeometricDescriptor(Pose(np.zeros(3), np.eye(3)),
         "estimate_strings", "regenerate_profile_1d_joints",
         "regenerate_profile_one_joint", "component_string_prior",
         "policy_nan_mean_component", "policy_A_2I",
-        "policy_minus_I_at_margin_10", *_TYPED_CONFIG_CASES])
+        "policy_minus_I_at_margin_10", *_TYPED_CONFIG_CASES,
+        *_MALFORMED_INPUT_CASES])
 def test_library_entry_raises_a_typed_error(call):
     # each is checked before any arithmetic: a bare numpy ValueError, a
     # RuntimeWarning or a policy built from non-finite values would
@@ -893,6 +964,21 @@ def test_library_entry_raises_a_typed_error(call):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValidationError):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: split_demo(s_curve_demo(), [[np.nan, 0.0]], 0.1),
+    lambda: recover_gmm(learned_s_curve()[0], np.full(
+        learned_s_curve()[0].joints.shape, np.nan)),
+    lambda: regenerate_profile(np.full((4, 2), np.nan),
+                               ProfileConfig(50, 0.1)),
+], ids=["split_demo_nan_via_point", "recover_gmm_nan_joints",
+        "regenerate_profile_nan_joints"])
+def test_non_finite_array_is_refused_as_such(call):
+    # not as a via-point out of order or a degenerate link, which is what
+    # the NaN would make of it further on
+    with pytest.raises(ValidationError, match="must be finite"):
+        call()
 
 
 def test_a_count_may_be_a_numpy_integer():
