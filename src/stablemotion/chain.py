@@ -24,6 +24,7 @@ from .core import (
     Trajectory,
     _array,
     _check_number,
+    _covariances,
     _cross,
     _frozen,
     _link_lengths,
@@ -31,8 +32,7 @@ from .core import (
     frame_from_two_points,
     joint_diameter,
 )
-from .errors import (DegenerateFrame, RankDeficientSystem,
-                     SingularCovariance, ValidationError)
+from .errors import DegenerateFrame, RankDeficientSystem, ValidationError
 from .gmm import OrderedGmm
 from .profile import ProfileConfig
 
@@ -67,14 +67,12 @@ class ElasticChain:
 
 def gaussian_joints(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Means (K-1, d) of the products of consecutive Gaussians of (K, d)
-    means and (K, d, d) covariances (precision-weighted means)."""
+    means and (K, d, d) covariances (precision-weighted means); the
+    covariances are read by `core._covariances`."""
     means = _array(means, "means", (None, "d"))
-    covs = _array(covs, "covs", means.shape + means.shape[1:])
-    try:
-        prec = np.linalg.inv(covs)
-        st = np.linalg.inv(prec[:-1] + prec[1:])
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
+    prec = np.linalg.inv(_covariances(covs, "covs",
+                                      means.shape + means.shape[1:]))
+    st = np.linalg.inv(prec[:-1] + prec[1:])
     pm = (prec @ means[..., None])[..., 0]
     return (st @ (pm[:-1] + pm[1:])[..., None])[..., 0]
 

@@ -96,6 +96,21 @@ def _rows(a, name: str, d: int) -> np.ndarray:
     return _array(arr[None] if arr.ndim == 1 else arr, name, (None, d))
 
 
+def _covariances(a, name: str, shape: tuple, copy=None) -> np.ndarray:
+    """`_array` of a stack of covariances of the pattern `shape`, each
+    symmetric within 1e-9 and factored by Cholesky, as the policy kernel
+    factors it, or a ValidationError: the one check of a covariance."""
+    covs = _array(a, name, shape, copy)
+    with np.errstate(over="ignore"):  # an inf difference fails too
+        if not (np.abs(covs - covs.swapaxes(-1, -2)) <= 1e-9).all():
+            raise ValidationError("covariance must be symmetric")
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        raise ValidationError("covariance must be positive definite") from None
+    return covs
+
+
 def _frozen(a, name: str, shape: tuple) -> np.ndarray:
     """`_array`'s copy of a, which cannot be written: a value's own."""
     out = _array(a, name, shape, copy=True)
@@ -248,26 +263,18 @@ class GaussianComponent:
     @classmethod
     def from_stack(cls, priors, means, covariances) -> list:
         """The components of (K,) priors in (0, 1], (K, d) means and
-        (K, d, d) covariances, d = 2 or 3, all finite, each covariance
-        symmetric within 1e-9 and factored by Cholesky, as the policy
-        kernel factors it: one check of the whole stack."""
+        (K, d, d) covariances, d = 2 or 3, all finite, the covariances
+        read by `_covariances`: one check of the whole stack."""
         priors = _array(priors, "priors", (None,)).tolist()
         K = len(priors)
         if not K:
             raise ValidationError("need K >= 1 components")
         means = _frozen(means, "(K, d) means", (K, "d"))
-        covs = _frozen(covariances, "(K, d, d) covariances",
-                       means.shape + means.shape[1:])
+        covs = _covariances(covariances, "(K, d, d) covariances",
+                            means.shape + means.shape[1:], copy=True)
+        covs.setflags(write=False)
         if not all(0.0 < p <= 1.0 for p in priors):
             raise ValidationError(f"priors must be in (0, 1], got {priors}")
-        with np.errstate(over="ignore"):  # an inf difference fails too
-            if np.abs(covs - covs.swapaxes(1, 2)).max() > 1e-9:
-                raise ValidationError("covariance must be symmetric")
-        try:
-            np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError:
-            raise ValidationError(
-                "covariance must be positive definite") from None
         out = []
         for prior, mean, cov in zip(priors, means, covs):
             c = object.__new__(cls)

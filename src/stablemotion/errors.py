@@ -21,14 +21,6 @@ class InsufficientData(ValidationError):
     """Not enough samples for the requested model size."""
 
 
-class EmDidNotImprove(StableMotionError):
-    """EM log-likelihood decreased beyond tolerance (numerical bug)."""
-
-
-class SingularCovariance(StableMotionError):
-    """Covariance not invertible after regularization."""
-
-
 class RankDeficientSystem(StableMotionError):
     """Constrained edit has conflicting or underdetermined pins."""
 
@@ -39,10 +31,6 @@ class IndexCollision(ValidationError):
 
 class OptimizationDiverged(StableMotionError):
     """Policy regression produced a non-finite objective."""
-
-
-class InfeasibleAttractor(ValidationError):
-    """Attractor contains NaN or infinite entries."""
 
 
 class ViaPointNotOnDemo(ValidationError):

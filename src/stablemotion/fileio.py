@@ -266,6 +266,7 @@ def make_provenance(source_path=None, descriptor=None) -> dict:
 # -- dense data ---------------------------------------------------------------
 
 def rollout_csv(traj: Trajectory, lyapunov: Sequence[float]) -> str:
+    lyapunov = _array(lyapunov, "lyapunov", (len(traj),))
     d = traj.dim
     cols = (["t"] + [f"p{a}" for a in "xyz"[:d]] +
             [f"v{a}" for a in "xyz"[:d]] + ["V"])
@@ -279,7 +280,14 @@ def rollout_csv(traj: Trajectory, lyapunov: Sequence[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field(points, velocities, dim) -> tuple:
+    """points and velocities read as (n, dim) arrays of the same n."""
+    points = _array(points, "points", (None, dim))
+    return points, _array(velocities, "velocities", points.shape)
+
+
 def field_csv(points: np.ndarray, velocities: np.ndarray) -> str:
+    points, velocities = _field(points, velocities, "d")
     d = points.shape[1]
     cols = [f"p{a}" for a in "xyz"[:d]] + [f"v{a}" for a in "xyz"[:d]]
     lines = [",".join(cols)]
@@ -291,7 +299,11 @@ def field_csv(points: np.ndarray, velocities: np.ndarray) -> str:
 def field_svg(points: np.ndarray, velocities: np.ndarray,
               rollout_points: Optional[np.ndarray] = None) -> str:
     """Fixed-length direction glyphs colored by speed, plus an optional
-    rollout polyline overlay."""
+    rollout polyline overlay: a 2-D figure of at least one point."""
+    points, velocities = _field(points, velocities, 2)
+    _require(len(points) > 0, "a field figure needs at least one point")
+    if rollout_points is not None:
+        rollout_points = _array(rollout_points, "rollout_points", (None, 2))
     size = 640  # the square's side, in pixels
     lo = points.min(axis=0)
     hi = points.max(axis=0)

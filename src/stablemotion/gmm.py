@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (GaussianComponent, Trajectory, _array, _check_numbers,
                    _rows, _stack)
-from .errors import EmDidNotImprove, InsufficientData, ValidationError
+from .errors import InsufficientData, ValidationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _add, _max = np.add.reduce, np.maximum.reduce
@@ -42,12 +42,9 @@ _log = logging.getLogger("stablemotion")
 # column's sum, so it changes no sum it enters
 _LOG_WEIGHT_CUT = -700.0
 # EM stops a run after this many steps, or once its log-likelihood rises by
-# less than this (relative)
+# less than this (relative), a fall included
 _EM_MAX_STEPS = 200
 _EM_LOGLIK_TOL = 1e-7
-# a run whose log-likelihood falls by more than this (relative) in a step
-# ends with its parameters before that step
-_EM_LOGLIK_SLACK = 1e-8
 # how far a mixture's priors may sum from 1
 _PRIOR_SUM_TOL = 1e-9
 
@@ -251,10 +248,12 @@ def _em_step(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
     `points` is the data as contiguous columns (d, n), `lifted` its
     `_lift_about_mean` (computed if not given); leading axes of `resp`
     index independent runs. `resp @ phi^T` holds each component's weight
-    and first and second moments. `floor` (..., K, d, d) is added to each
-    covariance: floor * I on a run's components, inf * I on the empty
-    slots that pad it to K, whose log-normaliser -1e300 gives them exactly
-    zero responsibility. The new responsibilities overwrite `resp`.
+    and first and second moments; the (i, j) and (j, i) rows of
+    vec(y y^T) are the same products, so each covariance is symmetric
+    (exactly, in every fit measured). `floor` (..., K, d, d) is added to
+    each covariance: floor * I on a run's components, inf * I on the
+    empty slots that pad it to K, whose log-normaliser -1e300 gives them
+    exactly zero responsibility. The new responsibilities overwrite `resp`.
     Returns (priors, means, covs, resp, loglik per run).
     """
     origin, phi = _lift_about_mean(points) if lifted is None else lifted
@@ -279,17 +278,19 @@ def _em_lockstep(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
 
     `resp` (R, K, n) holds each run's initial responsibilities and `floor`
     (R, K, d, d) its covariance floor and empty slots (see `_em_step`);
-    `resp` is consumed. A run stops once its log-likelihood rises by less
-    than `tol` (relative) or after `max_iters` steps, or rolls back to its
-    previous parameters if the log-likelihood falls; finished runs are
-    compacted out of the stack. Returns (priors, means, covs, loglik,
-    steps) per run, in stack order, with the parameters padded to K.
+    `resp` is consumed. A run stops at the first step whose log-likelihood
+    ll gains less than `tol * max(1, |ll|)`, or after `max_iters` steps,
+    with the iterate that step reached. A fall is a negative gain, so it
+    stops the run too: the additive floor keeps EM from being an ascent
+    method, and near a fixed point a step can lose a little. Finished
+    runs are compacted out of the stack. Returns (priors, means, covs,
+    loglik, steps) per run, in stack order, with the parameters padded
+    to K.
     """
     R = resp.shape[0]
     lifted = _lift_about_mean(points)
     ids = list(range(R))
     prev_ll = [-np.inf] * R
-    prev = None
     done = [None] * R
     for step in range(1, max_iters + 1):
         m = len(ids)
@@ -300,14 +301,7 @@ def _em_lockstep(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
         # the stop rule on Python floats: for the few runs of a stack that
         # is cheaper than a dozen small numpy calls per step
         for j, (new, old) in enumerate(zip(ll, prev_ll)):
-            if new < old - _EM_LOGLIK_SLACK * max(1.0, abs(old)):
-                # the additive covariance floor can nudge the objective down
-                # a little near a fixed point; only a large drop signals a bug
-                if new < old - 1e-3 * max(1.0, abs(old)):
-                    raise EmDidNotImprove(
-                        f"log-likelihood fell from {old} to {new}")
-                done[ids[j]] = (prev[0][j], prev[1][j], prev[2][j], old, step)
-            elif new - old < tol * max(1.0, abs(new)) or step == max_iters:
+            if new - old < tol * max(1.0, abs(new)) or step == max_iters:
                 done[ids[j]] = (priors[j], means[j], covs[j], new, step)
             else:
                 keep.append(j)
@@ -317,9 +311,7 @@ def _em_lockstep(points: np.ndarray, resp: np.ndarray, floor: np.ndarray,
             ids = [ids[j] for j in keep]
             resp[:len(keep)] = resp[keep]
             floor = floor[keep]
-            priors, means, covs = priors[keep], means[keep], covs[keep]
         prev_ll = [ll[j] for j in keep]
-        prev = (priors, means, covs)
     return done
 
 
@@ -369,8 +361,7 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
              if fit[4] == _EM_MAX_STEPS])
     priors, means, covs = (a[:k] for a in fits[best][:3])
     priors = priors / priors.sum()
-    return GaussianComponent.from_stack(
-        priors, means, 0.5 * (covs + covs.swapaxes(1, 2)))
+    return GaussianComponent.from_stack(priors, means, covs)
 
 
 def order_components(components: Sequence[GaussianComponent],

@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import (GaussianComponent, _array, _check_numbers, _floats,
                    _frozen, _rows, _stack)
-from .errors import (InfeasibleAttractor, InsufficientData,
-                     OptimizationDiverged, ValidationError)
+from .errors import InsufficientData, OptimizationDiverged, ValidationError
 from .gmm import responsibilities_batch
 
 _log = logging.getLogger("stablemotion")
@@ -433,8 +432,6 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
     data = _array(data, "data", (None, "d"))
     T, d = data.shape
     velocities = _array(velocities, "velocities", data.shape)
-    if not np.isfinite(_floats(attractor, "attractor")).all():
-        raise InfeasibleAttractor("attractor must be finite")
     attractor = _array(attractor, "attractor", (d,))
     K = len(components)
     if K == 0 or any(c.dim != d for c in components):

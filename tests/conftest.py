@@ -36,6 +36,35 @@ def helix_demo(n: int = 200, duration: float = 4.0) -> Trajectory:
     return compute_velocities(Trajectory(pts, duration * t))
 
 
+def hairpin_demo(h: float, n: int = 400, duration: float = 4.0) -> Trajectory:
+    """Legs 1.0 and 0.8 long, 2 h apart, joined by a half circle of radius
+    h: n points uniform in arc length, at constant speed."""
+    s = np.linspace(0.0, 1.8 + np.pi * h, n)
+    turn = np.clip(s - 1.0, 0.0, np.pi * h) / h
+    back = np.maximum(s - 1.0 - np.pi * h, 0.0)
+    pts = np.column_stack([np.minimum(s, 1.0) + h * np.sin(turn) - back,
+                           h * (1.0 - np.cos(turn))])
+    return compute_velocities(Trajectory(pts, duration * s / s[-1]))
+
+
+def stress_demos() -> dict:
+    """Valid demos far from the conftest ones in shape or units, by name:
+    four hairpins, the S-curve, arc and helix with x scaled by 0.03, 0.1,
+    3 or 10, and the same three with every coordinate scaled by 10."""
+    demos = {f"hairpin_{h}": hairpin_demo(h) for h in (0.3, 0.1, 0.05, 0.02)}
+    for name, make in (("s_curve", s_curve_demo), ("arc", arc_demo),
+                       ("helix", helix_demo)):
+        demo = make()
+        for x in (0.03, 0.1, 3.0, 10.0):
+            scale = np.ones(demo.dim)
+            scale[0] = x
+            demos[f"{name}_x{x}"] = compute_velocities(
+                Trajectory(demo.points * scale, demo.timestamps))
+        demos[f"{name}_all10"] = compute_velocities(
+            Trajectory(demo.points * 10.0, demo.timestamps))
+    return demos
+
+
 def two_segment_plan():
     """The S-curve cut at its middle sample, one learned policy per part."""
     demo = s_curve_demo()

@@ -184,6 +184,15 @@ class TestGaussianJoint:
         c2 = GaussianComponent(0.5, m, np.array([[0.5, -0.1], [-0.1, 3.0]]))
         assert np.allclose(joint_of(c1, c2), m, atol=1e-12)
 
+    @pytest.mark.parametrize("cov, error", [
+        # eigenvalues 6 and -4: invertible, but no covariance
+        ([[1.0, 5.0], [5.0, 1.0]], "positive definite"),
+        ([[1.0, 0.5], [0.0, 1.0]], "symmetric")])
+    def test_reads_covariances_by_the_component_rule(self, cov, error):
+        covs = np.array([np.eye(2), cov])
+        with pytest.raises(ValidationError, match=error):
+            gaussian_joints(np.array([[0.0, 0.0], [2.0, 0.0]]), covs)
+
 
 class TestBuildLaplacian:
     def test_m3_rows(self):

@@ -22,7 +22,7 @@ from stablemotion.evaluation import (RolloutConfig, convergence_radius_for,
                                      rollout)
 from stablemotion.pipeline import adapt
 from stablemotion.profile import ProfileConfig
-from conftest import helix_demo, s_curve_demo
+from conftest import hairpin_demo, helix_demo, s_curve_demo
 
 
 @pytest.fixture
@@ -52,6 +52,15 @@ class TestFit:
         assert report["mse"] < 0.1
         policy, chain = fileio.load_policy(out)
         assert 1 <= len(policy.components) <= 3
+
+    def test_hairpin_demo_fits(self, tmp_path):
+        # a valid demo on which EM's log-likelihood falls near a fixed
+        # point (the covariance floor is additive): the run stops there
+        path = tmp_path / "hairpin.json"
+        fileio.save_demo(path, [hairpin_demo(0.02)])
+        rc = main(["--quiet", "fit", str(path), "-o",
+                   str(tmp_path / "p.json")])
+        assert rc == EXIT_OK
 
     def test_k_max_one_forces_single_component(self, tmp_path, demo_file):
         out = tmp_path / "p.json"

@@ -284,6 +284,17 @@ class TestDenseFormats:
         assert lines[0] == "px,py,vx,vy"
         assert [float(x) for x in lines[2].split(",")] == [2.0, 3.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("write", [
+        lambda: field_csv([[0.0, 1.0]], [[0.5, -0.5], [1.0, 0.0]]),
+        lambda: field_svg([[0.0, 1.0]], [[0.5, -0.5], [1.0, 0.0]]),
+        lambda: rollout_csv(awkward_traj(), np.zeros(6))],
+        ids=["field_csv", "field_svg", "rollout_csv"])
+    def test_writer_refuses_arrays_of_another_length(self, write):
+        # one point against two velocities, five samples against six
+        # Lyapunov values: an error, not a silently shorter file
+        with pytest.raises(ValidationError, match="has shape"):
+            write()
+
     def test_field_svg_structure(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1, 1, size=(16, 2))

@@ -12,6 +12,7 @@ from stablemotion.core import (GeometricDescriptor, Pose, Trajectory,
                                frame_rotations)
 from stablemotion.errors import StableMotionError
 from stablemotion.evaluation import rollout, rollout_batch
+from stablemotion.fileio import field_csv, field_svg, rollout_csv
 from stablemotion.gmm import GmmFitConfig, fit_gmm, responsibilities_batch
 from stablemotion.pipeline import adapt, learn
 from stablemotion.policy import estimate, evaluate, evaluate_batch
@@ -59,6 +60,12 @@ def _entries() -> dict:
             pts[1:], lambda x: frame_rotations(pts[:-1], x)),
         "solve_constrained_edit": (chain.joints, lambda x: (
             solve_constrained_edit(x, ends.enter, ends.exit))),
+        "rollout_csv": (ts, lambda x: rollout_csv(demo, x)),
+        "field_csv_points": (pts, lambda x: field_csv(x, vel)),
+        "field_csv_velocities": (vel, lambda x: field_csv(pts, x)),
+        "field_svg_points": (pts, lambda x: field_svg(x, vel)),
+        "field_svg_velocities": (vel, lambda x: field_svg(pts, x)),
+        "field_svg_rollout": (pts, lambda x: field_svg(pts, vel, x)),
     }
 
 

@@ -16,8 +16,7 @@ from stablemotion.chain import (build_chain, build_laplacian,
 from stablemotion.core import (GaussianComponent, GeometricDescriptor, Pose,
                                Trajectory, compute_velocities,
                                frame_rotations)
-from stablemotion.errors import (InfeasibleAttractor, InsufficientData,
-                                 ValidationError)
+from stablemotion.errors import InsufficientData, ValidationError
 from stablemotion.evaluation import (RolloutConfig, rollout, rollout_batch,
                                      sample_field)
 from stablemotion.gmm import (GmmFitConfig, fit_gmm, order_components,
@@ -504,7 +503,7 @@ class TestEstimate:
             with pytest.raises(ValidationError):
                 EstimateOptions(**bad)
         comps = [GaussianComponent(1.0, np.zeros(2), np.eye(2))]
-        with pytest.raises(InfeasibleAttractor):
+        with pytest.raises(ValidationError, match="attractor must be finite"):
             estimate(comps, np.zeros((20, 2)), np.zeros((20, 2)),
                      np.array([np.nan, 0.0]))
         with pytest.raises(InsufficientData):
