@@ -28,12 +28,7 @@ from .chain import (
     solve_constrained_edit,
     transform_chain,
 )
-from .profile import (
-    ProfileConfig,
-    joint_progress,
-    map_joint_indices,
-    regenerate_profile,
-)
+from .profile import ProfileConfig, regenerate_profile
 from .policy import (
     EstimateOptions,
     LpvDsPolicy,

@@ -12,7 +12,7 @@ lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -89,41 +89,25 @@ def build_laplacian(m: int) -> np.ndarray:
     _check_number("m", m, count=True)
     if m < 2:
         raise ValidationError("need at least 2 waypoints")
-    L = np.eye(m)
-    L[0, 1] = -1.0
-    L[m - 1, m - 2] = -1.0
-    for i in range(1, m - 1):
-        L[i, i - 1] = -0.5
-        L[i, i + 1] = -0.5
+    L = np.eye(m) - 0.5 * (np.eye(m, k=1) + np.eye(m, k=-1))
+    L[0, 1] = L[-1, -2] = -1.0
     return L
-
-
-def _solve_pinned(L: np.ndarray, delta: np.ndarray, pins: dict) -> np.ndarray:
-    """min ||L x - delta||^2 s.t. x[i] = pins[i], by variable elimination."""
-    m, d = delta.shape
-    pinned = sorted(pins)
-    free = [i for i in range(m) if i not in pins]
-    x = np.zeros((m, d))
-    for i in pinned:
-        x[i] = pins[i]
-    if free:
-        rhs = delta - L[:, pinned] @ x[pinned]
-        x[free] = np.linalg.lstsq(L[:, free], rhs, rcond=None)[0]
-    return x
 
 
 def solve_constrained_edit(joints0: np.ndarray,
                            o_start: Optional[Pose], o_end: Optional[Pose]
-                           ) -> Tuple[np.ndarray, dict]:
-    """Re-position the joints to satisfy new endpoint frames.
+                           ) -> np.ndarray:
+    """Re-position the joints (m, d) to satisfy new endpoint frames;
+    returns the new joints (m, d).
 
     The first (and/or last) two joints are pinned: the endpoint goes to the
     descriptor position, and its neighbor sits one original link length
-    along the descriptor x-axis, so the identity edit is exact. The
-    interior minimises the residual of the joints' path-graph Laplacian
-    coordinates, solved as an exact equality-constrained linear
-    least-squares. Returns (new_joints, pins), pins mapping each pinned
-    joint index to its target.
+    along the descriptor x-axis, so the identity edit is exact. The pinned
+    joints take their targets exactly; the free ones minimise the residual
+    of the joints' path-graph Laplacian coordinates, by eliminating the
+    pinned ones and one linear least-squares solve. In a chain of at most
+    3 joints both ends pin a joint, and targets for it more than 1e-9
+    apart raise RankDeficientSystem.
     """
     joints0 = _array(joints0, "joints", (None, "d"))
     m = joints0.shape[0]
@@ -145,24 +129,28 @@ def solve_constrained_edit(joints0: np.ndarray,
                 f"a descriptor position lies more than "
                 f"{REACH:g} joint diameters from the chain")
 
-    pins: dict = {}
-
-    def _pin(i: int, target: np.ndarray) -> None:
-        if i in pins and np.linalg.norm(pins[i] - target) > \
-                _CONSTRAINT_EXACTNESS:
-            raise RankDeficientSystem(
-                f"joint {i} pinned to conflicting targets "
-                f"(residual {np.linalg.norm(pins[i] - target):.3e})")
-        pins[i] = target
-
+    x = np.zeros_like(joints0)
+    pinned = np.zeros(m, dtype=bool)
     if o_start is not None:
-        _pin(0, o_start.position)
-        _pin(1, o_start.position + link_lengths[0] * o_start.x_axis)
+        x[:2] = (o_start.position,
+                 o_start.position + link_lengths[0] * o_start.x_axis)
+        pinned[:2] = True
     if o_end is not None:
-        _pin(m - 1, o_end.position)
-        _pin(m - 2, o_end.position - link_lengths[-1] * o_end.x_axis)
-
-    return _solve_pinned(L, L @ joints0, pins), pins
+        for i, target in ((m - 1, o_end.position),
+                          (m - 2, o_end.position
+                           - link_lengths[-1] * o_end.x_axis)):
+            residual = np.linalg.norm(x[i] - target)
+            if pinned[i] and residual > _CONSTRAINT_EXACTNESS:
+                raise RankDeficientSystem(
+                    f"joint {i} pinned to conflicting targets "
+                    f"(residual {residual:.3e})")
+            x[i] = target
+        pinned[-2:] = True
+    free = ~pinned
+    if free.any():
+        rhs = L @ joints0 - L[:, pinned] @ x[pinned]
+        x[free] = np.linalg.lstsq(L[:, free], rhs, rcond=None)[0]
+    return x
 
 
 def _minimal_rotations(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -217,7 +205,7 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
 def transform_chain(chain: ElasticChain,
                     descriptor: GeometricDescriptor) -> ElasticChain:
     """Laplacian edit then parameter recovery; the timing carries over."""
-    new_joints, _ = solve_constrained_edit(chain.joints, descriptor.enter,
-                                           descriptor.exit)
+    new_joints = solve_constrained_edit(chain.joints, descriptor.enter,
+                                        descriptor.exit)
     return ElasticChain(OrderedGmm(tuple(recover_gmm(chain, new_joints))),
                         new_joints, chain.timing)

@@ -26,9 +26,13 @@ class RolloutConfig:
                        reals=("dt", "convergence_radius"))
         if not (self.dt > 0 and self.convergence_radius > 0):
             raise ValidationError("dt and convergence_radius must be positive")
+        if self.max_steps < 1:
+            raise ValidationError("max_steps must be >= 1")
 
 
 _RK4_REAL_LIMIT = 2.78  # RK4's stability interval ends near -2.785
+# sample_field allocates one row per grid point
+_MAX_FIELD_POINTS = 10 ** 6
 _count = np.count_nonzero
 
 
@@ -179,13 +183,16 @@ def sample_field(policy: LpvDsPolicy, bounds: np.ndarray,
     2D policy; a policy of another dimension is a ValidationError.
 
     bounds: ((xmin, xmax), (ymin, ymax)), finite; resolution: an int
-    >= 2, the grid points per axis.
+    >= 2, the grid points per axis, at most 10^6 in all.
     """
     if policy.dim != 2:
         raise ValidationError("field sampling is 2D only")
     _check_number("resolution", resolution, count=True)
     if resolution < 2:
         raise ValidationError("resolution must be >= 2 per axis")
+    if int(resolution) ** 2 > _MAX_FIELD_POINTS:
+        raise ValidationError(f"a {resolution} x {resolution} grid exceeds "
+                              f"{_MAX_FIELD_POINTS} points")
     (x0, x1), (y0, y1) = _array(bounds, "bounds", (2, 2))
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)

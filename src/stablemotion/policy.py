@@ -45,6 +45,9 @@ class EstimateOptions:
         _check_numbers(self, counts=("max_iters",), reals=("margin",))
         if not (self.margin > 0 and self.max_iters >= 1):
             raise ValidationError("need margin > 0 and max_iters >= 1")
+        if self.P is not None:
+            object.__setattr__(self, "P", _frozen(self.P, "P", ("d", "d")))
+            _check_certificate(self.P)
 
 
 _min = np.minimum.reduce
@@ -436,8 +439,10 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
     K = len(components)
     if K == 0 or any(c.dim != d for c in components):
         raise ValidationError(f"need one or more {d}-dimensional components")
-    P = np.eye(d) if opts.P is None else _array(opts.P, "P", (d, d))
-    _check_certificate(P)
+    P = np.eye(d) if opts.P is None else opts.P
+    if P.shape != (d, d):
+        raise ValidationError(f"P is {P.shape[0]}-dimensional, the data "
+                              f"{d}-dimensional")
     if T < 10 * K:
         raise InsufficientData(f"{T} samples < 10*K = {10 * K}")
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Trajectory, _array, _check_number, _check_numbers,
-                   _forward_velocities, _link_lengths)
+from .core import (Trajectory, _array, _check_numbers, _forward_velocities,
+                   _link_lengths)
 from .errors import IndexCollision, ValidationError
 
 
@@ -41,36 +41,25 @@ class ProfileConfig:
         return ProfileConfig(p=len(demo), dt=demo.median_dt())
 
 
-def joint_progress(joints: np.ndarray) -> np.ndarray:
-    """Normalized cumulative piecewise distance along the joint polyline
-    of m >= 2 joints; a link with no direction is a DegenerateFrame, as in
-    a chain."""
+def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
+    """Timed trajectory of cfg.p points through the joints (m, d), m >= 2,
+    with derived velocities.
+
+    Joint q sits at index floor(lambda_q (p - 1)), lambda_q its share of
+    the polyline's length up to it, and the points between two joints run
+    straight from one to the other. A link with no direction is a
+    DegenerateFrame, as in a chain, and two joints on one index an
+    IndexCollision.
+    """
     joints = _array(joints, "joints", (None, "d"))
     if len(joints) < 2:
         raise ValidationError(f"need m >= 2 joints, got {len(joints)}")
+    p = cfg.p
     cum = np.concatenate([[0.0], np.cumsum(_link_lengths(joints))])
-    return cum / cum[-1]
-
-
-def map_joint_indices(lam: np.ndarray, p: int) -> np.ndarray:
-    """Index of each joint on a p-point profile: floor(lambda * (p-1))."""
-    _check_number("p", p, count=True)
-    if p < 2:
-        raise ValidationError("need p >= 2")
-    idx = np.floor(_array(lam, "lam", (None,)) * (p - 1)).astype(int)
+    idx = np.floor(cum / cum[-1] * (p - 1)).astype(int)
     if len(np.unique(idx)) != len(idx):
         raise IndexCollision(
             f"{len(idx)} joints collide on a {p}-point profile")
-    return idx
-
-
-def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
-    """Timed trajectory through the joints (m, d), m >= 2, with derived
-    velocities."""
-    joints = _array(joints, "joints", (None, "d"))
-    p = cfg.p
-    lam = joint_progress(joints)
-    idx = map_joint_indices(lam, p)
 
     # piecewise-linear interpolation at the joint indices (the first is 0,
     # the last p-1)

@@ -33,7 +33,7 @@ from stablemotion.policy import (
 )
 from stablemotion.profile import ProfileConfig, regenerate_profile
 from stablemotion.sequence import Segment, TaskPlan, split_demo, stitch_chains
-from test_chain import kkt_oracle
+from test_chain import kkt_oracle, reference_pins
 from conftest import arc_demo, helix_demo, line_demo, s_curve_demo
 
 
@@ -190,8 +190,9 @@ def test_3_transform_correctness():
         exit_ = frame_from_two_points(rng.normal(size=2) + 10.0,
                                       rng.normal(size=2) + 15.0)
         L = build_laplacian(m)
-        out, pins = solve_constrained_edit(joints, enter, exit_)
-        oracle = kkt_oracle(L, L @ joints, pins)
+        out = solve_constrained_edit(joints, enter, exit_)
+        oracle = kkt_oracle(L, L @ joints,
+                            reference_pins(joints, enter, exit_))
         worst = max(worst, float(np.max(np.abs(out - oracle))))
     ok = ok and worst < 1e-8
     _verdict(f"3 transform correctness (KKT max dev {worst:.2e})", ok)

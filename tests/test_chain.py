@@ -31,6 +31,22 @@ from conftest import helix_demo, s_curve_demo
 _TIMING = ProfileConfig(p=200, dt=0.01)
 
 
+def reference_pins(joints, enter, exit_):
+    """The edit's pins, {joint index: target}, by its rule: a given end's
+    joint at its pose's position, and that joint's neighbour one link
+    length from it along the pose's x-axis (into the chain at the entry,
+    back along the chain at the exit)."""
+    lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
+    m, pins = len(joints), {}
+    if enter is not None:
+        pins[0] = enter.position
+        pins[1] = enter.position + lengths[0] * enter.rotation[:, 0]
+    if exit_ is not None:
+        pins[m - 1] = exit_.position
+        pins[m - 2] = exit_.position - lengths[-1] * exit_.rotation[:, 0]
+    return pins
+
+
 def kkt_oracle(L, delta, pins):
     """Dense equality-constrained least-squares by the full KKT system.
 
@@ -84,7 +100,7 @@ def reference_transform(chain, descriptor):
     maps each mean about its joint and each covariance. In 2-D R'_k is
     completed afresh along the new link; in 3-D it is R_k turned by the
     Rodrigues rotation from the old link direction to the new one."""
-    new_joints, _ = solve_constrained_edit(
+    new_joints = solve_constrained_edit(
         chain.joints, descriptor.enter, descriptor.exit)
     out = []
     for k, comp in enumerate(chain.components.components):
@@ -248,7 +264,7 @@ class TestSolveConstrainedEdit:
     def test_identity_edit(self):
         chain, _ = fitted_chain()
         desc = chain.endpoint_descriptor()
-        out, _ = solve_constrained_edit(chain.joints, desc.enter, desc.exit)
+        out = solve_constrained_edit(chain.joints, desc.enter, desc.exit)
         assert np.max(np.abs(out - chain.joints)) < 1e-9
 
     def test_pure_translation(self):
@@ -257,7 +273,7 @@ class TestSolveConstrainedEdit:
         t = np.array([2.5, -1.0])
         enter = Pose(desc.enter.position + t, desc.enter.rotation)
         exit_ = Pose(desc.exit.position + t, desc.exit.rotation)
-        out, _ = solve_constrained_edit(chain.joints, enter, exit_)
+        out = solve_constrained_edit(chain.joints, enter, exit_)
         assert np.max(np.abs(out - (chain.joints + t))) < 1e-9
 
     def test_rotated_end_matches_kkt_oracle(self):
@@ -265,8 +281,8 @@ class TestSolveConstrainedEdit:
         end = Pose(np.array([3.0, 0]),
                    np.array([[0.0, -1.0], [1.0, 0.0]]))  # x-axis up
         L = build_laplacian(4)
-        out, pins = solve_constrained_edit(joints, None, end)
-        oracle = kkt_oracle(L, L @ joints, pins)
+        out = solve_constrained_edit(joints, None, end)
+        oracle = kkt_oracle(L, L @ joints, reference_pins(joints, None, end))
         assert np.max(np.abs(out - oracle)) < 1e-8
 
     def test_random_chains_match_kkt_oracle(self, rng):
@@ -281,7 +297,8 @@ class TestSolveConstrainedEdit:
             exit_ = frame_from_two_points(rng.normal(size=2) + 10.0,
                                           rng.normal(size=2) + 15.0)
             L = build_laplacian(m)
-            out, pins = solve_constrained_edit(joints, enter, exit_)
+            out = solve_constrained_edit(joints, enter, exit_)
+            pins = reference_pins(joints, enter, exit_)
             oracle = kkt_oracle(L, L @ joints, pins)
             assert np.max(np.abs(out - oracle)) < 1e-8
             # pinned joints hit their targets exactly
@@ -296,6 +313,17 @@ class TestSolveConstrainedEdit:
         exit_ = Pose(np.array([6.0, 5.0]), exit_.rotation)
         with pytest.raises(RankDeficientSystem):
             solve_constrained_edit(joints, enter, exit_)
+
+    def test_a_joint_pinned_from_both_ends_needs_agreeing_targets(self):
+        # in a chain of 3 joints both ends pin the middle one
+        joints = np.array([[0.0, 0], [1, 0], [2, 0]])
+        enter = frame_from_two_points(joints[0], joints[1])
+        exit_ = Pose(joints[2], enter.rotation)
+        assert np.array_equal(solve_constrained_edit(joints, enter, exit_),
+                              joints)
+        raised = Pose(joints[2] + [0.0, 1e-6], enter.rotation)
+        with pytest.raises(RankDeficientSystem, match="joint 1"):
+            solve_constrained_edit(joints, enter, raised)
 
 
 class TestRecoverGmm:
@@ -386,8 +414,8 @@ class TestRecoverGmm:
         the constructor builds from the same prior, mean and covariance."""
         chain = learned_chain
         for desc in moved_descriptors(chain, np.random.default_rng(4), 8):
-            joints, _ = solve_constrained_edit(chain.joints, desc.enter,
-                                               desc.exit)
+            joints = solve_constrained_edit(chain.joints, desc.enter,
+                                            desc.exit)
             for old, comp in zip(chain.components.components,
                                  recover_gmm(chain, joints)):
                 built = GaussianComponent(comp.prior, comp.mean,

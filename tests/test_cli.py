@@ -486,6 +486,9 @@ _BAD_INPUTS = [
     pytest.param(lambda t, d, p: ["field", p, "-o", str(t / "o.csv"),
                                   "--resolution", "1"],
                  EXIT_VALIDATION, id="field_resolution_one"),
+    pytest.param(lambda t, d, p: ["field", p, "-o", str(t / "o.csv"),
+                                  "--resolution", "10000000"],
+                 EXIT_VALIDATION, id="field_resolution_huge"),
     pytest.param(lambda t, d, p: ["bench", d, "--lengths", "a"],
                  EXIT_USAGE, id="bench_lengths_not_numbers"),
     pytest.param(lambda t, d, p: ["bench", d, "--lengths", "-5"],
@@ -518,6 +521,9 @@ _BAD_INPUTS = [
     pytest.param(lambda t, d, p: [*_config(t, rollout_max_steps="a"),
                                   "rollout", p, "-o", str(t / "o.csv")],
                  EXIT_VALIDATION, id="config_max_steps_string"),
+    pytest.param(lambda t, d, p: [*_config(t, rollout_max_steps=-3),
+                                  "rollout", p, "-o", str(t / "o.csv")],
+                 EXIT_VALIDATION, id="config_max_steps_negative"),
     pytest.param(lambda t, d, p: [*_config(t, k_mx=3, margins=0.5), "fit", d,
                                   "-o", str(t / "o.json")],
                  EXIT_VALIDATION, id="config_unknown_key"),

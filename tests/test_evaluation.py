@@ -81,6 +81,11 @@ class TestRollout:
         assert not run.converged
         assert len(run.trajectory) == 2
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_a_budget_below_one_step_is_refused(self, max_steps):
+        with pytest.raises(ValidationError, match="max_steps must be >= 1"):
+            RolloutConfig(max_steps=max_steps)
+
     def test_start_inside_radius(self):
         policy = linear_policy()
         run = rollout(policy, np.array([1e-6, 0.0]),
@@ -387,6 +392,13 @@ class TestSampleField:
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
             sample_field(linear_policy(), ((-1, 1), (-1, 1)), 1)
+        # one row per grid point: 10^6 is the most, and a larger grid is
+        # refused before numpy is asked for its rows
+        assert len(sample_field(linear_policy(), ((-1, 1), (-1, 1)),
+                                1000)[0]) == 10 ** 6
+        for resolution in (1001, 10 ** 7, np.int64(10 ** 10)):
+            with pytest.raises(ValidationError, match="grid exceeds"):
+                sample_field(linear_policy(), ((-1, 1), (-1, 1)), resolution)
 
     def test_policy_that_is_not_2d_is_rejected(self, learned_3d):
         with pytest.raises(ValidationError, match="2D only"):

@@ -38,8 +38,7 @@ from stablemotion.policy import (
     objective_hessian,
     solve,
 )
-from stablemotion.profile import (ProfileConfig, joint_progress,
-                                  map_joint_indices, regenerate_profile)
+from stablemotion.profile import ProfileConfig, regenerate_profile
 from stablemotion.sequence import split_demo
 from test_gmm import brute_force_responsibilities, reference_e_step
 from conftest import arc_demo, helix_demo, s_curve_demo
@@ -529,17 +528,20 @@ class TestEstimate:
                                    np.array([[1.0, 3.0], [-3.0, 1.0]])],
                              ids=["minus_identity", "indefinite", "nan",
                                   "inf", "not_symmetric"])
-    def test_certificate_is_checked_before_the_solve(self, caplog, P):
-        # the policy's rule, applied before any arithmetic: no Newton step
-        # is taken, so the solve leaves no DEBUG record
-        demo = s_curve_demo()
-        comps = fit_gmm(demo.points, GmmFitConfig(k_max=3, restarts=1))
-        with caplog.at_level(logging.DEBUG, logger="stablemotion"):
-            with pytest.raises(ValidationError, match="P must be"):
-                estimate(comps, demo.points, demo.velocities, demo.end,
-                         EstimateOptions(P=P))
-        assert not [r for r in caplog.records
-                    if r.getMessage().startswith("estimate:")]
+    def test_certificate_is_checked_before_the_solve(self, P):
+        # the policy's rule, applied by the options that carry P, so no
+        # estimate is ever handed a bad certificate
+        with pytest.raises(ValidationError, match="P must be"):
+            EstimateOptions(P=P)
+
+    def test_options_hold_their_own_read_only_certificate(self):
+        given = np.diag([2.0, 1.0])
+        opts = EstimateOptions(P=given)
+        given[0, 0] = -1.0
+        assert np.array_equal(opts.P, np.diag([2.0, 1.0]))
+        assert not opts.P.flags.writeable
+        with pytest.raises(ValidationError, match="P has shape"):
+            EstimateOptions(P=np.eye(4))
 
     @pytest.mark.parametrize("max_iters", [3, 500])
     def test_reports_its_status_in_one_debug_record(self, caplog, max_iters):
@@ -880,11 +882,6 @@ def _malformed_input_cases() -> dict:
             [strings] * 4, chain().endpoint_descriptor().enter, None),
         "recover_gmm_strings": lambda: recover_gmm(
             chain(), [strings] * len(chain().joints)),
-        "joint_progress_strings": lambda: joint_progress([strings] * 3),
-        "joint_progress_one_joint": lambda: joint_progress([[0.0, 0.0]]),
-        "map_joint_indices_strings": lambda: map_joint_indices(strings, 5),
-        "map_joint_indices_string_p": lambda: map_joint_indices(
-            [0.0, 1.0], "5"),
         "build_laplacian_string": lambda: build_laplacian("5"),
         "gaussian_joints_strings": lambda: gaussian_joints(
             [strings] * 2, [[strings, strings]] * 2),

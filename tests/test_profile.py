@@ -4,41 +4,59 @@ import pytest
 from stablemotion.chain import build_chain
 from stablemotion.errors import DegenerateFrame, IndexCollision
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
-from stablemotion.profile import (
-    ProfileConfig,
-    joint_progress,
-    map_joint_indices,
-    regenerate_profile,
-)
+from stablemotion.profile import ProfileConfig, regenerate_profile
 from conftest import s_curve_demo
 
 
+def joint_indices(joints, p):
+    """Each joint's index on a p-point profile: floor(lambda (p - 1)),
+    lambda the joint's share of the polyline's length."""
+    cum = np.concatenate([[0.0], np.cumsum(
+        np.linalg.norm(np.diff(joints, axis=0), axis=1))])
+    return np.floor(cum / cum[-1] * (p - 1)).astype(int)
+
+
+def points_at(joints, p, indices):
+    """The profile's points at the given indices."""
+    return regenerate_profile(np.array(joints, float),
+                              ProfileConfig(p=p, dt=0.1)).points[indices]
+
+
 class TestJointProgress:
+    """Each joint sits on the profile by its share of the polyline's
+    length."""
+
     def test_equally_spaced(self):
-        lam = joint_progress(np.array([[0.0, 0], [1, 0], [2, 0]]))
-        assert np.allclose(lam, [0, 0.5, 1])
+        joints = [[0.0, 0], [1, 0], [2, 0]]
+        assert np.array_equal(points_at(joints, 11, [0, 5, 10]), joints)
 
     def test_unequal_spacing(self):
-        lam = joint_progress(np.array([[0.0, 0], [1, 0], [4, 0]]))
-        assert np.allclose(lam, [0, 0.25, 1])
+        joints = [[0.0, 0], [1, 0], [4, 0]]
+        assert np.array_equal(points_at(joints, 5, [0, 1, 4]), joints)
 
     def test_coincident_joints_raise(self):
         with pytest.raises(DegenerateFrame):
-            joint_progress(np.array([[0.0, 0], [0, 0], [1, 0]]))
+            regenerate_profile(np.array([[0.0, 0], [0, 0], [1, 0]]),
+                               ProfileConfig(p=11, dt=0.1))
 
 
 class TestMapJointIndices:
+    """Joint q sits at index floor(lambda_q (p - 1)), and two joints on
+    one index are an IndexCollision."""
+
     def test_midpoint(self):
-        assert map_joint_indices(np.array([0.0, 0.5, 1.0]), 11).tolist() == \
-            [0, 5, 10]
+        joints = [[0.0, 0], [1, 1], [2, 0]]
+        assert np.array_equal(points_at(joints, 11, [0, 5, 10]), joints)
 
     def test_quarter(self):
-        assert map_joint_indices(np.array([0.0, 0.25, 1.0]), 5).tolist() == \
-            [0, 1, 4]
+        # lambda = 0.25 on 6 points is 1.25, which floors to 1
+        joints = [[0.0, 0], [1, 0], [4, 0]]
+        assert np.array_equal(points_at(joints, 6, [0, 1, 5]), joints)
 
     def test_collision(self):
         with pytest.raises(IndexCollision):
-            map_joint_indices(np.array([0.0, 0.01, 1.0]), 5)
+            regenerate_profile(np.array([[0.0, 0], [0.01, 0], [1, 0]]),
+                               ProfileConfig(p=5, dt=0.1))
 
 
 class TestRegenerateProfile:
@@ -55,7 +73,7 @@ class TestRegenerateProfile:
         joints = np.array([[0.0, 0], [1, 0], [1, 1]])
         cfg = ProfileConfig(p=21, dt=0.05)
         traj = regenerate_profile(joints, cfg)
-        idx = map_joint_indices(joint_progress(joints), 21)
+        idx = joint_indices(joints, 21)
         for q, j in enumerate(idx):
             assert np.linalg.norm(traj.points[j] - joints[q]) < 1e-9
 
@@ -63,7 +81,7 @@ class TestRegenerateProfile:
         joints = np.array([[0.0, 0], [1, 0.5], [2.5, -0.5], [3, 1]])
         cfg = ProfileConfig(p=57, dt=0.05)
         traj = regenerate_profile(joints, cfg)
-        idx = map_joint_indices(joint_progress(joints), cfg.p)
+        idx = joint_indices(joints, cfg.p)
         assert idx[0] == 0 and idx[-1] == cfg.p - 1
         for q in range(len(idx) - 1):
             j0, j1 = idx[q], idx[q + 1]
