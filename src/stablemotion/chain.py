@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    REACH,
     GaussianComponent,
     GeometricDescriptor,
     Pose,
@@ -38,6 +37,15 @@ from .profile import ProfileConfig
 
 # how far apart two targets for one pinned joint may lie
 _CONSTRAINT_EXACTNESS = 1e-9
+# how many joint diameters a component mean (from the last joint) or a
+# descriptor position (from the chain) may lie, and a covariance spread
+REACH = 1e3
+# the largest |joint coordinate|: the joint diameter is then below 7 times
+# it, so d squares of the reach sum to less than the largest float
+_JOINT_BOUND = np.sqrt(np.finfo(float).max) / (16.0 * REACH)
+# the least sd of a component, in joint diameters (fitted ones stay above
+# 1e-4); with links longer than 1e-9 no covariance determinant underflows
+_THINNEST = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,10 +57,30 @@ class ElasticChain:
     link_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a far joint, mean or covariance would overflow the link lengths
+        # or the mixture's quadratic forms: the joints are bounded first,
+        # and each max-abs test runs before the norm that squares what it
+        # passed; means are measured from the last joint, the attractor
         K, d = len(self.components), self.components.dim
         joints = _frozen(self.joints, "joints", (K + 1, d))
         object.__setattr__(self, "joints", joints)
+        if np.abs(joints).max() > _JOINT_BOUND:
+            raise ValidationError(
+                f"a chain joint coordinate exceeds {_JOINT_BOUND:.3g}")
         object.__setattr__(self, "link_lengths", _link_lengths(joints))
+        means, covs = _stack(self.components.components)
+        diameter = joint_diameter(joints)
+        reach, far = REACH * diameter, means - joints[-1]
+        if (np.abs(far).max() > reach
+                or np.linalg.norm(far, axis=1).max() > reach):
+            raise ValidationError(f"a component mean lies more than {REACH:g}"
+                                  f" joint diameters from the attractor")
+        if np.abs(covs).max() > reach ** 2:
+            raise ValidationError(f"a component spreads over more than "
+                                  f"{REACH:g} joint diameters")
+        if np.linalg.eigvalsh(covs)[:, 0].min() < (_THINNEST * diameter) ** 2:
+            raise ValidationError(
+                f"a component is thinner than {_THINNEST:g} joint diameters")
 
     @property
     def dim(self) -> int:
@@ -120,14 +148,12 @@ def solve_constrained_edit(joints0: np.ndarray,
 
     # a target far outside the chain's workspace would be edited in the
     # rounding of its coordinates, and stretch the links past overflow
-    centre = joints0.mean(axis=0)
+    far = np.array([p.position for p in (o_start, o_end) if p]) \
+        - joints0.mean(axis=0)
     reach = REACH * joint_diameter(joints0)
-    for pose in (p for p in (o_start, o_end) if p is not None):
-        far = np.abs(pose.position - centre)
-        if far.max() > reach or np.linalg.norm(far) > reach:
-            raise ValidationError(
-                f"a descriptor position lies more than "
-                f"{REACH:g} joint diameters from the chain")
+    if np.abs(far).max() > reach or np.linalg.norm(far, axis=1).max() > reach:
+        raise ValidationError(f"a descriptor position lies more than "
+                              f"{REACH:g} joint diameters from the chain")
 
     x = np.zeros_like(joints0)
     pinned = np.zeros(m, dtype=bool)

@@ -22,9 +22,9 @@ from .errors import (
 
 # the least separation of two points that span a frame or a link
 DEGENERATE_POINT = 1e-9
-# how many joint diameters a loaded joint or component mean, or a
-# descriptor position, may lie from the chain
-REACH = 1e3
+# the most points of a profile or a sampled field: each holds one row per
+# point
+_MAX_POINTS = 10 ** 6
 # R^T R = I check on Pose rotations
 _ORTHONORMAL = 1e-9
 
@@ -153,11 +153,15 @@ def _check_numbers(obj, counts=(), reals=()) -> None:
 
 def _link_lengths(joints: np.ndarray) -> np.ndarray:
     """The (m - 1,) distances between consecutive joints (m, d); a link no
-    longer than the degenerate-point tolerance has no direction."""
-    lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
+    longer than the degenerate-point tolerance has no direction, and one
+    whose length overflows is a ValidationError."""
+    with np.errstate(over="ignore"):  # an overflow is an inf length
+        lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
     if not np.all(lengths > DEGENERATE_POINT):
         raise DegenerateFrame(f"a link is no longer than "
                               f"{DEGENERATE_POINT:g}")
+    if np.isinf(lengths).any():
+        raise ValidationError("a link's length is not finite")
     return lengths
 
 

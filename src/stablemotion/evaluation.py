@@ -8,8 +8,9 @@ from typing import Tuple, Union
 import numpy as np
 
 from .chain import ElasticChain
-from .core import (GeometricDescriptor, Pose, Trajectory, _array,
-                   _check_number, _check_numbers, _rows, joint_diameter)
+from .core import (_MAX_POINTS, GeometricDescriptor, Pose, Trajectory,
+                   _array, _check_number, _check_numbers, _rows,
+                   joint_diameter)
 from .errors import DegenerateDirection, NonFiniteState, ValidationError
 from .policy import LpvDsPolicy, evaluate_batch
 from .sequence import PlanExecutor, TaskPlan
@@ -31,8 +32,6 @@ class RolloutConfig:
 
 
 _RK4_REAL_LIMIT = 2.78  # RK4's stability interval ends near -2.785
-# sample_field allocates one row per grid point
-_MAX_FIELD_POINTS = 10 ** 6
 _count = np.count_nonzero
 
 
@@ -190,9 +189,9 @@ def sample_field(policy: LpvDsPolicy, bounds: np.ndarray,
     _check_number("resolution", resolution, count=True)
     if resolution < 2:
         raise ValidationError("resolution must be >= 2 per axis")
-    if int(resolution) ** 2 > _MAX_FIELD_POINTS:
+    if int(resolution) ** 2 > _MAX_POINTS:
         raise ValidationError(f"a {resolution} x {resolution} grid exceeds "
-                              f"{_MAX_FIELD_POINTS} points")
+                              f"{_MAX_POINTS} points")
     (x0, x1), (y0, y1) = _array(bounds, "bounds", (2, 2))
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)

@@ -16,9 +16,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .chain import ElasticChain
-from .core import (REACH, GaussianComponent, GeometricDescriptor, Pose,
-                   Trajectory, _array, _orthonormal, _pow2_scale,
-                   joint_diameter)
+from .core import (GaussianComponent, GeometricDescriptor, Pose, Trajectory,
+                   _array, _orthonormal)
 from .errors import ValidationError
 from .gmm import OrderedGmm
 from .policy import LpvDsPolicy
@@ -28,17 +27,6 @@ DEMO_FORMAT = "stablemotion-demo"
 POLICY_FORMAT = "stablemotion-policy"
 DESCRIPTOR_FORMAT = "stablemotion-descriptor"
 FORMAT_VERSION = 1
-# the largest |joint coordinate| a policy file may hold: the joint diameter
-# is then below 7 times it, and the reach in diameters squared is finite
-_JOINT_BOUND = np.sqrt(np.finfo(float).max) / (8.0 * REACH)
-# the least standard deviation a policy file's component may have, in joint
-# diameters: the policies fitted and adapted by the tests and perfbench
-# stay above 1e-4, and with every link longer than 1e-9 (as a chain's must
-# be) no covariance determinant can underflow
-_THINNEST = 1e-8
-# the most profile points a policy file's timing may ask for:
-# regenerate_profile allocates one row per point
-_MAX_PROFILE_POINTS = 10 ** 6
 # R^T R = I check on loaded rotations, looser than Pose's own; a loaded
 # rotation is re-orthonormalised
 _ORTHONORMAL_IO = 1e-6
@@ -184,9 +172,12 @@ def policy_to_dict(policy: LpvDsPolicy, chain: ElasticChain,
 
 def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     """The policy and chain of a policy file. The chain is rebuilt from
-    its components, joints and timing; the keys that earlier files also
-    wrote (each component's `b`, the chain's `link_lengths`, `link_frames`
-    and `order_scores`) are derived or unread values and are ignored."""
+    its components, joints and timing, and the constructors check every
+    value; the one rule across values is that the attractor is the chain's
+    last joint, as in every file the library writes. The keys that earlier
+    files also wrote (each component's `b`, the chain's `link_lengths`,
+    `link_frames` and `order_scores`) are derived or unread values and are
+    ignored."""
     _check_header(obj, POLICY_FORMAT)
     components = obj.get("components")
     _require(isinstance(components, list) and len(components) > 0
@@ -203,39 +194,13 @@ def policy_from_dict(obj: dict) -> Tuple[LpvDsPolicy, ElasticChain]:
     ch = obj.get("chain")
     _require(isinstance(ch, dict), "chain must be an object")
     joints = _numeric(ch, "joints", (K + 1, d))
-    # a joint, mean or covariance far outside the workspace would overflow
-    # the link lengths or the mixture's quadratic forms, and is rejected
-    # first: the joints in units of a power of two near the largest entry,
-    # so that no square overflows; then the joints against an absolute
-    # bound, which catches far values that agree; then the means and
-    # spreads in the (now finite) joint diameter
-    anchors = np.vstack([means, attractor])
-    s = _pow2_scale(np.vstack([joints, anchors]))
-    far = np.linalg.norm(joints / s - (anchors / s).mean(axis=0), axis=1)
-    _require(far.max() <= REACH * joint_diameter(anchors / s),
-             f"a chain joint lies more than {REACH:g} diameters of the "
-             f"component means and attractor from their centre")
-    _require(np.abs(joints).max() <= _JOINT_BOUND,
-             f"a chain joint coordinate exceeds {_JOINT_BOUND:.3g}")
-    far = means - attractor
-    diameter = joint_diameter(joints)
-    reach = REACH * diameter
-    _require(np.abs(far).max() <= reach and np.linalg.norm(far, axis=1).max()
-             <= reach, f"a component mean lies more than "
-             f"{REACH:g} joint diameters from the attractor")
-    _require(np.abs(covs).max() <= reach ** 2,
-             f"a component spreads over more than "
-             f"{REACH:g} joint diameters")
-    _require(np.linalg.eigvalsh(covs)[:, 0].min()
-             >= (_THINNEST * diameter) ** 2,
-             f"a component is thinner than {_THINNEST:g} joint diameters")
     timing = ch.get("timing")
     _require(isinstance(timing, dict), "chain has no 'timing' object; refit")
-    p = float(_numeric(timing, "p", ()))
-    _require(p.is_integer() and 2 <= p <= _MAX_PROFILE_POINTS,
-             f"timing p must be an integer in [2, {_MAX_PROFILE_POINTS}]")
-    chain = ElasticChain(OrderedGmm(comps), joints, ProfileConfig(
-        int(p), float(_numeric(timing, "dt", ()))))
+    p, dt = (float(_numeric(timing, key, ())) for key in ("p", "dt"))
+    _require(p.is_integer(), "timing p must be an integer")
+    chain = ElasticChain(OrderedGmm(comps), joints, ProfileConfig(int(p), dt))
+    _require(np.array_equal(attractor, chain.joints[-1]),
+             "the attractor must be the chain's last joint")
     policy = LpvDsPolicy(comps, A, _numeric(obj, "P", (d, d)), attractor,
                          float(_numeric(obj, "margin", ())))
     return policy, chain

@@ -47,5 +47,7 @@ def adapt(chain: ElasticChain, descriptor: GeometricDescriptor,
     """Re-target a learned chain to a new descriptor and re-estimate it at
     `profile_cfg`, which the new chain records as its timing; returns
     (new_chain, profile, policy)."""
-    new_chain = replace(transform_chain(chain, descriptor), timing=profile_cfg)
+    new_chain = transform_chain(chain, descriptor)
+    if profile_cfg != new_chain.timing:  # else the chain is built once
+        new_chain = replace(new_chain, timing=profile_cfg)
     return (new_chain, *reestimate(new_chain, opts))

@@ -43,8 +43,11 @@ class EstimateOptions:
 
     def __post_init__(self):
         _check_numbers(self, counts=("max_iters",), reals=("margin",))
-        if not (self.margin > 0 and self.max_iters >= 1):
-            raise ValidationError("need margin > 0 and max_iters >= 1")
+        # fit_problem clamps the warm start at -_START_DEPTH margins
+        top = float(np.finfo(float).max) / _START_DEPTH
+        if not (0 < self.margin <= top and self.max_iters >= 1):
+            raise ValidationError(f"need 0 < margin <= {top:.3g} and "
+                                  f"max_iters >= 1")
         if self.P is not None:
             object.__setattr__(self, "P", _frozen(self.P, "P", ("d", "d")))
             _check_certificate(self.P)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Trajectory, _array, _check_numbers, _forward_velocities,
-                   _link_lengths)
+from .core import (_MAX_POINTS, Trajectory, _array, _check_numbers,
+                   _forward_velocities, _link_lengths)
 from .errors import IndexCollision, ValidationError
 
 
@@ -25,6 +25,8 @@ class ProfileConfig:
 
     def __post_init__(self):
         _check_numbers(self, counts=("p",), reals=("dt",))
+        if not 2 <= self.p <= _MAX_POINTS:  # one row per point
+            raise ValidationError(f"need 2 to {_MAX_POINTS} profile points")
         if not self.dt > 0:
             raise ValidationError("dt must be positive")
         # finite differences divide by dt
@@ -32,8 +34,6 @@ class ProfileConfig:
             raise ValidationError(f"dt = {self.dt} has no finite reciprocal")
         if not math.isfinite(self.dt * (self.p - 1)):  # the last timestamp
             raise ValidationError(f"dt (p - 1) overflows at p = {self.p}")
-        if self.p < 2:
-            raise ValidationError("need at least 2 profile points")
 
     @staticmethod
     def for_demo(demo: Trajectory) -> "ProfileConfig":

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -603,3 +605,41 @@ class TestReposingIn3d:
                              recover_gmm(flat, -flat.joints)):
             assert np.allclose(new.mean, -orig.mean, atol=1e-12)
             assert np.allclose(new.covariance, orig.covariance, atol=1e-12)
+
+
+class TestWorkspaceRules:
+    """A chain built in memory meets the rules a loaded one meets: a value
+    far outside the workspace is refused at construction, before any
+    arithmetic on it overflows."""
+
+    @pytest.mark.parametrize("joint, mean, cov, match", [
+        (1e160, 1.5, 0.01, "joint coordinate exceeds"),
+        (1.0, 1e300, 0.01, "joint diameters from the attractor"),
+        (1.0, 1.5, 1e300, "spreads over more than"),
+        (1.0, 1.5, 1e-200, "thinner than"),
+    ], ids=["joint_1e160", "mean_1e300", "covariance_1e300",
+            "covariance_1e-200"])
+    def test_far_or_thin_value_is_refused_at_construction(self, joint, mean,
+                                                          cov, match):
+        comps = (unit_gaussian(0.5, 0.0), unit_gaussian(mean, 0.0,
+                                                        cov=cov * np.eye(2)))
+        joints = [[0.0, 0.0], [joint, 0.0], [2.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=match):
+                ElasticChain(OrderedGmm(comps), joints, _TIMING)
+
+    def test_means_are_measured_from_the_last_joint(self):
+        """The reach is 1e3 joint diameters (2e3): a mean 2001 from the
+        first joint and 1999 from the last passes, one 1999 from the first
+        and 2001 from the last fails."""
+        joints = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+        for mean, ok in ((2001.0, True), (-1999.0, False)):
+            chain = lambda: ElasticChain(OrderedGmm((
+                unit_gaussian(0.5, 0.0), unit_gaussian(mean, 0.0))),
+                joints, _TIMING)
+            if ok:
+                chain()
+            else:
+                with pytest.raises(ValidationError, match="attractor"):
+                    chain()

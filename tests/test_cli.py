@@ -524,6 +524,9 @@ _BAD_INPUTS = [
     pytest.param(lambda t, d, p: [*_config(t, rollout_max_steps=-3),
                                   "rollout", p, "-o", str(t / "o.csv")],
                  EXIT_VALIDATION, id="config_max_steps_negative"),
+    pytest.param(lambda t, d, p: [*_config(t, margin=1e308),
+                                  "fit", d, "-o", str(t / "o.json")],
+                 EXIT_VALIDATION, id="config_margin_overflows"),
     pytest.param(lambda t, d, p: [*_config(t, k_mx=3, margins=0.5), "fit", d,
                                   "-o", str(t / "o.json")],
                  EXIT_VALIDATION, id="config_unknown_key"),
@@ -738,6 +741,25 @@ def test_tiny_covariance_is_rejected_at_load(valid_files, tmp_path, capsys):
     assert rc == EXIT_VALIDATION
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "thinner than" in capsys.readouterr().err
+
+
+def test_an_attractor_off_the_last_joint_is_refused_at_load(
+        valid_files, tmp_path, capsys):
+    """fit, transform and stitch write the attractor bit-equal to the
+    chain's last joint; a file whose attractor lies elsewhere fails to
+    load with exit 2."""
+    for command in ("transform", "stitch"):
+        assert main(["--quiet", *_COMMANDS[command](valid_files, tmp_path)
+                     ]) == EXIT_OK
+        written = json.loads((tmp_path / "p.json").read_text())
+        assert written["attractor"] == written["chain"]["joints"][-1]
+    obj = json.loads(Path(valid_files["policy"]).read_text())
+    assert obj["attractor"] == obj["chain"]["joints"][-1]
+    obj["attractor"][0] += 1e-3
+    off = _json_file(tmp_path, "off.json", obj)
+    rc = main(["--quiet", "rollout", off, "-o", str(tmp_path / "r.csv")])
+    assert rc == EXIT_VALIDATION
+    assert "the chain's last joint" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dt, code, error", [

@@ -16,7 +16,8 @@ from stablemotion.chain import (build_chain, build_laplacian,
 from stablemotion.core import (GaussianComponent, GeometricDescriptor, Pose,
                                Trajectory, compute_velocities,
                                frame_rotations)
-from stablemotion.errors import InsufficientData, ValidationError
+from stablemotion.errors import (InsufficientData, OptimizationDiverged,
+                                 ValidationError)
 from stablemotion.evaluation import (RolloutConfig, rollout, rollout_batch,
                                      sample_field)
 from stablemotion.gmm import (GmmFitConfig, fit_gmm, order_components,
@@ -542,6 +543,21 @@ class TestEstimate:
         assert not opts.P.flags.writeable
         with pytest.raises(ValidationError, match="P has shape"):
             EstimateOptions(P=np.eye(4))
+
+    def test_a_margin_whose_warm_start_is_not_finite_is_refused(self):
+        """The warm start lies -20 margins deep: a margin whose depth
+        overflows is refused by the options, one whose depth is finite
+        ends the estimate in OptimizationDiverged; neither warns."""
+        for margin in (1e307, float("inf"), 10 ** 400):
+            with pytest.raises(ValidationError, match="margin <="):
+                EstimateOptions(margin=margin)
+        demo = s_curve_demo(n=120)
+        comps = fit_gmm(demo.points, GmmFitConfig(k_max=3, restarts=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OptimizationDiverged):
+                estimate(comps, demo.points, demo.velocities, demo.end,
+                         EstimateOptions(margin=1e300))
 
     @pytest.mark.parametrize("max_iters", [3, 500])
     def test_reports_its_status_in_one_debug_record(self, caplog, max_iters):

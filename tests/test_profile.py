@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from stablemotion.chain import build_chain
-from stablemotion.errors import DegenerateFrame, IndexCollision
+from stablemotion.errors import (DegenerateFrame, IndexCollision,
+                                 ValidationError)
 from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
 from stablemotion.profile import ProfileConfig, regenerate_profile
 from conftest import s_curve_demo
@@ -116,3 +119,23 @@ class TestRegenerateProfile:
         speeds = np.linalg.norm(traj.velocities, axis=1)
         assert np.all(speeds <= max_gap / cfg.dt + 1e-12)
         assert np.allclose(traj.velocities[-1], 0)
+
+
+class TestProfileRules:
+    def test_more_points_than_a_profile_may_hold_are_refused(self):
+        """One row per point: 10^6 points are the most (the config is
+        checked, no profile allocated)."""
+        assert ProfileConfig(10 ** 6, 0.1).p == 10 ** 6
+        for p in (10 ** 6 + 1, 10 ** 400):
+            with pytest.raises(ValidationError, match="profile points"):
+                ProfileConfig(p, 0.1)
+
+    def test_a_link_whose_length_overflows_is_named(self):
+        """Joints 1e200 apart have finite coordinates and an inf link
+        length, which is refused as such, with no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError,
+                               match="link's length is not finite"):
+                regenerate_profile([[0, 0], [1e200, 0], [1.1e200, 0]],
+                                   ProfileConfig(11, 0.1))
