@@ -22,10 +22,6 @@ from .gmm import (
 from .chain import (
     ElasticChain,
     build_chain,
-    build_laplacian,
-    gaussian_joints,
-    recover_gmm,
-    solve_constrained_edit,
     transform_chain,
 )
 from .profile import ProfileConfig, regenerate_profile

@@ -12,7 +12,6 @@ lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -21,9 +20,6 @@ from .core import (
     GeometricDescriptor,
     Pose,
     Trajectory,
-    _array,
-    _check_number,
-    _covariances,
     _cross,
     _frozen,
     _link_lengths,
@@ -31,14 +27,14 @@ from .core import (
     frame_from_two_points,
     joint_diameter,
 )
-from .errors import DegenerateFrame, RankDeficientSystem, ValidationError
+from .errors import DegenerateFrame, ValidationError
 from .gmm import OrderedGmm
 from .profile import ProfileConfig
 
 # how far apart two targets for one pinned joint may lie
 _CONSTRAINT_EXACTNESS = 1e-9
-# how many joint diameters a component mean (from the last joint) or a
-# descriptor position (from the chain) may lie, and a covariance spread
+# how many joint diameters a component mean or a descriptor position may
+# lie from the last joint, and a covariance spread
 REACH = 1e3
 # the largest |joint coordinate|: the joint diameter is then below 7 times
 # it, so d squares of the reach sum to less than the largest float
@@ -59,8 +55,8 @@ class ElasticChain:
     def __post_init__(self):
         # a far joint, mean or covariance would overflow the link lengths
         # or the mixture's quadratic forms: the joints are bounded first,
-        # and each max-abs test runs before the norm that squares what it
-        # passed; means are measured from the last joint, the attractor
+        # and each max-abs test runs before a norm that squares what it
+        # passed
         K, d = len(self.components), self.components.dim
         joints = _frozen(self.joints, "joints", (K + 1, d))
         object.__setattr__(self, "joints", joints)
@@ -70,11 +66,8 @@ class ElasticChain:
         object.__setattr__(self, "link_lengths", _link_lengths(joints))
         means, covs = _stack(self.components.components)
         diameter = joint_diameter(joints)
-        reach, far = REACH * diameter, means - joints[-1]
-        if (np.abs(far).max() > reach
-                or np.linalg.norm(far, axis=1).max() > reach):
-            raise ValidationError(f"a component mean lies more than {REACH:g}"
-                                  f" joint diameters from the attractor")
+        reach = REACH * diameter
+        _check_reach("a component mean", means, joints, reach)
         if np.abs(covs).max() > reach ** 2:
             raise ValidationError(f"a component spreads over more than "
                                   f"{REACH:g} joint diameters")
@@ -93,13 +86,21 @@ class ElasticChain:
             exit=Pose(j[-1], frame_from_two_points(j[-2], j[-1]).rotation))
 
 
-def gaussian_joints(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+def _check_reach(what: str, points: np.ndarray, joints: np.ndarray,
+                 reach: float) -> None:
+    """No row of points (n, d) lies farther than reach from the last of
+    the joints (m, d), the attractor of every policy estimated on them, or
+    a ValidationError; max-abs runs first, so the norm cannot overflow."""
+    far = points - joints[-1]
+    if np.abs(far).max() > reach or np.linalg.norm(far, axis=1).max() > reach:
+        raise ValidationError(f"{what} lies more than {REACH:g} joint "
+                              f"diameters from the attractor")
+
+
+def _gaussian_joints(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """Means (K-1, d) of the products of consecutive Gaussians of (K, d)
-    means and (K, d, d) covariances (precision-weighted means); the
-    covariances are read by `core._covariances`."""
-    means = _array(means, "means", (None, "d"))
-    prec = np.linalg.inv(_covariances(covs, "covs",
-                                      means.shape + means.shape[1:]))
+    means and (K, d, d) covariances (precision-weighted means)."""
+    prec = np.linalg.inv(covs)
     st = np.linalg.inv(prec[:-1] + prec[1:])
     pm = (prec @ means[..., None])[..., 0]
     return (st @ (pm[:-1] + pm[1:])[..., None])[..., 0]
@@ -108,53 +109,45 @@ def gaussian_joints(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
 def build_chain(gmm: OrderedGmm, demo: Trajectory) -> ElasticChain:
     """Joints = demo start, K-1 Gaussian products, demo end; its timing."""
     return ElasticChain(gmm, np.vstack([
-        demo.start, gaussian_joints(*_stack(gmm.components)), demo.end]),
+        demo.start, _gaussian_joints(*_stack(gmm.components)), demo.end]),
         ProfileConfig.for_demo(demo))
 
 
-def build_laplacian(m: int) -> np.ndarray:
-    """Path-graph Laplacian, unit weights: rows sum to 0, diagonal 1."""
-    _check_number("m", m, count=True)
-    if m < 2:
-        raise ValidationError("need at least 2 waypoints")
+def _laplacian(m: int) -> np.ndarray:
+    """Path-graph Laplacian of m >= 2 joints, unit weights: rows sum to 0,
+    diagonal 1."""
     L = np.eye(m) - 0.5 * (np.eye(m, k=1) + np.eye(m, k=-1))
     L[0, 1] = L[-1, -2] = -1.0
     return L
 
 
-def solve_constrained_edit(joints0: np.ndarray,
-                           o_start: Optional[Pose], o_end: Optional[Pose]
-                           ) -> np.ndarray:
-    """Re-position the joints (m, d) to satisfy new endpoint frames;
-    returns the new joints (m, d).
+def _laplacian_edit(chain: ElasticChain,
+                    descriptor: GeometricDescriptor) -> np.ndarray:
+    """The chain's joints (m, d) re-positioned to satisfy the descriptor's
+    endpoint frames.
 
     The first (and/or last) two joints are pinned: the endpoint goes to the
-    descriptor position, and its neighbor sits one original link length
-    along the descriptor x-axis, so the identity edit is exact. The pinned
-    joints take their targets exactly; the free ones minimise the residual
-    of the joints' path-graph Laplacian coordinates, by eliminating the
-    pinned ones and one linear least-squares solve. In a chain of at most
-    3 joints both ends pin a joint, and targets for it more than 1e-9
-    apart raise RankDeficientSystem.
+    descriptor position, and its neighbor sits one link length along the
+    descriptor x-axis, so the identity edit is exact. The pinned joints
+    take their targets exactly; the free ones minimise the residual of the
+    joints' path-graph Laplacian coordinates, by eliminating the pinned
+    ones and one linear least-squares solve. In a chain of at most 3
+    joints both ends pin a joint, and targets for it more than 1e-9 apart
+    are a ValidationError: the descriptor asks for two places of one
+    joint.
     """
-    joints0 = _array(joints0, "joints", (None, "d"))
-    m = joints0.shape[0]
-    if o_start is None and o_end is None:
-        raise ValidationError("at least one descriptor pose is required")
-    if any(p.dim != joints0.shape[-1] for p in (o_start, o_end) if p):
+    if descriptor.dim != chain.dim:
         raise ValidationError("descriptor and chain dimensions differ")
-    L = build_laplacian(m)
-    link_lengths = np.linalg.norm(np.diff(joints0, axis=0), axis=1)
-
+    o_start, o_end = descriptor.enter, descriptor.exit
+    joints0, link_lengths = chain.joints, chain.link_lengths
+    m = len(joints0)
     # a target far outside the chain's workspace would be edited in the
     # rounding of its coordinates, and stretch the links past overflow
-    far = np.array([p.position for p in (o_start, o_end) if p]) \
-        - joints0.mean(axis=0)
-    reach = REACH * joint_diameter(joints0)
-    if np.abs(far).max() > reach or np.linalg.norm(far, axis=1).max() > reach:
-        raise ValidationError(f"a descriptor position lies more than "
-                              f"{REACH:g} joint diameters from the chain")
+    _check_reach("a descriptor position",
+                 np.array([p.position for p in (o_start, o_end) if p]),
+                 joints0, REACH * joint_diameter(joints0))
 
+    L = _laplacian(m)
     x = np.zeros_like(joints0)
     pinned = np.zeros(m, dtype=bool)
     if o_start is not None:
@@ -167,7 +160,7 @@ def solve_constrained_edit(joints0: np.ndarray,
                            - link_lengths[-1] * o_end.x_axis)):
             residual = np.linalg.norm(x[i] - target)
             if pinned[i] and residual > _CONSTRAINT_EXACTNESS:
-                raise RankDeficientSystem(
+                raise ValidationError(
                     f"joint {i} pinned to conflicting targets "
                     f"(residual {residual:.3e})")
             x[i] = target
@@ -200,7 +193,7 @@ def _minimal_rotations(u: np.ndarray, w: np.ndarray) -> np.ndarray:
             + v[:, :, None] * v[:, None, :] / (1.0 + c)[:, None, None])
 
 
-def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
+def _recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     """Rebuild the mixture at new joint positions: each component turns
     with its link and stretches along it.
 
@@ -212,7 +205,6 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
     F_k^T, so both are continuous in the joints and in the component.
     Priors are unchanged.
     """
-    new_joints = _array(new_joints, "new_joints", chain.joints.shape)
     lengths = _link_lengths(new_joints)
     u = np.diff(chain.joints, axis=0) / chain.link_lengths[:, None]
     w = np.diff(new_joints, axis=0) / lengths[:, None]
@@ -231,7 +223,6 @@ def recover_gmm(chain: ElasticChain, new_joints: np.ndarray) -> list:
 def transform_chain(chain: ElasticChain,
                     descriptor: GeometricDescriptor) -> ElasticChain:
     """Laplacian edit then parameter recovery; the timing carries over."""
-    new_joints = solve_constrained_edit(chain.joints, descriptor.enter,
-                                        descriptor.exit)
-    return ElasticChain(OrderedGmm(tuple(recover_gmm(chain, new_joints))),
+    new_joints = _laplacian_edit(chain, descriptor)
+    return ElasticChain(OrderedGmm(tuple(_recover_gmm(chain, new_joints))),
                         new_joints, chain.timing)

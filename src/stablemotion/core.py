@@ -27,6 +27,7 @@ DEGENERATE_POINT = 1e-9
 _MAX_POINTS = 10 ** 6
 # R^T R = I check on Pose rotations
 _ORTHONORMAL = 1e-9
+_MAX_FLOAT = float(np.finfo(float).max)
 
 _WORLD_Z = np.array([0.0, 0.0, 1.0])
 _WORLD_Y = np.array([0.0, 1.0, 0.0])
@@ -149,6 +150,15 @@ def _check_numbers(obj, counts=(), reals=()) -> None:
     `reals`."""
     for name in counts + reals:
         _check_number(name, getattr(obj, name), name in counts)
+
+
+def _check_interval(dt) -> None:
+    """dt, a real number, is a positive finite interval whose reciprocal
+    is finite (finite differences divide by it), or a ValidationError."""
+    if not 0 < dt <= _MAX_FLOAT:
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(1.0 / dt):
+        raise ValidationError(f"dt = {dt} has no finite reciprocal")
 
 
 def _link_lengths(joints: np.ndarray) -> np.ndarray:

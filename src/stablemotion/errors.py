@@ -21,10 +21,6 @@ class InsufficientData(ValidationError):
     """Not enough samples for the requested model size."""
 
 
-class RankDeficientSystem(StableMotionError):
-    """Constrained edit has conflicting or underdetermined pins."""
-
-
 class IndexCollision(ValidationError):
     """Two joints map to the same profile index (too few points)."""
 

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 
 from .chain import ElasticChain
-from .core import (_MAX_POINTS, GeometricDescriptor, Pose, Trajectory,
-                   _array, _check_number, _check_numbers, _rows,
-                   joint_diameter)
+from .core import (_MAX_FLOAT, _MAX_POINTS, GeometricDescriptor, Pose,
+                   Trajectory, _array, _check_interval, _check_number,
+                   _check_numbers, _rows, joint_diameter)
 from .errors import DegenerateDirection, NonFiniteState, ValidationError
 from .policy import LpvDsPolicy, evaluate_batch
 from .sequence import PlanExecutor, TaskPlan
@@ -25,8 +26,11 @@ class RolloutConfig:
     def __post_init__(self):
         _check_numbers(self, counts=("max_steps",),
                        reals=("dt", "convergence_radius"))
-        if not (self.dt > 0 and self.convergence_radius > 0):
-            raise ValidationError("dt and convergence_radius must be positive")
+        _check_interval(self.dt)
+        # the stop test compares squared distances with the radius squared
+        if not 0 < self.convergence_radius <= math.sqrt(_MAX_FLOAT):
+            raise ValidationError("convergence_radius must be positive, "
+                                  "with a finite square")
         if self.max_steps < 1:
             raise ValidationError("max_steps must be >= 1")
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_MAX_POINTS, Trajectory, _array, _check_numbers,
-                   _forward_velocities, _link_lengths)
+from .core import (_MAX_POINTS, Trajectory, _array, _check_interval,
+                   _check_numbers, _forward_velocities, _link_lengths)
 from .errors import IndexCollision, ValidationError
 
 
@@ -27,12 +27,8 @@ class ProfileConfig:
         _check_numbers(self, counts=("p",), reals=("dt",))
         if not 2 <= self.p <= _MAX_POINTS:  # one row per point
             raise ValidationError(f"need 2 to {_MAX_POINTS} profile points")
-        if not self.dt > 0:
-            raise ValidationError("dt must be positive")
-        # finite differences divide by dt
-        if not math.isfinite(1.0 / float(self.dt)):
-            raise ValidationError(f"dt = {self.dt} has no finite reciprocal")
-        if not math.isfinite(self.dt * (self.p - 1)):  # the last timestamp
+        _check_interval(self.dt)
+        if not math.isfinite(float(self.dt) * (self.p - 1)):  # last stamp
             raise ValidationError(f"dt (p - 1) overflows at p = {self.p}")
 
     @staticmethod

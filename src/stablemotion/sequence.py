@@ -33,6 +33,10 @@ class Segment:
     descriptor: GeometricDescriptor
     policy: LpvDsPolicy
 
+    def __post_init__(self):
+        if not self.chain.dim == self.descriptor.dim == self.policy.dim:
+            raise ValidationError("a segment's parts must share a dimension")
+
 
 @dataclass(frozen=True)
 class TaskPlan:
@@ -46,6 +50,8 @@ class TaskPlan:
     def __post_init__(self):
         if not self.segments:
             raise ValidationError("plan needs at least one segment")
+        if len({s.chain.dim for s in self.segments}) > 1:
+            raise ValidationError("plan segments of different dimensions")
         for a, b in zip(self.segments, self.segments[1:]):
             gap = np.linalg.norm(a.policy.attractor - b.chain.joints[0])
             if gap > _ATTRACTOR_CONTINUITY:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from stablemotion.core import Trajectory, compute_velocities
-from stablemotion.gmm import GmmFitConfig
+from stablemotion.chain import ElasticChain
+from stablemotion.core import GaussianComponent, Trajectory, compute_velocities
+from stablemotion.gmm import GmmFitConfig, OrderedGmm
 from stablemotion.pipeline import learn
+from stablemotion.profile import ProfileConfig
 from stablemotion.sequence import Segment, TaskPlan, split_demo
 
 
@@ -63,6 +65,18 @@ def stress_demos() -> dict:
         demos[f"{name}_all10"] = compute_velocities(
             Trajectory(demo.points * 10.0, demo.timestamps))
     return demos
+
+
+def chain_on(joints) -> ElasticChain:
+    """A chain on the joints (m, d): one isotropic component of sd 0.1 at
+    each link's midpoint, with equal priors (the edit reads only the
+    joints and their link lengths)."""
+    joints = np.asarray(joints, dtype=float)
+    K, d = len(joints) - 1, joints.shape[1]
+    mids = 0.5 * (joints[:-1] + joints[1:])
+    return ElasticChain(OrderedGmm(tuple(GaussianComponent.from_stack(
+        [1.0 / K] * K, mids, [0.01 * np.eye(d)] * K))), joints,
+        ProfileConfig(p=200, dt=0.01))
 
 
 def two_segment_plan():

@@ -5,8 +5,7 @@ import time
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from stablemotion.chain import build_laplacian, \
-    solve_constrained_edit, transform_chain
+from stablemotion.chain import _laplacian, _laplacian_edit, transform_chain
 from stablemotion.core import (
     GaussianComponent,
     GeometricDescriptor,
@@ -34,7 +33,7 @@ from stablemotion.policy import (
 from stablemotion.profile import ProfileConfig, regenerate_profile
 from stablemotion.sequence import Segment, TaskPlan, split_demo, stitch_chains
 from test_chain import kkt_oracle, reference_pins
-from conftest import arc_demo, helix_demo, line_demo, s_curve_demo
+from conftest import arc_demo, chain_on, helix_demo, line_demo, s_curve_demo
 
 
 def _verdict(label: str, ok: bool) -> None:
@@ -189,8 +188,9 @@ def test_3_transform_correctness():
                                       rng.normal(size=2) + 5.0)
         exit_ = frame_from_two_points(rng.normal(size=2) + 10.0,
                                       rng.normal(size=2) + 15.0)
-        L = build_laplacian(m)
-        out = solve_constrained_edit(joints, enter, exit_)
+        L = _laplacian(m)
+        out = _laplacian_edit(chain_on(joints),
+                              GeometricDescriptor(enter, exit_))
         oracle = kkt_oracle(L, L @ joints,
                             reference_pins(joints, enter, exit_))
         worst = max(worst, float(np.max(np.abs(out - oracle))))

@@ -5,11 +5,11 @@ import pytest
 
 from stablemotion.chain import (
     ElasticChain,
+    _gaussian_joints,
+    _laplacian,
+    _laplacian_edit,
+    _recover_gmm,
     build_chain,
-    build_laplacian,
-    gaussian_joints,
-    recover_gmm,
-    solve_constrained_edit,
     transform_chain,
 )
 from stablemotion.core import (
@@ -20,14 +20,13 @@ from stablemotion.core import (
     compute_velocities,
     frame_from_two_points,
 )
-from stablemotion.errors import (DegenerateFrame, RankDeficientSystem,
-                                 ValidationError)
+from stablemotion.errors import DegenerateFrame, ValidationError
 from stablemotion.fileio import load_policy, save_policy
 from stablemotion.gmm import (GmmFitConfig, OrderedGmm, fit_gmm,
                               order_components)
 from stablemotion.pipeline import adapt, learn
 from stablemotion.profile import ProfileConfig
-from conftest import helix_demo, s_curve_demo
+from conftest import chain_on, helix_demo, s_curve_demo
 
 # the timing of a hand-built chain that no profile is regenerated from
 _TIMING = ProfileConfig(p=200, dt=0.01)
@@ -102,8 +101,7 @@ def reference_transform(chain, descriptor):
     maps each mean about its joint and each covariance. In 2-D R'_k is
     completed afresh along the new link; in 3-D it is R_k turned by the
     Rodrigues rotation from the old link direction to the new one."""
-    new_joints = solve_constrained_edit(
-        chain.joints, descriptor.enter, descriptor.exit)
+    new_joints = _laplacian_edit(chain, descriptor)
     out = []
     for k, comp in enumerate(chain.components.components):
         R = reference_rotation(chain.joints[k], chain.joints[k + 1])
@@ -180,8 +178,8 @@ def fitted_chain(demo=None, k_max=5):
 
 
 def joint_of(g1: GaussianComponent, g2: GaussianComponent) -> np.ndarray:
-    """`gaussian_joints` of two components (K = 2)."""
-    return gaussian_joints(np.array([g1.mean, g2.mean]),
+    """`_gaussian_joints` of two components (K = 2)."""
+    return _gaussian_joints(np.array([g1.mean, g2.mean]),
                            np.array([g1.covariance, g2.covariance]))[0]
 
 
@@ -207,24 +205,27 @@ class TestGaussianJoint:
         ([[1.0, 5.0], [5.0, 1.0]], "positive definite"),
         ([[1.0, 0.5], [0.0, 1.0]], "symmetric")])
     def test_reads_covariances_by_the_component_rule(self, cov, error):
-        covs = np.array([np.eye(2), cov])
+        """The joints are computed from components, so a matrix that
+        inverts but is no covariance is refused before it reaches them."""
         with pytest.raises(ValidationError, match=error):
-            gaussian_joints(np.array([[0.0, 0.0], [2.0, 0.0]]), covs)
+            build_chain(OrderedGmm((unit_gaussian(0, 0),
+                                    unit_gaussian(2, 0, cov=np.array(cov)))),
+                        s_curve_demo())
 
 
 class TestBuildLaplacian:
     def test_m3_rows(self):
-        L = build_laplacian(3)
+        L = _laplacian(3)
         assert np.allclose(L, [[1, -1, 0], [-0.5, 1, -0.5], [0, -1, 1]])
 
     def test_m2(self):
-        assert np.allclose(build_laplacian(2), [[1, -1], [-1, 1]])
+        assert np.allclose(_laplacian(2), [[1, -1], [-1, 1]])
 
     @pytest.mark.parametrize("m", [2, 3, 7, 20])
     def test_row_sums_zero_unit_diagonal(self, m):
         # end rows carry a single -1 neighbor, so L is not symmetric for
         # m >= 3; the normalized weights still zero every row sum
-        L = build_laplacian(m)
+        L = _laplacian(m)
         assert np.allclose(L.sum(axis=1), 0.0, atol=1e-15)
         assert np.allclose(np.diag(L), 1.0)
 
@@ -251,11 +252,11 @@ class TestBuildChain:
         with pytest.raises(DegenerateFrame):
             ElasticChain(chain.components, joints, chain.timing)
         with pytest.raises(DegenerateFrame):
-            recover_gmm(chain, joints)
+            _recover_gmm(chain, joints)
 
     def test_round_trip_identity(self):
         chain, _ = fitted_chain()
-        rebuilt = recover_gmm(chain, chain.joints)
+        rebuilt = _recover_gmm(chain, chain.joints)
         for orig, new in zip(chain.components.components, rebuilt):
             assert np.allclose(new.mean, orig.mean, atol=1e-9)
             assert np.allclose(new.covariance, orig.covariance, atol=1e-9)
@@ -266,7 +267,7 @@ class TestSolveConstrainedEdit:
     def test_identity_edit(self):
         chain, _ = fitted_chain()
         desc = chain.endpoint_descriptor()
-        out = solve_constrained_edit(chain.joints, desc.enter, desc.exit)
+        out = _laplacian_edit(chain, desc)
         assert np.max(np.abs(out - chain.joints)) < 1e-9
 
     def test_pure_translation(self):
@@ -275,15 +276,15 @@ class TestSolveConstrainedEdit:
         t = np.array([2.5, -1.0])
         enter = Pose(desc.enter.position + t, desc.enter.rotation)
         exit_ = Pose(desc.exit.position + t, desc.exit.rotation)
-        out = solve_constrained_edit(chain.joints, enter, exit_)
+        out = _laplacian_edit(chain, GeometricDescriptor(enter, exit_))
         assert np.max(np.abs(out - (chain.joints + t))) < 1e-9
 
     def test_rotated_end_matches_kkt_oracle(self):
         joints = np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]])
         end = Pose(np.array([3.0, 0]),
                    np.array([[0.0, -1.0], [1.0, 0.0]]))  # x-axis up
-        L = build_laplacian(4)
-        out = solve_constrained_edit(joints, None, end)
+        L = _laplacian(4)
+        out = _laplacian_edit(chain_on(joints), GeometricDescriptor(exit=end))
         oracle = kkt_oracle(L, L @ joints, reference_pins(joints, None, end))
         assert np.max(np.abs(out - oracle)) < 1e-8
 
@@ -298,8 +299,9 @@ class TestSolveConstrainedEdit:
                                           rng.normal(size=2) + 5.0)
             exit_ = frame_from_two_points(rng.normal(size=2) + 10.0,
                                           rng.normal(size=2) + 15.0)
-            L = build_laplacian(m)
-            out = solve_constrained_edit(joints, enter, exit_)
+            L = _laplacian(m)
+            out = _laplacian_edit(chain_on(joints),
+                                  GeometricDescriptor(enter, exit_))
             pins = reference_pins(joints, enter, exit_)
             oracle = kkt_oracle(L, L @ joints, pins)
             assert np.max(np.abs(out - oracle)) < 1e-8
@@ -308,30 +310,34 @@ class TestSolveConstrainedEdit:
                 assert np.linalg.norm(out[i] - target) < 1e-9
 
     def test_conflicting_pins_raise(self):
+        """Conflicting pins are bad input: the descriptor asks for two
+        places of one joint."""
         joints = np.array([[0.0, 0], [1, 0]])
         enter = frame_from_two_points(np.zeros(2), np.array([1.0, 0]))
         exit_ = frame_from_two_points(np.array([5.0, 5]),
                                       np.array([6.0, 5]))
         exit_ = Pose(np.array([6.0, 5.0]), exit_.rotation)
-        with pytest.raises(RankDeficientSystem):
-            solve_constrained_edit(joints, enter, exit_)
+        with pytest.raises(ValidationError, match="conflicting targets"):
+            _laplacian_edit(chain_on(joints), GeometricDescriptor(enter,
+                                                                  exit_))
 
     def test_a_joint_pinned_from_both_ends_needs_agreeing_targets(self):
         # in a chain of 3 joints both ends pin the middle one
         joints = np.array([[0.0, 0], [1, 0], [2, 0]])
         enter = frame_from_two_points(joints[0], joints[1])
         exit_ = Pose(joints[2], enter.rotation)
-        assert np.array_equal(solve_constrained_edit(joints, enter, exit_),
-                              joints)
+        chain = chain_on(joints)
+        assert np.array_equal(
+            _laplacian_edit(chain, GeometricDescriptor(enter, exit_)), joints)
         raised = Pose(joints[2] + [0.0, 1e-6], enter.rotation)
-        with pytest.raises(RankDeficientSystem, match="joint 1"):
-            solve_constrained_edit(joints, enter, raised)
+        with pytest.raises(ValidationError, match="joint 1"):
+            _laplacian_edit(chain, GeometricDescriptor(enter, raised))
 
 
 class TestRecoverGmm:
     def test_uniform_scaling(self):
         chain, _ = fitted_chain()
-        scaled = recover_gmm(chain, 2.0 * chain.joints)
+        scaled = _recover_gmm(chain, 2.0 * chain.joints)
         for k, (orig, new) in enumerate(zip(chain.components.components,
                                             scaled)):
             u = chain.joints[k + 1] - chain.joints[k]
@@ -353,7 +359,7 @@ class TestRecoverGmm:
         R = np.array([[np.cos(ang), -np.sin(ang)],
                       [np.sin(ang), np.cos(ang)]])
         t = np.array([1.0, -2.0])
-        moved = recover_gmm(chain, chain.joints @ R.T + t)
+        moved = _recover_gmm(chain, chain.joints @ R.T + t)
         for orig, new in zip(chain.components.components, moved):
             assert np.allclose(new.mean, R @ orig.mean + t, atol=1e-9)
             assert np.allclose(new.covariance, R @ orig.covariance @ R.T,
@@ -372,7 +378,7 @@ class TestRecoverGmm:
                 unit_gaussian(0.5, 0.0, cov=R @ np.diag([0.02, 0.01]) @ R.T),
                 unit_gaussian(1.5, 0.0, cov=0.01 * np.eye(2)))), joints,
                 _TIMING)
-            out.append(recover_gmm(chain, moved)[0].covariance)
+            out.append(_recover_gmm(chain, moved)[0].covariance)
         assert np.abs(out[1] - out[0]).max() <= 1e-7 * np.abs(out[0]).max()
 
     def test_round_component_stretches_along_its_link(self):
@@ -389,7 +395,7 @@ class TestRecoverGmm:
                               cov=0.01 * R @ np.diag([1.0, 1.0 + 1e-9]) @ R.T),
                 unit_gaussian(1.5, 0.0, cov=0.01 * np.eye(2)))), joints,
                 _TIMING)
-            S = recover_gmm(chain, moved)[0].covariance
+            S = _recover_gmm(chain, moved)[0].covariance
             assert np.abs(S - np.diag([0.04, 0.01])).max() <= 4e-11 + 1e-12
         # 3-D: a link along a tilted direction u, turned to w and doubled
         rng = np.random.default_rng(3)
@@ -405,21 +411,20 @@ class TestRecoverGmm:
                 GaussianComponent(0.5, start + 0.5 * u, cov),
                 GaussianComponent(0.5, start + 1.5 * u, 0.01 * np.eye(3)))),
                 joints, _TIMING)
-            S = recover_gmm(chain, moved)[0].covariance
+            S = _recover_gmm(chain, moved)[0].covariance
             expect = 0.01 * (np.eye(3) + 3.0 * np.outer(w, w))
             assert np.abs(S - expect).max() <= 8e-11 + 1e-12
 
     def test_components_are_what_the_constructor_builds(self, learned_chain):
-        """recover_gmm checks its re-posed covariance stack once, not
+        """_recover_gmm checks its re-posed covariance stack once, not
         component by component: each component it returns passes every
         check of the constructor, and equals bit for bit the component
         the constructor builds from the same prior, mean and covariance."""
         chain = learned_chain
         for desc in moved_descriptors(chain, np.random.default_rng(4), 8):
-            joints = solve_constrained_edit(chain.joints, desc.enter,
-                                            desc.exit)
+            joints = _laplacian_edit(chain, desc)
             for old, comp in zip(chain.components.components,
-                                 recover_gmm(chain, joints)):
+                                 _recover_gmm(chain, joints)):
                 built = GaussianComponent(comp.prior, comp.mean,
                                           comp.covariance)
                 assert comp.prior == built.prior == old.prior
@@ -585,7 +590,7 @@ class TestReposingIn3d:
                 moved = J.copy()
                 moved[k + 1:] += length * np.array(
                     [rho * np.cos(azimuth), rho * np.sin(azimuth), z]) - link
-                out.append(recover_gmm(chain, moved)[k])
+                out.append(_recover_gmm(chain, moved)[k])
             S = out[0].covariance
             assert np.abs(out[1].covariance - S).max() \
                 <= 2.0 * turn * np.abs(S).max()
@@ -599,10 +604,10 @@ class TestReposingIn3d:
         moved = chain.joints.copy()
         moved[2:] -= 2.0 * (chain.joints[2] - chain.joints[1])
         with pytest.raises(DegenerateFrame, match="back on itself"):
-            recover_gmm(chain, moved)
+            _recover_gmm(chain, moved)
         flat, _ = fitted_chain(k_max=3)
         for orig, new in zip(flat.components.components,
-                             recover_gmm(flat, -flat.joints)):
+                             _recover_gmm(flat, -flat.joints)):
             assert np.allclose(new.mean, -orig.mean, atol=1e-12)
             assert np.allclose(new.covariance, orig.covariance, atol=1e-12)
 
@@ -643,3 +648,30 @@ class TestWorkspaceRules:
             else:
                 with pytest.raises(ValidationError, match="attractor"):
                     chain()
+
+    def test_descriptor_positions_are_measured_from_the_last_joint(self):
+        """The edit's reach is the chain's: 1e3 joint diameters (3e3) from
+        the last joint. An entry 2999 from the last joint (3000.5 from the
+        joints' mean) is edited to; one 3001 from it (2999.5 from the
+        mean) is refused."""
+        chain = chain_on([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        for x, ok in ((3002.0, True), (-2998.0, False)):
+            desc = GeometricDescriptor(enter=Pose([x, 0.0], np.eye(2)))
+            if ok:
+                assert transform_chain(chain, desc).joints[0, 0] == x
+            else:
+                with pytest.raises(ValidationError, match="joint diameters"):
+                    transform_chain(chain, desc)
+
+
+def test_the_chain_re_targets_through_its_own_entries():
+    """Building and transforming a chain are the re-target API; the steps
+    they take on checked values are private, and conflicting pins are a
+    ValidationError, not an error type of their own."""
+    import stablemotion
+    from stablemotion import chain, errors
+    for name in ("gaussian_joints", "build_laplacian",
+                 "solve_constrained_edit", "recover_gmm"):
+        assert not hasattr(stablemotion, name)
+        assert not hasattr(chain, name)
+    assert not hasattr(errors, "RankDeficientSystem")

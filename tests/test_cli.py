@@ -466,6 +466,21 @@ def _helix_policy(tmp_path):
     return out
 
 
+def _conflicting_pins(tmp_path, demo_file):
+    """A transform of a K = 2 policy (3 joints, so both ends pin the
+    middle one) whose descriptor moves the entry by (0, 0.3) and the exit
+    by (0.3, 0): the two ends ask for two places of that joint."""
+    policy = str(tmp_path / "k2_policy.json")
+    assert main(["--quiet", "fit", demo_file, "-o", policy, "--k-min", "2",
+                 "--k-max", "2", "--restarts", "1"]) == EXIT_OK
+    base = fileio.load_policy(policy)[1].endpoint_descriptor()
+    desc = tmp_path / "conflicting.json"
+    fileio.save_descriptor(desc, GeometricDescriptor(
+        Pose(base.enter.position + [0.0, 0.3], base.enter.rotation),
+        Pose(base.exit.position + [0.3, 0.0], base.exit.rotation)))
+    return ["transform", policy, str(desc), "-o", str(tmp_path / "o.json")]
+
+
 def _non_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"format": "stablemotion-policy\xff"}')
@@ -527,6 +542,17 @@ _BAD_INPUTS = [
     pytest.param(lambda t, d, p: [*_config(t, margin=1e308),
                                   "fit", d, "-o", str(t / "o.json")],
                  EXIT_VALIDATION, id="config_margin_overflows"),
+    pytest.param(lambda t, d, p: [*_config(t, rollout_convergence_radius=1e200),
+                                  "rollout", p, "-o", str(t / "o.csv")],
+                 EXIT_VALIDATION, id="config_rollout_radius_square_overflows"),
+    pytest.param(lambda t, d, p: [*_config(t, rollout_convergence_radius=1e155),
+                                  "metrics", p],
+                 EXIT_VALIDATION, id="config_metrics_radius_square_overflows"),
+    pytest.param(lambda t, d, p: [*_config(t, rollout_convergence_radius=float(
+        "inf")), "rollout", p, "-o", str(t / "o.csv")],
+                 EXIT_VALIDATION, id="config_rollout_radius_inf"),
+    pytest.param(lambda t, d, p: _conflicting_pins(t, d),
+                 EXIT_VALIDATION, id="transform_conflicting_pins"),
     pytest.param(lambda t, d, p: [*_config(t, k_mx=3, margins=0.5), "fit", d,
                                   "-o", str(t / "o.json")],
                  EXIT_VALIDATION, id="config_unknown_key"),

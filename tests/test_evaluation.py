@@ -86,6 +86,22 @@ class TestRollout:
         with pytest.raises(ValidationError, match="max_steps must be >= 1"):
             RolloutConfig(max_steps=max_steps)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("convergence_radius", 1e155, "finite square"),
+        ("convergence_radius", 1e200, "finite square"),
+        ("convergence_radius", np.inf, "finite square"),
+        ("convergence_radius", 10 ** 400, "finite square"),
+        ("dt", np.inf, "positive and finite"),
+        ("dt", 10 ** 400, "positive and finite"),
+        ("dt", 1e-310, "no finite reciprocal"),
+    ], ids=["radius_1e155", "radius_1e200", "radius_inf", "radius_10**400",
+            "dt_inf", "dt_10**400", "dt_1e-310"])
+    def test_radius_and_dt_are_finite(self, field, value, match):
+        """The stop test squares the radius, and dt follows the profile's
+        rule: finite, with a finite reciprocal."""
+        with pytest.raises(ValidationError, match=match):
+            RolloutConfig(**{field: value})
+
     def test_start_inside_radius(self):
         policy = linear_policy()
         run = rollout(policy, np.array([1e-6, 0.0]),

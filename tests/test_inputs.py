@@ -7,7 +7,6 @@ import functools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from stablemotion.chain import recover_gmm, solve_constrained_edit
 from stablemotion.core import (GeometricDescriptor, Pose, Trajectory,
                                frame_rotations)
 from stablemotion.errors import StableMotionError
@@ -52,14 +51,10 @@ def _entries() -> dict:
             chain.joints, lambda x: regenerate_profile(x, chain.timing)),
         "responsibilities_batch": (
             pts, lambda x: responsibilities_batch(comps, x)),
-        "recover_gmm": (chain.joints + 0.01,
-                        lambda x: recover_gmm(chain, x)),
         "frame_rotations_origins": (
             pts[:-1], lambda x: frame_rotations(x, pts[1:])),
         "frame_rotations_towards": (
             pts[1:], lambda x: frame_rotations(pts[:-1], x)),
-        "solve_constrained_edit": (chain.joints, lambda x: (
-            solve_constrained_edit(x, ends.enter, ends.exit))),
         "rollout_csv": (ts, lambda x: rollout_csv(demo, x)),
         "field_csv_points": (pts, lambda x: field_csv(x, vel)),
         "field_csv_velocities": (vel, lambda x: field_csv(pts, x)),

@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 import stablemotion
-from stablemotion.chain import (build_chain, build_laplacian,
-                                gaussian_joints, recover_gmm,
-                                solve_constrained_edit)
+from stablemotion.chain import build_chain
 from stablemotion.core import (GaussianComponent, GeometricDescriptor, Pose,
                                Trajectory, compute_velocities,
                                frame_rotations)
@@ -878,7 +876,6 @@ def _malformed_input_cases() -> dict:
     """Arrays that are not real, finite numbers (strings, numerals, a
     bool among numbers, NaN, inf), handed to the library's entries, and
     scalars beside them that break the configs' number rule."""
-    chain = lambda: learned_s_curve()[0]  # noqa: E731
     policy = lambda: learned_s_curve()[1]  # noqa: E731
     strings, numerals = ["a", "b"], ["0.1", "0.2"]
     unit = [[0.0, 1.0], [0.0, 1.0]]
@@ -894,13 +891,6 @@ def _malformed_input_cases() -> dict:
             s_curve_demo(), [strings], 0.1),
         "frame_rotations_strings": lambda: frame_rotations(
             [strings], [["c", "d"]]),
-        "solve_constrained_edit_strings": lambda: solve_constrained_edit(
-            [strings] * 4, chain().endpoint_descriptor().enter, None),
-        "recover_gmm_strings": lambda: recover_gmm(
-            chain(), [strings] * len(chain().joints)),
-        "build_laplacian_string": lambda: build_laplacian("5"),
-        "gaussian_joints_strings": lambda: gaussian_joints(
-            [strings] * 2, [[strings, strings]] * 2),
         "sample_field_string_bounds": lambda: sample_field(
             policy(), [strings, strings], 5),
         "sample_field_resolution_2.5": lambda: sample_field(
@@ -980,12 +970,9 @@ def test_library_entry_raises_a_typed_error(call):
 
 @pytest.mark.parametrize("call", [
     lambda: split_demo(s_curve_demo(), [[np.nan, 0.0]], 0.1),
-    lambda: recover_gmm(learned_s_curve()[0], np.full(
-        learned_s_curve()[0].joints.shape, np.nan)),
     lambda: regenerate_profile(np.full((4, 2), np.nan),
                                ProfileConfig(50, 0.1)),
-], ids=["split_demo_nan_via_point", "recover_gmm_nan_joints",
-        "regenerate_profile_nan_joints"])
+], ids=["split_demo_nan_via_point", "regenerate_profile_nan_joints"])
 def test_non_finite_array_is_refused_as_such(call):
     # not as a via-point out of order or a degenerate link, which is what
     # the NaN would make of it further on

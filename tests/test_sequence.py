@@ -3,6 +3,7 @@ import pytest
 
 from stablemotion.chain import build_chain
 from stablemotion.core import Trajectory, joint_diameter
+from stablemotion.pipeline import learn
 from stablemotion.errors import (
     ChainGapTooLarge,
     NonMonotoneViaPoints,
@@ -14,11 +15,12 @@ from stablemotion.gmm import GmmFitConfig, fit_gmm, order_components
 from stablemotion.policy import evaluate
 from stablemotion.sequence import (
     PlanExecutor,
+    Segment,
     TaskPlan,
     split_demo,
     stitch_chains,
 )
-from conftest import line_demo, s_curve_demo, two_segment_plan
+from conftest import helix_demo, line_demo, s_curve_demo, two_segment_plan
 
 
 def fitted_chain(demo, k_max=3):
@@ -101,6 +103,21 @@ class TestTaskPlan:
         # match its own chain start, so segment 2 starts in the wrong place
         with pytest.raises(ValidationError):
             TaskPlan((plan.segments[0], plan.segments[0]))
+
+    def test_a_plan_has_one_dimension(self):
+        """A segment's chain, descriptor and policy share a dimension, and
+        so do a plan's segments."""
+        plan, _ = two_segment_plan()
+        flat = plan.segments[0]
+        chain, policy = learn(helix_demo(), GmmFitConfig(k_max=2, restarts=1))
+        spatial = Segment(chain, chain.endpoint_descriptor(), policy)
+        for parts in ((flat.chain, flat.descriptor, policy),
+                      (flat.chain, spatial.descriptor, flat.policy),
+                      (spatial.chain, flat.descriptor, spatial.policy)):
+            with pytest.raises(ValidationError, match="share a dimension"):
+                Segment(*parts)
+        with pytest.raises(ValidationError, match="different dimensions"):
+            TaskPlan((flat, spatial))
 
     def test_default_switch_radius_positive(self):
         plan, _ = two_segment_plan()
