@@ -180,7 +180,7 @@ def fitted_chain(demo=None, k_max=5):
 def joint_of(g1: GaussianComponent, g2: GaussianComponent) -> np.ndarray:
     """`_gaussian_joints` of two components (K = 2)."""
     return _gaussian_joints(np.array([g1.mean, g2.mean]),
-                           np.array([g1.covariance, g2.covariance]))[0]
+                            np.array([g1.covariance, g2.covariance]))[0]
 
 
 class TestGaussianJoint:
