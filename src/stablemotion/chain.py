@@ -49,8 +49,10 @@ class ElasticChain:
     components: OrderedGmm
     joints: np.ndarray            # (K+1, d)
     timing: ProfileConfig         # the source demo's length and interval
-    # (K,) distances between consecutive joints, derived from them
+    # (K,) distances between consecutive joints, and their diameter, the
+    # unit of the workspace rules, both derived from them
     link_lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    diameter: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a far joint, mean or covariance would overflow the link lengths
@@ -66,6 +68,7 @@ class ElasticChain:
         object.__setattr__(self, "link_lengths", _link_lengths(joints))
         means, covs = _stack(self.components.components)
         diameter = joint_diameter(joints)
+        object.__setattr__(self, "diameter", diameter)
         reach = REACH * diameter
         _check_reach("a component mean", means, joints, reach)
         if np.abs(covs).max() > reach ** 2:
@@ -145,7 +148,7 @@ def _laplacian_edit(chain: ElasticChain,
     # rounding of its coordinates, and stretch the links past overflow
     _check_reach("a descriptor position",
                  np.array([p.position for p in (o_start, o_end) if p]),
-                 joints0, REACH * joint_diameter(joints0))
+                 joints0, REACH * chain.diameter)
 
     L = _laplacian(m)
     x = np.zeros_like(joints0)

@@ -200,21 +200,35 @@ def responsibilities(components: Sequence[GaussianComponent],
 def responsibilities_batch(components: Sequence[GaussianComponent],
                            xi: np.ndarray) -> np.ndarray:
     """(n, K) posterior probabilities for a batch of query points, lifted
-    about their mean. Log-density rows that are not finite (the factor
-    is written out entry by entry, not LAPACK's, and a thin component
-    far from the queries' mean can overflow) raise ValidationError."""
+    about their mean, or a ValidationError where the arithmetic does not
+    hold:
+    - a precision that is not finite (the factor is written out entry by
+      entry, not LAPACK's, and a thin component can overflow);
+    - the rest of a log-density row not finite, or a log-normaliser at or
+      below `_EMPTY_LOG_NORM`: a component so far from the queries' mean
+      that its weight would read as an empty slot's;
+    - a weight that is not finite; a lift that is not finite (queries too
+      spread to square) makes every weight of its column NaN."""
     means, covs = _stack(components)
     X = _rows(xi, "states", means.shape[-1])
     if not len(X):  # no mean to lift about
         return np.zeros((0, len(components)))
-    origin, phi = _lift_about_mean(np.ascontiguousarray(X.T))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # each overflow is refused below
+        origin, phi = _lift_about_mean(np.ascontiguousarray(X.T))
         coef = _log_density_rows([c.prior for c in components], means, covs,
                                  origin)
-    if not np.isfinite(coef).all():
-        raise ValidationError("a component covariance is not numerically "
-                              "positive definite")
-    return _weigh(coef, phi)[0].T
+        d = means.shape[-1]
+        if not np.isfinite(coef[:, :d * d]).all():
+            raise ValidationError("a component covariance is not "
+                                  "numerically positive definite")
+        if not (np.isfinite(coef).all()
+                and (coef[:, -1] > _EMPTY_LOG_NORM).all()):
+            raise ValidationError("a component lies too far from the "
+                                  "states to weigh them")
+        gamma = _weigh(coef, phi)[0]
+        if not np.isfinite(gamma).all():
+            raise ValidationError("the states are too spread to weigh")
+    return gamma.T
 
 
 def _block_resp(n: int, k: int, phase: Fraction) -> np.ndarray:
@@ -338,7 +352,11 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
     if n < 2 * d * cfg.k_max:
         raise InsufficientData(
             f"{n} points < 2*d*k_max = {2 * d * cfg.k_max}")
-    floor = max(1e-6 * float(np.trace(np.cov(data.T))) / d, 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.trace(np.cov(data.T)))
+    if not np.isfinite(spread):
+        raise ValidationError("the data's spread is not finite")
+    floor = max(1e-6 * spread / d, 1e-12)
 
     R = cfg.restarts
     runs = [(k, r) for k in range(cfg.k_min, cfg.k_max + 1)

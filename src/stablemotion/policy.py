@@ -11,8 +11,10 @@ With the mixing weights fixed, the prediction at sample t is linear in the
 stacked gains Abar = [A_1 ... A_K] (d x Kd): f_t = Abar phi_t with
 phi_t = gamma_t (x) y_t, so the fit needs only the sufficient statistics
 H = Phi^T Phi (Kd x Kd), B = V^T Phi (d x Kd) and c = ||V||^2, formed
-once per estimate. The objective's Hessian in W is constant: the Newton
-system (Kd^2 unknowns) is built from H once and never touches the samples.
+once per estimate, and the problem is built from them alone: the warm
+start's per-component moments are blocks of H and B. The objective's
+Hessian in W is constant: the Newton system (Kd^2 unknowns) is built from
+H once and never touches the samples.
 """
 
 from __future__ import annotations
@@ -450,33 +452,35 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
         raise InsufficientData(f"{T} samples < 10*K = {10 * K}")
 
     # condition the quadratic: center at the attractor, scale by the
-    # workspace radius (A is invariant to the scaling, the objective is not)
-    Y = data - attractor
-    scale = max(float(np.max(np.linalg.norm(Y, axis=1))), 1e-12)
-    gamma = responsibilities_batch(components, data)
-    # finite velocities can still be too large to square (a profile's grow
-    # as 1/dt): that is a fit the solver cannot make, not a warning
+    # workspace radius (A is invariant to the scaling, the objective is not).
+    # A far sample or a finite velocity too large to square (a profile's
+    # grow as 1/dt) is a fit the solver cannot make, not a warning
     try:
         with np.errstate(over="raise", invalid="raise"):
-            Yn, Vn = Y / scale, velocities / scale
-            stats = fit_statistics(gamma, Yn, Vn)
+            Y = data - attractor
+            radii = np.linalg.norm(Y, axis=1)
+            scale = max(float(radii.max()), 1e-12)
+            Vn = velocities / scale
             # shrinkage target for unexcited directions: a few times the
             # data's speed-to-radius ratio, so they contract strictly
             # faster than the fitted modes -- the slow mode (and hence the
             # asymptotic approach direction into the attractor) must stay
             # the demonstrated one
-            shrink = 10.0 * float(
-                np.mean(np.linalg.norm(Vn, axis=1))
-                / max(np.mean(np.linalg.norm(Yn, axis=1)), 1e-12))
+            shrink = 10.0 * float(np.mean(np.linalg.norm(Vn, axis=1))
+                                  / max(np.mean(radii) / scale, 1e-12))
+            gamma = responsibilities_batch(components, data)
+            stats = fit_statistics(gamma, Y / scale, Vn)
     except FloatingPointError as exc:
         raise OptimizationDiverged(f"set-up: {exc}") from None
     reg = _RIDGE * T
 
     # warm start: per-component ridge least-squares A, mapped to W = P A
-    # with the eigenvalues of sym(W_k) clamped to <= -_START_DEPTH * eps
+    # with the eigenvalues of sym(W_k) clamped to <= -_START_DEPTH * eps.
+    # Both moments come from the statistics: sum_t gamma_tk y_t y_t^T is
+    # the k-th block-row sum of H (each gamma_t sums to 1), and
+    # sum_t gamma_tk v_t y_t^T the k-th (d x d) block of B
     I = np.eye(d)
-    Syy = (gamma.T[:, None, :] * Yn.T) @ Yn + max(reg, 1e-9) * I
-    # the k-th (d x d) block of B is sum_t gamma_tk v_t y_t^T
+    Syy = stats.H.reshape(K, d, K, d).sum(axis=2) + max(reg, 1e-9) * I
     Svy = stats.B.reshape(d, K, d).transpose(1, 0, 2) - reg * shrink * I
     W = P @ (Svy @ np.linalg.inv(Syy))
     vals, vecs = np.linalg.eigh(_sym(W))

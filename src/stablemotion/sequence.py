@@ -10,7 +10,8 @@ import numpy as np
 
 from .chain import ElasticChain
 from .core import (GaussianComponent, GeometricDescriptor, Trajectory,
-                   _array, _check_number, _stack, joint_diameter)
+                   _MAX_FLOAT, _array, _check_number, _stack,
+                   joint_diameter)
 from .errors import (
     ChainGapTooLarge,
     NonMonotoneViaPoints,
@@ -94,13 +95,16 @@ class PlanExecutor:
 def split_demo(traj: Trajectory, via_points: Sequence[np.ndarray],
                radius: float) -> list:
     """Cut the demo at each via-point's closest-approach index, which
-    must lie within `radius`, a positive number, of the via-point."""
+    must lie within `radius`, a positive finite number, of the
+    via-point."""
     via_points = _array(via_points, "via_points", (None, traj.dim))
     if len(via_points) == 0:
         raise ValidationError("need at least one via-point")
     _check_number("radius", radius)
-    if not radius > 0:
-        raise ValidationError(f"radius must be positive, got {radius}")
+    # before any comparison with a distance: an int past the largest
+    # float cannot be converted to one, and an inf radius takes any point
+    if not 0 < radius <= _MAX_FLOAT:
+        raise ValidationError("radius must be positive and finite")
     pts = traj.points
     indices = []
     for v in via_points:

@@ -49,6 +49,19 @@ def hairpin_demo(h: float, n: int = 400, duration: float = 4.0) -> Trajectory:
     return compute_velocities(Trajectory(pts, duration * s / s[-1]))
 
 
+# 1e100, 1e101, ..., 1e300: how far one sample of `far_sample_demo` lies
+FAR_MAGNITUDES = [10.0 ** e for e in range(100, 301)]
+
+
+def far_sample_demo(magnitude: float) -> Trajectory:
+    """The S-curve of `s_curve_demo()` with its sample 100 moved to
+    (magnitude, 0), and no velocities."""
+    demo = s_curve_demo()
+    pts = demo.points.copy()
+    pts[100] = (magnitude, 0.0)
+    return Trajectory(pts, demo.timestamps)
+
+
 def stress_demos() -> dict:
     """Valid demos far from the conftest ones in shape or units, by name:
     four hairpins, the S-curve, arc and helix with x scaled by 0.03, 0.1,

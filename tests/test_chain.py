@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from stablemotion.core import (
     Trajectory,
     compute_velocities,
     frame_from_two_points,
+    joint_diameter,
 )
 from stablemotion.errors import DegenerateFrame, ValidationError
 from stablemotion.fileio import load_policy, save_policy
@@ -237,6 +239,19 @@ class TestBuildChain:
         assert np.allclose(chain.joints[0], demo.start)
         assert np.allclose(chain.joints[-1], demo.end)
         assert chain.link_lengths.shape == (1,)
+
+    def test_diameter_is_derived_from_the_joints(self):
+        chain, _ = fitted_chain(k_max=3)
+        assert chain.diameter == joint_diameter(chain.joints)
+        moved = ElasticChain(chain.components, chain.joints * 1.5,
+                             chain.timing)
+        assert moved.diameter == joint_diameter(moved.joints)
+        # derived: neither an argument nor a field that equality reads
+        with pytest.raises(TypeError):
+            ElasticChain(chain.components, chain.joints, chain.timing,
+                         diameter=1.0)
+        spec = {f.name: f for f in dataclasses.fields(ElasticChain)}
+        assert not (spec["diameter"].init or spec["diameter"].compare)
 
     def test_middle_joint_is_gaussian_product(self):
         chain, demo = fitted_chain(k_max=2)

@@ -22,7 +22,7 @@ from stablemotion.evaluation import (RolloutConfig, convergence_radius_for,
                                      rollout)
 from stablemotion.pipeline import adapt
 from stablemotion.profile import ProfileConfig
-from conftest import hairpin_demo, helix_demo, s_curve_demo
+from conftest import far_sample_demo, hairpin_demo, helix_demo, s_curve_demo
 
 
 @pytest.fixture
@@ -481,6 +481,14 @@ def _conflicting_pins(tmp_path, demo_file):
     return ["transform", policy, str(desc), "-o", str(tmp_path / "o.json")]
 
 
+def _far_sample_demo(tmp_path):
+    """A demo file of the S-curve with one sample at (1e155, 0), whose
+    spread overflows."""
+    path = tmp_path / "far_demo.json"
+    fileio.save_demo(path, [far_sample_demo(1e155)])
+    return str(path)
+
+
 def _non_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"format": "stablemotion-policy\xff"}')
@@ -572,6 +580,12 @@ _BAD_INPUTS = [
     pytest.param(lambda t, d, p: ["stitch", p, _helix_policy(t),
                                   "-o", str(t / "o.json")],
                  EXIT_VALIDATION, id="stitch_mixed_dimensions"),
+    pytest.param(lambda t, d, p: ["split", d, "--via", "1,5", "--radius",
+                                  "inf", "--output-prefix", str(t / "s_")],
+                 EXIT_VALIDATION, id="split_radius_inf"),
+    pytest.param(lambda t, d, p: ["fit", _far_sample_demo(t), "-o",
+                                  str(t / "o.json")],
+                 EXIT_VALIDATION, id="fit_a_sample_at_1e155"),
     pytest.param(lambda t, d, p: ["split", d, "--via", "1,0,0",
                                   "--output-prefix", str(t / "s_")],
                  EXIT_VALIDATION, id="split_via_wrong_dimension"),

@@ -40,7 +40,8 @@ from stablemotion.policy import (
 from stablemotion.profile import ProfileConfig, regenerate_profile
 from stablemotion.sequence import split_demo
 from test_gmm import brute_force_responsibilities, reference_e_step
-from conftest import arc_demo, helix_demo, s_curve_demo
+from conftest import (FAR_MAGNITUDES, arc_demo, far_sample_demo, helix_demo,
+                      s_curve_demo)
 
 
 def lyapunov_rates(policy, X):
@@ -693,6 +694,38 @@ class TestConvexOptimum:
         assert np.linalg.eigvalsh(X0)[:, 0].min() >= (
             (depth - 1.0) * eps * (1.0 - 1e-12))
 
+    @pytest.mark.parametrize("P", ["identity", "spd"])
+    @pytest.mark.parametrize("T", [200, 1000])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_warm_start_is_the_ridge_fit_of_the_samples(self, fitted_chains,
+                                                       shape, T, P):
+        """W0 is the per-component ridge least squares, formed here from
+        the centred and scaled samples, P A with the eigenvalues of its
+        symmetric part clamped at -20 eps."""
+        demo, ordered = fitted_chains(shape, T)
+        d = demo.dim
+        opts = EstimateOptions(P=None if P == "identity" else SPD_P[:d, :d])
+        components = list(ordered.components)
+        problem = fit_problem(components, demo.points, demo.velocities,
+                              demo.end, opts)
+        Y = demo.points - demo.end
+        scale = np.linalg.norm(Y, axis=1).max()
+        Y, V = Y / scale, demo.velocities / scale
+        gamma = responsibilities_batch(components, demo.points)
+        reg = 1e-6 * T
+        shrink = 10.0 * (np.linalg.norm(V, axis=1).mean()
+                         / np.linalg.norm(Y, axis=1).mean())
+        Syy = np.einsum("tk,ti,tj->kij", gamma, Y, Y) + max(reg, 1e-9) * \
+            np.eye(d)
+        Svy = np.einsum("tk,ti,tj->kij", gamma, V, Y) - reg * shrink * \
+            np.eye(d)
+        W = problem.P @ Svy @ np.linalg.inv(Syy)
+        vals, vecs = np.linalg.eigh(0.5 * (W + W.swapaxes(1, 2)))
+        vals = np.minimum(vals, -20.0 * opts.margin)
+        W0 = (0.5 * (W - W.swapaxes(1, 2))
+              + (vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2))
+        assert np.abs(problem.W0 - W0).max() <= 1e-10 * np.abs(W0).max()
+
     @pytest.mark.parametrize("P, most", [("identity", 60), ("spd", 64)])
     def test_newton_step_total(self, fitted_chains, P, most):
         """The learn and adapt problems of the S-curve, arc and helix at
@@ -830,6 +863,35 @@ class TestConvexOptimum:
             assert np.abs(A - gains[i % 2]).max() <= 1e-9
 
 
+class TestFarSample:
+    """One sample of the S-curve moved out along x to 1e100 ... 1e300:
+    each magnitude fits or ends in a typed error, with no RuntimeWarning
+    (the suite makes each one an error)."""
+
+    def test_learn_fits_or_refuses(self):
+        fitted = 0
+        for m in FAR_MAGNITUDES:
+            try:
+                learn(far_sample_demo(m))
+            except ValidationError:
+                continue
+            fitted += 1
+        assert fitted >= 40
+
+    def test_estimate_fits_or_refuses(self):
+        demo = s_curve_demo()
+        components = learned_s_curve()[1].components
+        fitted = 0
+        for m in FAR_MAGNITUDES:
+            try:
+                estimate(components, far_sample_demo(m).points,
+                         demo.velocities, demo.end)
+            except (ValidationError, OptimizationDiverged):
+                continue
+            fitted += 1
+        assert fitted >= 40
+
+
 def test_importing_the_library_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(stablemotion.__file__))
     code = ("import sys, stablemotion; print(sorted("
@@ -901,6 +963,10 @@ def _malformed_input_cases() -> dict:
             s_curve_demo(), [[1.0, 0.0]], "a"),
         "split_demo_radius_nan": lambda: split_demo(
             s_curve_demo(), [[1.0, 5.0]], np.nan),
+        "split_demo_radius_inf": lambda: split_demo(
+            s_curve_demo(), [[1.0, 5.0]], np.inf),
+        "split_demo_radius_10**400": lambda: split_demo(
+            s_curve_demo(), [s_curve_demo().points[100]], 10 ** 400),
         "rollout_inf_start": lambda: rollout(policy(), [np.inf, 0.2]),
         "fit_gmm_inf_data": lambda: fit_gmm(np.full((100, 2), np.inf)),
         "evaluate_numerals": lambda: evaluate(policy(), numerals),
