@@ -36,9 +36,6 @@ _CONSTRAINT_EXACTNESS = 1e-9
 # how many joint diameters a component mean or a descriptor position may
 # lie from the last joint, and a covariance spread
 REACH = 1e3
-# the largest |joint coordinate|: the joint diameter is then below 7 times
-# it, so d squares of the reach sum to less than the largest float
-_JOINT_BOUND = np.sqrt(np.finfo(float).max) / (16.0 * REACH)
 # the least sd of a component, in joint diameters (fitted ones stay above
 # 1e-4); with links longer than 1e-9 no covariance determinant underflows
 _THINNEST = 1e-8
@@ -55,16 +52,11 @@ class ElasticChain:
     diameter: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a far joint, mean or covariance would overflow the link lengths
-        # or the mixture's quadratic forms: the joints are bounded first,
-        # and each max-abs test runs before a norm that squares what it
-        # passed
+        # joints and means are positions, within B, so no link length or
+        # reach overflows; the spread test runs before the eigenvalues
         K, d = len(self.components), self.components.dim
-        joints = _frozen(self.joints, "joints", (K + 1, d))
+        joints = _frozen(self.joints, "joints", (K + 1, d), position=True)
         object.__setattr__(self, "joints", joints)
-        if np.abs(joints).max() > _JOINT_BOUND:
-            raise ValidationError(
-                f"a chain joint coordinate exceeds {_JOINT_BOUND:.3g}")
         object.__setattr__(self, "link_lengths", _link_lengths(joints))
         means, covs = _stack(self.components.components)
         diameter = joint_diameter(joints)
@@ -91,11 +83,9 @@ class ElasticChain:
 
 def _check_reach(what: str, points: np.ndarray, joints: np.ndarray,
                  reach: float) -> None:
-    """No row of points (n, d) lies farther than reach from the last of
-    the joints (m, d), the attractor of every policy estimated on them, or
-    a ValidationError; max-abs runs first, so the norm cannot overflow."""
-    far = points - joints[-1]
-    if np.abs(far).max() > reach or np.linalg.norm(far, axis=1).max() > reach:
+    """No row of points (n, d) lies farther than reach from joints[-1],
+    the attractor of each policy estimated on them; else a ValidationError."""
+    if np.linalg.norm(points - joints[-1], axis=1).max() > reach:
         raise ValidationError(f"{what} lies more than {REACH:g} joint "
                               f"diameters from the attractor")
 

@@ -3,6 +3,13 @@
 Everything here works for d in {2, 3}. Values are immutable after
 construction (arrays are frozen), so they can be shared freely across
 threads.
+
+A position (a pose's position, trajectory points, a mean, an attractor,
+joints, fit data, a query state) is within B = 1e100 in every coordinate,
+or the reader refuses it. Two have ||x - y||^2 <= 12 B^2 < 1e-100 F, F the
+largest float: no distance overflows, nor one scaled by EM's precisions
+(<= 1e12). A policy's S, G and P_B keep ||z_k||^2 <= 8 d^3 B^2 / S^2, a
+velocity <= 2 K d G B (K <= 1e12) and y^T P y <= 4 d^2 P_B B^2 below 1e-5 F.
 """
 
 from __future__ import annotations
@@ -28,6 +35,11 @@ _MAX_POINTS = 10 ** 6
 # R^T R = I check on Pose rotations
 _ORTHONORMAL = 1e-9
 _MAX_FLOAT = float(np.finfo(float).max)
+# B; a policy's least sd S, largest gain G and largest certificate entry P_B
+_POSITION_BOUND = 1e100
+_THINNEST_SD = 1e4 * _POSITION_BOUND / math.sqrt(_MAX_FLOAT)
+_GAIN_BOUND = 1e-18 * _MAX_FLOAT / _POSITION_BOUND
+_CERTIFICATE_BOUND = 1e-8 * _MAX_FLOAT / _POSITION_BOUND ** 2
 
 _WORLD_Z = np.array([0.0, 0.0, 1.0])
 _WORLD_Y = np.array([0.0, 1.0, 0.0])
@@ -74,10 +86,11 @@ def _fits(have: tuple, shape: tuple) -> bool:
     return True
 
 
-def _array(a, name: str, shape: tuple, copy=None) -> np.ndarray:
+def _array(a, name: str, shape: tuple, copy=None,
+           position=False) -> np.ndarray:
     """The one reader of an array a caller hands the library: `_floats`
-    of a, of the pattern `shape` (see `_fits`), every entry finite, or a
-    ValidationError."""
+    of a, of the pattern `shape` (see `_fits`), every entry finite, and
+    at most B in magnitude if a position, or a ValidationError."""
     arr = _floats(a, name, copy)
     # an exact shape is one comparison
     if arr.shape != shape and not _fits(arr.shape, shape):
@@ -85,8 +98,10 @@ def _array(a, name: str, shape: tuple, copy=None) -> np.ndarray:
         raise ValidationError(
             f"{name} has shape {arr.shape}, expected ({dims}"
             f"{',' * (len(shape) == 1)}){', d = 2 or 3' * ('d' in shape)}")
-    if np.count_nonzero(np.isfinite(arr)) < arr.size:
-        raise ValidationError(f"{name} must be finite")
+    top = _POSITION_BOUND if position else _MAX_FLOAT
+    if np.count_nonzero(np.abs(arr) <= top) < arr.size:  # NaN fails too
+        raise ValidationError(f"{name} must be finite" + (
+            f", every entry at most {top:g} in magnitude" if position else ""))
     return arr
 
 
@@ -94,7 +109,8 @@ def _rows(a, name: str, d: int) -> np.ndarray:
     """`_array` of a batch of states (n, d); one state (d,) is a batch of
     one."""
     arr = _floats(a, name)
-    return _array(arr[None] if arr.ndim == 1 else arr, name, (None, d))
+    return _array(arr[None] if arr.ndim == 1 else arr, name, (None, d),
+                  position=True)
 
 
 def _covariances(a, name: str, shape: tuple, copy=None) -> np.ndarray:
@@ -102,7 +118,7 @@ def _covariances(a, name: str, shape: tuple, copy=None) -> np.ndarray:
     symmetric within 1e-9 and factored by Cholesky, as the policy kernel
     factors it, or a ValidationError: the one check of a covariance."""
     covs = _array(a, name, shape, copy)
-    with np.errstate(over="ignore"):  # an inf difference fails too
+    with np.errstate(over="ignore"):  # covariances are not bounded
         if not (np.abs(covs - covs.swapaxes(-1, -2)) <= 1e-9).all():
             raise ValidationError("covariance must be symmetric")
     try:
@@ -112,9 +128,9 @@ def _covariances(a, name: str, shape: tuple, copy=None) -> np.ndarray:
     return covs
 
 
-def _frozen(a, name: str, shape: tuple) -> np.ndarray:
+def _frozen(a, name: str, shape: tuple, position=False) -> np.ndarray:
     """`_array`'s copy of a, which cannot be written: a value's own."""
-    out = _array(a, name, shape, copy=True)
+    out = _array(a, name, shape, copy=True, position=position)
     out.setflags(write=False)
     return out
 
@@ -125,14 +141,6 @@ def _orthonormal(R: np.ndarray, tol: float) -> bool:
     d = R.shape[-1]
     return bool(np.abs(R).max() <= 1.0 + tol and np.abs(
         R.swapaxes(-1, -2) @ R - np.eye(d)).max() <= tol)
-
-
-def _pow2_scale(a: np.ndarray, axis=None) -> np.ndarray:
-    """A power of two within a factor 2 of the largest |entry| (1 where
-    all are zero): dividing by it is exact and leaves every entry in
-    [-2, 2], so sums and squares of a few entries cannot overflow."""
-    top = np.abs(a).max(axis=axis, keepdims=axis is not None)
-    return np.ldexp(1.0, np.frexp(np.where(top > 0, top, 1.0))[1] - 1)
 
 
 def _check_number(name: str, value, count: bool = False) -> None:
@@ -163,15 +171,11 @@ def _check_interval(dt) -> None:
 
 def _link_lengths(joints: np.ndarray) -> np.ndarray:
     """The (m - 1,) distances between consecutive joints (m, d); a link no
-    longer than the degenerate-point tolerance has no direction, and one
-    whose length overflows is a ValidationError."""
-    with np.errstate(over="ignore"):  # an overflow is an inf length
-        lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
+    longer than the degenerate-point tolerance has no direction."""
+    lengths = np.linalg.norm(np.diff(joints, axis=0), axis=1)
     if not np.all(lengths > DEGENERATE_POINT):
         raise DegenerateFrame(f"a link is no longer than "
                               f"{DEGENERATE_POINT:g}")
-    if np.isinf(lengths).any():
-        raise ValidationError("a link's length is not finite")
     return lengths
 
 
@@ -183,7 +187,7 @@ class Pose:
     rotation: np.ndarray
 
     def __post_init__(self):
-        position = _frozen(self.position, "position", ("d",))
+        position = _frozen(self.position, "position", ("d",), position=True)
         R = _frozen(self.rotation, "rotation", position.shape * 2)
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "rotation", R)
@@ -210,7 +214,7 @@ class Trajectory:
     velocities: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = _frozen(self.points, "points", (None, "d"))
+        pts = _frozen(self.points, "points", (None, "d"), position=True)
         if len(pts) < 2:
             raise ValidationError("trajectory needs at least 2 points")
         ts = _frozen(self.timestamps, "timestamps", pts.shape[:1])
@@ -276,14 +280,14 @@ class GaussianComponent:
 
     @classmethod
     def from_stack(cls, priors, means, covariances) -> list:
-        """The components of (K,) priors in (0, 1], (K, d) means and
-        (K, d, d) covariances, d = 2 or 3, all finite, the covariances
+        """The components of (K,) priors in (0, 1], (K, d) means within B
+        and (K, d, d) covariances, d = 2 or 3, all finite, the covariances
         read by `_covariances`: one check of the whole stack."""
         priors = _array(priors, "priors", (None,)).tolist()
         K = len(priors)
         if not K:
             raise ValidationError("need K >= 1 components")
-        means = _frozen(means, "(K, d) means", (K, "d"))
+        means = _frozen(means, "(K, d) means", (K, "d"), position=True)
         covs = _covariances(covariances, "(K, d, d) covariances",
                             means.shape + means.shape[1:], copy=True)
         covs.setflags(write=False)
@@ -315,13 +319,11 @@ def frame_rotations(origins: np.ndarray, towards: np.ndarray) -> np.ndarray:
     the 90-degree CCW rotation of x; in 3D the y-axis comes from crossing x
     with world z (or world y when x is nearly vertical), and z = x cross y.
     """
-    origins = _array(origins, "origins", (None, "d"))
-    towards = _array(towards, "towards", origins.shape)
-    # in units of each row's largest end, so the difference cannot overflow
-    s = np.maximum(_pow2_scale(origins, axis=1), _pow2_scale(towards, axis=1))
-    delta = towards / s - origins / s
+    origins = _array(origins, "origins", (None, "d"), position=True)
+    towards = _array(towards, "towards", origins.shape, position=True)
+    delta = towards - origins
     norm = np.linalg.norm(delta, axis=1, keepdims=True)
-    if np.any(norm <= DEGENERATE_POINT / s):
+    if np.any(norm <= DEGENERATE_POINT):
         raise DegenerateFrame("frame endpoints coincide")
     x = delta / norm
     if origins.shape[1] == 2:
@@ -359,7 +361,7 @@ def _forward_velocities(pts: np.ndarray, ts: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"sampling interval {dt.min():g} has no finite reciprocal")
     vel = np.zeros_like(pts)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # velocities grow as 1 / dt
         vel[:-1] = np.diff(pts, axis=0) / dt
     return vel
 

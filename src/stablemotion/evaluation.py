@@ -97,8 +97,8 @@ def _integrate(field, X0: np.ndarray, attractor: np.ndarray,
         Xa = k2
         D = Xa - goal
         d2 = np.vecdot(D, D, axis=0)
-        # a non-finite state has a non-finite distance; an overflowed
-        # distance of a finite state is told apart by the states
+        # B bounds the starts only: a non-finite state has a non-finite
+        # distance, an overflowed one of a finite state is told by the states
         if (_count(np.isfinite(d2)) < d2.size
                 and not np.isfinite(Xa).all()):
             raise NonFiniteState("rollout state is not finite")
@@ -129,8 +129,8 @@ def rollout(policy_or_plan: Union[LpvDsPolicy, TaskPlan], xi0: np.ndarray,
         policy = policy_or_plan
         field = policy.kernel
         attractor, stiffness = policy.attractor, policy.stiffness
-    _, done, states = _integrate(field, _array(xi0, "start", attractor.shape),
-                                 attractor, cfg, True, stiffness)
+    x0 = _array(xi0, "start", attractor.shape, position=True)
+    _, done, states = _integrate(field, x0, attractor, cfg, True, stiffness)
     if len(states) == 1:  # started inside the convergence radius
         states.append(states[0])
     pts = np.array(states)
@@ -196,7 +196,7 @@ def sample_field(policy: LpvDsPolicy, bounds: np.ndarray,
     if int(resolution) ** 2 > _MAX_POINTS:
         raise ValidationError(f"a {resolution} x {resolution} grid exceeds "
                               f"{_MAX_POINTS} points")
-    (x0, x1), (y0, y1) = _array(bounds, "bounds", (2, 2))
+    (x0, x1), (y0, y1) = _array(bounds, "bounds", (2, 2), position=True)
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     gx, gy = np.meshgrid(xs, ys)

@@ -69,8 +69,8 @@ def demo_to_dict(trajectories: Sequence[Trajectory],
             for t in trajectories],
     }
     if via_points is not None:
-        out["via_points"] = _array(via_points, "via_points",
-                                   (None, d)).tolist()
+        out["via_points"] = _array(via_points, "via_points", (None, d),
+                                   position=True).tolist()
     return out
 
 
@@ -84,7 +84,7 @@ def demo_from_dict(obj: dict):
     trajectories = [Trajectory(_numeric(t, "points", (None, d)),
                                _numeric(t, "timestamps", (None,)))
                     for t in items]
-    via = (_numeric(obj, "via_points", (None, d))
+    via = (_array(obj["via_points"], "via_points", (None, d), position=True)
            if "via_points" in obj else None)
     return trajectories, via
 
@@ -247,7 +247,7 @@ def rollout_csv(traj: Trajectory, lyapunov: Sequence[float]) -> str:
 
 def _field(points, velocities, dim) -> tuple:
     """points and velocities read as (n, dim) arrays of the same n."""
-    points = _array(points, "points", (None, dim))
+    points = _array(points, "points", (None, dim), position=True)
     return points, _array(velocities, "velocities", points.shape)
 
 
@@ -268,7 +268,8 @@ def field_svg(points: np.ndarray, velocities: np.ndarray,
     points, velocities = _field(points, velocities, 2)
     _require(len(points) > 0, "a field figure needs at least one point")
     if rollout_points is not None:
-        rollout_points = _array(rollout_points, "rollout_points", (None, 2))
+        rollout_points = _array(rollout_points, "rollout_points", (None, 2),
+                                position=True)
     size = 640  # the square's side, in pixels
     lo = points.min(axis=0)
     hi = points.max(axis=0)

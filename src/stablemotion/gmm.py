@@ -207,13 +207,13 @@ def responsibilities_batch(components: Sequence[GaussianComponent],
     - the rest of a log-density row not finite, or a log-normaliser at or
       below `_EMPTY_LOG_NORM`: a component so far from the queries' mean
       that its weight would read as an empty slot's;
-    - a weight that is not finite; a lift that is not finite (queries too
-      spread to square) makes every weight of its column NaN."""
+    - a weight that is not finite: a thin component's precision times
+      a squared distance can overflow."""
     means, covs = _stack(components)
     X = _rows(xi, "states", means.shape[-1])
     if not len(X):  # no mean to lift about
         return np.zeros((0, len(components)))
-    with np.errstate(all="ignore"):  # each overflow is refused below
+    with np.errstate(all="ignore"):  # B bounds the lift, not a thin precision
         origin, phi = _lift_about_mean(np.ascontiguousarray(X.T))
         coef = _log_density_rows([c.prior for c in components], means, covs,
                                  origin)
@@ -347,15 +347,12 @@ def fit_gmm(data: np.ndarray, cfg: GmmFitConfig = GmmFitConfig()) -> list:
     steps. Every covariance is floored by 1e-6 tr(cov) / d (at least
     1e-12) on its diagonal.
     """
-    data = _array(data, "data", (None, "d"))
+    data = _array(data, "data", (None, "d"), position=True)
     n, d = data.shape
     if n < 2 * d * cfg.k_max:
         raise InsufficientData(
             f"{n} points < 2*d*k_max = {2 * d * cfg.k_max}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = float(np.trace(np.cov(data.T)))
-    if not np.isfinite(spread):
-        raise ValidationError("the data's spread is not finite")
+    spread = float(np.trace(np.cov(data.T)))
     floor = max(1e-6 * spread / d, 1e-12)
 
     R = cfg.restarts

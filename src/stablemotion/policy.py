@@ -26,7 +26,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (GaussianComponent, _array, _check_numbers, _floats,
+from .core import (_CERTIFICATE_BOUND, _GAIN_BOUND, _THINNEST_SD,
+                   GaussianComponent, _array, _check_numbers, _floats,
                    _frozen, _rows, _stack)
 from .errors import InsufficientData, OptimizationDiverged, ValidationError
 from .gmm import responsibilities_batch
@@ -63,12 +64,14 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 
 def _check_certificate(P: np.ndarray) -> None:
-    """A certificate, read as a finite (d, d) array, is symmetric and
-    positive definite."""
+    """A certificate, read as a finite (d, d) array, is within its bound
+    (see `core`), symmetric and positive definite."""
+    top = np.abs(P).max()
+    if top > _CERTIFICATE_BOUND:
+        raise ValidationError(f"a P entry exceeds {_CERTIFICATE_BOUND:.3g}")
     # |P - P^T| <= 1e-9 of P's largest entry: the fit constrains sym(P A_k),
     # which is half of A_k^T P + P A_k only when P = P^T
-    H = 0.5 * P  # halved, so that no difference overflows
-    if np.abs(H - H.T).max() > 1e-9 * np.abs(H).max():
+    if np.abs(P - P.T).max() > 1e-9 * top:
         raise ValidationError("P must be symmetric")
     if np.linalg.eigvalsh(_sym(P))[0] <= 0:
         raise ValidationError("P must be positive definite")
@@ -110,12 +113,18 @@ class VelocityKernel:
     def factor(cls, components: Sequence[GaussianComponent], A: np.ndarray,
                attractor: np.ndarray) -> "VelocityKernel":
         """Factor the components, with gains A (K, d, d), about the
-        attractor (d,)."""
+        attractor (d,); a gain entry past G, or a component thinner than S
+        (an entry of C_k^-1 past 1/S), is a ValidationError (see `core`)."""
         K, d, _ = A.shape
+        if np.abs(A).max() > _GAIN_BOUND:
+            raise ValidationError(f"a gain entry exceeds {_GAIN_BOUND:.3g}")
         means, covs = _stack(components)
         # a component is one whose covariance this factorisation succeeds on
         chol = np.linalg.cholesky(covs)
         whiten = np.sqrt(0.5) * np.linalg.inv(chol)
+        if np.abs(whiten).max() > np.sqrt(0.5) / _THINNEST_SD:
+            raise ValidationError(
+                f"a component is thinner than {_THINNEST_SD:.3g}")
         log_norm = (np.log([c.prior for c in components])
                     - 0.5 * d * np.log(2.0 * np.pi)
                     - np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
@@ -142,8 +151,7 @@ class VelocityKernel:
         weighted sum and the sum of the weights are one contraction on a
         (d + 1, K, n) view, and one division normalises. A single-state
         evaluation is bounded by its count of numpy calls, not by its
-        arithmetic. A component whose |z_k|^2 overflows gets weight
-        exactly 0."""
+        arithmetic."""
         e, n = Y.shape[0] + 1, Y.shape[1]
         K = self.M.shape[0] // (2 * e)
         out = self.M @ (Y - self.attractor)
@@ -174,7 +182,8 @@ class LpvDsPolicy:
 
     def __post_init__(self):
         _check_numbers(self, reals=("margin",))
-        attractor = _frozen(self.attractor, "attractor", ("d",))
+        attractor = _frozen(self.attractor, "attractor", ("d",),
+                            position=True)
         K, d = len(self.components), attractor.shape[0]
         if any(c.dim != d for c in self.components):
             raise ValidationError("components must be d-dimensional")
@@ -184,14 +193,12 @@ class LpvDsPolicy:
         _check_certificate(self.P)
         if not self.margin > 0:
             raise ValidationError("margin must be positive")
-        # an overflowed product gives NaN, which fails the test too
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = constraint_residual(self)
+        object.__setattr__(self, "kernel", VelocityKernel.factor(
+            self.components, self.A, self.attractor))
+        residual = constraint_residual(self)
         if not residual <= 0.0:
             raise ValidationError(f"policy violates its stability certificate "
                                   f"(constraint residual {residual:.3e} > 0)")
-        object.__setattr__(self, "kernel", VelocityKernel.factor(
-            self.components, self.A, self.attractor))
 
     @cached_property
     def stiffness(self) -> float:
@@ -206,8 +213,8 @@ class LpvDsPolicy:
 
 def evaluate(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
     """Policy velocity at one state (d,): a batch of one."""
-    return policy.kernel(
-        _array(xi, "state", policy.attractor.shape)[:, None])[:, 0]
+    return policy.kernel(_array(xi, "state", policy.attractor.shape,
+                                position=True)[:, None])[:, 0]
 
 
 def evaluate_batch(policy: LpvDsPolicy, xi: np.ndarray) -> np.ndarray:
@@ -220,8 +227,8 @@ def lyapunov_value(policy: LpvDsPolicy, xi: np.ndarray):
     """V = y^T P y, y = x - x*: a float for one state, shape (n,) for a
     batch of states (n, d)."""
     x = _floats(xi, "states")
-    y = _array(x, "states", (None,) * (x.ndim - 1) + (policy.dim,)
-               ) - policy.attractor
+    y = _array(x, "states", (None,) * (x.ndim - 1) + (policy.dim,),
+               position=True) - policy.attractor
     v = ((y @ policy.P) * y).sum(axis=-1)
     return float(v) if v.ndim == 0 else v
 
@@ -437,10 +444,10 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
                 velocities: np.ndarray, attractor: np.ndarray,
                 opts: EstimateOptions = EstimateOptions()) -> FitProblem:
     """Validate the inputs and reduce them to the problem estimate solves."""
-    data = _array(data, "data", (None, "d"))
+    data = _array(data, "data", (None, "d"), position=True)
     T, d = data.shape
     velocities = _array(velocities, "velocities", data.shape)
-    attractor = _array(attractor, "attractor", (d,))
+    attractor = _array(attractor, "attractor", (d,), position=True)
     K = len(components)
     if K == 0 or any(c.dim != d for c in components):
         raise ValidationError(f"need one or more {d}-dimensional components")
@@ -453,8 +460,8 @@ def fit_problem(components: Sequence[GaussianComponent], data: np.ndarray,
 
     # condition the quadratic: center at the attractor, scale by the
     # workspace radius (A is invariant to the scaling, the objective is not).
-    # A far sample or a finite velocity too large to square (a profile's
-    # grow as 1/dt) is a fit the solver cannot make, not a warning
+    # B bounds the positions, not velocities (a profile's grow as 1/dt) or
+    # caller-given components: an overflow is a fit the solver cannot make
     try:
         with np.errstate(over="raise", invalid="raise"):
             Y = data - attractor

@@ -47,7 +47,7 @@ def regenerate_profile(joints: np.ndarray, cfg: ProfileConfig) -> Trajectory:
     DegenerateFrame, as in a chain, and two joints on one index an
     IndexCollision.
     """
-    joints = _array(joints, "joints", (None, "d"))
+    joints = _array(joints, "joints", (None, "d"), position=True)
     if len(joints) < 2:
         raise ValidationError(f"need m >= 2 joints, got {len(joints)}")
     p = cfg.p

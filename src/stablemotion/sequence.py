@@ -88,7 +88,7 @@ class PlanExecutor:
     def step(self, xi: np.ndarray) -> Tuple[np.ndarray, int]:
         """One-hot policy evaluation at one state (d,): a batch of one
         of `column`. Returns the velocity and the active segment."""
-        x = _array(xi, "state", self.plan.final_attractor.shape)
+        x = _array(xi, "state", self.plan.final_attractor.shape, position=True)
         return self.column(x[:, None])[:, 0], self.cursor
 
 
@@ -97,7 +97,8 @@ def split_demo(traj: Trajectory, via_points: Sequence[np.ndarray],
     """Cut the demo at each via-point's closest-approach index, which
     must lie within `radius`, a positive finite number, of the
     via-point."""
-    via_points = _array(via_points, "via_points", (None, traj.dim))
+    via_points = _array(via_points, "via_points", (None, traj.dim),
+                        position=True)
     if len(via_points) == 0:
         raise ValidationError("need at least one via-point")
     _check_number("radius", radius)

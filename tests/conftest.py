@@ -51,15 +51,22 @@ def hairpin_demo(h: float, n: int = 400, duration: float = 4.0) -> Trajectory:
 
 # 1e100, 1e101, ..., 1e300: how far one sample of `far_sample_demo` lies
 FAR_MAGNITUDES = [10.0 ** e for e in range(100, 301)]
+# 1e10, 1e11, ..., 1e100: up to B, the library's bound on a position
+NEAR_BOUND_MAGNITUDES = [10.0 ** e for e in range(10, 101)]
+
+
+def far_sample_points(magnitude: float) -> np.ndarray:
+    """The points of `s_curve_demo()` with sample 100 moved to
+    (magnitude, 0)."""
+    pts = s_curve_demo().points.copy()
+    pts[100] = (magnitude, 0.0)
+    return pts
 
 
 def far_sample_demo(magnitude: float) -> Trajectory:
-    """The S-curve of `s_curve_demo()` with its sample 100 moved to
-    (magnitude, 0), and no velocities."""
-    demo = s_curve_demo()
-    pts = demo.points.copy()
-    pts[100] = (magnitude, 0.0)
-    return Trajectory(pts, demo.timestamps)
+    """The S-curve of `far_sample_points`, with no velocities."""
+    return Trajectory(far_sample_points(magnitude),
+                      s_curve_demo().timestamps)
 
 
 def stress_demos() -> dict:

@@ -556,12 +556,19 @@ class TestStackedAgainstPerLinkReference:
                 assert np.abs(x.covariance - y.covariance).max() <= 1e-12
 
     def test_far_descriptor_is_rejected_before_the_edit(self):
+        """An entry moved by 1e300 is past B, and its pose refuses it; one
+        moved by 1e50 is within B but far outside the chain's reach."""
         chain, _ = fitted_chain()
         desc = chain.endpoint_descriptor()
-        far = GeometricDescriptor(
-            enter=Pose(desc.enter.position + 1e300, desc.enter.rotation))
-        with pytest.raises(ValidationError, match="joint diameters"):
-            transform_chain(chain, far)
+        for shift, match in (
+                (1e300, r"position must be finite, every entry at most "
+                        r"1e\+100"),
+                (1e50, "joint diameters")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValidationError, match=match):
+                    transform_chain(chain, GeometricDescriptor(enter=Pose(
+                        desc.enter.position + shift, desc.enter.rotation)))
 
 
 class TestReposingIn3d:
@@ -630,23 +637,27 @@ class TestReposingIn3d:
 class TestWorkspaceRules:
     """A chain built in memory meets the rules a loaded one meets: a value
     far outside the workspace is refused at construction, before any
-    arithmetic on it overflows."""
+    arithmetic on it overflows. A joint or mean past B is refused by the
+    reader, one within B by the chain's reach."""
 
     @pytest.mark.parametrize("joint, mean, cov, match", [
-        (1e160, 1.5, 0.01, "joint coordinate exceeds"),
-        (1.0, 1e300, 0.01, "joint diameters from the attractor"),
+        (1e160, 1.5, 0.01, r"joints must be finite, every entry at most "
+                           r"1e\+100"),
+        (1.0, 1e300, 0.01, r"means must be finite, every entry at most "
+                           r"1e\+100"),
+        (1.0, 1e50, 0.01, "joint diameters from the attractor"),
         (1.0, 1.5, 1e300, "spreads over more than"),
         (1.0, 1.5, 1e-200, "thinner than"),
-    ], ids=["joint_1e160", "mean_1e300", "covariance_1e300",
+    ], ids=["joint_1e160", "mean_1e300", "mean_1e50", "covariance_1e300",
             "covariance_1e-200"])
     def test_far_or_thin_value_is_refused_at_construction(self, joint, mean,
                                                           cov, match):
-        comps = (unit_gaussian(0.5, 0.0), unit_gaussian(mean, 0.0,
-                                                        cov=cov * np.eye(2)))
         joints = [[0.0, 0.0], [joint, 0.0], [2.0, 0.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValidationError, match=match):
+                comps = (unit_gaussian(0.5, 0.0),
+                         unit_gaussian(mean, 0.0, cov=cov * np.eye(2)))
                 ElasticChain(OrderedGmm(comps), joints, _TIMING)
 
     def test_means_are_measured_from_the_last_joint(self):

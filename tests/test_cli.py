@@ -17,12 +17,13 @@ from stablemotion.cli import (
     EXIT_VALIDATION,
     main,
 )
-from stablemotion.core import GeometricDescriptor, Pose, Trajectory
+from stablemotion.core import (_CERTIFICATE_BOUND, _GAIN_BOUND, _THINNEST_SD,
+                               GeometricDescriptor, Pose, Trajectory)
 from stablemotion.evaluation import (RolloutConfig, convergence_radius_for,
                                      rollout)
 from stablemotion.pipeline import adapt
 from stablemotion.profile import ProfileConfig
-from conftest import far_sample_demo, hairpin_demo, helix_demo, s_curve_demo
+from conftest import hairpin_demo, helix_demo, s_curve_demo
 
 
 @pytest.fixture
@@ -87,7 +88,8 @@ class TestTransform:
     def test_transform_and_metrics(self, tmp_path, policy_file, capsys):
         _, chain = fileio.load_policy(policy_file)
         base = chain.endpoint_descriptor()
-        from stablemotion.core import GeometricDescriptor, Pose, Trajectory
+        from stablemotion.core import (_CERTIFICATE_BOUND, _GAIN_BOUND, _THINNEST_SD,
+                               GeometricDescriptor, Pose, Trajectory)
         moved = GeometricDescriptor(
             Pose(base.enter.position + [0.2, 0.1], base.enter.rotation),
             Pose(base.exit.position + [-0.1, 0.2], base.exit.rotation))
@@ -482,11 +484,11 @@ def _conflicting_pins(tmp_path, demo_file):
 
 
 def _far_sample_demo(tmp_path):
-    """A demo file of the S-curve with one sample at (1e155, 0), whose
-    spread overflows."""
-    path = tmp_path / "far_demo.json"
-    fileio.save_demo(path, [far_sample_demo(1e155)])
-    return str(path)
+    """A demo file of the S-curve with one sample at (1e155, 0), past B:
+    the reader refuses it before the spread could overflow."""
+    obj = fileio.demo_to_dict([s_curve_demo()])
+    obj["trajectories"][0]["points"][100] = [1e155, 0.0]
+    return _json_file(tmp_path, "far_demo.json", obj)
 
 
 def _non_utf8(tmp_path):
@@ -754,17 +756,78 @@ def test_mutated_files_never_raise(valid_files, data):
 
 
 def test_far_field_mean_is_rejected_at_load(valid_files, tmp_path, capsys):
-    """A component mean at 1e300 fails to load with exit 2, before the
-    mixture's quadratic forms can overflow."""
-    obj = json.loads(Path(valid_files["policy"]).read_text())
-    obj["components"][0]["mean"] = [1e300] * len(obj["attractor"])
-    far = _json_file(tmp_path, "far.json", obj)
+    """A component mean at 1e300, past B, fails to load with exit 2 from
+    the reader, before the mixture's quadratic forms can overflow; one at
+    1e50 is within B, and the chain's reach refuses it."""
+    for far, error in (
+            (1e300, "means must be finite, every entry at most 1e+100"),
+            (1e50, "joint diameters from the attractor")):
+        obj = json.loads(Path(valid_files["policy"]).read_text())
+        obj["components"][0]["mean"] = [far] * len(obj["attractor"])
+        path = _json_file(tmp_path, "far.json", obj)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["--quiet", "rollout", path,
+                       "-o", str(tmp_path / "r.csv")])
+        assert rc == EXIT_VALIDATION
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        assert error in capsys.readouterr().err
+
+
+def test_a_demo_sample_past_the_bound_is_named(tmp_path, capsys):
+    """`fit` of a demo with one sample at (1e155, 0) exits 2, the reader
+    naming the points, with no RuntimeWarning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main(["--quiet", "rollout", far, "-o", str(tmp_path / "r.csv")])
+        rc = main(["--quiet", "fit", _far_sample_demo(tmp_path),
+                   "-o", str(tmp_path / "o.json")])
     assert rc == EXIT_VALIDATION
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "joint diameters from the attractor" in capsys.readouterr().err
+    assert ("points must be finite, every entry at most 1e+100"
+            in capsys.readouterr().err)
+
+
+def _policy_values(A=None, P=None, sd=None):
+    """An edit that sets every component's gain to A I, the certificate
+    to P I or the first component's sd to sd."""
+    def edit(obj):
+        d = len(obj["attractor"])
+        if A is not None:
+            for comp in obj["components"]:
+                comp["A"] = (A * np.eye(d)).tolist()
+        if P is not None:
+            obj["P"] = (P * np.eye(d)).tolist()
+        if sd is not None:
+            obj["components"][0]["covariance"] = \
+                (sd * sd * np.eye(d)).tolist()
+    return edit
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_policy_values(sd=_THINNEST_SD * (1.0 - 1e-9)), "thinner than"),
+    (_policy_values(A=-_GAIN_BOUND * (1.0 + 1e-9)), "gain entry exceeds"),
+    (_policy_values(P=_CERTIFICATE_BOUND * (1.0 + 1e-9)), "P entry exceeds"),
+    (_policy_values(P=1e300), "P entry exceeds"),
+    (_policy_values(A=-1e250), "gain entry exceeds"),
+    (_policy_values(sd=1e-100), "thinner than"),
+], ids=["sd_past_S", "gain_past_G", "P_past_its_bound", "P_1e300",
+        "A_minus_1e250", "covariance_1e-200"])
+def test_a_policy_value_past_its_bound_exits_2(valid_files, tmp_path, capsys,
+                                               edit, error):
+    """A policy file holding a value past the policy's bounds fails to
+    load: `rollout` exits 2, with no RuntimeWarning. A thin component is
+    thinner than the chain's own rule allows too, which refuses it
+    first."""
+    obj = json.loads(Path(valid_files["policy"]).read_text())
+    edit(obj)
+    path = _json_file(tmp_path, "bounded.json", obj)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["--quiet", "rollout", path, "-o", str(tmp_path / "r.csv")])
+    assert rc == EXIT_VALIDATION
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert error in capsys.readouterr().err
 
 
 def test_tiny_covariance_is_rejected_at_load(valid_files, tmp_path, capsys):

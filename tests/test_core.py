@@ -84,10 +84,16 @@ class TestFrameRotations:
                                   frame_rotations(a[None], b[None])[0])
 
     def test_far_apart_ends_do_not_overflow(self):
+        """Ends at -+1.7e308 are past B, and the reader names them; ends
+        at -+B, the farthest apart the reader passes, give the identity."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            R = frame_rotations(np.array([[-1.7e308, 0.0]]),
+            with pytest.raises(ValidationError, match=r"origins must be "
+                               r"finite, every entry at most 1e\+100"):
+                frame_rotations(np.array([[-1.7e308, 0.0]]),
                                 np.array([[1.7e308, 0.0]]))
+            R = frame_rotations(np.array([[-1e100, 0.0]]),
+                                np.array([[1e100, 0.0]]))
         assert np.array_equal(R[0], np.eye(2))
 
     def test_one_coincident_pair_raises(self, rng):

@@ -11,7 +11,9 @@ import pytest
 
 import stablemotion
 from stablemotion.chain import build_chain
-from stablemotion.core import (GaussianComponent, GeometricDescriptor, Pose,
+from stablemotion.core import (_CERTIFICATE_BOUND, _GAIN_BOUND,
+                               _POSITION_BOUND, _THINNEST_SD,
+                               GaussianComponent, GeometricDescriptor, Pose,
                                Trajectory, compute_velocities,
                                frame_rotations)
 from stablemotion.errors import (InsufficientData, OptimizationDiverged,
@@ -40,8 +42,8 @@ from stablemotion.policy import (
 from stablemotion.profile import ProfileConfig, regenerate_profile
 from stablemotion.sequence import split_demo
 from test_gmm import brute_force_responsibilities, reference_e_step
-from conftest import (FAR_MAGNITUDES, arc_demo, far_sample_demo, helix_demo,
-                      s_curve_demo)
+from conftest import (FAR_MAGNITUDES, arc_demo, far_sample_demo,
+                      far_sample_points, helix_demo, s_curve_demo)
 
 
 def lyapunov_rates(policy, X):
@@ -120,22 +122,23 @@ class TestEvaluate:
                                    rtol=0, atol=1e-12)
         assert evaluate_batch(policy, X[:0]).shape == (0, d)
 
-    def test_overflowed_norm_gives_its_component_weight_zero(self):
-        # |z_0|^2 of the thin component overflows to inf 1e60 from its
-        # mean, while the unit component's stays finite: the thin one
-        # must get weight 0, not turn the other's velocity into NaN
-        comps = (GaussianComponent(0.5, np.zeros(2), 1e-200 * np.eye(2)),
+    def test_a_policy_at_the_least_sd_is_finite_in_the_whole_box(self):
+        """A component at the floor S beside a unit one: at every corner
+        of the +-B box the velocity is finite, with no RuntimeWarning
+        (the suite makes one an error), and is the unit component's, as
+        the thin one's |z_0|^2 is 1e100 times larger."""
+        sd = _THINNEST_SD * (1.0 + 1e-12)
+        comps = (GaussianComponent(0.5, np.zeros(2), sd * sd * np.eye(2)),
                  GaussianComponent(0.5, np.array([1.0, 2.0]), np.eye(2)))
         A = np.array([-np.eye(2), [[-2.0, 1.0], [-1.0, -2.0]]])
         policy = LpvDsPolicy(comps, A, np.eye(2), np.array([0.5, 0.0]),
                              1e-2)
-        X = np.array([[1e60, -3e59], [-2e59, 1e60]])
+        X = _POSITION_BOUND * np.array([[1.0, 1.0], [1.0, -1.0],
+                                        [-1.0, 1.0], [-1.0, -1.0]])
         want = (X - policy.attractor) @ A[1].T
-        assert np.all(np.isfinite(want))
-        with np.errstate(over="ignore", invalid="raise"):
-            for x, v in zip(X, want):
-                assert np.array_equal(evaluate(policy, x), v)
-            assert np.array_equal(evaluate_batch(policy, X), want)
+        for x, v in zip(X, want):
+            assert np.array_equal(evaluate(policy, x), v)
+        assert np.array_equal(evaluate_batch(policy, X), want)
 
     def test_batch_matches_single(self, rng):
         comps = random_components(rng, 2)
@@ -865,31 +868,76 @@ class TestConvexOptimum:
 
 class TestFarSample:
     """One sample of the S-curve moved out along x to 1e100 ... 1e300:
-    each magnitude fits or ends in a typed error, with no RuntimeWarning
-    (the suite makes each one an error)."""
+    at B = 1e100 it fits, and past B the reader names the array in a
+    ValidationError, with no RuntimeWarning (the suite makes each one an
+    error)."""
 
     def test_learn_fits_or_refuses(self):
-        fitted = 0
-        for m in FAR_MAGNITUDES:
-            try:
+        learn(far_sample_demo(FAR_MAGNITUDES[0]))
+        for m in FAR_MAGNITUDES[1:]:
+            with pytest.raises(ValidationError, match=r"points must be "
+                               r"finite, every entry at most 1e\+100"):
                 learn(far_sample_demo(m))
-            except ValidationError:
-                continue
-            fitted += 1
-        assert fitted >= 40
 
     def test_estimate_fits_or_refuses(self):
         demo = s_curve_demo()
         components = learned_s_curve()[1].components
-        fitted = 0
-        for m in FAR_MAGNITUDES:
-            try:
-                estimate(components, far_sample_demo(m).points,
-                         demo.velocities, demo.end)
-            except (ValidationError, OptimizationDiverged):
-                continue
-            fitted += 1
-        assert fitted >= 40
+        estimate(components, far_sample_points(FAR_MAGNITUDES[0]),
+                 demo.velocities, demo.end)
+        for m in FAR_MAGNITUDES[1:]:
+            with pytest.raises(ValidationError, match=r"data must be "
+                               r"finite, every entry at most 1e\+100"):
+                estimate(components, far_sample_points(m), demo.velocities,
+                         demo.end)
+
+
+def _bounded_policy(sd=1.0, gain=-1.0, certificate=1.0, K=2):
+    """A 2-D policy of K isotropic components of sd `sd` at (k, 0), each
+    with gain `gain` I, the certificate `certificate` I and the attractor
+    at the origin. Past its bound, a value would let the field or V
+    overflow at a state within B."""
+    comps = tuple(GaussianComponent(1.0 / K, np.array([k, 0.0]),
+                                    sd * sd * np.eye(2)) for k in range(K))
+    return LpvDsPolicy(comps, gain * np.ones((K, 1, 1)) * np.eye(2),
+                       certificate * np.eye(2), np.zeros(2), 1e-2)
+
+
+class TestPolicyBounds:
+    """A policy's own values are bounded so that its field, certificate
+    and V are finite at every state within B (see `core`): each is
+    refused past its bound at construction and kept at it."""
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"sd": _THINNEST_SD * (1.0 - 1e-9)}, "thinner than"),
+        ({"gain": -_GAIN_BOUND * (1.0 + 1e-9)}, "gain entry exceeds"),
+        ({"certificate": _CERTIFICATE_BOUND * (1.0 + 1e-9)},
+         "P entry exceeds"),
+        # three policies whose V or field overflowed well inside B
+        ({"certificate": 1e300}, "P entry exceeds"),
+        ({"gain": -1e250}, "gain entry exceeds"),
+        ({"sd": 1e-100}, "thinner than"),
+    ], ids=["sd_past_S", "gain_past_G", "P_past_its_bound", "P_1e300",
+            "A_minus_1e250", "covariance_1e-200"])
+    def test_a_value_past_its_bound_is_refused(self, kw, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=match):
+                _bounded_policy(**kw)
+
+    def test_values_at_their_bounds_are_kept(self):
+        """At the bounds together, V and the field at the corners of the
+        +-B box are finite (the suite makes a RuntimeWarning an error)."""
+        policy = _bounded_policy(sd=_THINNEST_SD * (1.0 + 1e-12),
+                                 gain=-_GAIN_BOUND,
+                                 certificate=_CERTIFICATE_BOUND)
+        X = _POSITION_BOUND * np.array([[1.0, 1.0], [-1.0, -1.0]])
+        assert np.isfinite(lyapunov_value(policy, X)).all()
+        assert np.isfinite(evaluate_batch(policy, X)).all()
+
+    def test_the_estimate_options_share_the_certificate_bound(self):
+        with pytest.raises(ValidationError, match="P entry exceeds"):
+            EstimateOptions(P=1e300 * np.eye(2))
+        EstimateOptions(P=_CERTIFICATE_BOUND * np.eye(2))
 
 
 def test_importing_the_library_loads_no_scipy():

@@ -131,11 +131,12 @@ class TestProfileRules:
                 ProfileConfig(p, 0.1)
 
     def test_a_link_whose_length_overflows_is_named(self):
-        """Joints 1e200 apart have finite coordinates and an inf link
-        length, which is refused as such, with no RuntimeWarning."""
+        """Joints 1e200 apart have finite coordinates past B, so no link
+        length is taken: the reader names the joints, with no
+        RuntimeWarning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValidationError,
-                               match="link's length is not finite"):
+            with pytest.raises(ValidationError, match=r"joints must be "
+                               r"finite, every entry at most 1e\+100"):
                 regenerate_profile([[0, 0], [1e200, 0], [1.1e200, 0]],
                                    ProfileConfig(11, 0.1))
